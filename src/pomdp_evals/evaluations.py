@@ -253,15 +253,14 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
         out = np.zeros((n, horizon))
         if horizon - 1 < l:
             return out
-        flags = (states[:, 1:] == target_state).astype(np.int64)
-        c = np.concatenate([np.zeros((n, 1), dtype=np.int64),
-                            np.cumsum(flags, axis=1)], axis=1)
+        c = np.empty((n, horizon), dtype=np.int32)   # run counts from column 1
+        c[:, 0] = 0
+        np.cumsum(states[:, 1:] == target_state, axis=1, dtype=np.int32, out=c[:, 1:])
         full = c[:, l:] - c[:, :-l] == l          # run starting at column j+1
-        has = full.any(axis=1)
-        start = np.argmax(full, axis=1) + 1
-        cols = np.arange(horizon)
-        rows = has[:, None] & (cols >= start[:, None]) & (cols < start[:, None] + l)
-        out[rows] = 1.0 / l
+        first = full.argmax(axis=1)
+        rows = np.flatnonzero(full[np.arange(n), first])
+        cells = (rows * horizon + first[rows] + 1)[:, None] + np.arange(l)
+        out.put(cells, 1.0 / l)
         return out
 
     return Evaluation(

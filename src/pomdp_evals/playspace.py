@@ -142,75 +142,101 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                    samples: int, rng: np.random.Generator):
     """Sample plays; returns (states, actions, signals) as (samples, horizon)
     integer matrices.  Transducers and open-loop schedules run vectorized;
-    other strategies fall back to a per-sample loop."""
+    other strategies fall back to a per-sample loop.
+
+    Draw contract of the vectorized path: the initial states come from one
+    `rng.choice` call, then stage t uses the next `samples` uniforms, one per
+    sample in order.  The plays therefore depend only on the generator state,
+    not on how stages are blocked, and a shorter horizon gives a prefix of a
+    longer one.  The per-sample path (`_simulate_generic`) draws play by play
+    and is deliberately left as it is: its stream feeds
+    `test_lifted_blind_state_and_belief_limsup_agree`, whose documented
+    failure must not move.
+    """
     if supports_batch(strat):
         return _simulate_batched(p, x1, strat, horizon, samples, rng)
     return _simulate_generic(p, x1, strat, horizon, samples, rng)
 
 
-def _simulate_transducer(p: Pomdp, x1: np.ndarray, strat: Transducer, horizon: int,
-                         samples: int, rng: np.random.Generator):
-    """Vectorized run of a finite-memory strategy: the pair (state, memory)
-    is a Markov chain, so each stage is one grouped inverse-CDF draw plus a
-    table lookup for the next pair."""
-    k, n_s, m = p.n_states, p.n_signals, strat.n_memory
-    # per combined index c = state*m + memory: cumulative law over (l, s)
-    # codes, the played action, and the next combined index per code
-    cum = np.empty((k * m, k * n_s))
-    act_of = np.empty(k * m, dtype=np.int32)
-    nxt_of = np.empty((k * m, k * n_s), dtype=np.int32)
-    for kk in range(k):
-        for mm in range(m):
-            c = kk * m + mm
-            i = int(strat.act[mm])
-            act_of[c] = i
-            cum[c] = np.cumsum(p.transition[kk, i].ravel())
-            for code in range(k * n_s):
-                nxt_of[c, code] = (code // n_s) * m + strat.update[mm, i, code % n_s]
-    states = np.empty((samples, horizon), dtype=np.int32)
-    actions = np.empty((samples, horizon), dtype=np.int32)
-    signals = np.empty((samples, horizon), dtype=np.int32)
-    start = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
-    cur = (start * m + strat.initial).astype(np.int64)
-    # row c of cum shifted into (c, c+1] keeps the flattened table sorted, so
-    # one global searchsorted of cur + u resolves every sample's (l, s) code
-    width = k * n_s
-    flat = (cum + np.arange(k * m)[:, None]).ravel()
-    for t in range(horizon):
-        y = cur + rng.random(samples)
-        code = np.searchsorted(flat, y, side="right") - cur * width
-        np.clip(code, 0, width - 1, out=code)
-        states[:, t] = cur // m
-        actions[:, t] = act_of[cur]
-        signals[:, t] = code % n_s
-        cur = nxt_of[cur, code]
-    return states, actions, signals
+# Stages simulated per block: uniforms are drawn and outputs stored one block
+# at a time.  At 64 stages x 2500 samples the block buffers take about 4 MB.
+STAGE_BLOCK = 64
 
 
 def _simulate_batched(p: Pomdp, x1: np.ndarray, strat, horizon: int,
                       samples: int, rng: np.random.Generator):
+    """A transducer runs as a Markov chain on (state, memory) pairs; an
+    open-loop schedule as one on states, with the stage's action picking the
+    transition table."""
+    k, n_s = p.n_states, p.n_signals
+    code = np.arange(k * n_s)
     if isinstance(strat, Transducer):
-        return _simulate_transducer(p, x1, strat, horizon, samples, rng)
-    k, n_i, n_s = p.n_states, p.n_actions, p.n_signals
+        m, initial = strat.n_memory, strat.initial
+        mem = np.arange(k * m) % m
+        act = strat.act[mem][None, :]
+        stage_table = np.zeros(horizon, dtype=np.intp)
+        nxt = (code // n_s) * m + strat.update[mem[:, None], act.T, code % n_s]
+    else:
+        m, initial = 1, 0
+        act = np.repeat(np.arange(p.n_actions)[:, None], k, axis=1)
+        stage_table = np.array([strat.action_at_stage(t + 1) for t in range(horizon)],
+                               dtype=np.intp)
+        if np.any((stage_table < 0) | (stage_table >= p.n_actions)):
+            raise InvalidInputError("schedule action out of range")
+        nxt = np.broadcast_to(code // n_s, (k, k * n_s))
+    return _simulate_chain(p, x1, act, stage_table, nxt, m, initial, horizon, samples, rng)
+
+
+def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
+                    nxt: np.ndarray, m: int, initial: int, horizon: int, samples: int,
+                    rng: np.random.Generator):
+    """Stage-blocked run of a Markov chain on combined indices c = state*m + memory.
+
+    act[a, c] is the action played at c under table a, stage_table[t] the
+    table used at stage t+1, and nxt[c, code] the next combined index after
+    the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
+    draw for every sample from the next `samples` uniforms, in stage order.
+    """
+    k, n_s = p.n_states, p.n_signals
     width = k * n_s
-    cum = np.cumsum(p.transition.reshape(k, n_i, width), axis=2)
-    # per action: states' rows shifted into (k, k+1] for one global searchsorted
-    flat = np.stack([
-        (cum[:, i, :] + np.arange(k)[:, None]).ravel() for i in range(n_i)
-    ])
+    n_c = act.shape[1]
+    cum = np.cumsum(p.transition.reshape(k, p.n_actions, width)[np.arange(n_c) // m, act],
+                    axis=2)
+    # row c of cum shifted into (c, c+1] keeps each flattened table sorted, so
+    # one global searchsorted of c + u resolves every sample's code
+    tables = (cum + np.arange(n_c)[:, None]).reshape(len(act), -1)
+    nxt_flat = np.ascontiguousarray(nxt, dtype=np.int64).ravel()
+    state_of = (np.arange(n_c) // m).astype(np.int32)
+    signal_of = (np.arange(width) % n_s).astype(np.int32)
+    act = act.astype(np.int32)
     states = np.empty((samples, horizon), dtype=np.int32)
     actions = np.empty((samples, horizon), dtype=np.int32)
     signals = np.empty((samples, horizon), dtype=np.int32)
-    cur = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
-    for t in range(horizon):
-        i = strat.action_at_stage(t + 1)
-        y = cur + rng.random(samples)
-        code = np.searchsorted(flat[i], y, side="right") - cur * width
-        np.clip(code, 0, width - 1, out=code)
-        states[:, t] = cur
-        actions[:, t] = i
-        signals[:, t] = code % n_s
-        cur = code // n_s
+    # time-major block rows: idx[j] is the combined index at the block's stage
+    # j, and idx[b] carries into the next block
+    idx = np.empty((STAGE_BLOCK + 1, samples), dtype=np.int64)
+    codes = np.empty((STAGE_BLOCK, samples), dtype=np.int64)
+    base = np.empty(samples, dtype=np.int64)
+    start = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
+    idx[0] = start * m + initial
+    for t0 in range(0, horizon, STAGE_BLOCK):
+        b = min(STAGE_BLOCK, horizon - t0)
+        y = rng.random((b, samples))
+        for j, yj in enumerate(y):
+            cur, code = idx[j], codes[j]
+            yj += cur
+            pos = tables[stage_table[t0 + j]].searchsorted(yj, side="right")
+            np.multiply(cur, width, out=base)
+            np.subtract(pos, base, out=code)
+            np.minimum(code, width - 1, out=code)
+            np.maximum(code, 0, out=code)
+            base += code
+            nxt_flat.take(base, out=idx[j + 1])
+        blk = slice(t0, t0 + b)
+        states[:, blk] = state_of.take(idx[:b]).T
+        actions[:, blk] = act.take(idx[:b] + (stage_table[blk] * n_c)[:, None]).T
+        signals[:, blk] = signal_of.take(codes[:b]).T
+        idx[0] = idx[b]
     return states, actions, signals
 
 

@@ -262,6 +262,8 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
                             shards: int = 4) -> ValueReport:
     """Finite-horizon estimate of the expected limsup/liminf average payoff,
     with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief")."""
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
     if horizon < 2:
         raise InvalidInputError("horizon must be >= 2")
     if mode not in ("limsup", "liminf"):

@@ -92,10 +92,23 @@ def test_run_block_batch_weights_match_per_play(redraw):
     e = pe.make_evaluation("run_block_ex2", l=3)
     st, ac, sg = simulate_plays(p, x1, pe.always_strategy(2, 1, 0), 60, 40,
                                 np.random.default_rng(2))
+    no_run = np.ones(60, dtype=np.int32)
+    at_end = no_run.copy()
+    at_end[-3:] = 0                      # run ends at the last stage
+    before_search = no_run.copy()
+    before_search[:3] = 0                # stage 1 is not searched
+    st = np.vstack([st, no_run, at_end, before_search])
+    ac, sg = np.vstack([ac, ac[:3]]), np.vstack([sg, sg[:3]])
+    # horizon - 1 == l: the only possible run fills stages 2..4
+    short = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int32)
+    for plays in ((st, ac, sg), (short, short, short)):
+        batch = e.batch_weights(*plays)
+        for j in range(len(plays[0])):
+            assert np.array_equal(batch[j], e.weights(pe.Play(*(a[j] for a in plays))))
+    third = [1 / 3] * 3
+    assert batch[0, 1:].tolist() == third and not batch[1].any()
     batch = e.batch_weights(st, ac, sg)
-    for j in range(40):
-        play = pe.Play(st[j], ac[j], sg[j])
-        assert np.allclose(batch[j], e.weights(play))
+    assert not batch[[40, 42]].any() and batch[41, -3:].tolist() == third
 
 
 def test_prefix_observed_weights_ignore_the_future(rng):

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 import pomdp_evals as pe
-from pomdp_evals.errors import BudgetExceededError
+from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory
 from pomdp_evals.playspace import (batched_belief_payoffs, belief_sequence,
                                    enumerate_plays, observed_prefix_nodes,
                                    plan_shards, shard_seeds, simulate_plays,
-                                   MC_CELL_BUDGET)
+                                   MC_CELL_BUDGET, STAGE_BLOCK)
 
 from conftest import random_belief, random_pomdp
 
@@ -120,6 +120,13 @@ def test_generic_and_batched_paths_agree_on_deterministic_chain(blind):
         assert np.array_equal(u, v)
 
 
+def test_schedule_with_an_action_out_of_range_is_rejected(blind):
+    sched = pe.ScheduleStrategy(2, lambda t: -1 if t == STAGE_BLOCK + 2 else 0)
+    with pytest.raises(InvalidInputError):
+        simulate_plays(blind.pomdp, blind.initial_belief, sched, 2 * STAGE_BLOCK, 3,
+                       np.random.default_rng(0))
+
+
 def test_simulated_state_frequencies_match_the_law(redraw):
     p, x1 = redraw.pomdp, redraw.initial_belief
     t = pe.always_strategy(p.n_actions, p.n_signals, 0)
@@ -127,6 +134,102 @@ def test_simulated_state_frequencies_match_the_law(redraw):
     freq = (st == 0).mean()
     se = 0.5 / np.sqrt(st.size)
     assert abs(freq - 0.5) <= 3 * se
+
+
+def _reference_transducer(p, x1, strat, horizon, samples, rng):
+    """Per-stage transducer loop the stage-blocked kernel must reproduce."""
+    k, n_s, m = p.n_states, p.n_signals, strat.n_memory
+    cum = np.empty((k * m, k * n_s))
+    act_of = np.empty(k * m, dtype=np.int32)
+    nxt_of = np.empty((k * m, k * n_s), dtype=np.int32)
+    for kk in range(k):
+        for mm in range(m):
+            c = kk * m + mm
+            i = int(strat.act[mm])
+            act_of[c] = i
+            cum[c] = np.cumsum(p.transition[kk, i].ravel())
+            for code in range(k * n_s):
+                nxt_of[c, code] = (code // n_s) * m + strat.update[mm, i, code % n_s]
+    states = np.empty((samples, horizon), dtype=np.int32)
+    actions = np.empty((samples, horizon), dtype=np.int32)
+    signals = np.empty((samples, horizon), dtype=np.int32)
+    start = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
+    cur = (start * m + strat.initial).astype(np.int64)
+    width = k * n_s
+    flat = (cum + np.arange(k * m)[:, None]).ravel()
+    for t in range(horizon):
+        y = cur + rng.random(samples)
+        code = np.searchsorted(flat, y, side="right") - cur * width
+        np.clip(code, 0, width - 1, out=code)
+        states[:, t] = cur // m
+        actions[:, t] = act_of[cur]
+        signals[:, t] = code % n_s
+        cur = nxt_of[cur, code]
+    return states, actions, signals
+
+
+def _reference_schedule(p, x1, strat, horizon, samples, rng):
+    """Per-stage open-loop schedule loop the stage-blocked kernel must reproduce."""
+    k, n_i, n_s = p.n_states, p.n_actions, p.n_signals
+    width = k * n_s
+    cum = np.cumsum(p.transition.reshape(k, n_i, width), axis=2)
+    flat = np.stack([
+        (cum[:, i, :] + np.arange(k)[:, None]).ravel() for i in range(n_i)
+    ])
+    states = np.empty((samples, horizon), dtype=np.int32)
+    actions = np.empty((samples, horizon), dtype=np.int32)
+    signals = np.empty((samples, horizon), dtype=np.int32)
+    cur = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
+    for t in range(horizon):
+        i = strat.action_at_stage(t + 1)
+        y = cur + rng.random(samples)
+        code = np.searchsorted(flat[i], y, side="right") - cur * width
+        np.clip(code, 0, width - 1, out=code)
+        states[:, t] = cur
+        actions[:, t] = i
+        signals[:, t] = code % n_s
+        cur = code // n_s
+    return states, actions, signals
+
+
+def _dense_instance_with_a_zero_cell(rng):
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    trans = p.transition.copy()
+    trans[1, 0, 2, 1] = 0.0
+    trans /= trans.sum(axis=(2, 3), keepdims=True)
+    return pe.Pomdp(p.states, p.actions, p.signals, trans, p.reward)
+
+
+@pytest.mark.parametrize("horizon", [1, STAGE_BLOCK - 1, STAGE_BLOCK,
+                                     STAGE_BLOCK + 1, 3 * STAGE_BLOCK + 5])
+@pytest.mark.parametrize("samples", [1, 7])
+def test_blocked_kernel_reproduces_per_stage_loops(rng, horizon, samples):
+    p = _dense_instance_with_a_zero_cell(rng)
+    x1 = random_belief(rng, 3)
+    transducer = pe.Transducer(2, 2, rng.integers(0, 2, 5),
+                               rng.integers(0, 5, (5, 2, 2)), initial=2)
+    # Thue-Morse schedule: both actions occur inside every block
+    schedule = pe.ScheduleStrategy(2, lambda t: bin(t).count("1") % 2)
+    for strat, reference in ((transducer, _reference_transducer),
+                             (schedule, _reference_schedule)):
+        got = simulate_plays(p, x1, strat, horizon, samples, np.random.default_rng(17))
+        want = reference(p, x1, strat, horizon, samples, np.random.default_rng(17))
+        for g, w in zip(got, want):
+            assert g.dtype == np.int32
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("short, long", [(STAGE_BLOCK - 3, STAGE_BLOCK + 2),
+                                         (STAGE_BLOCK, 2 * STAGE_BLOCK + 1)])
+def test_simulated_prefix_does_not_depend_on_horizon(rng, short, long):
+    p = _dense_instance_with_a_zero_cell(rng)
+    x1 = random_belief(rng, 3)
+    transducer = pe.Transducer(2, 2, [0, 1, 1], rng.integers(0, 3, (3, 2, 2)))
+    for strat in (transducer, pe.doubling_strategy()):
+        a = simulate_plays(p, x1, strat, short, 5, np.random.default_rng(3))
+        b = simulate_plays(p, x1, strat, long, 5, np.random.default_rng(3))
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v[:, :short])
 
 
 # ---------------------------------------------------------------------------

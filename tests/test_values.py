@@ -151,6 +151,19 @@ def test_liminf_proxy_never_exceeds_limsup_proxy(rng):
     assert lo.value <= hi.value + 1e-12
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda p, x1, t, e: pe.weighted_payoff_mc(p, x1, t, e, 10, 0, 1),
+    lambda p, x1, t, e: weighted_payoff_and_irregularity_mc(p, x1, t, e, 10, 0, 1),
+    lambda p, x1, t, e: pe.irregularity_mc(p, x1, t, e, 10, 0, 1),
+    lambda p, x1, t, e: pe.limsup_belief_payoff_mc(p, x1, t, 10, 0, 1),
+])
+def test_mc_estimators_reject_zero_samples(redraw, estimate):
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    t = pe.always_strategy(p.n_actions, p.n_signals, 0)
+    with pytest.raises(InvalidInputError):
+        estimate(p, x1, t, pe.make_evaluation("n_stage", n=6))
+
+
 def test_belief_and_state_modes_coincide_when_states_are_revealed(revealed_matching):
     # beliefs collapse to Dirac masses after one stage, so belief payoffs and
     # state payoffs agree except at the first stage
