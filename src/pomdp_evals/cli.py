@@ -21,11 +21,11 @@ from .evaluations import (evaluation_from_spec, irregularity_exact,
 from .instances import builtin_scenario, builtin_strategy
 from .measures import SupportedMeasure, invariance_residual
 from .model import Scenario, load_scenario
-from .playspace import DEFAULT_NODE_BUDGET
+from .playspace import DEFAULT_NODE_BUDGET, reduce_sampled_plays
 from .strategies import (StationaryStrategy, Transducer, enumerate_transducers,
                          transducer_from_dict)
 from .values import (asymptotic_value_estimate, limsup_belief_payoff_mc,
-                     value_discounted, value_n,
+                     running_average_extremum, value_discounted, value_n,
                      weighted_payoff_and_irregularity_mc,
                      weighted_payoff_exact, weighted_payoff_mc)
 
@@ -73,6 +73,12 @@ def _emit(records, fmt: str, timing: float = None) -> None:
         sys.stdout.write(buf.getvalue())
 
 
+def _given(value, default):
+    """An option's value, or `default` when it was not given; an explicit 0
+    or negative value is passed on for the callee to reject."""
+    return default if value is None else value
+
+
 def _load(args) -> Scenario:
     src = args.scenario
     if src is None:
@@ -117,7 +123,7 @@ def _cmd_value(args) -> list:
     scenario = _load(args)
     p, x1 = scenario.pomdp, scenario.initial_belief
     out = []
-    if args.horizon:
+    if args.horizon is not None:
         rep = value_n(p, x1, args.horizon, budget=args.budget)
         out.append(_record("value", str(args.scenario), f"n={args.horizon}",
                            rep.value, rep.error_bound, rep.method, args.seed))
@@ -125,7 +131,7 @@ def _cmd_value(args) -> list:
         rep = value_discounted(p, x1, args.discount, budget=args.budget)
         out.append(_record("value", str(args.scenario), f"lam={args.discount}",
                            rep.value, rep.error_bound, rep.method, args.seed))
-    if args.nmax:
+    if args.nmax is not None:
         rep = asymptotic_value_estimate(p, x1, args.nmax, budget=args.budget)
         out.append(_record("value", str(args.scenario), f"nmax={args.nmax}",
                            rep.value, rep.error_bound, rep.method, args.seed))
@@ -139,8 +145,8 @@ def _cmd_evaluate(args) -> list:
     p, x1 = scenario.pomdp, scenario.initial_belief
     strat = _strategy(args, scenario)
     e = _evaluation(args)
-    horizon = args.horizon or 50
-    if args.samples:
+    horizon = _given(args.horizon, 50)
+    if args.samples is not None:
         rep = weighted_payoff_mc(p, x1, strat, e, horizon, args.samples, args.seed)
     else:
         rep = weighted_payoff_exact(p, x1, strat, e, horizon, budget=args.budget)
@@ -153,8 +159,8 @@ def _cmd_irregularity(args) -> list:
     p, x1 = scenario.pomdp, scenario.initial_belief
     strat = _strategy(args, scenario)
     e = _evaluation(args)
-    horizon = args.horizon or 50
-    if args.samples:
+    horizon = _given(args.horizon, 50)
+    if args.samples is not None:
         est = irregularity_mc(p, x1, strat, e, horizon, args.samples, args.seed)
         return [_record("irregularity", str(args.scenario), e.kind, est.mean,
                         3.0 * est.std_error, "monte_carlo", args.seed)]
@@ -192,8 +198,8 @@ def _cmd_liminf(args) -> list:
         v = liminf_value_transducer(p, x1, strat)
         return [_record("liminf", str(args.scenario), args.strategy, v, 0.0,
                         "ergodic_exact", args.seed)]
-    rep = limsup_belief_payoff_mc(p, x1, strat, args.horizon or 1000,
-                                  args.samples or 100, args.seed, mode="liminf",
+    rep = limsup_belief_payoff_mc(p, x1, strat, _given(args.horizon, 1000),
+                                  _given(args.samples, 100), args.seed, mode="liminf",
                                   payoff_on=args.payoff_on,
                                   window_start=args.window_start)
     return [_record("liminf", str(args.scenario), args.strategy, rep.value,
@@ -204,7 +210,7 @@ def _cmd_limsup(args) -> list:
     scenario = _load(args)
     rep = limsup_belief_payoff_mc(
         scenario.pomdp, scenario.initial_belief, _strategy(args, scenario),
-        args.horizon or 1000, args.samples or 100, args.seed, mode="limsup",
+        _given(args.horizon, 1000), _given(args.samples, 100), args.seed, mode="limsup",
         payoff_on=args.payoff_on, window_start=args.window_start)
     return [_record("limsup", str(args.scenario), args.strategy, rep.value,
                     rep.error_bound, rep.method, args.seed)]
@@ -247,7 +253,7 @@ def _flagged(rec: dict, ok: bool) -> dict:
 def _reproduce_ex1(args) -> list:
     scenario = builtin_scenario("matching-frozen")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    l = args.l or 8
+    l = _given(args.l, 8)
     baseline = value_n(p, x1, 50)
     e = make_evaluation("state_block_ex1", l=l)
     strat = builtin_strategy(f"hold:0:{l}:1", p)
@@ -269,15 +275,15 @@ def _reproduce_ex1(args) -> list:
 def _reproduce_ex2(args) -> list:
     scenario = builtin_scenario("uniform-redraw")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    l = args.l or 10
-    samples = args.samples or 10_000
+    l = _given(args.l, 10)
+    e = make_evaluation("run_block_ex2", l=l)
+    samples = _given(args.samples, 10_000)
     # long enough that a length-l target run fits inside with prob ~1-e^-9
-    horizon = args.horizon or max(50 * l, 9 * 2 ** (l + 1))
+    horizon = _given(args.horizon, max(50 * l, 9 * 2 ** (l + 1)))
     strat = builtin_strategy("always:0", p)
     chain = product_chain(p, strat, x1)
     dec = ergodic_decomposition(chain)
     gamma = dec.class_values[0] if dec.n_classes == 1 else float("nan")
-    e = make_evaluation("run_block_ex2", l=l)
     payoff, irr = weighted_payoff_and_irregularity_mc(
         p, x1, strat, e, horizon, samples, args.seed)
     return [
@@ -298,7 +304,7 @@ def _reproduce_blind(args) -> list:
 
     scenario = builtin_scenario("blind-switching")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    horizon = args.horizon or 100_000
+    horizon = _given(args.horizon, 100_000)
     strat = builtin_strategy("doubling", p)
     out = []
     sweep = [liminf_value_transducer(p, x1, t)
@@ -308,15 +314,19 @@ def _reproduce_blind(args) -> list:
                 "ergodic_exact", args.seed, n_transducers=len(sweep)),
         max(abs(v - 0.5) for v in sweep) <= 1e-9))
     sups, infs = [], []
+
+    def both_ways(states, actions, signals):
+        g = p.reward[states, actions]
+        return (running_average_extremum(g, "limsup", 1),
+                running_average_extremum(g, "liminf", 1))
+
+    # one simulated play per start, reduced both ways; a single sample is one
+    # shard, so its generator is the one a limsup/liminf estimate would use
     for k in range(2):
-        rep = limsup_belief_payoff_mc(p, dirac_belief(2, k), strat, horizon, 1,
-                                      args.seed, mode="limsup", payoff_on="state",
-                                      window_start=1)
-        sups.append(rep.value)
-        rep = limsup_belief_payoff_mc(p, dirac_belief(2, k), strat, horizon, 1,
-                                      args.seed, mode="liminf", payoff_on="state",
-                                      window_start=1)
-        infs.append(rep.value)
+        sup, inf = reduce_sampled_plays(p, dirac_belief(2, k), strat, horizon, 1,
+                                        args.seed, both_ways)
+        sups.append(float(sup[0]))
+        infs.append(float(inf[0]))
     out.append(_flagged(
         _record("reproduce", "blind-limsup", "limsup_proxy", min(sups), 0.0,
                 "monte_carlo", args.seed, per_start=sups),
@@ -331,8 +341,8 @@ def _reproduce_blind(args) -> list:
 def _reproduce_known(args) -> list:
     scenario = builtin_scenario("blind-switching-lift")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    horizon = args.horizon or 2000
-    samples = args.samples or 1000
+    horizon = _given(args.horizon, 2000)
+    samples = _given(args.samples, 1000)
     strat = builtin_strategy("always:0", p)
     state = limsup_belief_payoff_mc(p, x1, strat, horizon, samples, args.seed,
                                     mode="limsup", payoff_on="state")

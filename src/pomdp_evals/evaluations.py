@@ -11,8 +11,7 @@ import numpy as np
 from .errors import InvalidInputError, TruncationError
 from .model import Play, Pomdp
 from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs,
-                        enumerate_plays, plan_shards, shard_seeds,
-                        simulate_plays)
+                        enumerate_plays, reduce_sampled_plays, sample_mean)
 from .strategies import ScheduleStrategy, Strategy
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
@@ -458,20 +457,13 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                     horizon: int, samples: int, seed: int, shards: int = 4) -> McEstimate:
     """Monte Carlo estimate of the horizon-truncated irregularity."""
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    vals = []
-    counts = np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))
-    for rng, chunk in zip(shard_seeds(seed, len(counts)), counts):
-        if len(chunk) == 0:
-            continue
-        states, actions, signals = simulate_plays(p, x1, strat, horizon, len(chunk), rng)
-        w = e.batch_weights(states, actions, signals, ctx)
-        vals.append(batch_pathwise_irregularity(w))
-    v = np.concatenate(vals)
-    se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    return McEstimate(mean=float(v.mean()), std_error=se, samples=samples, seed=seed)
+    v, = reduce_sampled_plays(
+        p, x1, strat, horizon, samples, seed,
+        lambda st, ac, sg: (batch_pathwise_irregularity(e.batch_weights(st, ac, sg, ctx)),),
+        shards)
+    mean, se = sample_mean(v)
+    return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
 
 
 def irregularity_supremum(p: Pomdp, x1: np.ndarray, e: Evaluation, horizon: int,

@@ -31,6 +31,9 @@ def make_belief(weights: Sequence[float]) -> np.ndarray:
     x = np.asarray(weights, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("belief must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(x)):
+        j = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise InvalidInputError(f"belief entry {j} is {x[j]}, expected a finite number")
     if np.any(x < -ROW_SUM_TOL) or np.any(x > 1 + ROW_SUM_TOL):
         raise InvalidInputError("belief entries must lie in [0, 1]")
     if abs(float(x.sum()) - 1.0) > ROW_SUM_TOL:
@@ -92,6 +95,13 @@ class Pomdp:
             raise InvalidInputError(
                 f"reward shape {rew.shape} does not match (K,I)={(k, i)}"
             )
+        bad = np.argwhere(~np.isfinite(trans))
+        if bad.size:
+            bk, bi = bad[0][:2]
+            raise ScenarioValidationError(
+                f"transition row (state={self.states[bk]}, action={self.actions[bi]}) "
+                f"has a non-finite entry"
+            )
         if np.any(trans < 0):
             raise ScenarioValidationError("transition table has negative entries")
         sums = trans.reshape(k, i, -1).sum(axis=2)
@@ -102,8 +112,8 @@ class Pomdp:
                 f"transition row (state={self.states[bk]}, action={self.actions[bi]}) "
                 f"sums to {sums[bk, bi]:.12g} (deviation {abs(sums[bk, bi] - 1.0):.3e})"
             )
-        if np.any(rew < -ROW_SUM_TOL) or np.any(rew > 1 + ROW_SUM_TOL):
-            bk, bi = np.argwhere((rew < 0) | (rew > 1))[0]
+        if not np.all((rew >= -ROW_SUM_TOL) & (rew <= 1 + ROW_SUM_TOL)):
+            bk, bi = np.argwhere(~((rew >= 0) & (rew <= 1)))[0]
             raise ScenarioValidationError(
                 f"reward (state={self.states[bk]}, action={self.actions[bi]}) "
                 f"= {rew[bk, bi]:.12g} lies outside [0, 1]"

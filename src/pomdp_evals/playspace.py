@@ -13,6 +13,10 @@ from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
 PROB_FLOOR = 1e-12
+# Stages simulated per block: uniforms are drawn and outputs stored, and
+# beliefs buffered, one block at a time.  At 64 stages x 2500 samples the
+# block buffers take about 4 MB.
+STAGE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -109,24 +113,34 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
     """Per-stage belief payoffs g(x_m, i_m) for a batch of observed plays.
 
     actions/signals have shape (n_plays, horizon); returns the same shape.
+    Off-support observations fall back to the Dirac at the first state, as in
+    `belief_sequence`.
     """
     n, horizon = actions.shape
-    bel = np.tile(np.asarray(x1, dtype=float), (n, 1))
+    k = p.n_states
+    # bayes[i*S + s] = transition[:, i, :, s], the unnormalised update of (i, s)
+    bayes = p.transition.transpose(1, 3, 0, 2).reshape(-1, k, k)
+    reward_of = p.reward.T
     out = np.empty((n, horizon))
-    k0 = np.zeros(p.n_states)
-    k0[0] = 1.0
-    for t in range(horizon):
-        i = actions[:, t]
-        s = signals[:, t]
-        out[:, t] = np.einsum("nk,kn->n", bel, p.reward[:, i])
-        w = p.transition[:, i, :, s]          # (n, K, K')
-        joint = np.einsum("nk,nkl->nl", bel, w)
-        tot = joint.sum(axis=1)
-        off = tot < PROB_FLOOR
-        tot[off] = 1.0
-        bel = joint / tot[:, None]
-        if off.any():
-            bel[off] = k0
+    k0 = np.eye(1, k)[0]
+    # bel[j] holds the beliefs at the block's stage j; bel[b] carries into the
+    # next block, so only one block of beliefs is ever held
+    bel = np.empty((STAGE_BLOCK + 1, n, k))
+    bel[0] = np.asarray(x1, dtype=float)
+    for t0 in range(0, horizon, STAGE_BLOCK):
+        b = min(STAGE_BLOCK, horizon - t0)
+        blk = slice(t0, t0 + b)
+        codes = (actions[:, blk] * p.n_signals + signals[:, blk]).T
+        for j, code in enumerate(codes):
+            joint = np.einsum("nk,nkl->nl", bel[j], bayes.take(code, axis=0), out=bel[j + 1])
+            tot = joint.sum(axis=1, keepdims=True)
+            if tot.min() < PROB_FLOOR:
+                off = tot[:, 0] < PROB_FLOOR
+                tot[off] = 1.0
+                joint[off] = k0
+            joint /= tot
+        out[:, blk] = np.einsum("tnk,tnk->nt", bel[:b], reward_of[actions[:, blk].T])
+        bel[0] = bel[b]
     return out
 
 
@@ -139,30 +153,36 @@ def supports_batch(strat: Strategy) -> bool:
 
 
 def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                   samples: int, rng: np.random.Generator):
+                   samples: int, rng: np.random.Generator | list):
     """Sample plays; returns (states, actions, signals) as (samples, horizon)
     integer matrices.  Transducers and open-loop schedules run vectorized;
     other strategies fall back to a per-sample loop.
 
-    Draw contract of the vectorized path: the initial states come from one
-    `rng.choice` call, then stage t uses the next `samples` uniforms, one per
-    sample in order.  The plays therefore depend only on the generator state,
-    not on how stages are blocked, and a shorter horizon gives a prefix of a
-    longer one.  The per-sample path (`_simulate_generic`) draws play by play;
-    its sampled stream is unchanged.
+    `rng` is either one generator for all `samples` plays or a list of
+    (generator, count) streams whose counts sum to `samples`.  Each stream
+    fills its own consecutive block of rows from its own generator, so a
+    multi-stream call returns exactly the concatenation of separate calls,
+    one per stream.
+
+    Draw contract of the vectorized path, per stream: the initial states come
+    from one `rng.choice` call, then stage t uses the next `count` uniforms,
+    one per play in order.  The plays therefore depend only on the generator
+    state, not on how stages are blocked, and a shorter horizon gives a prefix
+    of a longer one.  The per-sample path (`_simulate_generic`) draws play by
+    play; its sampled stream is unchanged.
     """
+    streams = [(rng, samples)] if isinstance(rng, np.random.Generator) else list(rng)
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
+    if any(n < 0 for _, n in streams) or sum(n for _, n in streams) != samples:
+        raise InvalidInputError("stream counts must be >= 0 and sum to the sample count")
     if supports_batch(strat):
-        return _simulate_batched(p, x1, strat, horizon, samples, rng)
-    return _simulate_generic(p, x1, strat, horizon, samples, rng)
+        return _simulate_batched(p, x1, strat, horizon, streams)
+    plays = [_simulate_generic(p, x1, strat, horizon, n, g) for g, n in streams]
+    return tuple(np.concatenate(m) for m in zip(*plays))
 
 
-# Stages simulated per block: uniforms are drawn and outputs stored one block
-# at a time.  At 64 stages x 2500 samples the block buffers take about 4 MB.
-STAGE_BLOCK = 64
-
-
-def _simulate_batched(p: Pomdp, x1: np.ndarray, strat, horizon: int,
-                      samples: int, rng: np.random.Generator):
+def _simulate_batched(p: Pomdp, x1: np.ndarray, strat, horizon: int, streams: list):
     """A transducer runs as a Markov chain on (state, memory) pairs; an
     open-loop schedule as one on states, with the stage's action picking the
     transition table."""
@@ -182,58 +202,63 @@ def _simulate_batched(p: Pomdp, x1: np.ndarray, strat, horizon: int,
         if np.any((stage_table < 0) | (stage_table >= p.n_actions)):
             raise InvalidInputError("schedule action out of range")
         nxt = np.broadcast_to(code // n_s, (k, k * n_s))
-    return _simulate_chain(p, x1, act, stage_table, nxt, m, initial, horizon, samples, rng)
+    return _simulate_chain(p, x1, act, stage_table, nxt, m, initial, horizon, streams)
 
 
 def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
-                    nxt: np.ndarray, m: int, initial: int, horizon: int, samples: int,
-                    rng: np.random.Generator):
+                    nxt: np.ndarray, m: int, initial: int, horizon: int, streams: list):
     """Stage-blocked run of a Markov chain on combined indices c = state*m + memory.
 
     act[a, c] is the action played at c under table a, stage_table[t] the
     table used at stage t+1, and nxt[c, code] the next combined index after
     the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
-    draw for every sample from the next `samples` uniforms, in stage order.
+    draw per play from its stream's next uniforms, in stage order.
     """
     k, n_s = p.n_states, p.n_signals
     width = k * n_s
     n_c = act.shape[1]
+    samples = sum(n for _, n in streams)
     cum = np.cumsum(p.transition.reshape(k, p.n_actions, width)[np.arange(n_c) // m, act],
                     axis=2)
-    # row c of cum shifted into (c, c+1] keeps each flattened table sorted, so
-    # one global searchsorted of c + u resolves every sample's code
-    tables = (cum + np.arange(n_c)[:, None]).reshape(len(act), -1)
+    # Row c of a table holds 2c + cum[c, :-1] and the guard 2c + 2.  A draw
+    # 2c + u of row c counts every earlier entry and exactly `code` of its
+    # own, so searchsorted returns c*width + code, the flat index into nxt,
+    # with no clamping: dropping the last cumulative entry caps the code at
+    # width - 1, and rows two apart stay apart even when 2c + u rounds up to
+    # 2c + 1 or a row sums to slightly more than 1.
+    shift = 2.0 * np.arange(n_c)[:, None]
+    tables = list(np.concatenate(
+        [cum[:, :, :-1] + shift, np.broadcast_to(shift + 2.0, (len(act), n_c, 1))],
+        axis=2).reshape(len(act), -1))
     nxt_flat = np.ascontiguousarray(nxt, dtype=np.int64).ravel()
+    shift_of = 2.0 * nxt_flat
     state_of = (np.arange(n_c) // m).astype(np.int32)
-    signal_of = (np.arange(width) % n_s).astype(np.int32)
+    signal_of = (np.arange(n_c * width) % n_s).astype(np.int32)
     act = act.astype(np.int32)
     states = np.empty((samples, horizon), dtype=np.int32)
     actions = np.empty((samples, horizon), dtype=np.int32)
     signals = np.empty((samples, horizon), dtype=np.int32)
     # time-major block rows: idx[j] is the combined index at the block's stage
-    # j, and idx[b] carries into the next block
+    # j, and idx[b] carries into the next block; `base` is 2 * idx at the
+    # stage being drawn
     idx = np.empty((STAGE_BLOCK + 1, samples), dtype=np.int64)
-    codes = np.empty((STAGE_BLOCK, samples), dtype=np.int64)
-    base = np.empty(samples, dtype=np.int64)
-    start = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
-    idx[0] = start * m + initial
+    x1 = np.asarray(x1) / np.asarray(x1).sum()
+    idx[0] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m + initial
+    base = 2.0 * idx[0]
     for t0 in range(0, horizon, STAGE_BLOCK):
         b = min(STAGE_BLOCK, horizon - t0)
-        y = rng.random((b, samples))
-        for j, yj in enumerate(y):
-            cur, code = idx[j], codes[j]
-            yj += cur
-            pos = tables[stage_table[t0 + j]].searchsorted(yj, side="right")
-            np.multiply(cur, width, out=base)
-            np.subtract(pos, base, out=code)
-            np.minimum(code, width - 1, out=code)
-            np.maximum(code, 0, out=code)
-            base += code
-            nxt_flat.take(base, out=idx[j + 1])
+        y = np.concatenate([g.random((b, n)) for g, n in streams], axis=1)
+        pos = []
+        for yj, a in zip(y, stage_table[t0:t0 + b].tolist()):
+            yj += base
+            pos.append(tables[a].searchsorted(yj, side="right"))
+            shift_of.take(pos[-1], out=base)
+        pos = np.array(pos)
+        nxt_flat.take(pos, out=idx[1:b + 1])
         blk = slice(t0, t0 + b)
         states[:, blk] = state_of.take(idx[:b]).T
         actions[:, blk] = act.take(idx[:b] + (stage_table[blk] * n_c)[:, None]).T
-        signals[:, blk] = signal_of.take(codes[:b]).T
+        signals[:, blk] = signal_of.take(pos).T
         idx[0] = idx[b]
     return states, actions, signals
 
@@ -268,6 +293,8 @@ def _simulate_generic(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
 def shard_seeds(seed: int, shards: int) -> list:
     """Deterministic per-shard generators for parallel-style Monte Carlo."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
 
 
@@ -275,7 +302,43 @@ MC_CELL_BUDGET = 40_000_000
 
 
 def plan_shards(samples: int, horizon: int, shards: int) -> int:
-    """Shard count keeping each shard's (samples x horizon) matrices within
-    the cell budget; never fewer than the requested shard count."""
+    """Number of generator streams (shards) for `samples` plays: never fewer
+    than the requested shard count, and enough that each shard's
+    (samples x horizon) matrices fit in the cell budget.  A shard fixes which
+    generator draws its plays, not how they are simulated:
+    `reduce_sampled_plays` simulates consecutive shards in one pass while the
+    pass stays within the budget."""
     need = -(-samples * horizon // MC_CELL_BUDGET)
     return max(1, min(samples, max(shards, need)))
+
+
+def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
+                         samples: int, seed: int, reduce, shards: int = 4) -> list:
+    """Simulate `samples` plays in seeded shards and reduce them play by play.
+
+    `reduce(states, actions, signals)` returns a tuple of per-play arrays;
+    the result lists each of them concatenated over all plays, in shard
+    order.  Consecutive shards share one simulation pass while the pass
+    stays within MC_CELL_BUDGET cells; each shard still draws from its own
+    generator, so the plays do not depend on the grouping.
+    """
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
+    counts = [len(c) for c in
+              np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))]
+    passes = [[]]
+    for g, n in zip(shard_seeds(seed, len(counts)), counts):
+        if passes[-1] and (sum(c for _, c in passes[-1]) + n) * horizon > MC_CELL_BUDGET:
+            passes.append([])
+        passes[-1].append((g, n))
+    parts = [reduce(*simulate_plays(p, x1, strat, horizon, sum(c for _, c in grp), grp))
+             for grp in passes]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def sample_mean(v: np.ndarray) -> tuple:
+    """Mean of per-play values and its standard error (0 for one play)."""
+    se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
+    return float(v.mean()), se

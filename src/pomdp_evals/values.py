@@ -13,8 +13,7 @@ from .errors import BudgetExceededError, InvalidInputError
 from .evaluations import EvalContext, Evaluation
 from .model import Pomdp, belief_key, belief_transition, stage_payoff
 from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs,
-                        enumerate_plays, plan_shards, shard_seeds,
-                        simulate_plays)
+                        enumerate_plays, reduce_sampled_plays, sample_mean)
 from .strategies import Strategy
 
 METHODS = ("exact_dp", "truncated_dp", "monte_carlo", "ergodic_exact")
@@ -161,29 +160,24 @@ def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluati
                        horizon_or_samples=horizon)
 
 
+def _payoff_rows(p: Pomdp, e: Evaluation, ctx: EvalContext, states, actions, signals):
+    """Per-play weighted payoff, weight mass and the weights themselves."""
+    w = e.batch_weights(states, actions, signals, ctx)
+    return (w * p.reward[states, actions]).sum(axis=1), w.sum(axis=1), w
+
+
 def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        horizon: int, samples: int, seed: int,
                        shards: int = 4) -> ValueReport:
     """Monte Carlo estimate of the weighted payoff; the error bound combines
     three standard errors with the expected tail weight."""
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    vals, masses = [], []
-    counts = np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))
-    for rng, chunk in zip(shard_seeds(seed, len(counts)), counts):
-        if len(chunk) == 0:
-            continue
-        states, actions, signals = simulate_plays(p, x1, strat, horizon, len(chunk), rng)
-        w = e.batch_weights(states, actions, signals, ctx)
-        r = p.reward[states, actions]
-        vals.append((w * r).sum(axis=1))
-        masses.append(w.sum(axis=1))
-    v = np.concatenate(vals)
-    mass = float(np.concatenate(masses).mean())
-    se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    return ValueReport(value=float(v.mean()), method="monte_carlo",
-                       error_bound=3.0 * se + _tail_weight(e, horizon, mass),
+    v, masses = reduce_sampled_plays(
+        p, x1, strat, horizon, samples, seed,
+        lambda *play: _payoff_rows(p, e, ctx, *play)[:2], shards)
+    value, se = sample_mean(v)
+    return ValueReport(value=value, method="monte_carlo",
+                       error_bound=3.0 * se + _tail_weight(e, horizon, float(masses.mean())),
                        horizon_or_samples=samples)
 
 
@@ -196,30 +190,19 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
     simulation cost."""
     from .evaluations import McEstimate, batch_pathwise_irregularity
 
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    vals, masses, irrs = [], [], []
-    counts = np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))
-    for rng, chunk in zip(shard_seeds(seed, len(counts)), counts):
-        if len(chunk) == 0:
-            continue
-        states, actions, signals = simulate_plays(p, x1, strat, horizon, len(chunk), rng)
-        w = e.batch_weights(states, actions, signals, ctx)
-        r = p.reward[states, actions]
-        vals.append((w * r).sum(axis=1))
-        masses.append(w.sum(axis=1))
-        irrs.append(batch_pathwise_irregularity(w))
-    v = np.concatenate(vals)
-    j = np.concatenate(irrs)
-    mass = float(np.concatenate(masses).mean())
-    v_se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    j_se = float(j.std(ddof=1) / np.sqrt(len(j))) if len(j) > 1 else 0.0
-    payoff = ValueReport(value=float(v.mean()), method="monte_carlo",
-                         error_bound=3.0 * v_se + _tail_weight(e, horizon, mass),
+
+    def reduce(*play):
+        v, mass, w = _payoff_rows(p, e, ctx, *play)
+        return v, mass, batch_pathwise_irregularity(w)
+
+    v, masses, j = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
+    value, v_se = sample_mean(v)
+    j_mean, j_se = sample_mean(j)
+    payoff = ValueReport(value=value, method="monte_carlo",
+                         error_bound=3.0 * v_se + _tail_weight(e, horizon, float(masses.mean())),
                          horizon_or_samples=samples)
-    irr = McEstimate(mean=float(j.mean()), std_error=j_se, samples=samples, seed=seed)
-    return payoff, irr
+    return payoff, McEstimate(mean=j_mean, std_error=j_se, samples=samples, seed=seed)
 
 
 def weighted_payoff_chain(c: MarkovChain, e: Evaluation, horizon: int) -> ValueReport:
@@ -251,7 +234,8 @@ def running_average_extremum(payoffs: np.ndarray, mode: str,
         window_start = max(horizon // 2, 1)
     if not 1 <= window_start <= horizon:
         raise InvalidInputError("window start outside [1, horizon]")
-    avg = np.cumsum(payoffs, axis=1) / np.arange(1, horizon + 1)
+    avg = np.cumsum(payoffs, axis=1)
+    avg /= np.arange(1, horizon + 1)
     window = avg[:, window_start - 1:]
     return window.max(axis=1) if mode == "limsup" else window.min(axis=1)
 
@@ -262,26 +246,21 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
                             shards: int = 4) -> ValueReport:
     """Finite-horizon estimate of the expected limsup/liminf average payoff,
     with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief")."""
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
     if horizon < 2:
         raise InvalidInputError("horizon must be >= 2")
     if mode not in ("limsup", "liminf"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if payoff_on not in ("state", "belief"):
         raise InvalidInputError(f"unknown payoff base {payoff_on!r}")
-    vals = []
-    counts = np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))
-    for rng, chunk in zip(shard_seeds(seed, len(counts)), counts):
-        if len(chunk) == 0:
-            continue
-        states, actions, signals = simulate_plays(p, x1, strat, horizon, len(chunk), rng)
+
+    def reduce(states, actions, signals):
         if payoff_on == "state":
             g = p.reward[states, actions]
         else:
             g = batched_belief_payoffs(p, x1, actions, signals)
-        vals.append(running_average_extremum(g, mode, window_start))
-    v = np.concatenate(vals)
-    se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    return ValueReport(value=float(v.mean()), method="monte_carlo",
+        return (running_average_extremum(g, mode, window_start),)
+
+    v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
+    value, se = sample_mean(v)
+    return ValueReport(value=value, method="monte_carlo",
                        error_bound=3.0 * se, horizon_or_samples=samples)

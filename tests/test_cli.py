@@ -158,3 +158,34 @@ def test_strategy_file_round_trips_through_cli(capsys, tmp_path):
                            "--strategy", str(path))
     assert code == 0
     assert np.isclose(json.loads(out)["records"][0]["value"], 0.5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["limsup", "--scenario", "blind-switching", "--strategy", "always:B",
+     "--horizon", "100", "--samples", "0"],
+    ["liminf", "--scenario", "blind-switching", "--strategy", "doubling",
+     "--horizon", "-5", "--samples", "3"],
+    ["evaluate", "--scenario", "uniform-redraw", "--strategy", "always:0",
+     "--evaluation", '{"kind": "n_stage", "n": 3}', "--horizon", "0"],
+    ["evaluate", "--scenario", "uniform-redraw", "--strategy", "always:0",
+     "--evaluation", '{"kind": "n_stage", "n": 3}', "--horizon", "5", "--samples", "0"],
+    ["irregularity", "--scenario", "uniform-redraw", "--strategy", "always:0",
+     "--evaluation", '{"kind": "n_stage", "n": 3}', "--horizon", "0", "--samples", "5"],
+    ["value", "--scenario", "uniform-redraw", "--horizon", "0"],
+    ["value", "--scenario", "uniform-redraw", "--nmax", "0"],
+    ["reproduce", "ex1", "--l", "0"],
+    ["reproduce", "ex2", "--l", "-2"],
+    ["reproduce", "known-payoffs", "--horizon", "100", "--samples", "0"],
+])
+def test_explicit_zero_or_negative_sizes_exit_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1, out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_negative_seed_exits_invalid(capsys):
+    code, _, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                           "--strategy", "always:0",
+                           "--evaluation", '{"kind":"discounted","lam":0.5}',
+                           "--horizon", "5", "--samples", "5", "--seed", "-1")
+    assert code == 1 and "seed" in err

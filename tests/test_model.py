@@ -23,6 +23,13 @@ def test_make_belief_normalizes_and_validates():
         pe.make_belief([-0.1, 1.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_belief_rejects_non_finite_entries(bad):
+    with pytest.raises(InvalidInputError) as err:
+        pe.make_belief([bad, 1.0])
+    assert "entry 0" in str(err.value)
+
+
 def test_dirac_and_uniform_beliefs():
     assert np.array_equal(pe.dirac_belief(3, 1), [0.0, 1.0, 0.0])
     assert np.allclose(pe.uniform_belief(4), 0.25)
@@ -44,6 +51,21 @@ def test_pomdp_validation_names_the_offending_row(rng):
     bad[1, 0] *= 0.9
     with pytest.raises(ScenarioValidationError) as err:
         pe.Pomdp(p.states, p.actions, p.signals, bad, p.reward)
+    assert "s1" in str(err.value) and "a0" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pomdp_rejects_non_finite_transition_and_reward_cells(rng, bad):
+    p = random_pomdp(rng)
+    trans = p.transition.copy()
+    trans[2, 1, 0, 1] = bad
+    with pytest.raises(ScenarioValidationError) as err:
+        pe.Pomdp(p.states, p.actions, p.signals, trans, p.reward)
+    assert "s2" in str(err.value) and "a1" in str(err.value)
+    reward = p.reward.copy()
+    reward[1, 0] = bad
+    with pytest.raises(ScenarioValidationError) as err:
+        pe.Pomdp(p.states, p.actions, p.signals, p.transition, reward)
     assert "s1" in str(err.value) and "a0" in str(err.value)
 
 

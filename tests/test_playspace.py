@@ -1,6 +1,8 @@
 """Play enumeration, belief sequences, and seeded simulation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
@@ -230,6 +232,94 @@ def test_simulated_prefix_does_not_depend_on_horizon(rng, short, long):
         b = simulate_plays(p, x1, strat, long, 5, np.random.default_rng(3))
         for u, v in zip(a, b):
             assert np.array_equal(u, v[:, :short])
+
+
+# ---------------------------------------------------------------------------
+# Properties on random instances
+# ---------------------------------------------------------------------------
+
+@hst.composite
+def sparse_instances(draw):
+    """Random POMDP with K, I, S <= 3, about a third of its transition cells
+    zero (each row keeps one positive cell), and a random initial belief."""
+    k, n_i, n_s = (draw(hst.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    trans = rng.random((k, n_i, k * n_s)) * (rng.random((k, n_i, k * n_s)) > 0.35)
+    keep = rng.integers(0, k * n_s, (k, n_i))
+    trans[np.arange(k)[:, None], np.arange(n_i), keep] += 0.1
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), tuple(f"a{j}" for j in range(n_i)),
+                 tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
+                 rng.random((k, n_i)))
+    return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
+
+
+HORIZONS = hst.sampled_from([1, 2, STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1,
+                             2 * STAGE_BLOCK + 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), horizon=HORIZONS, width=hst.integers(1, 6),
+       data=hst.data())
+def test_grouped_pass_equals_separate_shard_calls(case, horizon, width, data):
+    p, x1, rng = case
+    cuts = sorted(data.draw(hst.sets(hst.integers(1, width - 1), max_size=width - 1))
+                  if width > 1 else [])
+    counts = np.diff([0, *cuts, width]).tolist()
+    seeds = [int(s) for s in rng.integers(0, 2**32, len(counts))]
+    m = int(rng.integers(1, 5))
+    transducer = pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, m),
+                               rng.integers(0, m, (m, p.n_actions, p.n_signals)),
+                               initial=int(rng.integers(0, m)))
+    plan = rng.integers(0, p.n_actions, horizon)
+    schedule = pe.ScheduleStrategy(p.n_actions, lambda t: int(plan[t - 1]))
+    for strat, reference in ((transducer, _reference_transducer),
+                             (schedule, _reference_schedule)):
+        streams = [(np.random.default_rng(s), n) for s, n in zip(seeds, counts)]
+        grouped = simulate_plays(p, x1, strat, horizon, width, streams)
+        separate = [simulate_plays(p, x1, strat, horizon, n, np.random.default_rng(s))
+                    for s, n in zip(seeds, counts)]
+        loops = [reference(p, x1, strat, horizon, n, np.random.default_rng(s))
+                 for s, n in zip(seeds, counts)]
+        for j, g in enumerate(grouped):
+            assert g.shape == (width, horizon)
+            assert np.array_equal(g, np.concatenate([play[j] for play in separate]))
+            assert np.array_equal(g, np.concatenate([play[j] for play in loops]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), horizon=HORIZONS, width=hst.integers(1, 6))
+def test_batched_belief_payoffs_match_belief_sequences(case, horizon, width):
+    # arbitrary observed histories: with zero cells many of them leave the
+    # support, where both paths fall back to the Dirac at the first state
+    p, x1, rng = case
+    actions = rng.integers(0, p.n_actions, (width, horizon))
+    signals = rng.integers(0, p.n_signals, (width, horizon))
+    batch = batched_belief_payoffs(p, x1, actions, signals)
+    assert batch.shape == (width, horizon)
+    for j in range(width):
+        seq = belief_sequence(p, x1, actions[j], signals[j])
+        want = [pe.stage_payoff(p, seq[m], int(actions[j, m])) for m in range(horizon)]
+        assert np.allclose(batch[j], want, rtol=0, atol=1e-12)
+        assert np.array_equal(batch[j:j + 1],
+                              batched_belief_payoffs(p, x1, actions[j:j + 1],
+                                                     signals[j:j + 1]))
+
+
+def test_off_support_history_falls_back_to_the_first_state_at_width_one():
+    # a switching chain whose signal reveals the next state
+    trans = np.zeros((2, 2, 2, 2))
+    trans[0, 0, 0, 0] = trans[1, 0, 1, 1] = 1.0      # T: stay
+    trans[0, 1, 1, 1] = trans[1, 1, 0, 0] = 1.0      # B: swap
+    q = pe.Pomdp(("L", "R"), ("T", "B"), ("o0", "o1"), trans, [[0.25, 0.5], [0.75, 1.0]])
+    x1 = pe.dirac_belief(2, 1)
+    actions = np.array([[0, 0, 1, 0]])
+    signals = np.array([[1, 0, 0, 0]])        # stage 2 reports state 0: off support
+    seq = belief_sequence(q, x1, actions[0], signals[0])
+    assert np.array_equal(seq[2], [1.0, 0.0])
+    want = [pe.stage_payoff(q, seq[m], int(actions[0, m])) for m in range(4)]
+    assert np.allclose(batched_belief_payoffs(q, x1, actions, signals)[0], want,
+                       rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
