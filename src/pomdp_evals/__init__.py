@@ -17,7 +17,7 @@ from .instances import (SCENARIOS, builtin_scenario, builtin_strategy,
 from .measures import (DisintegrationTable, OccupationResult, SupportedMeasure,
                        disintegrate, image_measure, invariance_residual,
                        kr_distance, occupation_measure)
-from .model import (ObservedHistory, Play, Pomdp, Scenario, bayes_update,
+from .model import (ObservedHistory, Pomdp, Scenario, bayes_update,
                     belief_key, belief_transition, canonical_belief, dirac_belief,
                     has_known_payoffs, known_payoff_lift, known_payoff_partition,
                     lift_belief, load_scenario, make_belief, pomdp_from_tables,
@@ -27,9 +27,8 @@ from .strategies import (BehaviorStrategy, RandomBehaviorStrategy,
                          ScheduleStrategy, StationaryStrategy, Strategy,
                          Transducer, always_strategy, belief_tracking_strategy,
                          block_switch_strategy, doubling_strategy,
-                         enumerate_transducers, strategy_action,
-                         transducer_from_dict, transducer_to_dict,
-                         uniform_strategy)
+                         enumerate_transducers, transducer_from_dict,
+                         transducer_to_dict, uniform_strategy)
 from .values import (ValueReport, asymptotic_value_estimate,
                      limsup_belief_payoff_mc, value_discounted, value_n,
                      value_n_sequence, weighted_payoff_chain,

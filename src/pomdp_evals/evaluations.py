@@ -1,6 +1,10 @@
 """Stage-weight evaluations over plays: standard families, block smoothing,
 the stopping-rule weights built from running payoffs, conditional
-(prefix-observed) versions, and the irregularity metric."""
+(prefix-observed) versions, and the irregularity metric.
+
+Every evaluation computes its weights for a whole batch of plays at once;
+exact results reduce the enumerated play batch with its probabilities, Monte
+Carlo results the sampled batches."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,9 +13,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, TruncationError
-from .model import Play, Pomdp
+from .model import Pomdp
 from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs,
-                        enumerate_plays, reduce_sampled_plays, sample_mean)
+                        enumerate_plays, prefix_ids, reduce_sampled_plays,
+                        sample_mean)
 from .strategies import ScheduleStrategy, Strategy
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
@@ -28,21 +33,21 @@ class EvalContext:
 
 @dataclass
 class Evaluation:
-    """A stage-weight process: weights(play) gives theta_1..theta_n in [0,1].
+    """A stage-weight process giving theta_1..theta_n in [0,1] along each play.
 
+    It has exactly one weight function: deterministic kinds give `stage_fn`
+    (horizon -> weight vector, the same on every play), the others
+    `batch_fn(states, actions, signals, ctx)` on (n_plays, horizon) matrices.
     `support_horizon` is the stage past which weights vanish on every play
     (None when unbounded).  `irregularity_tail` bounds the truncation error of
     the pathwise irregularity at a given horizon; `mass_tail` bounds the weight
-    mass past a horizon.  Deterministic evaluations expose `stage_fn` so bulk
-    consumers can skip per-play work.
+    mass past a horizon.
     """
 
     kind: str
     measurability: str
     normalization: str
-    vector_fn: Callable[[Play, Optional[EvalContext]], np.ndarray]
     support_horizon: Optional[int] = None
-    deterministic: bool = False
     stage_fn: Optional[Callable[[int], np.ndarray]] = None
     batch_fn: Optional[Callable] = None
     irregularity_tail: Optional[Callable[[int], float]] = None
@@ -54,25 +59,27 @@ class Evaluation:
             raise InvalidInputError(f"unknown measurability class {self.measurability!r}")
         if self.normalization not in NORMALIZATION:
             raise InvalidInputError(f"unknown normalization class {self.normalization!r}")
+        if (self.stage_fn is None) == (self.batch_fn is None):
+            raise InvalidInputError("an evaluation needs exactly one of stage_fn and batch_fn")
 
-    def weights(self, play: Play, ctx: Optional[EvalContext] = None) -> np.ndarray:
-        """Per-stage weights theta_1..theta_n along a truncated play."""
-        if self.deterministic:
-            return self.stage_fn(len(play.states))
-        return np.asarray(self.vector_fn(play, ctx), dtype=float)
+    @property
+    def deterministic(self) -> bool:
+        return self.stage_fn is not None
 
     def batch_weights(self, states: np.ndarray, actions: np.ndarray,
                       signals: np.ndarray, ctx: Optional[EvalContext] = None) -> np.ndarray:
-        """Weights for a batch of sampled plays, shape (n_plays, horizon)."""
-        n, horizon = states.shape
+        """Weights for a batch of plays, shape (n_plays, horizon)."""
         if self.deterministic:
-            return np.tile(self.stage_fn(horizon), (n, 1))
-        if self.batch_fn is not None:
-            return self.batch_fn(states, actions, signals, ctx)
-        out = np.empty((n, horizon))
-        for j in range(n):
-            out[j] = self.weights(Play(states[j], actions[j], signals[j]), ctx)
-        return out
+            return np.tile(self.stage_fn(states.shape[1]), (len(states), 1))
+        return self.batch_fn(states, actions, signals, ctx)
+
+
+def enumerated_weights(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
+                       horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+    """The enumerated play batch and its weights, shape (n_plays, horizon)."""
+    b = enumerate_plays(p, x1, strat, horizon, budget=budget)
+    return b, e.batch_weights(b.states, b.actions, b.signals,
+                              EvalContext(p, np.asarray(x1, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,7 @@ def _deterministic(kind: str, stage_fn, support, normalization, tail=None,
         kind=kind,
         measurability="prefix-observed",
         normalization=normalization,
-        vector_fn=lambda play, ctx: stage_fn(len(play.states)),
         support_horizon=support,
-        deterministic=True,
         stage_fn=stage_fn,
         irregularity_tail=tail,
         mass_tail=mass_tail,
@@ -146,10 +151,17 @@ def make_discounted(lam: float) -> Evaluation:
                           lam=lam)
 
 
+def _check_finite(name: str, v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)):
+        j = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise InvalidInputError(f"{name} entry {j} is {v[j]}, expected a finite number")
+
+
 def make_decreasing(weights) -> Evaluation:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise InvalidInputError("weights must be a non-empty vector")
+    _check_finite("weights", w)
     if np.any(w < 0) or np.any(w > 1):
         raise InvalidInputError("weights must lie in [0,1]")
     if np.any(np.diff(w) > 1e-12):
@@ -172,6 +184,7 @@ def make_piecewise_constant(breaks, levels) -> Evaluation:
         raise InvalidInputError("breaks and levels must be non-empty and equal-length")
     if breaks[0] < 1 or any(b >= c for b, c in zip(breaks, breaks[1:])):
         raise InvalidInputError("breaks must be strictly increasing stages >= 1")
+    _check_finite("levels", np.asarray(levels))
     if any(v < 0 or v > 1 for v in levels):
         raise InvalidInputError("levels must lie in [0,1]")
     full = np.concatenate([
@@ -196,13 +209,6 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
     if l < 1:
         raise InvalidInputError("block length must be >= 1")
 
-    def vector_fn(play: Play, ctx) -> np.ndarray:
-        horizon = len(play.states)
-        out = np.zeros(horizon)
-        start = 0 if int(play.states[0]) == early_state else l
-        out[start: min(start + l, horizon)] = 1.0 / l
-        return out
-
     def batch_fn(states, actions, signals, ctx) -> np.ndarray:
         n, horizon = states.shape
         out = np.zeros((n, horizon))
@@ -215,20 +221,10 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
         kind="state_block_ex1",
         measurability="prefix-full",
         normalization="pointwise",
-        vector_fn=vector_fn,
         support_horizon=2 * l,
         batch_fn=batch_fn,
         params={"l": l, "early_state": early_state},
     )
-
-
-def _first_run_start(flags: np.ndarray, l: int) -> int:
-    """First index j with flags[j:j+l] all true, or -1."""
-    if len(flags) < l:
-        return -1
-    c = np.concatenate([[0], np.cumsum(flags.astype(np.int64))])
-    hits = np.nonzero(c[l:] - c[:-l] == l)[0]
-    return int(hits[0]) if len(hits) else -1
 
 
 def make_run_block(l: int, target_state: int = 0) -> Evaluation:
@@ -238,14 +234,6 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
     play."""
     if l < 1:
         raise InvalidInputError("block length must be >= 1")
-
-    def vector_fn(play: Play, ctx) -> np.ndarray:
-        horizon = len(play.states)
-        out = np.zeros(horizon)
-        j = _first_run_start(np.asarray(play.states[1:]) == target_state, l)
-        if j >= 0:
-            out[j + 1: j + 1 + l] = 1.0 / l
-        return out
 
     def batch_fn(states, actions, signals, ctx) -> np.ndarray:
         n, horizon = states.shape
@@ -266,7 +254,6 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
         kind="run_block_ex2",
         measurability="play-observed",
         normalization="pointwise",
-        vector_fn=vector_fn,
         support_horizon=None,
         batch_fn=batch_fn,
         params={"l": l, "target_state": target_state},
@@ -297,16 +284,6 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     if l < 1 or horizon < l:
         raise InvalidInputError("need horizon >= l >= 1")
 
-    def vector_fn(play: Play, ctx: Optional[EvalContext]) -> np.ndarray:
-        if ctx is None:
-            raise InvalidInputError("limsup weights need a POMDP context")
-        g = batched_belief_payoffs(ctx.pomdp, ctx.x1,
-                                   play.actions[None, :], play.signals[None, :])[0]
-        eta = eta_horizon(g, l)
-        out = np.zeros(len(play.states))
-        out[:eta] = 1.0 / eta
-        return out
-
     def batch_fn(states, actions, signals, ctx) -> np.ndarray:
         if ctx is None:
             raise InvalidInputError("limsup weights need a POMDP context")
@@ -322,7 +299,6 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
         kind="limsup_theta",
         measurability="play-observed",
         normalization="pointwise",
-        vector_fn=vector_fn,
         support_horizon=horizon,
         batch_fn=batch_fn,
         params={"l": l, "horizon": horizon},
@@ -344,7 +320,11 @@ def make_evaluation(kind: str, **params) -> Evaluation:
     """Build a named evaluation; see _MAKERS for the accepted kinds."""
     if kind not in _MAKERS:
         raise InvalidInputError(f"unknown evaluation kind {kind!r}")
-    return _MAKERS[kind](**params)
+    try:
+        return _MAKERS[kind](**params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"evaluation {kind!r}: missing or malformed "
+                                f"parameter ({type(exc).__name__}: {exc})") from exc
 
 
 def evaluation_from_spec(doc) -> Evaluation:
@@ -352,7 +332,10 @@ def evaluation_from_spec(doc) -> Evaluation:
     import json
 
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"evaluation spec is not valid JSON: {exc}") from exc
     doc = dict(doc)
     kind = doc.pop("kind", None)
     if kind is None:
@@ -373,8 +356,7 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
         return e
 
     def smooth(w: np.ndarray) -> np.ndarray:
-        idx = (np.arange(len(w)) // l) * l
-        return w[idx]
+        return w[..., (np.arange(w.shape[-1]) // l) * l]
 
     support = None if e.support_horizon is None else -(-e.support_horizon // l) * l
     if e.deterministic:
@@ -385,25 +367,16 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
             kind=f"block_smooth({e.kind},{l})",
             measurability=e.measurability,
             normalization=norm,
-            vector_fn=lambda play, ctx: stage_fn(len(play.states)),
             support_horizon=support,
-            deterministic=True,
             stage_fn=stage_fn,
             params={"base": e.kind, "l": l},
         )
-    batch = None
-    if e.batch_fn is not None:
-        def batch(states, actions, signals, ctx):
-            w = e.batch_fn(states, actions, signals, ctx)
-            idx = (np.arange(w.shape[1]) // l) * l
-            return w[:, idx]
     return Evaluation(
         kind=f"block_smooth({e.kind},{l})",
         measurability=e.measurability,
         normalization="none",
-        vector_fn=lambda play, ctx: smooth(e.weights(play, ctx)),
         support_horizon=support,
-        batch_fn=batch,
+        batch_fn=lambda *play: smooth(e.batch_fn(*play)),
         params={"base": e.kind, "l": l},
     )
 
@@ -443,13 +416,11 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     """Expected pathwise irregularity by exhaustive tree enumeration; exact
     when the weights vanish within the horizon, bracketed otherwise."""
     tail = _truncation_tail(e, horizon)
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
     if e.deterministic:
         total = pathwise_irregularity(e.stage_fn(horizon))
     else:
-        total = 0.0
-        for wp in enumerate_plays(p, x1, strat, horizon, budget=budget):
-            total += wp.probability * pathwise_irregularity(e.weights(wp.play, ctx))
+        b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
+        total = float(b.prob @ batch_pathwise_irregularity(w))
     return IrregularityReport(lower=max(total - tail, 0.0), upper=total + tail,
                               horizon=horizon, tail_bound=tail)
 
@@ -494,38 +465,42 @@ def irregularity_supremum(p: Pomdp, x1: np.ndarray, e: Evaluation, horizon: int,
 @dataclass
 class ConditionalTable:
     """Prefix-conditional expected weights rho_m and the prefix masses that
-    support them.  Keys are (stage, actions, signals) with len = stage-1."""
+    support them.  Keys are (stage, actions, signals) with len = stage-1;
+    `kids` maps a key to the keys one stage deeper that extend it."""
 
     rho: dict
     mass: dict
     horizon: int
+    kids: dict
 
-    def children(self, key):
-        m, acts, sigs = key
-        out = []
-        for other in self.mass:
-            if other[0] == m + 1 and other[1][:m - 1] == acts and other[2][:m - 1] == sigs:
-                out.append(other)
-        return out
+    def children(self, key) -> list:
+        return self.kids.get(key, [])
+
+
+def _prefix_keys(actions: np.ndarray, signals: np.ndarray, rows: np.ndarray, m: int) -> list:
+    """(stage, actions, signals) keys of the prefixes held before stage m on `rows`."""
+    return [(m, tuple(a), tuple(s)) for a, s in
+            zip(actions[rows, :m - 1].tolist(), signals[rows, :m - 1].tolist())]
 
 
 def conditional_table(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                       horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> ConditionalTable:
     """Expected evaluation weight at each stage given the observed prefix."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    plays = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    num: dict = {}
+    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
+    ids, first = prefix_ids(b.actions, b.signals)
+    rho: dict = {}
     mass: dict = {}
-    for wp in plays:
-        w = e.weights(wp.play, ctx)
-        a = tuple(int(v) for v in wp.play.actions)
-        s = tuple(int(v) for v in wp.play.signals)
-        for m in range(1, horizon + 1):
-            key = (m, a[: m - 1], s[: m - 1])
-            num[key] = num.get(key, 0.0) + wp.probability * float(w[m - 1])
-            mass[key] = mass.get(key, 0.0) + wp.probability
-    rho = {k: num[k] / mass[k] for k in num if mass[k] > 0}
-    return ConditionalTable(rho=rho, mass=mass, horizon=horizon)
+    kids: dict = {}
+    for m in range(1, horizon + 1):
+        keys = _prefix_keys(b.actions, b.signals, first[m - 1], m)
+        num = np.bincount(ids[:, m - 1], weights=b.prob * w[:, m - 1], minlength=len(keys))
+        den = np.bincount(ids[:, m - 1], weights=b.prob, minlength=len(keys))
+        mass.update(zip(keys, den.tolist()))
+        rho.update((k, v / d) for k, v, d in zip(keys, num.tolist(), den.tolist()) if d > 0)
+        if m > 1:
+            for key in keys:
+                kids.setdefault((m - 1, key[1][:-1], key[2][:-1]), []).append(key)
+    return ConditionalTable(rho=rho, mass=mass, horizon=horizon, kids=kids)
 
 
 def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
@@ -535,21 +510,21 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
     prefixes weigh zero."""
     table = conditional_table(p, x1, strat, e, horizon, budget=budget)
 
-    def vector_fn(play: Play, ctx) -> np.ndarray:
-        a = tuple(int(v) for v in play.actions)
-        s = tuple(int(v) for v in play.signals)
-        n = min(len(play.states), horizon)
-        out = np.zeros(len(play.states))
+    def batch_fn(states, actions, signals, ctx) -> np.ndarray:
+        out = np.zeros(states.shape)
+        n = min(states.shape[1], horizon)
+        ids, first = prefix_ids(actions[:, :n], signals[:, :n])
         for m in range(1, n + 1):
-            out[m - 1] = table.rho.get((m, a[: m - 1], s[: m - 1]), 0.0)
+            keys = _prefix_keys(actions, signals, first[m - 1], m)
+            out[:, m - 1] = np.array([table.rho.get(k, 0.0) for k in keys])[ids[:, m - 1]]
         return out
 
     return Evaluation(
         kind=f"conditional({e.kind})",
         measurability="prefix-observed",
         normalization="in-expectation",
-        vector_fn=vector_fn,
         support_horizon=horizon if e.support_horizon is not None else None,
+        batch_fn=batch_fn,
         irregularity_tail=e.irregularity_tail,
         params={"base": e.kind, "horizon": horizon, "table": table},
     )

@@ -1,7 +1,11 @@
 """Finitely supported probability measures on belief space: occupation
 measures, one-step images under stationary strategies, exact transport
 distance, invariance residuals, and the history disintegration that induces
-a stationary strategy."""
+a stationary strategy.
+
+The occupation measure and the disintegration reduce the enumerated play
+batch: deposits are grouped by the beliefs of the stage-blocked Bayes filter
+and by observed prefix, not play by play."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,10 +14,10 @@ import networkx as nx
 import numpy as np
 
 from .errors import InvalidInputError
-from .evaluations import EvalContext, Evaluation
+from .evaluations import Evaluation, enumerated_weights
 from .model import (ObservedHistory, Pomdp, belief_key, belief_transition,
                     canonical_belief)
-from .playspace import DEFAULT_NODE_BUDGET, belief_sequence, enumerate_plays
+from .playspace import DEFAULT_NODE_BUDGET, belief_blocks, prefix_ids
 from .strategies import BehaviorStrategy, StationaryStrategy, Strategy
 
 MASS_FLOOR = 1e-12
@@ -30,7 +34,9 @@ class SupportedMeasure:
     def from_pairs(pairs, renormalize: bool = False) -> "SupportedMeasure":
         """Canonicalize, merge coinciding beliefs, prune dust, validate mass."""
         merged: dict = {}
-        for x, mass in pairs:
+        for j, (x, mass) in enumerate(pairs):
+            if not (np.all(np.isfinite(x)) and np.isfinite(mass)):
+                raise InvalidInputError(f"atom {j} has a non-finite belief entry or mass")
             x = canonical_belief(x)
             key = belief_key(x)
             if key in merged:
@@ -77,25 +83,31 @@ class OccupationResult:
 def occupation_measure(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> OccupationResult:
     """Expected evaluation weight deposited on each visited belief."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    deposits: dict = {}
-    total = 0.0
-    for wp in enumerate_plays(p, x1, strat, horizon, budget=budget):
-        w = e.weights(wp.play, ctx)
-        beliefs = belief_sequence(p, x1, wp.play.actions, wp.play.signals)
-        for m in range(horizon):
-            mass = wp.probability * float(w[m])
-            if mass <= 0:
-                continue
-            x = canonical_belief(beliefs[m])
-            key = belief_key(x)
-            if key in deposits:
-                deposits[key] = (x, deposits[key][1] + mass)
-            else:
-                deposits[key] = (x, mass)
-            total += mass
-    measure = SupportedMeasure.from_pairs(deposits.values(), renormalize=True)
-    return OccupationResult(measure=measure, total_weight=total)
+    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
+    ids, _, stages = _history_beliefs(p, x1, b)
+    xs, masses = [], []
+    for m, x in stages:
+        d = np.bincount(ids[:, -1], weights=b.prob * w[:, m], minlength=len(x))
+        xs.append(x[d > 0])
+        masses.append(d[d > 0])
+    masses = np.concatenate(masses)
+    atoms, where = np.unique(canonical_belief(np.concatenate(xs)), axis=0, return_inverse=True)
+    measure = SupportedMeasure.from_pairs(
+        zip(atoms, np.bincount(where, weights=masses)), renormalize=True)
+    return OccupationResult(measure=measure, total_weight=float(masses.sum()))
+
+
+def _history_beliefs(p: Pomdp, x1: np.ndarray, b) -> tuple:
+    """Observed-prefix ids of a play batch (see `prefix_ids`) and its beliefs.
+
+    The third item yields (m, x) per stage m+1, in order: x[g] is the belief
+    of every play j whose observed history ids[j, -1] is g.  The Bayes filter
+    runs once per distinct observed history, not once per play.
+    """
+    ids, first = prefix_ids(b.actions, b.signals)
+    rows = first[-1]
+    return ids, first, ((m, x) for t0, bel in belief_blocks(p, x1, b.actions[rows], b.signals[rows])
+                        for m, x in enumerate(bel, t0))
 
 
 def image_measure(p: Pomdp, mu: SupportedMeasure, strat: StationaryStrategy) -> SupportedMeasure:
@@ -174,28 +186,21 @@ def disintegrate(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 
     Returns (DisintegrationTable, StationaryStrategy).
     """
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    weight_by_prefix: dict = {}
-    for wp in enumerate_plays(p, x1, strat, horizon, budget=budget):
-        w = e.weights(wp.play, ctx)
-        a = tuple(int(v) for v in wp.play.actions)
-        s = tuple(int(v) for v in wp.play.signals)
-        for m in range(1, horizon + 1):
-            mass = wp.probability * float(w[m - 1])
-            if mass <= 0:
-                continue
-            key = (a[: m - 1], s[: m - 1])
-            weight_by_prefix[key] = weight_by_prefix.get(key, 0.0) + mass
+    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
+    ids, first, stages = _history_beliefs(p, x1, b)
+    prefixes = []   # (actions, signals, weight, belief at the prefix's end)
+    for m, x in stages:
+        weight = np.bincount(ids[:, m], weights=b.prob * w[:, m])
+        kept = np.flatnonzero(weight > 0)
+        rows = first[m][kept]
+        prefixes += zip(map(tuple, b.actions[rows, :m].tolist()),
+                        map(tuple, b.signals[rows, :m].tolist()),
+                        weight[kept].tolist(), canonical_belief(x[ids[rows, -1]]))
 
     groups: dict = {}
     beliefs: dict = {}
-    for (acts, sigs), mass in sorted(weight_by_prefix.items()):
+    for acts, sigs, mass, x in sorted(prefixes, key=lambda q: q[:2]):
         h = ObservedHistory(acts, sigs)
-        if sigs:
-            x = belief_sequence(p, x1, acts + (0,), sigs + (0,))[-1]
-        else:
-            x = np.asarray(x1, dtype=float)
-        x = canonical_belief(x)
         key = belief_key(x)
         beliefs[key] = x
         groups.setdefault(key, []).append(

@@ -174,35 +174,6 @@ class ObservedHistory:
         return ObservedHistory(self.actions + (action,), self.signals + (signal,))
 
 
-@dataclass(frozen=True)
-class Play:
-    """A truncated play: state, action and signal index sequences of equal length."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    signals: np.ndarray
-
-    def __post_init__(self):
-        st = np.asarray(self.states, dtype=np.int64)
-        ac = np.asarray(self.actions, dtype=np.int64)
-        si = np.asarray(self.signals, dtype=np.int64)
-        if not (st.shape == ac.shape == si.shape) or st.ndim != 1:
-            raise InvalidInputError("play sequences must be 1-d and equally long")
-        object.__setattr__(self, "states", st)
-        object.__setattr__(self, "actions", ac)
-        object.__setattr__(self, "signals", si)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def observed_prefix(self, m: int) -> ObservedHistory:
-        """Observed history available at stage m (the first m-1 pairs)."""
-        return ObservedHistory(
-            tuple(int(a) for a in self.actions[: m - 1]),
-            tuple(int(s) for s in self.signals[: m - 1]),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Belief arithmetic
 # ---------------------------------------------------------------------------

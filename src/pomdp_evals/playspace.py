@@ -1,6 +1,10 @@
-"""Play-space machinery shared by the payoff, irregularity and measure code:
-exhaustive tree enumeration, seeded Monte Carlo simulation, and belief
-sequences along observed histories."""
+"""Play-space machinery shared by the payoff, irregularity and measure code.
+
+Exact and Monte Carlo results reduce the same (n_plays, horizon) matrices:
+`enumerate_plays` returns the whole play tree as one `PlayBatch` with its
+probabilities, and `simulate_plays` samples seeded plays of the same shape.
+Also here: observed-prefix grouping and the stage-blocked Bayes filter along
+observed histories."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import ObservedHistory, Play, Pomdp, bayes_update
+from .model import ObservedHistory, Pomdp, bayes_update
 from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -20,73 +24,87 @@ STAGE_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class WeightedPlay:
-    probability: float
-    play: Play
+class PlayBatch:
+    """Horizon-truncated plays with their probabilities: `states`, `actions`
+    and `signals` are (n_plays, horizon) int matrices, `prob` is (n_plays,)."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    signals: np.ndarray
+    prob: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.prob)
 
 
 def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                    budget: int = DEFAULT_NODE_BUDGET) -> list:
+                    budget: int = DEFAULT_NODE_BUDGET) -> PlayBatch:
     """All horizon-truncated plays with positive probability under (x1, strat).
 
-    Raises BudgetExceededError once the total number of enumerated stage
-    cells passes `budget`.
+    The tree is built stage by stage.  A stage cell is a prefix extended by
+    one (action, next state, signal) triple whose action and transition
+    probabilities both exceed PROB_FLOOR.  The cells of the last stage are the
+    plays, so two rows are equal when their plays differ only in the state
+    after the horizon.  Rows come in lexicographic order of
+    (k_1, i_1, k_2, s_1, i_2, k_3, s_2, ...), and each probability is the
+    left-to-right product x1(k_1) pi_1(i_1) q(k_2, s_1 | k_1, i_1) pi_2(i_2) ...
+    The strategy is asked once per distinct observed history.
+
+    Raises BudgetExceededError, before a stage is built, once the total number
+    of stage cells would pass `budget`.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    plays = []
+    n_i, n_k, n_s = p.n_actions, p.n_states, p.n_signals
+    live = p.transition > PROB_FLOOR                     # (K, I, K, S)
+    live_count = live.sum(axis=(2, 3))                   # (K, I)
+    state = np.flatnonzero(np.asarray(x1) > PROB_FLOOR)  # current state per node
+    prob = np.asarray(x1, dtype=float)[state]
+    hist = np.zeros(len(state), dtype=np.intp)           # observed-history id per node
+    histories = [ObservedHistory()]
+    cols = [np.empty((len(state), 0), dtype=np.intp)] * 3  # states, actions, signals so far
     cells = 0
-    # stack entries: (prob, state, stage, actions, signals, states)
-    stack = [
-        (float(x1[k]), k, 1, (), (), (k,))
-        for k in range(p.n_states - 1, -1, -1)
-        if x1[k] > PROB_FLOOR
-    ]
-    while stack:
-        prob, k, stage, actions, signals, states = stack.pop()
-        dist = strat.action_distribution(ObservedHistory(actions, signals))
-        for i in range(p.n_actions - 1, -1, -1):
-            pi = float(dist[i])
-            if pi <= PROB_FLOOR:
-                continue
-            joint = p.transition[k, i]  # (K, S)
-            for l in range(p.n_states - 1, -1, -1):
-                for s in range(p.n_signals - 1, -1, -1):
-                    pls = float(joint[l, s])
-                    if pls <= PROB_FLOOR:
-                        continue
-                    cells += 1
-                    if cells > budget:
-                        raise BudgetExceededError(
-                            f"play enumeration exceeded the node budget ({budget})"
-                        )
-                    q = prob * pi * pls
-                    new_actions = actions + (i,)
-                    new_signals = signals + (s,)
-                    if stage == horizon:
-                        plays.append(
-                            WeightedPlay(q, Play(np.array(states),
-                                                 np.array(new_actions),
-                                                 np.array(new_signals)))
-                        )
-                    else:
-                        stack.append(
-                            (q, l, stage + 1, new_actions, new_signals, states + (l,))
-                        )
-    return plays
+    for t in range(horizon):
+        dists = np.array([strat.action_distribution(h) for h in histories], dtype=float)
+        pi = dists[hist]
+        played = pi > PROB_FLOOR
+        cells += int((played * live_count[state]).sum())
+        if cells > budget:
+            raise BudgetExceededError(f"play enumeration exceeded the node budget ({budget})")
+        parent, cell = np.nonzero((played[:, :, None, None] & live[state]).reshape(len(state), -1))
+        action, rest = np.divmod(cell, n_k * n_s)
+        nxt, signal = np.divmod(rest, n_s)
+        cols = [np.column_stack([c[parent], v]) for c, v in
+                zip(cols, (state[parent], action, signal))]
+        prob = prob[parent] * pi[parent, action] * p.transition[state[parent], action, nxt, signal]
+        state = nxt
+        if t + 1 < horizon:
+            uniq, hist = np.unique((hist[parent] * n_i + action) * n_s + signal,
+                                   return_inverse=True)
+            histories = [histories[u // (n_i * n_s)].extended(int(u // n_s % n_i), int(u % n_s))
+                         for u in uniq.tolist()]
+    return PlayBatch(*cols, prob)
 
 
-def observed_prefix_nodes(plays: list, horizon: int) -> dict:
-    """Group play mass by observed prefix: maps (stage, actions, signals) of
-    length stage-1 to total probability."""
-    mass = {}
-    for wp in plays:
-        a = tuple(int(v) for v in wp.play.actions)
-        s = tuple(int(v) for v in wp.play.signals)
-        for m in range(1, horizon + 1):
-            key = (m, a[: m - 1], s[: m - 1])
-            mass[key] = mass.get(key, 0.0) + wp.probability
-    return mass
+def prefix_ids(actions: np.ndarray, signals: np.ndarray) -> tuple:
+    """Number the observed prefixes of a batch of plays stage by stage.
+
+    Returns (ids, first): ids[j, m] numbers, among the distinct observed
+    prefixes held before stage m+1 (the first m action/signal pairs), the one
+    of play j, in lexicographic order of (i_1, s_1, ..., i_m, s_m); first[m]
+    lists for each id the first row that holds it.  Column 0 is the empty
+    prefix.
+    """
+    n, horizon = actions.shape
+    n_a = int(actions.max(initial=0)) + 1
+    n_s = int(signals.max(initial=0)) + 1
+    ids = np.zeros((n, horizon), dtype=np.intp)
+    first = [np.zeros(min(n, 1), dtype=np.intp)]
+    for m in range(1, horizon):
+        key = (ids[:, m - 1] * n_a + actions[:, m - 1]) * n_s + signals[:, m - 1]
+        _, rows, ids[:, m] = np.unique(key, return_index=True, return_inverse=True)
+        first.append(rows)
+    return ids, first
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +126,19 @@ def belief_sequence(p: Pomdp, x1: np.ndarray, actions, signals) -> np.ndarray:
     return out
 
 
-def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
-                           signals: np.ndarray) -> np.ndarray:
-    """Per-stage belief payoffs g(x_m, i_m) for a batch of observed plays.
+def belief_blocks(p: Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.ndarray):
+    """Stage-blocked Bayes filter for a batch of observed plays.
 
-    actions/signals have shape (n_plays, horizon); returns the same shape.
-    Off-support observations fall back to the Dirac at the first state, as in
-    `belief_sequence`.
+    actions/signals have shape (n_plays, horizon).  Yields (t0, bel) for
+    consecutive blocks of at most STAGE_BLOCK stages, where bel[j] (n_plays, K)
+    holds the beliefs at stage t0 + j + 1.  `bel` is a view of a one-block
+    buffer that the next block overwrites.  Off-support observations fall
+    back to the Dirac at the first state, as in `belief_sequence`.
     """
     n, horizon = actions.shape
     k = p.n_states
     # bayes[i*S + s] = transition[:, i, :, s], the unnormalised update of (i, s)
     bayes = p.transition.transpose(1, 3, 0, 2).reshape(-1, k, k)
-    reward_of = p.reward.T
-    out = np.empty((n, horizon))
     k0 = np.eye(1, k)[0]
     # bel[j] holds the beliefs at the block's stage j; bel[b] carries into the
     # next block, so only one block of beliefs is ever held
@@ -129,8 +146,7 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
     bel[0] = np.asarray(x1, dtype=float)
     for t0 in range(0, horizon, STAGE_BLOCK):
         b = min(STAGE_BLOCK, horizon - t0)
-        blk = slice(t0, t0 + b)
-        codes = (actions[:, blk] * p.n_signals + signals[:, blk]).T
+        codes = (actions[:, t0:t0 + b] * p.n_signals + signals[:, t0:t0 + b]).T
         for j, code in enumerate(codes):
             joint = np.einsum("nk,nkl->nl", bel[j], bayes.take(code, axis=0), out=bel[j + 1])
             tot = joint.sum(axis=1, keepdims=True)
@@ -139,8 +155,21 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
                 tot[off] = 1.0
                 joint[off] = k0
             joint /= tot
-        out[:, blk] = np.einsum("tnk,tnk->nt", bel[:b], reward_of[actions[:, blk].T])
+        yield t0, bel[:b]
         bel[0] = bel[b]
+
+
+def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
+                           signals: np.ndarray) -> np.ndarray:
+    """Per-stage belief payoffs g(x_m, i_m) for a batch of observed plays.
+
+    actions/signals have shape (n_plays, horizon); returns the same shape.
+    """
+    reward_of = p.reward.T
+    out = np.empty(actions.shape)
+    for t0, bel in belief_blocks(p, x1, actions, signals):
+        blk = slice(t0, t0 + len(bel))
+        out[:, blk] = np.einsum("tnk,tnk->nt", bel, reward_of[actions[:, blk].T])
     return out
 
 

@@ -189,11 +189,6 @@ def belief_tracking_strategy(p: Pomdp, x1: np.ndarray, stat: StationaryStrategy)
     return BehaviorStrategy(stat.n_actions, rule)
 
 
-def strategy_action(strat: Strategy, h: ObservedHistory) -> np.ndarray:
-    """Uniform dispatch: the action distribution played after history h."""
-    return strat.action_distribution(h)
-
-
 # ---------------------------------------------------------------------------
 # Hand-built strategies
 # ---------------------------------------------------------------------------

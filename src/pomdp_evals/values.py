@@ -1,7 +1,11 @@
 """Values and payoffs: belief-space backward induction for finite-horizon and
 discounted values, asymptotic-value estimates, exact and Monte Carlo weighted
 payoffs, chain-based payoffs for deterministic weights, and finite-horizon
-proxies for long-run superior/inferior average payoffs."""
+proxies for long-run superior/inferior average payoffs.
+
+Exact and Monte Carlo weighted payoffs reduce the same per-play rows
+(`_payoff_rows`): with the enumerated play probabilities, or as a sample mean
+with its standard error."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -146,17 +150,13 @@ def _tail_weight(e: Evaluation, horizon: int, truncated_mass: float) -> float:
 def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                           horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
     """E[sum theta_m r(k_m, i_m)] by exhaustive tree enumeration; exact when
-    the weights vanish within the horizon."""
+    the weights vanish within the horizon.  The same per-play rows as the
+    Monte Carlo estimators, averaged with the play probabilities."""
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    total = 0.0
-    mass = 0.0
-    for wp in enumerate_plays(p, x1, strat, horizon, budget=budget):
-        w = e.weights(wp.play, ctx)
-        r = p.reward[wp.play.states, wp.play.actions]
-        total += wp.probability * float(w @ r)
-        mass += wp.probability * float(w.sum())
-    return ValueReport(value=total, method="exact_dp",
-                       error_bound=_tail_weight(e, horizon, mass),
+    b = enumerate_plays(p, x1, strat, horizon, budget=budget)
+    v, masses, _ = _payoff_rows(p, e, ctx, b.states, b.actions, b.signals)
+    return ValueReport(value=float(b.prob @ v), method="exact_dp",
+                       error_bound=_tail_weight(e, horizon, float(b.prob @ masses)),
                        horizon_or_samples=horizon)
 
 

@@ -126,19 +126,16 @@ def test_lifted_blind_rewards_are_one_stage_shifts():
     lifted = pe.builtin_scenario("blind-switching-lift")
     strat = pe.doubling_strategy()
     horizon = 9
-    base_plays = sorted(
-        enumerate_plays(base.pomdp, base.initial_belief, strat, horizon),
-        key=lambda wp: tuple(wp.play.states))
-    lift_plays = sorted(
-        enumerate_plays(lifted.pomdp, lifted.initial_belief, strat, horizon),
-        key=lambda wp: tuple(wp.play.states))
-    assert len(base_plays) == len(lift_plays) == 2
-    for bp, lp in zip(base_plays, lift_plays):
-        assert np.isclose(bp.probability, lp.probability)
-        base_r = base.pomdp.reward[bp.play.states, bp.play.actions]
-        lift_r = lifted.pomdp.reward[lp.play.states, lp.play.actions]
-        assert lift_r[0] == 0.0
-        assert np.array_equal(lift_r[1:], base_r[:-1])
+    bp = enumerate_plays(base.pomdp, base.initial_belief, strat, horizon)
+    lp = enumerate_plays(lifted.pomdp, lifted.initial_belief, strat, horizon)
+    assert len(bp) == len(lp) == 2
+    # rows come in lexicographic order; the lift numbers (state, value) pairs
+    # state-major, so matched plays share a row index
+    assert np.allclose(bp.prob, lp.prob)
+    base_r = base.pomdp.reward[bp.states, bp.actions]
+    lift_r = lifted.pomdp.reward[lp.states, lp.actions]
+    assert np.all(lift_r[:, 0] == 0.0)
+    assert np.array_equal(lift_r[:, 1:], base_r[:, :-1])
 
 
 def test_irregularity_closed_forms():

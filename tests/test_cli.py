@@ -120,6 +120,28 @@ def test_invariance_subcommand(capsys, tmp_path):
     assert json.loads(out)["records"][0]["value"] <= 1e-12
 
 
+def test_non_finite_inputs_exit_invalid(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "irregularity", "--scenario", "uniform-redraw", "--strategy", "always:0",
+        "--evaluation", '{"kind":"piecewise_constant","breaks":[2],"levels":[NaN]}',
+        "--horizon", "3")
+    assert code == 1 and out == "" and "levels entry 0" in err
+    measure = tmp_path / "measure.json"
+    measure.write_text('{"atoms": [{"belief": [0.5, NaN], "mass": 1.0}]}')
+    code, out, err = run_cli(capsys, "invariance", "--scenario", "uniform-redraw",
+                             "--measure", str(measure))
+    assert code == 1 and out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("spec", ['{"kind": "n_stage"}', '{"kind": "n_stage", "n": NaN}',
+                                  '{"kind": "run_block_ex2", "l": "x"}', '{kind'])
+def test_malformed_evaluation_specs_exit_invalid(capsys, spec):
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", "uniform", "--evaluation", spec, "--horizon", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_json_output_is_byte_identical_across_runs(capsys):
     argv = ("evaluate", "--scenario", "uniform-redraw", "--strategy",
             "always:wait", "--evaluation", '{"kind": "run_block_ex2", "l": 3}',

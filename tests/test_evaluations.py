@@ -13,6 +13,15 @@ from pomdp_evals.playspace import enumerate_plays, simulate_plays
 from conftest import random_pomdp
 
 
+def one_play(states, actions=None, signals=None):
+    """A batch holding one play; actions and signals default to zeros."""
+    states = np.asarray(states)[None, :]
+    zeros = np.zeros_like(states)
+    return (states,
+            zeros if actions is None else np.asarray(actions)[None, :],
+            zeros if signals is None else np.asarray(signals)[None, :])
+
+
 # ---------------------------------------------------------------------------
 # Deterministic weight makers
 # ---------------------------------------------------------------------------
@@ -49,6 +58,24 @@ def test_piecewise_constant_weights():
         pe.make_evaluation("piecewise_constant", breaks=[4, 2], levels=[0.1, 0.1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_weight_makers_reject_non_finite_entries(bad):
+    with pytest.raises(InvalidInputError, match="weights entry 1"):
+        pe.make_evaluation("decreasing", weights=[0.5, bad, 0.1])
+    with pytest.raises(InvalidInputError, match="levels entry 0"):
+        pe.make_evaluation("piecewise_constant", breaks=[2, 3], levels=[bad, 0.1])
+
+
+def test_evaluation_has_exactly_one_weight_function():
+    with pytest.raises(InvalidInputError):
+        pe.Evaluation(kind="none", measurability="general", normalization="none")
+    with pytest.raises(InvalidInputError):
+        pe.Evaluation(kind="both", measurability="general", normalization="none",
+                      stage_fn=np.ones, batch_fn=lambda *play: None)
+    assert pe.make_evaluation("n_stage", n=2).deterministic
+    assert not pe.make_evaluation("run_block_ex2", l=2).deterministic
+
+
 def test_evaluation_spec_parsing_accepts_json_and_aliases():
     e = pe.evaluation_from_spec('{"kind": "discounted", "lambda": 0.5}')
     assert e.params["lam"] == 0.5
@@ -65,26 +92,34 @@ def test_evaluation_spec_parsing_accepts_json_and_aliases():
 def test_initial_state_block_weights(frozen_matching):
     p = frozen_matching.pomdp
     e = pe.make_evaluation("state_block_ex1", l=3)
-    early = pe.Play(np.zeros(6, dtype=int), np.zeros(6, dtype=int), np.zeros(6, dtype=int))
-    late = pe.Play(np.ones(6, dtype=int), np.zeros(6, dtype=int), np.zeros(6, dtype=int))
-    assert np.allclose(e.weights(early), [1 / 3] * 3 + [0] * 3)
-    assert np.allclose(e.weights(late), [0] * 3 + [1 / 3] * 3)
+    early = e.batch_weights(*one_play(np.zeros(6, dtype=int)))[0]
+    late = e.batch_weights(*one_play(np.ones(6, dtype=int)))[0]
+    assert np.allclose(early, [1 / 3] * 3 + [0] * 3)
+    assert np.allclose(late, [0] * 3 + [1 / 3] * 3)
     assert e.measurability == "prefix-full"
     assert e.support_horizon == 6
 
 
 def test_state_run_block_weights():
     e = pe.make_evaluation("run_block_ex2", l=2)
-    states = np.array([0, 1, 0, 0, 0, 1])
-    play = pe.Play(states, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
     # first length-2 target run after stage 1 sits at stages 3-4
-    assert np.allclose(e.weights(play), [0, 0, 0.5, 0.5, 0, 0])
-    none = pe.Play(np.ones(6, dtype=int), np.zeros(6, dtype=int), np.zeros(6, dtype=int))
-    assert np.allclose(e.weights(none), 0.0)
+    w = e.batch_weights(*one_play([0, 1, 0, 0, 0, 1]))[0]
+    assert np.allclose(w, [0, 0, 0.5, 0.5, 0, 0])
+    assert np.allclose(e.batch_weights(*one_play(np.ones(6, dtype=int))), 0.0)
     # a run that begins at stage 1 only counts from stage 2 onward
-    head = pe.Play(np.array([0, 0, 1, 1, 1, 1]), np.zeros(6, dtype=int),
-                   np.zeros(6, dtype=int))
-    assert np.allclose(e.weights(head), 0.0)
+    assert np.allclose(e.batch_weights(*one_play([0, 0, 1, 1, 1, 1])), 0.0)
+
+
+def run_block_reference(states, l: int, target_state: int = 0) -> np.ndarray:
+    """Per-play run-block rule: weight 1/l on the first l consecutive stages
+    in the target state, searched from stage 2 onward."""
+    out = np.zeros(len(states))
+    flags = np.asarray(states[1:]) == target_state
+    for j in range(len(flags) - l + 1):
+        if flags[j:j + l].all():
+            out[j + 1:j + 1 + l] = 1.0 / l
+            break
+    return out
 
 
 def test_run_block_batch_weights_match_per_play(redraw):
@@ -104,7 +139,7 @@ def test_run_block_batch_weights_match_per_play(redraw):
     for plays in ((st, ac, sg), (short, short, short)):
         batch = e.batch_weights(*plays)
         for j in range(len(plays[0])):
-            assert np.array_equal(batch[j], e.weights(pe.Play(*(a[j] for a in plays))))
+            assert np.array_equal(batch[j], run_block_reference(plays[0][j], 3))
     third = [1 / 3] * 3
     assert batch[0, 1:].tolist() == third and not batch[1].any()
     batch = e.batch_weights(st, ac, sg)
@@ -115,9 +150,8 @@ def test_prefix_observed_weights_ignore_the_future(rng):
     # deterministic stage weights cannot react to suffix perturbations
     p = random_pomdp(rng, k=2, n_i=2, n_s=2)
     e = pe.make_evaluation("n_stage", n=3)
-    a = pe.Play(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
-    b = pe.Play(np.array([0, 1, 1, 0]), np.array([0, 0, 0, 0]), np.array([0, 1, 1, 0]))
-    wa, wb = e.weights(a), e.weights(b)
+    wa = e.batch_weights(*one_play([0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]))[0]
+    wb = e.batch_weights(*one_play([0, 1, 1, 0], [0, 0, 0, 0], [0, 1, 1, 0]))[0]
     assert np.allclose(wa[:2], wb[:2])   # shared prefix of observed pairs
     assert np.allclose(wa, wb)           # deterministic kind: equal everywhere
 
@@ -125,8 +159,9 @@ def test_prefix_observed_weights_ignore_the_future(rng):
 def test_pointwise_normalization_across_enumerated_plays(frozen_matching):
     p, x1 = frozen_matching.pomdp, frozen_matching.initial_belief
     e = pe.make_evaluation("state_block_ex1", l=2)
-    for wp in enumerate_plays(p, x1, pe.uniform_strategy(2), horizon=4):
-        assert np.isclose(e.weights(wp.play).sum(), 1.0, atol=1e-9)
+    b = enumerate_plays(p, x1, pe.uniform_strategy(2), horizon=4)
+    w = e.batch_weights(b.states, b.actions, b.signals)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +284,12 @@ def test_limsup_weights_are_uniform_up_to_eta(blind):
     p, x1 = blind.pomdp, blind.initial_belief
     e = pe.make_evaluation("limsup_theta", l=4, horizon=16)
     ctx = EvalContext(p, x1)
-    play = pe.Play(np.zeros(16, dtype=int), np.zeros(16, dtype=int),
-                   np.zeros(16, dtype=int))
-    w = e.weights(play, ctx)
+    play = one_play(np.zeros(16, dtype=int))
+    w = e.batch_weights(*play, ctx)[0]
     # blind beliefs stay uniform, payoffs are constant, so eta = l
     assert np.allclose(w, [0.25] * 4 + [0.0] * 12)
     with pytest.raises(InvalidInputError):
-        e.weights(play)   # needs the model context
+        e.batch_weights(*play)   # needs the model context
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +343,26 @@ def test_conditional_weights_fix_observable_evaluations(redraw):
         assert np.isclose(v, 1.0 / 3 if m <= 3 else 0.0)
 
 
+def test_conditional_table_children_match_a_scan_over_all_prefixes(rng):
+    p = random_pomdp(rng, k=2, n_i=2, n_s=2)
+    x1 = pe.uniform_belief(2)
+    strat = pe.RandomBehaviorStrategy(2, 3)
+    table = pe.conditional_table(p, x1, strat, pe.make_evaluation("state_block_ex1", l=2), 4)
+    assert len(table.mass) > 4
+    for m, acts, sigs in table.mass:
+        scan = [k for k in table.mass
+                if k[0] == m + 1 and k[1][:m - 1] == acts and k[2][:m - 1] == sigs]
+        assert sorted(table.children((m, acts, sigs))) == sorted(scan)
+        if m < 4:
+            assert scan
+
+
 def test_conditional_weights_are_normalized_in_expectation(frozen_matching):
     p, x1 = frozen_matching.pomdp, frozen_matching.initial_belief
     e = pe.make_evaluation("state_block_ex1", l=3)
     strat = pe.uniform_strategy(2)
     cond = conditional_evaluation(p, x1, strat, e, horizon=6)
     ctx = EvalContext(p, x1)
-    total = sum(wp.probability * cond.weights(wp.play, ctx).sum()
-                for wp in enumerate_plays(p, x1, strat, 6))
+    b = enumerate_plays(p, x1, strat, 6)
+    total = b.prob @ cond.batch_weights(b.states, b.actions, b.signals, ctx).sum(axis=1)
     assert np.isclose(total, 1.0, atol=1e-9)

@@ -7,7 +7,7 @@ import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
 from pomdp_evals.measures import DisintegrationTable
 
-from conftest import random_belief
+from conftest import random_belief, random_pomdp
 
 
 SM = pe.SupportedMeasure
@@ -61,6 +61,19 @@ def test_measure_requires_unit_mass_unless_renormalized():
         SM.from_pairs(pairs)
     m = SM.from_pairs(pairs, renormalize=True)
     assert np.isclose(m.atoms[0][1], 1.0)
+
+
+@pytest.mark.parametrize("belief, mass", [
+    ([np.nan, 1.0], 1.0),
+    ([0.5, np.inf], 1.0),
+    ([0.5, 0.5], np.nan),
+    ([0.5, 0.5], np.inf),
+])
+def test_measure_rejects_non_finite_atoms(belief, mass):
+    pairs = [(np.array([1.0, 0.0]), 0.0), (np.array(belief), mass)]
+    for renormalize in (False, True):
+        with pytest.raises(InvalidInputError, match="atom 1"):
+            SM.from_pairs(pairs, renormalize=renormalize)
 
 
 def test_measure_dict_round_trip():
@@ -178,6 +191,42 @@ def test_lipschitz_test_functions_respect_duality(rng):
             gap = abs(sum(w * f(x) for x, w in mu.atoms)
                       - sum(w * f(x) for x, w in nu.atoms))
             assert gap <= d + 1e-9
+
+
+def test_occupation_and_disintegration_match_per_play_belief_sequences(rng):
+    # reference: one belief_sequence per enumerated play, deposits summed cell
+    # by cell; the measures are compared through nonlinear test functions
+    horizon = 3
+    for seed in range(3):
+        p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+        x1 = random_belief(rng, 3)
+        strat = pe.RandomBehaviorStrategy(2, seed)
+        e = pe.make_evaluation("run_block_ex2", l=1)
+        b = pe.enumerate_plays(p, x1, strat, horizon)
+        w = e.batch_weights(b.states, b.actions, b.signals)
+        c, d = rng.random(3), rng.random(3)
+        integral, total, ends = 0.0, 0.0, {}
+        for j in range(len(b)):
+            seq = pe.belief_sequence(p, x1, b.actions[j], b.signals[j])
+            for m in range(horizon):
+                mass = b.prob[j] * w[j, m]
+                if mass > 0:
+                    integral += mass * ((seq[m] ** 2) @ c + seq[m] @ d)
+                    total += mass
+                    ends[(tuple(b.actions[j, :m].tolist()), tuple(b.signals[j, :m].tolist()))] = seq[m]
+        occ = pe.occupation_measure(p, x1, strat, e, horizon)
+        assert abs(occ.total_weight - total) <= 1e-12
+        got = sum(m * ((x ** 2) @ c + x @ d) for x, m in occ.measure.atoms)
+        assert abs(got - integral / total) <= 1e-12
+        table, _ = pe.disintegrate(p, x1, strat, e, horizon)
+        seen = set()
+        for key, group in table.groups.items():
+            for h, _, dist in group:
+                seen.add((h.actions, h.signals))
+                assert np.allclose(table.beliefs[key], ends[(h.actions, h.signals)],
+                                   rtol=0, atol=1e-12)
+                assert np.array_equal(dist, strat.action_distribution(h))
+        assert seen == set(ends)
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,3 @@ def test_load_scenario_reports_missing_fields_and_bad_rows():
     doc["transition"]["u,go"] = {"w,o": 1.0}
     with pytest.raises(ScenarioValidationError):
         pe.load_scenario(doc)
-
-
-def test_play_prefix_exposes_only_observed_pairs():
-    play = pe.Play(np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([0, 0, 1]))
-    h = play.observed_prefix(3)
-    assert len(h) == 2
-    assert h.actions == (1, 0) and h.signals == (0, 0)
-    assert play.observed_prefix(1).pairs == ()

@@ -1,4 +1,7 @@
 """Play enumeration, belief sequences, and seeded simulation."""
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,9 @@ import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory
 from pomdp_evals.playspace import (batched_belief_payoffs, belief_sequence,
-                                   enumerate_plays, observed_prefix_nodes,
-                                   plan_shards, shard_seeds, simulate_plays,
-                                   MC_CELL_BUDGET, STAGE_BLOCK)
+                                   enumerate_plays, plan_shards, shard_seeds,
+                                   simulate_plays, MC_CELL_BUDGET, PROB_FLOOR,
+                                   STAGE_BLOCK)
 
 from conftest import random_belief, random_pomdp
 
@@ -24,11 +27,10 @@ def test_enumerated_play_probabilities_sum_to_one(rng):
         p = random_pomdp(rng, k=2, n_i=2, n_s=2)
         x1 = random_belief(rng, 2)
         plays = enumerate_plays(p, x1, pe.uniform_strategy(2), horizon=4)
-        total = sum(wp.probability for wp in plays)
-        assert np.isclose(total, 1.0, atol=1e-9)
-        for wp in plays:
-            assert len(wp.play) == 4
-            assert wp.probability > 0
+        assert np.isclose(plays.prob.sum(), 1.0, atol=1e-9)
+        assert plays.states.shape == plays.actions.shape == plays.signals.shape
+        assert plays.states.shape == (len(plays), 4)
+        assert np.all(plays.prob > 0)
 
 
 def test_enumeration_respects_node_budget(rng):
@@ -40,8 +42,8 @@ def test_enumeration_respects_node_budget(rng):
 
 def test_observed_prefix_mass_is_consistent(redraw):
     p, x1 = redraw.pomdp, redraw.initial_belief
-    plays = enumerate_plays(p, x1, pe.uniform_strategy(2), horizon=3)
-    mass = observed_prefix_nodes(plays, 3)
+    mass = pe.conditional_table(p, x1, pe.uniform_strategy(2),
+                                pe.make_evaluation("n_stage", n=3), 3).mass
     assert np.isclose(mass[(1, (), ())], 1.0)
     # stage masses each sum to 1
     for m in range(1, 4):
@@ -320,6 +322,66 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
     want = [pe.stage_payoff(q, seq[m], int(actions[0, m])) for m in range(4)]
     assert np.allclose(batched_belief_payoffs(q, x1, actions, signals)[0], want,
                        rtol=0, atol=1e-12)
+
+
+def _product_plays(p, x1, strat, horizon):
+    """Brute-force play tree: every (k_1, (i, k', s) per stage) tuple from
+    itertools.product, kept when every factor exceeds PROB_FLOOR.  Returns the
+    (states, actions, signals) rows, the left-to-right probability products and
+    the number of distinct kept prefixes over all stages (the stage cells)."""
+    stage = list(itertools.product(range(p.n_actions), range(p.n_states), range(p.n_signals)))
+
+    @functools.lru_cache(maxsize=None)
+    def dist(acts, sigs):
+        return strat.action_distribution(ObservedHistory(acts, sigs))
+
+    rows, probs, prefixes = [], [], set()
+    for k1, *path in itertools.product(range(p.n_states), *[stage] * horizon):
+        q, k, keep = x1[k1], k1, x1[k1] > PROB_FLOOR
+        for t, (i, nxt, s) in enumerate(path):
+            pi = dist(tuple(c[0] for c in path[:t]), tuple(c[2] for c in path[:t]))[i]
+            keep = keep and pi > PROB_FLOOR and p.transition[k, i, nxt, s] > PROB_FLOOR
+            q = q * pi * p.transition[k, i, nxt, s]
+            k = nxt
+        if keep:
+            rows.append(([k1] + [c[1] for c in path[:-1]], [c[0] for c in path],
+                         [c[2] for c in path]))
+            probs.append(q)
+            prefixes.update((k1, *path[:t]) for t in range(1, horizon + 1))
+    return rows, probs, len(prefixes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_instances(), horizon=hst.integers(1, 4),
+       kind=hst.sampled_from(["uniform", "random-behavior", "transducer", "schedule"]))
+def test_enumerated_plays_match_a_product_enumeration(case, horizon, kind):
+    p, x1, rng = case
+    k, n_i, n_s = p.n_states, p.n_actions, p.n_signals
+    if k > 1:                            # a zero initial cell
+        x1 = x1.copy()
+        x1[rng.integers(k)] = 0.0
+        x1 = pe.make_belief(x1 / x1.sum())
+    # keep the brute-force product small: (K I S)^horizon K tuples
+    while horizon > 1 and (k * n_i * n_s) ** horizon * k > 10_000:
+        horizon -= 1
+    m = int(rng.integers(1, 4))
+    plan = rng.integers(0, n_i, horizon)
+    strat = {
+        "uniform": pe.uniform_strategy(n_i),
+        "random-behavior": pe.RandomBehaviorStrategy(n_i, int(rng.integers(0, 100))),
+        "transducer": pe.Transducer(n_i, n_s, rng.integers(0, n_i, m),
+                                    rng.integers(0, m, (m, n_i, n_s))),
+        "schedule": pe.ScheduleStrategy(n_i, lambda t: int(plan[t - 1])),
+    }[kind]
+    rows, probs, cells = _product_plays(p, x1, strat, horizon)
+    batch = enumerate_plays(p, x1, strat, horizon, budget=cells)
+    assert len(batch) == len(rows) == len(batch.prob)
+    got = list(zip(batch.states.tolist(), batch.actions.tolist(), batch.signals.tolist()))
+    assert got == [tuple(r) for r in rows]
+    assert batch.prob.tolist() == [float(q) for q in probs]
+    assert np.isclose(batch.prob.sum(), 1.0, rtol=0, atol=1e-12)
+    with pytest.raises(BudgetExceededError):
+        enumerate_plays(p, x1, strat, horizon, budget=cells - 1)
 
 
 # ---------------------------------------------------------------------------
