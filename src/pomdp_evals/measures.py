@@ -18,7 +18,7 @@ from .evaluations import Evaluation, enumerated_weights
 from .model import (ObservedHistory, Pomdp, belief_key, belief_transition,
                     canonical_belief)
 from .playspace import DEFAULT_NODE_BUDGET, belief_blocks, prefix_ids
-from .strategies import BehaviorStrategy, StationaryStrategy, Strategy
+from .strategies import StationaryStrategy, Strategy
 
 MASS_FLOOR = 1e-12
 _FLOW_SCALE = 10 ** 12

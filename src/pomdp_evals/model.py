@@ -170,9 +170,6 @@ class ObservedHistory:
     def pairs(self) -> tuple:
         return tuple(zip(self.actions, self.signals))
 
-    def extended(self, action: int, signal: int) -> "ObservedHistory":
-        return ObservedHistory(self.actions + (action,), self.signals + (signal,))
-
 
 # ---------------------------------------------------------------------------
 # Belief arithmetic
@@ -220,6 +217,30 @@ def bayes_update(p: Pomdp, x: np.ndarray, i: int, s: int,
     if tot < SIGNAL_PROB_FLOOR:
         return dirac_belief(p.n_states, fallback_state)
     return joint / tot
+
+
+def bayes_matrices(p: Pomdp) -> np.ndarray:
+    """Unnormalised Bayes updates by observed pair: entry i*S + s is the
+    (K, K) matrix transition[:, i, :, s]."""
+    return p.transition.transpose(1, 3, 0, 2).reshape(-1, p.n_states, p.n_states)
+
+
+def bayes_update_rows(bayes: np.ndarray, x: np.ndarray, code: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Batched `bayes_update`: row j of the (n, K) beliefs x updated by the
+    observed pair code[j] = i*S + s, with `bayes` from `bayes_matrices`.
+
+    Off-support rows fall back to the Dirac at the first state.  The result
+    goes to `out` when given (it must not overlap x).
+    """
+    joint = np.einsum("nk,nkl->nl", x, bayes.take(code, axis=0), out=out)
+    tot = joint.sum(axis=1, keepdims=True)
+    if tot.min() < SIGNAL_PROB_FLOOR:
+        off = tot[:, 0] < SIGNAL_PROB_FLOOR
+        tot[off] = 1.0
+        joint[off] = np.eye(1, joint.shape[1])[0]
+    joint /= tot
+    return joint
 
 
 def signal_distribution(p: Pomdp, x: np.ndarray, i: int) -> np.ndarray:

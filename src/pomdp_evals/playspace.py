@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import ObservedHistory, Pomdp, bayes_update
+from .model import Pomdp, bayes_matrices, bayes_update, bayes_update_rows
 from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -48,25 +48,23 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     after the horizon.  Rows come in lexicographic order of
     (k_1, i_1, k_2, s_1, i_2, k_3, s_2, ...), and each probability is the
     left-to-right product x1(k_1) pi_1(i_1) q(k_2, s_1 | k_1, i_1) pi_2(i_2) ...
-    The strategy is asked once per distinct observed history.
+    The strategy's memory is stepped along the tree, one batched call per stage.
 
     Raises BudgetExceededError, before a stage is built, once the total number
     of stage cells would pass `budget`.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    n_i, n_k, n_s = p.n_actions, p.n_states, p.n_signals
+    n_k, n_s = p.n_states, p.n_signals
     live = p.transition > PROB_FLOOR                     # (K, I, K, S)
     live_count = live.sum(axis=(2, 3))                   # (K, I)
     state = np.flatnonzero(np.asarray(x1) > PROB_FLOOR)  # current state per node
     prob = np.asarray(x1, dtype=float)[state]
-    hist = np.zeros(len(state), dtype=np.intp)           # observed-history id per node
-    histories = [ObservedHistory()]
+    mem = strat.start(len(state))                        # strategy memory per node
     cols = [np.empty((len(state), 0), dtype=np.intp)] * 3  # states, actions, signals so far
     cells = 0
     for t in range(horizon):
-        dists = np.array([strat.action_distribution(h) for h in histories], dtype=float)
-        pi = dists[hist]
+        pi = strat.dist(mem)
         played = pi > PROB_FLOOR
         cells += int((played * live_count[state]).sum())
         if cells > budget:
@@ -79,10 +77,7 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
         prob = prob[parent] * pi[parent, action] * p.transition[state[parent], action, nxt, signal]
         state = nxt
         if t + 1 < horizon:
-            uniq, hist = np.unique((hist[parent] * n_i + action) * n_s + signal,
-                                   return_inverse=True)
-            histories = [histories[u // (n_i * n_s)].extended(int(u // n_s % n_i), int(u % n_s))
-                         for u in uniq.tolist()]
+            mem = strat.step(mem[parent], action, signal)
     return PlayBatch(*cols, prob)
 
 
@@ -136,25 +131,16 @@ def belief_blocks(p: Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.nda
     back to the Dirac at the first state, as in `belief_sequence`.
     """
     n, horizon = actions.shape
-    k = p.n_states
-    # bayes[i*S + s] = transition[:, i, :, s], the unnormalised update of (i, s)
-    bayes = p.transition.transpose(1, 3, 0, 2).reshape(-1, k, k)
-    k0 = np.eye(1, k)[0]
+    bayes = bayes_matrices(p)
     # bel[j] holds the beliefs at the block's stage j; bel[b] carries into the
     # next block, so only one block of beliefs is ever held
-    bel = np.empty((STAGE_BLOCK + 1, n, k))
+    bel = np.empty((STAGE_BLOCK + 1, n, p.n_states))
     bel[0] = np.asarray(x1, dtype=float)
     for t0 in range(0, horizon, STAGE_BLOCK):
         b = min(STAGE_BLOCK, horizon - t0)
         codes = (actions[:, t0:t0 + b] * p.n_signals + signals[:, t0:t0 + b]).T
         for j, code in enumerate(codes):
-            joint = np.einsum("nk,nkl->nl", bel[j], bayes.take(code, axis=0), out=bel[j + 1])
-            tot = joint.sum(axis=1, keepdims=True)
-            if tot.min() < PROB_FLOOR:
-                off = tot[:, 0] < PROB_FLOOR
-                tot[off] = 1.0
-                joint[off] = k0
-            joint /= tot
+            bayes_update_rows(bayes, bel[j], code, out=bel[j + 1])
         yield t0, bel[:b]
         bel[0] = bel[b]
 
@@ -177,15 +163,13 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
 # Monte Carlo simulation
 # ---------------------------------------------------------------------------
 
-def supports_batch(strat: Strategy) -> bool:
-    return isinstance(strat, (Transducer, ScheduleStrategy))
-
-
 def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                    samples: int, rng: np.random.Generator | list):
     """Sample plays; returns (states, actions, signals) as (samples, horizon)
-    integer matrices.  Transducers and open-loop schedules run vectorized;
-    other strategies fall back to a per-sample loop.
+    int32 matrices.  Transducers and open-loop schedules have finite tables
+    over the horizon and run as a Markov chain in the stage-blocked kernel;
+    every other strategy is stepped through its `start`/`dist`/`step`
+    interface, one stage at a time for all plays at once.
 
     `rng` is either one generator for all `samples` plays or a list of
     (generator, count) streams whose counts sum to `samples`.  Each stream
@@ -193,45 +177,73 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     multi-stream call returns exactly the concatenation of separate calls,
     one per stream.
 
-    Draw contract of the vectorized path, per stream: the initial states come
-    from one `rng.choice` call, then stage t uses the next `count` uniforms,
-    one per play in order.  The plays therefore depend only on the generator
-    state, not on how stages are blocked, and a shorter horizon gives a prefix
-    of a longer one.  The per-sample path (`_simulate_generic`) draws play by
-    play; its sampled stream is unchanged.
+    Draw contract, per stream: the initial states come from one `rng.choice`
+    call.  Then, on the chain kernel, stage t uses the next `count` uniforms,
+    one per play in order, for the (next state, signal) draw.  A stepped
+    strategy draws two rows of `count` uniforms per stage: one uniform per
+    play for its action, then one per play for the (next state, signal) pair.
+    The plays therefore depend only on the generator state, not on how stages
+    are blocked, and a shorter horizon gives a prefix of a longer one.
     """
     streams = [(rng, samples)] if isinstance(rng, np.random.Generator) else list(rng)
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     if any(n < 0 for _, n in streams) or sum(n for _, n in streams) != samples:
         raise InvalidInputError("stream counts must be >= 0 and sum to the sample count")
-    if supports_batch(strat):
-        return _simulate_batched(p, x1, strat, horizon, streams)
-    plays = [_simulate_generic(p, x1, strat, horizon, n, g) for g, n in streams]
-    return tuple(np.concatenate(m) for m in zip(*plays))
+    tables = _chain_tables(p, strat, horizon)
+    if tables is None:
+        return _simulate_stepped(p, x1, strat, horizon, streams)
+    return _simulate_chain(p, x1, *tables, horizon, streams)
 
 
-def _simulate_batched(p: Pomdp, x1: np.ndarray, strat, horizon: int, streams: list):
-    """A transducer runs as a Markov chain on (state, memory) pairs; an
-    open-loop schedule as one on states, with the stage's action picking the
-    transition table."""
+def _chain_tables(p: Pomdp, strat: Strategy, horizon: int):
+    """Chain-kernel tables (act, stage_table, nxt, m, initial) of a strategy
+    with finite tables over the horizon, else None.  A transducer runs as a
+    Markov chain on (state, memory) pairs; an open-loop schedule as one on
+    states, with the stage's action picking the transition table."""
     k, n_s = p.n_states, p.n_signals
     code = np.arange(k * n_s)
     if isinstance(strat, Transducer):
-        m, initial = strat.n_memory, strat.initial
+        m = strat.n_memory
         mem = np.arange(k * m) % m
         act = strat.act[mem][None, :]
-        stage_table = np.zeros(horizon, dtype=np.intp)
         nxt = (code // n_s) * m + strat.update[mem[:, None], act.T, code % n_s]
-    else:
-        m, initial = 1, 0
+        return act, np.zeros(horizon, dtype=np.intp), nxt, m, strat.initial
+    if isinstance(strat, ScheduleStrategy):
         act = np.repeat(np.arange(p.n_actions)[:, None], k, axis=1)
-        stage_table = np.array([strat.action_at_stage(t + 1) for t in range(horizon)],
-                               dtype=np.intp)
-        if np.any((stage_table < 0) | (stage_table >= p.n_actions)):
-            raise InvalidInputError("schedule action out of range")
-        nxt = np.broadcast_to(code // n_s, (k, k * n_s))
-    return _simulate_chain(p, x1, act, stage_table, nxt, m, initial, horizon, streams)
+        stage_table = strat.dist(np.arange(horizon)).argmax(axis=1)
+        return act, stage_table, np.broadcast_to(code // n_s, (k, k * n_s)), 1, 0
+    return None
+
+
+def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
+                      streams: list):
+    """All plays one stage at a time through the strategy's interface: an
+    inverse-CDF draw of each play's action from `dist`, then of its (next
+    state, signal) pair, then one `step` of the memory.  Each uniform is
+    scaled by its row's total, so a draw never lands past the last
+    positive-probability entry."""
+    k, n_s = p.n_states, p.n_signals
+    samples = sum(n for _, n in streams)
+    cum = np.cumsum(p.transition.reshape(k, p.n_actions, k * n_s), axis=2)
+    states = np.empty((samples, horizon), dtype=np.int32)
+    actions = np.empty((samples, horizon), dtype=np.int32)
+    signals = np.empty((samples, horizon), dtype=np.int32)
+    x1 = np.asarray(x1) / np.asarray(x1).sum()
+    state = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams])
+    mem = strat.start(samples)
+    for t in range(horizon):
+        u = np.concatenate([g.random((2, n)) for g, n in streams], axis=1)
+        law = np.cumsum(strat.dist(mem), axis=1)
+        action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
+        row = cum[state, action]
+        code = (row <= (u[1] * row[:, -1])[:, None]).sum(axis=1)
+        states[:, t] = state
+        actions[:, t] = action
+        signals[:, t] = code % n_s
+        mem = strat.step(mem, action, code % n_s)
+        state = code // n_s
+    return states, actions, signals
 
 
 def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
@@ -289,34 +301,6 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         actions[:, blk] = act.take(idx[:b] + (stage_table[blk] * n_c)[:, None]).T
         signals[:, blk] = signal_of.take(pos).T
         idx[0] = idx[b]
-    return states, actions, signals
-
-
-def _simulate_generic(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                      samples: int, rng: np.random.Generator):
-    k, n_s = p.n_states, p.n_signals
-    cum = np.cumsum(p.transition.reshape(k, p.n_actions, k * n_s), axis=2)
-    states = np.empty((samples, horizon), dtype=np.int64)
-    actions = np.empty((samples, horizon), dtype=np.int64)
-    signals = np.empty((samples, horizon), dtype=np.int64)
-    x1 = np.asarray(x1) / np.asarray(x1).sum()
-    x1_cum = np.cumsum(x1)
-    for j in range(samples):
-        cur = min(int(np.searchsorted(x1_cum, rng.random(), side="right")), k - 1)
-        acts: tuple = ()
-        sigs: tuple = ()
-        for t in range(horizon):
-            dist = strat.action_distribution(ObservedHistory(acts, sigs))
-            i = min(int(np.searchsorted(np.cumsum(dist), rng.random(), side="right")),
-                    p.n_actions - 1)
-            code = min(int(np.searchsorted(cum[cur, i], rng.random(), side="right")),
-                       k * n_s - 1)
-            states[j, t] = cur
-            actions[j, t] = i
-            signals[j, t] = code % n_s
-            acts += (i,)
-            sigs += (code % n_s,)
-            cur = code // n_s
     return states, actions, signals
 
 

@@ -1,86 +1,174 @@
 """Strategies: behavior rules, finite-memory transducers, open-loop schedules
-and stationary belief strategies, plus transducer enumeration."""
+and stationary belief strategies, plus transducer enumeration.
+
+Every strategy answers through one batched interface on observed histories,
+the only way the package asks a strategy anything: `start(n)` returns the
+memory of n empty histories, `dist(mem)` the (n, I) action laws after them,
+and `step(mem, actions, signals)` the memory after each history is extended
+by its observed pair.  A memory selects rows with `mem[rows]`."""
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import ObservedHistory, Pomdp, canonical_belief
+from .model import (ObservedHistory, Pomdp, bayes_matrices, bayes_update_rows,
+                    canonical_belief)
 
 STATIONARY_LOOKUP_TOL = 1e-9
 
 
 class Strategy:
-    """Base interface: a distribution over actions after each observed history."""
+    """Base interface: a batched automaton on observed histories.  The default
+    memory is the length of the history, all that a strategy blind to the
+    observed pairs needs."""
 
     n_actions: int
 
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
+    def start(self, n: int):
+        return np.zeros(n, dtype=np.intp)
+
+    def step(self, mem, actions: np.ndarray, signals: np.ndarray):
+        return mem + 1
+
+    def dist(self, mem) -> np.ndarray:
         raise NotImplementedError
 
+    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
+        """The action law after one observed history."""
+        mem = self.start(1)
+        for a, s in h.pairs:
+            mem = self.step(mem, np.array([a]), np.array([s]))
+        return self.dist(mem)[0]
 
-def _dirac(n: int, i: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[i] = 1.0
-    return out
+
+@dataclass(frozen=True)
+class HistoryIds:
+    """Memory of a history-keyed strategy: ids[j] numbers the distinct
+    observed history of row j, whose pairs are actions[ids[j]] and
+    signals[ids[j]] ((n_distinct, stages) int64 tables).  Every table row is
+    some row's history."""
+
+    ids: np.ndarray
+    actions: np.ndarray
+    signals: np.ndarray
+
+    def __getitem__(self, rows) -> "HistoryIds":
+        used, ids = np.unique(self.ids[rows], return_inverse=True)
+        return HistoryIds(ids, self.actions[used], self.signals[used])
+
+
+class HistoryStrategy(Strategy):
+    """A strategy given by one law per observed history.  The distinct
+    histories are renumbered each stage by `np.unique` of (parent id, action,
+    signal), and `laws` runs once per distinct history."""
+
+    def laws(self, actions: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        """(n, I) action laws after the histories given by rows of the
+        (n, stages) action and signal tables."""
+        raise NotImplementedError
+
+    def start(self, n: int) -> HistoryIds:
+        empty = np.zeros((1, 0), dtype=np.int64)
+        return HistoryIds(np.zeros(n, dtype=np.intp), empty, empty)
+
+    def dist(self, mem: HistoryIds) -> np.ndarray:
+        return self.laws(mem.actions, mem.signals)[mem.ids]
+
+    def step(self, mem: HistoryIds, actions, signals) -> HistoryIds:
+        n_i, n_s = (int(np.max(v, initial=0)) + 1 for v in (actions, signals))
+        uniq, ids = np.unique((mem.ids * n_i + actions) * n_s + signals, return_inverse=True)
+        parent = uniq // (n_i * n_s)
+        return HistoryIds(ids, np.column_stack([mem.actions[parent], uniq // n_s % n_i]),
+                          np.column_stack([mem.signals[parent], uniq % n_s]))
 
 
 @dataclass
-class BehaviorStrategy(Strategy):
+class BehaviorStrategy(HistoryStrategy):
     """Wraps an arbitrary rule ObservedHistory -> distribution over actions."""
 
     n_actions: int
     rule: Callable[[ObservedHistory], np.ndarray]
 
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
-        dist = np.asarray(self.rule(h), dtype=float)
-        if dist.shape != (self.n_actions,) or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
-            raise InvalidInputError("behavior rule returned an invalid action distribution")
-        return dist
-
-
-def uniform_strategy(n_actions: int) -> BehaviorStrategy:
-    dist = np.full(n_actions, 1.0 / n_actions)
-    return BehaviorStrategy(n_actions, lambda h: dist)
-
-
-@dataclass
-class ScheduleStrategy(Strategy):
-    """Open-loop pure strategy: the action depends only on the stage number."""
-
-    n_actions: int
-    action_at_stage: Callable[[int], int]
-
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
-        return _dirac(self.n_actions, self.action_at_stage(len(h) + 1))
+    def laws(self, actions, signals) -> np.ndarray:
+        out = np.empty((len(actions), self.n_actions))
+        for j, (acts, sigs) in enumerate(zip(actions.tolist(), signals.tolist())):
+            dist = np.asarray(self.rule(ObservedHistory(tuple(acts), tuple(sigs))), dtype=float)
+            if dist.shape != (self.n_actions,) or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
+                raise InvalidInputError("behavior rule returned an invalid action distribution")
+            out[j] = dist
+        return out
 
 
 @dataclass
-class RandomBehaviorStrategy(Strategy):
+class RandomBehaviorStrategy(HistoryStrategy):
     """Deterministic pseudo-random behavior rule: each observed history gets a
-    fixed randomized action distribution derived from a seed."""
+    fixed randomized action distribution derived from a seed (one 8-byte
+    blake2b digest word per action, so at most 8 actions)."""
 
     n_actions: int
     seed: int
 
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
-        key = (self.seed,) + h.actions + (-1,) + h.signals
-        digest = hashlib.blake2b(
-            np.asarray(key, dtype=np.int64).tobytes(), digest_size=8 * self.n_actions
-        ).digest()
-        raw = np.frombuffer(digest, dtype=np.uint64).astype(float) + 1.0
-        return raw / raw.sum()
+    def __post_init__(self):
+        if not 1 <= self.n_actions <= 8:
+            raise InvalidInputError(
+                f"random behavior strategies take 1 to 8 actions, got {self.n_actions}")
+
+    def laws(self, actions, signals) -> np.ndarray:
+        # key row: seed, the actions, -1, the signals, as int64 bytes
+        n = len(actions)
+        key = np.hstack([np.full((n, 1), self.seed), actions, np.full((n, 1), -1), signals])
+        digests = b"".join(hashlib.blake2b(row, digest_size=8 * self.n_actions).digest()
+                           for row in key.astype(np.int64))
+        raw = np.frombuffer(digests, dtype=np.uint64).reshape(n, -1).astype(float) + 1.0
+        return raw / raw.sum(axis=1, keepdims=True)
+
+
+@dataclass
+class UniformStrategy(Strategy):
+    """Uniform play after every history."""
+
+    n_actions: int
+
+    def __post_init__(self):
+        if self.n_actions < 1:
+            raise InvalidInputError(f"uniform play needs at least one action, got {self.n_actions}")
+
+    def dist(self, mem) -> np.ndarray:
+        return np.full((len(mem), self.n_actions), 1.0 / self.n_actions)
+
+
+def uniform_strategy(n_actions: int) -> UniformStrategy:
+    return UniformStrategy(n_actions)
+
+
+@dataclass
+class ScheduleStrategy(Strategy):
+    """Open-loop pure strategy: the action depends only on the stage number.
+    `dist` asks `action_at_stage` once for each stage in the span of the
+    batch."""
+
+    n_actions: int
+    action_at_stage: Callable[[int], int]
+
+    def dist(self, mem) -> np.ndarray:
+        first, last = int(np.min(mem, initial=0)), int(np.max(mem, initial=0))
+        plan = np.array([self.action_at_stage(t + 1) for t in range(first, last + 1)],
+                        dtype=np.intp)
+        if np.any((plan < 0) | (plan >= self.n_actions)):
+            raise InvalidInputError("schedule action out of range")
+        return np.eye(self.n_actions)[plan[mem - first]]
 
 
 @dataclass
 class Transducer(Strategy):
     """Finite-memory pure strategy (memory set M, initial state, action map,
-    update map on memory x action x signal)."""
+    update map on memory x action x signal).  The memory of a history is the
+    transducer's memory state."""
 
     n_actions: int
     n_signals: int
@@ -98,21 +186,25 @@ class Transducer(Strategy):
             raise InvalidInputError("transducer action map out of range")
         if np.any(upd < 0) or np.any(upd >= m):
             raise InvalidInputError("transducer update map out of range")
+        if not 0 <= self.initial < m:
+            raise InvalidInputError(
+                f"transducer initial memory {self.initial} out of range [0, {m})")
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "update", upd)
+        object.__setattr__(self, "initial", int(self.initial))
 
     @property
     def n_memory(self) -> int:
         return len(self.act)
 
-    def memory_after(self, h: ObservedHistory) -> int:
-        m = self.initial
-        for a, s in zip(h.actions, h.signals):
-            m = int(self.update[m, a, s])
-        return m
+    def start(self, n: int) -> np.ndarray:
+        return np.full(n, self.initial, dtype=np.int64)
 
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
-        return _dirac(self.n_actions, int(self.act[self.memory_after(h)]))
+    def dist(self, mem) -> np.ndarray:
+        return np.eye(self.n_actions)[self.act[mem]]
+
+    def step(self, mem, actions, signals) -> np.ndarray:
+        return self.update[mem, actions, signals]
 
     def canonical_form(self) -> tuple:
         """Breadth-first relabeling of the memory states reachable along the
@@ -140,7 +232,8 @@ class Transducer(Strategy):
 @dataclass
 class StationaryStrategy(Strategy):
     """Belief-stationary strategy on a finite support, with nearest-support
-    lookup (L1 tolerance 1e-9) to absorb float drift."""
+    lookup (L1 tolerance 1e-9) to absorb float drift.  It acts on beliefs,
+    not on observed histories: wrap it with `belief_tracking_strategy`."""
 
     n_actions: int
     support: list           # list of belief vectors
@@ -159,34 +252,50 @@ class StationaryStrategy(Strategy):
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "action_dists", dists)
 
-    def at_belief(self, x: np.ndarray) -> np.ndarray:
-        x = canonical_belief(x)
-        dists = np.array([np.abs(x - y).sum() for y in self.support])
-        j = int(dists.argmin())
-        if dists[j] > STATIONARY_LOOKUP_TOL:
-            raise InvalidInputError(
-                f"belief is {dists[j]:.3e} (L1) away from the strategy support"
-            )
-        return self.action_dists[j]
+    def at_beliefs(self, xs: np.ndarray) -> np.ndarray:
+        """(n, I) action rows at the support points nearest to the (n, K)
+        beliefs xs; raises when one lies farther than the tolerance."""
+        xs = canonical_belief(xs)
+        dists = np.abs(xs[:, None, :] - np.array(self.support)[None]).sum(axis=2)
+        j = dists.argmin(axis=1)
+        worst = float(dists[np.arange(len(xs)), j].max(initial=0.0))
+        if worst > STATIONARY_LOOKUP_TOL:
+            raise InvalidInputError(f"belief is {worst:.3e} (L1) away from the strategy support")
+        return np.array(self.action_dists)[j]
 
-    def action_distribution(self, h: ObservedHistory) -> np.ndarray:
+    def at_belief(self, x: np.ndarray) -> np.ndarray:
+        return self.at_beliefs(np.asarray(x, dtype=float)[None])[0]
+
+    def dist(self, mem):
         raise InvalidInputError(
             "stationary strategies act on beliefs; wrap with belief_tracking_strategy"
         )
 
 
-def belief_tracking_strategy(p: Pomdp, x1: np.ndarray, stat: StationaryStrategy) -> BehaviorStrategy:
-    """Turn a stationary belief strategy into a behavior strategy by replaying
-    the Bayes updates along the observed history."""
-    from .model import bayes_update
+class BeliefTrackingStrategy(Strategy):
+    """A stationary belief strategy played along the Bayes filter: the memory
+    of a history is its belief, one row of an (n, K) array."""
 
-    def rule(h: ObservedHistory) -> np.ndarray:
-        x = np.asarray(x1, dtype=float)
-        for a, s in zip(h.actions, h.signals):
-            x = bayes_update(p, x, a, s)
-        return stat.at_belief(x)
+    def __init__(self, p: Pomdp, x1: np.ndarray, stationary: StationaryStrategy):
+        self.n_actions, self.n_signals = stationary.n_actions, p.n_signals
+        self.x1, self.stationary = np.asarray(x1, dtype=float), stationary
+        self.bayes = bayes_matrices(p)
 
-    return BehaviorStrategy(stat.n_actions, rule)
+    def start(self, n: int) -> np.ndarray:
+        return np.tile(self.x1, (n, 1))
+
+    def dist(self, mem) -> np.ndarray:
+        return self.stationary.at_beliefs(mem)
+
+    def step(self, mem, actions, signals) -> np.ndarray:
+        return bayes_update_rows(self.bayes, mem, actions * self.n_signals + signals)
+
+
+def belief_tracking_strategy(p: Pomdp, x1: np.ndarray,
+                             stat: StationaryStrategy) -> BeliefTrackingStrategy:
+    """Turn a stationary belief strategy into a behavior strategy that tracks
+    the belief by Bayes updates along the observed history."""
+    return BeliefTrackingStrategy(p, x1, stat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 import numpy as np
 import pytest
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 
@@ -22,6 +23,22 @@ def random_pomdp(rng: np.random.Generator, k: int = 3, n_i: int = 2,
 
 def random_belief(rng: np.random.Generator, k: int) -> np.ndarray:
     return pe.make_belief(rng.dirichlet(np.ones(k)))
+
+
+@hst.composite
+def sparse_instances(draw):
+    """Random POMDP with K, I, S <= 3, about a third of its transition cells
+    zero (each row keeps one positive cell), and a random initial belief."""
+    k, n_i, n_s = (draw(hst.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    trans = rng.random((k, n_i, k * n_s)) * (rng.random((k, n_i, k * n_s)) > 0.35)
+    keep = rng.integers(0, k * n_s, (k, n_i))
+    trans[np.arange(k)[:, None], np.arange(n_i), keep] += 0.1
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), tuple(f"a{j}" for j in range(n_i)),
+                 tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
+                 rng.random((k, n_i)))
+    return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
 
 
 @pytest.fixture

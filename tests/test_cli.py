@@ -182,6 +182,21 @@ def test_strategy_file_round_trips_through_cli(capsys, tmp_path):
     assert np.isclose(json.loads(out)["records"][0]["value"], 0.5)
 
 
+@pytest.mark.parametrize("initial", [-1, 3])
+def test_transducer_file_with_initial_memory_out_of_range_exits_invalid(capsys, tmp_path,
+                                                                        initial):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"type": "transducer", "n_actions": 2, "n_signals": 1,
+                                "initial": initial, "act": [0],
+                                "update": [[[0], [0]]]}))
+    for extra in ([], ["--samples", "10"]):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", "blind-switching",
+                                 "--strategy", str(path), "--evaluation",
+                                 '{"kind": "n_stage", "n": 3}', "--horizon", "3", *extra)
+        assert code == 1 and out == ""
+        assert "initial memory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["limsup", "--scenario", "blind-switching", "--strategy", "always:B",
      "--horizon", "100", "--samples", "0"],

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -15,7 +16,7 @@ from pomdp_evals.playspace import (batched_belief_payoffs, belief_sequence,
                                    simulate_plays, MC_CELL_BUDGET, PROB_FLOOR,
                                    STAGE_BLOCK)
 
-from conftest import random_belief, random_pomdp
+from conftest import random_belief, random_pomdp, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,12 @@ def test_generic_and_batched_paths_agree_on_deterministic_chain(blind):
 
 
 def test_schedule_with_an_action_out_of_range_is_rejected(blind):
+    p, x1 = blind.pomdp, blind.initial_belief
     sched = pe.ScheduleStrategy(2, lambda t: -1 if t == STAGE_BLOCK + 2 else 0)
     with pytest.raises(InvalidInputError):
-        simulate_plays(blind.pomdp, blind.initial_belief, sched, 2 * STAGE_BLOCK, 3,
-                       np.random.default_rng(0))
+        simulate_plays(p, x1, sched, 2 * STAGE_BLOCK, 3, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError):
+        enumerate_plays(p, x1, sched, 2 * STAGE_BLOCK)
 
 
 def test_simulated_state_frequencies_match_the_law(redraw):
@@ -196,6 +199,12 @@ def _reference_schedule(p, x1, strat, horizon, samples, rng):
     return states, actions, signals
 
 
+def _signal_rule(n_actions, rng):
+    """Behavior rule whose law rotates with the last observed signal."""
+    law = rng.dirichlet(np.ones(n_actions))
+    return pe.BehaviorStrategy(n_actions, lambda h: np.roll(law, h.signals[-1] if h else 0))
+
+
 def _dense_instance_with_a_zero_cell(rng):
     p = random_pomdp(rng, k=3, n_i=2, n_s=2)
     trans = p.transition.copy()
@@ -229,32 +238,71 @@ def test_simulated_prefix_does_not_depend_on_horizon(rng, short, long):
     p = _dense_instance_with_a_zero_cell(rng)
     x1 = random_belief(rng, 3)
     transducer = pe.Transducer(2, 2, [0, 1, 1], rng.integers(0, 3, (3, 2, 2)))
-    for strat in (transducer, pe.doubling_strategy()):
+    for strat in (transducer, pe.doubling_strategy(), pe.uniform_strategy(2),
+                  pe.RandomBehaviorStrategy(2, 7), _signal_rule(2, rng)):
         a = simulate_plays(p, x1, strat, short, 5, np.random.default_rng(3))
         b = simulate_plays(p, x1, strat, long, 5, np.random.default_rng(3))
         for u, v in zip(a, b):
             assert np.array_equal(u, v[:, :short])
 
 
+def _chi_square_p(p, x1, strat, horizon, samples, seed):
+    """p-value of the sampled play counts against the enumerated play law.
+    Plays are (states, actions, signals) rows; cells expected fewer than 5
+    times are pooled into one bin."""
+    b = enumerate_plays(p, x1, strat, horizon)
+    support, where = np.unique(np.hstack([b.states, b.actions, b.signals]), axis=0,
+                               return_inverse=True)
+    prob = np.bincount(where.ravel(), weights=b.prob, minlength=len(support))
+    index = {tuple(r): j for j, r in enumerate(support.tolist())}
+    sampled = np.hstack(simulate_plays(p, x1, strat, horizon, samples,
+                                       np.random.default_rng(seed)))
+    rows, counts = np.unique(sampled, axis=0, return_counts=True)
+    observed = np.zeros(len(support))
+    for r, c in zip(rows.tolist(), counts):
+        assert tuple(r) in index, f"sampled play {r} has probability 0"
+        observed[index[tuple(r)]] = c
+    expected = samples * prob
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    stat = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
+    return float(scipy.stats.chi2.sf(stat, keep.sum() - 1))
+
+
+def test_sampled_plays_follow_the_enumerated_law():
+    # one chi-square test per strategy kind: 20 000 plays at horizon 3 on a
+    # 2-state instance with a zero cell, generator seed 500 + the kind's index
+    rng = np.random.default_rng(31)
+    p = random_pomdp(rng, k=2, n_i=2, n_s=2)
+    trans = p.transition.copy()
+    trans[1, 0, 0, 1] = 0.0
+    trans /= trans.sum(axis=(2, 3), keepdims=True)
+    p = pe.Pomdp(p.states, p.actions, p.signals, trans, p.reward)
+    x1 = random_belief(rng, 2)
+    # the tracker's support: every belief held before stage 3, each with an
+    # action law that depends on the belief
+    weight = rng.random((2, 2)) + 0.1
+    b = enumerate_plays(p, x1, pe.uniform_strategy(2), 3)
+    beliefs = [pe.belief_sequence(p, x1, a, s) for a, s in zip(b.actions, b.signals)]
+    support = list({pe.belief_key(x): x for seq in beliefs for x in seq}.values())
+    stat = pe.StationaryStrategy(2, support, [weight @ x / (weight @ x).sum() for x in support])
+    strategies = [
+        pe.uniform_strategy(2),
+        pe.RandomBehaviorStrategy(2, 3),
+        _signal_rule(2, rng),
+        pe.belief_tracking_strategy(p, x1, stat),
+        pe.Transducer(2, 2, [0, 1], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]),
+        pe.ScheduleStrategy(2, lambda t: [0, 1, 1][t - 1]),
+    ]
+    for j, strat in enumerate(strategies):
+        assert _chi_square_p(p, x1, strat, 3, 20_000, 500 + j) >= 1e-6, type(strat).__name__
+
+
 # ---------------------------------------------------------------------------
 # Properties on random instances
 # ---------------------------------------------------------------------------
-
-@hst.composite
-def sparse_instances(draw):
-    """Random POMDP with K, I, S <= 3, about a third of its transition cells
-    zero (each row keeps one positive cell), and a random initial belief."""
-    k, n_i, n_s = (draw(hst.integers(1, 3)) for _ in range(3))
-    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
-    trans = rng.random((k, n_i, k * n_s)) * (rng.random((k, n_i, k * n_s)) > 0.35)
-    keep = rng.integers(0, k * n_s, (k, n_i))
-    trans[np.arange(k)[:, None], np.arange(n_i), keep] += 0.1
-    trans /= trans.sum(axis=2, keepdims=True)
-    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), tuple(f"a{j}" for j in range(n_i)),
-                 tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
-                 rng.random((k, n_i)))
-    return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
-
 
 HORIZONS = hst.sampled_from([1, 2, STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1,
                              2 * STAGE_BLOCK + 3])
@@ -275,14 +323,19 @@ def test_grouped_pass_equals_separate_shard_calls(case, horizon, width, data):
                                initial=int(rng.integers(0, m)))
     plan = rng.integers(0, p.n_actions, horizon)
     schedule = pe.ScheduleStrategy(p.n_actions, lambda t: int(plan[t - 1]))
+    # stepped strategies have no reference loop; their per-stream calls are it
     for strat, reference in ((transducer, _reference_transducer),
-                             (schedule, _reference_schedule)):
+                             (schedule, _reference_schedule),
+                             (pe.uniform_strategy(p.n_actions), None),
+                             (pe.RandomBehaviorStrategy(p.n_actions, seeds[0] % 100), None),
+                             (_signal_rule(p.n_actions, rng), None)):
         streams = [(np.random.default_rng(s), n) for s, n in zip(seeds, counts)]
         grouped = simulate_plays(p, x1, strat, horizon, width, streams)
         separate = [simulate_plays(p, x1, strat, horizon, n, np.random.default_rng(s))
                     for s, n in zip(seeds, counts)]
-        loops = [reference(p, x1, strat, horizon, n, np.random.default_rng(s))
-                 for s, n in zip(seeds, counts)]
+        loops = separate if reference is None else \
+            [reference(p, x1, strat, horizon, n, np.random.default_rng(s))
+             for s, n in zip(seeds, counts)]
         for j, g in enumerate(grouped):
             assert g.shape == (width, horizon)
             assert np.array_equal(g, np.concatenate([play[j] for play in separate]))

@@ -1,13 +1,18 @@
 """Strategy layer: behavior rules, schedules, finite-memory transducers."""
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
-from pomdp_evals.model import ObservedHistory
+from pomdp_evals.model import ObservedHistory, canonical_belief
 from pomdp_evals.strategies import transducer_count_raw
 
-from conftest import random_pomdp
+from conftest import random_pomdp, sparse_instances
 
 
 def test_uniform_strategy_distribution():
@@ -19,6 +24,18 @@ def test_behavior_strategy_rejects_invalid_rows():
     strat = pe.BehaviorStrategy(2, lambda h: np.array([0.7, 0.7]))
     with pytest.raises(InvalidInputError):
         strat.action_distribution(ObservedHistory())
+
+
+def test_strategy_sizes_out_of_range_are_rejected():
+    for n_actions in (0, 9):
+        with pytest.raises(InvalidInputError):
+            pe.RandomBehaviorStrategy(n_actions, seed=1)
+    with pytest.raises(InvalidInputError):
+        pe.uniform_strategy(0)
+    for initial in (-1, 3):
+        with pytest.raises(InvalidInputError):
+            pe.Transducer(n_actions=2, n_signals=1, act=np.array([0]),
+                          update=np.zeros((1, 2, 1), dtype=int), initial=initial)
 
 
 def test_random_behavior_strategy_is_seed_deterministic():
@@ -70,8 +87,15 @@ def test_transducer_memory_follows_update_table():
     update[1, 0] = [1, 0]
     t = pe.Transducer(n_actions=1, n_signals=2, act=np.array([0, 0]),
                       update=update, initial=0)
-    assert t.memory_after(ObservedHistory((0, 0), (1, 1))) == 0
-    assert t.memory_after(ObservedHistory((0, 0, 0), (1, 0, 0))) == 1
+
+    def memory_after(actions, signals):
+        mem = t.start(1)
+        for a, s in zip(actions, signals):
+            mem = t.step(mem, np.array([a]), np.array([s]))
+        return int(mem[0])
+
+    assert memory_after((0, 0), (1, 1)) == 0
+    assert memory_after((0, 0, 0), (1, 0, 0)) == 1
 
 
 def test_canonical_form_identifies_relabeled_memories():
@@ -153,3 +177,104 @@ def test_belief_tracking_replays_bayes_updates(revealed_matching):
     # after observing the revealing signal, play the matching action
     assert np.allclose(strat.action_distribution(ObservedHistory((0,), (0,))), [1.0, 0.0])
     assert np.allclose(strat.action_distribution(ObservedHistory((0,), (1,))), [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# The batched interface against per-history rules
+# ---------------------------------------------------------------------------
+
+def _reference_hash_law(strat, h):
+    """Per-history RandomBehaviorStrategy rule: blake2b of the history key."""
+    key = (strat.seed,) + h.actions + (-1,) + h.signals
+    digest = hashlib.blake2b(
+        np.asarray(key, dtype=np.int64).tobytes(), digest_size=8 * strat.n_actions
+    ).digest()
+    raw = np.frombuffer(digest, dtype=np.uint64).astype(float) + 1.0
+    return raw / raw.sum()
+
+
+def _reference_at_belief(stat, x):
+    """Nearest-support lookup, one support point at a time."""
+    x = canonical_belief(x)
+    dists = np.array([np.abs(x - y).sum() for y in stat.support])
+    j = int(dists.argmin())
+    if dists[j] > 1e-9:
+        raise InvalidInputError("belief away from the strategy support")
+    return stat.action_dists[j]
+
+
+def _reference_belief_law(p, x1, stat, h):
+    """Belief tracking by replaying every Bayes update from stage 1."""
+    x = np.asarray(x1, dtype=float)
+    for a, s in zip(h.actions, h.signals):
+        x = pe.bayes_update(p, x, a, s)
+    return _reference_at_belief(stat, x)
+
+
+def _reference_transducer_law(t, h):
+    """Transducer memory walk along the history, then its action."""
+    m = t.initial
+    for a, s in zip(h.actions, h.signals):
+        m = int(t.update[m, a, s])
+    out = np.zeros(t.n_actions)
+    out[int(t.act[m])] = 1.0
+    return out
+
+
+def _law_or_error(law, *args):
+    try:
+        return law(*args)
+    except InvalidInputError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_instances(), length=hst.integers(0, 3), width=hst.integers(1, 5))
+def test_batched_interface_matches_per_history_rules(case, length, width):
+    # random histories, often off the support of the instance; the tracker's
+    # support holds every belief reached in at most two stages and the Dirac
+    # at the first state, with action laws that depend on the belief
+    p, x1, rng = case
+    n_i, n_s, k = p.n_actions, p.n_signals, p.n_states
+    actions = rng.integers(0, n_i, (width, length))
+    signals = rng.integers(0, n_s, (width, length))
+    histories = [ObservedHistory(tuple(a), tuple(s))
+                 for a, s in zip(actions.tolist(), signals.tolist())]
+    pairs = list(itertools.product(range(n_i), range(n_s)))
+    short = [ObservedHistory(tuple(a for a, _ in q), tuple(s for _, s in q))
+             for m in range(3) for q in itertools.product(pairs, repeat=m)]
+    reached = {pe.belief_key(pe.dirac_belief(k, 0)): pe.dirac_belief(k, 0)}
+    for h in short:
+        y = np.asarray(x1, dtype=float)
+        for a, s in h.pairs:
+            y = pe.bayes_update(p, y, a, s)
+        reached.setdefault(pe.belief_key(y), y)
+    support = list(reached.values())
+    weight = rng.random((n_i, k)) + 0.1
+    stat = pe.StationaryStrategy(n_i, support, [weight @ y / (weight @ y).sum() for y in support])
+    m = int(rng.integers(1, 4))
+    table = rng.dirichlet(np.ones(n_i), 7)
+    cases = [
+        (pe.RandomBehaviorStrategy(n_i, int(rng.integers(0, 1000))), _reference_hash_law, True),
+        (pe.BehaviorStrategy(n_i, lambda h: table[(sum(h.actions) + 3 * sum(h.signals)) % 7]),
+         lambda s, h: s.rule(h), True),
+        (pe.belief_tracking_strategy(p, x1, stat),
+         lambda s, h: _reference_belief_law(p, x1, stat, h), False),
+        (pe.Transducer(n_i, n_s, rng.integers(0, n_i, m), rng.integers(0, m, (m, n_i, n_s)),
+                       initial=int(rng.integers(0, m))), _reference_transducer_law, True),
+    ]
+    for strat, reference, exact in cases:
+        mem = strat.start(width)
+        for t in range(length):
+            mem = strat.step(mem, actions[:, t], signals[:, t])
+        for j, h in enumerate(histories):
+            want = _law_or_error(reference, strat, h)
+            for got in (_law_or_error(strat.action_distribution, h),
+                        _law_or_error(lambda: strat.dist(mem[[j]])[0])):
+                assert (got is None) == (want is None)
+                if want is None:
+                    continue
+                if exact:
+                    assert got.dtype == np.float64 and got.tobytes() == np.asarray(want).tobytes()
+                else:
+                    assert np.allclose(got, want, rtol=0, atol=1e-9)
