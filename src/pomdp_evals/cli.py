@@ -24,8 +24,8 @@ from .model import Scenario, load_scenario
 from .playspace import DEFAULT_NODE_BUDGET, reduce_sampled_plays
 from .strategies import (StationaryStrategy, Transducer, enumerate_transducers,
                          transducer_from_dict)
-from .values import (asymptotic_value_estimate, limsup_belief_payoff_mc,
-                     running_average_extremum, value_discounted, value_n,
+from .values import (asymptotic_value_estimate, average_extrema,
+                     limsup_belief_payoff_mc, value_discounted, value_n,
                      weighted_payoff_and_irregularity_mc,
                      weighted_payoff_exact, weighted_payoff_mc)
 
@@ -93,8 +93,11 @@ def _strategy(args, scenario: Scenario):
     if name is None:
         raise InvalidInputError("--strategy is required for this command")
     if Path(name).exists():
-        doc = json.loads(Path(name).read_text())
-        if doc.get("type") == "transducer":
+        try:
+            doc = json.loads(Path(name).read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"strategy file {name} is not valid JSON: {exc}") from None
+        if isinstance(doc, dict) and doc.get("type") == "transducer":
             return transducer_from_dict(doc)
         raise InvalidInputError(f"strategy file {name} has unsupported type")
     return builtin_strategy(name, scenario.pomdp)
@@ -315,10 +318,9 @@ def _reproduce_blind(args) -> list:
         max(abs(v - 0.5) for v in sweep) <= 1e-9))
     sups, infs = [], []
 
-    def both_ways(states, actions, signals):
-        g = p.reward[states, actions]
-        return (running_average_extremum(g, "limsup", 1),
-                running_average_extremum(g, "liminf", 1))
+    def both_ways(blocks):
+        return average_extrema(((t0, p.reward[st, ac]) for t0, st, ac, _ in blocks),
+                               horizon, 1)
 
     # one simulated play per start, reduced both ways; a single sample is one
     # shard, so its generator is the one a limsup/liminf estimate would use

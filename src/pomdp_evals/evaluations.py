@@ -2,9 +2,11 @@
 the stopping-rule weights built from running payoffs, conditional
 (prefix-observed) versions, and the irregularity metric.
 
-Every evaluation computes its weights for a whole batch of plays at once;
-exact results reduce the enumerated play batch with its probabilities, Monte
-Carlo results the sampled batches."""
+Every evaluation computes its weights one stage block at a time for a whole
+batch of plays, carrying what it needs between blocks, and `weight_sums`
+folds them into per-play payoff, mass and irregularity sums: exact results
+run it on the enumerated play batch as one block and average with the play
+probabilities, Monte Carlo results stream the sampled blocks through it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -36,8 +38,14 @@ class Evaluation:
     """A stage-weight process giving theta_1..theta_n in [0,1] along each play.
 
     It has exactly one weight function: deterministic kinds give `stage_fn`
-    (horizon -> weight vector, the same on every play), the others
-    `batch_fn(states, actions, signals, ctx)` on (n_plays, horizon) matrices.
+    (horizon -> weight vector, the same on every play), the others a block
+    step `batch_fn(blocks, ctx)`.  The step consumes a stream of (t0, states,
+    actions, signals) play blocks, each a time-major (block, plays) array
+    whose row j is stage t0 + j + 1, and yields every block back in order as
+    (t0, states, actions, signals, w) with its (block, plays) weights; what it
+    needs across blocks (a flag, a run length, look-ahead stages, the play
+    columns) it carries itself.  `weight_blocks` streams either kind and
+    `batch_weights` is the one-block case on (n_plays, horizon) matrices.
     `support_horizon` is the stage past which weights vanish on every play
     (None when unbounded).  `irregularity_tail` bounds the truncation error of
     the pathwise irregularity at a given horizon; `mass_tail` bounds the weight
@@ -66,12 +74,40 @@ class Evaluation:
     def deterministic(self) -> bool:
         return self.stage_fn is not None
 
+    def weight_blocks(self, blocks, horizon: int, ctx: Optional[EvalContext] = None):
+        """The play blocks (t0, states, actions, signals) of a play stream over
+        `horizon` stages, each yielded back with its weights appended."""
+        if not self.deterministic:
+            return self.batch_fn(blocks, ctx)
+        w = self.stage_fn(horizon)
+        return ((t0, st, ac, sg, np.broadcast_to(w[t0:t0 + len(st), None], st.shape))
+                for t0, st, ac, sg in blocks)
+
     def batch_weights(self, states: np.ndarray, actions: np.ndarray,
                       signals: np.ndarray, ctx: Optional[EvalContext] = None) -> np.ndarray:
         """Weights for a batch of plays, shape (n_plays, horizon)."""
         if self.deterministic:
             return np.tile(self.stage_fn(states.shape[1]), (len(states), 1))
-        return self.batch_fn(states, actions, signals, ctx)
+        blocks = self.batch_fn([(0, states.T, actions.T, signals.T)], ctx)
+        return np.concatenate([blk[4] for blk in blocks]).T
+
+
+def weight_sums(weighted, reward: Optional[np.ndarray] = None) -> tuple:
+    """Per-play weighted payoff sum theta_m r(k_m, i_m) (None without
+    `reward`), weight mass sum theta_m and pathwise irregularity
+    |theta_1| + sum |theta_m - theta_{m+1}| (the final drop to zero included),
+    folded over the (t0, states, actions, signals, w) blocks of
+    `Evaluation.weight_blocks`.  Between blocks it carries the three sums and
+    the last weight."""
+    payoff = mass = jumps = last = 0.0
+    for _, st, ac, _, w in weighted:
+        if reward is not None:
+            payoff = payoff + (reward.take(st * reward.shape[1] + ac) * w).sum(axis=0)
+        mass = mass + w.sum(axis=0)
+        jumps = jumps + np.abs(w[0] - last) + np.abs(np.diff(w, axis=0)).sum(axis=0)
+        last = w[-1].copy()
+        del st, ac, w        # drop the block before the next one is made
+    return (None if reward is None else payoff), mass, jumps + np.abs(last)
 
 
 def enumerated_weights(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
@@ -209,13 +245,13 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
     if l < 1:
         raise InvalidInputError("block length must be >= 1")
 
-    def batch_fn(states, actions, signals, ctx) -> np.ndarray:
-        n, horizon = states.shape
-        out = np.zeros((n, horizon))
-        cols = np.arange(horizon)
-        start = np.where(states[:, 0] == early_state, 0, l)[:, None]
-        out[(cols >= start) & (cols < start + l)] = 1.0 / l
-        return out
+    def batch_fn(blocks, ctx):
+        start = None                 # per play: 0-based stage where its weights start
+        for t0, st, ac, sg in blocks:
+            if start is None:        # the first block holds stage 1
+                start = np.where(st[0] == early_state, 0, l)
+            t = np.arange(t0, t0 + len(st))[:, None]
+            yield t0, st, ac, sg, np.where((t >= start) & (t < start + l), 1.0 / l, 0.0)
 
     return Evaluation(
         kind="state_block_ex1",
@@ -227,6 +263,42 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
     )
 
 
+def _with_later_states(blocks, rows: int):
+    """Each play block (t0, states, actions, signals) with the states of up to
+    `rows` later stages appended as a fifth, time-major entry (fewer at the
+    end of the play).  Holds back as many blocks as that takes."""
+    held = []
+
+    def release():
+        t0, st, ac, sg = held.pop(0)
+        return t0, st, ac, sg, np.concatenate([st[:0]] + [h[1] for h in held])[:rows]
+
+    for blk in blocks:
+        held.append(blk)
+        while held and sum(len(h[1]) for h in held[1:]) >= rows:
+            yield release()
+    while held:
+        yield release()
+
+
+def _first_run(hit: np.ndarray, run: np.ndarray, l: int, b: int) -> tuple:
+    """Weights 1/l on the first run of l target stages, for a block of b
+    stages followed by up to l - 1 later ones: hit (rows, plays) flags the
+    target state and run is each play's run length before the block.
+    Returns the (b, plays) weights, the run lengths after the block and
+    which plays are still searching (no run ends within the block)."""
+    rows = np.arange(len(hit), dtype=np.int32)[:, None]
+    # last row out of the target state at or before each row; a run carried
+    # into the block counts as ending at row -1 - run
+    out = np.maximum.accumulate(np.where(hit, -1 - run, rows), axis=0)
+    full = rows - out >= l                  # a run of l target stages ends here
+    end = full.argmax(axis=0)
+    found = full[end, np.arange(hit.shape[1])]
+    w = (found & (rows[:b] > end - l) & (rows[:b] <= end)) / l
+    searching = ~(found & (end < b))
+    return w, (b - 1 - out[b - 1])[searching], searching
+
+
 def make_run_block(l: int, target_state: int = 0) -> Evaluation:
     """Weight 1/l on the first run of l consecutive stages in the target
     state, searched from stage 2 onward.  Depends on the realized states, not
@@ -235,20 +307,23 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
     if l < 1:
         raise InvalidInputError("block length must be >= 1")
 
-    def batch_fn(states, actions, signals, ctx) -> np.ndarray:
-        n, horizon = states.shape
-        out = np.zeros((n, horizon))
-        if horizon - 1 < l:
-            return out
-        c = np.empty((n, horizon), dtype=np.int32)   # run counts from column 1
-        c[:, 0] = 0
-        np.cumsum(states[:, 1:] == target_state, axis=1, dtype=np.int32, out=c[:, 1:])
-        full = c[:, l:] - c[:, :-l] == l          # run starting at column j+1
-        first = full.argmax(axis=1)
-        rows = np.flatnonzero(full[np.arange(n), first])
-        cells = (rows * horizon + first[rows] + 1)[:, None] + np.arange(l)
-        out.put(cells, 1.0 / l)
-        return out
+    def batch_fn(blocks, ctx):
+        # A stage's weight is known once the l - 1 stages after it are seen:
+        # each block is weighted with the states of that many later stages.
+        # Plays whose first run is found weigh zero from then on and drop out.
+        run = live = None    # target run length before the block; plays still searching
+        for t0, st, ac, sg, later in _with_later_states(blocks, l - 1):
+            b, n = st.shape
+            if live is None:
+                run, live = np.zeros(n, dtype=np.int32), np.arange(n)
+            hit = np.concatenate([st[:, live], later[:, live]]) == target_state
+            if t0 == 0:
+                hit[0] = False                      # the search starts at stage 2
+            w = np.zeros((b, n))
+            w[:, live], run, searching = _first_run(hit, run, l, b)
+            live = live[searching]
+            yield t0, st, ac, sg, w
+            del st, ac, sg, w    # drop the block before the next one is made
 
     return Evaluation(
         kind="run_block_ex2",
@@ -284,16 +359,19 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     if l < 1 or horizon < l:
         raise InvalidInputError("need horizon >= l >= 1")
 
-    def batch_fn(states, actions, signals, ctx) -> np.ndarray:
+    def batch_fn(blocks, ctx):
         if ctx is None:
             raise InvalidInputError("limsup weights need a POMDP context")
+        # eta depends on the whole play, so this step keeps the play columns
+        held = list(blocks)
+        actions, signals = (np.concatenate(c).T for c in list(zip(*held))[2:])
         g = batched_belief_payoffs(ctx.pomdp, ctx.x1, actions, signals)
-        n, h = g.shape
-        out = np.zeros((n, h))
-        for j in range(n):
+        w = np.zeros(g.shape[::-1])
+        for j in range(len(g)):
             eta = eta_horizon(g[j], l)
-            out[j, :eta] = 1.0 / eta
-        return out
+            w[:eta, j] = 1.0 / eta
+        for t0, st, ac, sg in held:
+            yield t0, st, ac, sg, w[t0:t0 + len(st)]
 
     return Evaluation(
         kind="limsup_theta",
@@ -358,6 +436,15 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
     def smooth(w: np.ndarray) -> np.ndarray:
         return w[..., (np.arange(w.shape[-1]) // l) * l]
 
+    def batch_fn(blocks, ctx):
+        head = None          # weights at the last block head seen
+        for t0, st, ac, sg, w in e.batch_fn(blocks, ctx):
+            src = np.arange(t0, t0 + len(w)) // l * l - t0   # head row; < 0: earlier block
+            out = w[np.maximum(src, 0)]
+            out[src < 0] = head
+            head = out[-1]
+            yield t0, st, ac, sg, out
+
     support = None if e.support_horizon is None else -(-e.support_horizon // l) * l
     if e.deterministic:
         stage_fn = lambda horizon: smooth(e.stage_fn(horizon))
@@ -376,7 +463,7 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
         measurability=e.measurability,
         normalization="none",
         support_horizon=support,
-        batch_fn=lambda *play: smooth(e.batch_fn(*play)),
+        batch_fn=batch_fn,
         params={"base": e.kind, "l": l},
     )
 
@@ -392,8 +479,9 @@ def pathwise_irregularity(w: np.ndarray) -> float:
 
 
 def batch_pathwise_irregularity(w: np.ndarray) -> np.ndarray:
-    padded = np.concatenate([w, np.zeros((w.shape[0], 1))], axis=1)
-    return np.abs(w[:, 0]) + np.abs(np.diff(padded, axis=1)).sum(axis=1)
+    """`pathwise_irregularity` of each row of w: the one-block case of
+    `weight_sums`."""
+    return weight_sums([(0, None, None, None, w.T)])[2]
 
 
 def _truncation_tail(e: Evaluation, horizon: int) -> float:
@@ -431,8 +519,7 @@ def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda st, ac, sg: (batch_pathwise_irregularity(e.batch_weights(st, ac, sg, ctx)),),
-        shards)
+        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx))[2:], shards)
     mean, se = sample_mean(v)
     return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
 
@@ -510,14 +597,18 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
     prefixes weigh zero."""
     table = conditional_table(p, x1, strat, e, horizon, budget=budget)
 
-    def batch_fn(states, actions, signals, ctx) -> np.ndarray:
-        out = np.zeros(states.shape)
-        n = min(states.shape[1], horizon)
-        ids, first = prefix_ids(actions[:, :n], signals[:, :n])
-        for m in range(1, n + 1):
-            keys = _prefix_keys(actions, signals, first[m - 1], m)
-            out[:, m - 1] = np.array([table.rho.get(k, 0.0) for k in keys])[ids[:, m - 1]]
-        return out
+    def batch_fn(blocks, ctx):
+        seen = []            # the observed columns of stages 1..horizon so far
+        for t0, st, ac, sg in blocks:
+            w = np.zeros(st.shape)
+            if t0 < horizon:
+                seen.append((ac[:horizon - t0], sg[:horizon - t0]))
+                acts, sigs = (np.concatenate(c).T for c in zip(*seen))
+                ids, first = prefix_ids(acts, sigs)
+                for m in range(t0 + 1, acts.shape[1] + 1):
+                    keys = _prefix_keys(acts, sigs, first[m - 1], m)
+                    w[m - 1 - t0] = np.array([table.rho.get(k, 0.0) for k in keys])[ids[:, m - 1]]
+            yield t0, st, ac, sg, w
 
     return Evaluation(
         kind=f"conditional({e.kind})",

@@ -1,10 +1,12 @@
 """Play-space machinery shared by the payoff, irregularity and measure code.
 
-Exact and Monte Carlo results reduce the same (n_plays, horizon) matrices:
+Exact and Monte Carlo results reduce plays with the same block folds:
 `enumerate_plays` returns the whole play tree as one `PlayBatch` with its
-probabilities, and `simulate_plays` samples seeded plays of the same shape.
-Also here: observed-prefix grouping and the stage-blocked Bayes filter along
-observed histories."""
+probabilities (one block), and `play_blocks` streams seeded plays one stage
+block at a time, so Monte Carlo never holds a (plays, horizon) matrix;
+`simulate_plays` collects that stream for API callers.  Also here:
+observed-prefix grouping and the stage-blocked Bayes filter along observed
+histories."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,9 +19,10 @@ from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
 PROB_FLOOR = 1e-12
-# Stages simulated per block: uniforms are drawn and outputs stored, and
-# beliefs buffered, one block at a time.  At 64 stages x 2500 samples the
-# block buffers take about 4 MB.
+# Stages per block: simulation draws uniforms and emits plays, and the Bayes
+# filter and every Monte Carlo reduction consume them, one block at a time,
+# so a Monte Carlo pass holds O(plays x STAGE_BLOCK) memory whatever the
+# horizon.  At 64 stages x 10 000 plays one float64 block takes 5 MB.
 STAGE_BLOCK = 64
 
 
@@ -130,19 +133,18 @@ def belief_blocks(p: Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.nda
     buffer that the next block overwrites.  Off-support observations fall
     back to the Dirac at the first state, as in `belief_sequence`.
     """
-    n, horizon = actions.shape
-    bayes = bayes_matrices(p)
-    # bel[j] holds the beliefs at the block's stage j; bel[b] carries into the
-    # next block, so only one block of beliefs is ever held
-    bel = np.empty((STAGE_BLOCK + 1, n, p.n_states))
-    bel[0] = np.asarray(x1, dtype=float)
-    for t0 in range(0, horizon, STAGE_BLOCK):
-        b = min(STAGE_BLOCK, horizon - t0)
-        codes = (actions[:, t0:t0 + b] * p.n_signals + signals[:, t0:t0 + b]).T
-        for j, code in enumerate(codes):
-            bayes_update_rows(bayes, bel[j], code, out=bel[j + 1])
-        yield t0, bel[:b]
-        bel[0] = bel[b]
+    for t0, _, bel in _filter(p, x1, _column_blocks(actions, signals)):
+        yield t0, bel
+
+
+def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
+    """Per-stage belief payoffs g(x_m, i_m) along a stream of observed play
+    blocks (t0, actions, signals), each time-major (block, plays) with at
+    most STAGE_BLOCK stages: yields (t0, g) with g of the block's shape.  The
+    filter state carried between blocks is one (plays, K) belief."""
+    reward_of = p.reward.T
+    for t0, actions, bel in _filter(p, x1, blocks):
+        yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
 
 
 def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
@@ -151,12 +153,36 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
 
     actions/signals have shape (n_plays, horizon); returns the same shape.
     """
-    reward_of = p.reward.T
     out = np.empty(actions.shape)
-    for t0, bel in belief_blocks(p, x1, actions, signals):
-        blk = slice(t0, t0 + len(bel))
-        out[:, blk] = np.einsum("tnk,tnk->nt", bel, reward_of[actions[:, blk].T])
+    for t0, g in belief_payoff_blocks(p, x1, _column_blocks(actions, signals)):
+        out[:, t0:t0 + len(g)] = g.T
     return out
+
+
+def _column_blocks(*mats):
+    """(t0, *blocks): the (n, horizon) matrices cut into time-major blocks of
+    at most STAGE_BLOCK stages."""
+    for t0 in range(0, mats[0].shape[1], STAGE_BLOCK):
+        yield (t0, *(m[:, t0:t0 + STAGE_BLOCK].T for m in mats))
+
+
+def _filter(p: Pomdp, x1: np.ndarray, blocks):
+    """Bayes filter over (t0, actions, signals) blocks of at most STAGE_BLOCK
+    stages: yields (t0, actions, bel), bel[j] (plays, K) being the beliefs at
+    stage t0 + j + 1, a view of a buffer that the next block overwrites."""
+    bayes = bayes_matrices(p)
+    bel = None
+    for t0, actions, signals in blocks:
+        if bel is None:
+            # bel[j] holds the beliefs at the block's stage j; bel[b] carries
+            # into the next block, so only one block of beliefs is ever held
+            bel = np.empty((STAGE_BLOCK + 1, actions.shape[1], p.n_states))
+            bel[0] = np.asarray(x1, dtype=float)
+        codes = actions * p.n_signals + signals
+        for j, code in enumerate(codes):
+            bayes_update_rows(bayes, bel[j], code, out=bel[j + 1])
+        yield t0, actions, bel[:len(codes)]
+        bel[0] = bel[len(codes)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +192,11 @@ def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
 def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                    samples: int, rng: np.random.Generator | list):
     """Sample plays; returns (states, actions, signals) as (samples, horizon)
-    int32 matrices.  Transducers and open-loop schedules have finite tables
-    over the horizon and run as a Markov chain in the stage-blocked kernel;
-    every other strategy is stepped through its `start`/`dist`/`step`
-    interface, one stage at a time for all plays at once.
+    int32 matrices collected from the blocks of `play_blocks`.  Transducers
+    and open-loop schedules have finite tables over the horizon and run as a
+    Markov chain in the stage-blocked kernel; every other strategy is stepped
+    through its `start`/`dist`/`step` interface, one stage at a time for all
+    plays at once.
 
     `rng` is either one generator for all `samples` plays or a list of
     (generator, count) streams whose counts sum to `samples`.  Each stream
@@ -186,10 +213,27 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     are blocked, and a shorter horizon gives a prefix of a longer one.
     """
     streams = [(rng, samples)] if isinstance(rng, np.random.Generator) else list(rng)
+    if sum(n for _, n in streams) != samples:
+        raise InvalidInputError("stream counts must sum to the sample count")
+    blocks = play_blocks(p, x1, strat, horizon, streams)
+    plays = [np.empty((samples, horizon), dtype=np.int32) for _ in range(3)]
+    for t0, *blk in blocks:
+        for out, b in zip(plays, blk):
+            out[:, t0:t0 + len(b)] = b.T
+    return tuple(plays)
+
+
+def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
+    """Sampled plays one stage block at a time: yields (t0, states, actions,
+    signals) for consecutive blocks of at most STAGE_BLOCK stages, each a
+    time-major (block, plays) int32 array whose row j is stage t0 + j + 1.
+    `streams` lists (generator, count) pairs as in `simulate_plays`, whose
+    draw contract the blocks follow; a consumer that keeps only per-play
+    state holds O(plays x STAGE_BLOCK) memory."""
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    if any(n < 0 for _, n in streams) or sum(n for _, n in streams) != samples:
-        raise InvalidInputError("stream counts must be >= 0 and sum to the sample count")
+    if any(n < 0 for _, n in streams):
+        raise InvalidInputError("stream counts must be >= 0")
     tables = _chain_tables(p, strat, horizon)
     if tables is None:
         return _simulate_stepped(p, x1, strat, horizon, streams)
@@ -222,28 +266,25 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     inverse-CDF draw of each play's action from `dist`, then of its (next
     state, signal) pair, then one `step` of the memory.  Each uniform is
     scaled by its row's total, so a draw never lands past the last
-    positive-probability entry."""
+    positive-probability entry.  Stages are yielded in blocks."""
     k, n_s = p.n_states, p.n_signals
     samples = sum(n for _, n in streams)
     cum = np.cumsum(p.transition.reshape(k, p.n_actions, k * n_s), axis=2)
-    states = np.empty((samples, horizon), dtype=np.int32)
-    actions = np.empty((samples, horizon), dtype=np.int32)
-    signals = np.empty((samples, horizon), dtype=np.int32)
     x1 = np.asarray(x1) / np.asarray(x1).sum()
     state = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams])
     mem = strat.start(samples)
-    for t in range(horizon):
-        u = np.concatenate([g.random((2, n)) for g, n in streams], axis=1)
-        law = np.cumsum(strat.dist(mem), axis=1)
-        action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
-        row = cum[state, action]
-        code = (row <= (u[1] * row[:, -1])[:, None]).sum(axis=1)
-        states[:, t] = state
-        actions[:, t] = action
-        signals[:, t] = code % n_s
-        mem = strat.step(mem, action, code % n_s)
-        state = code // n_s
-    return states, actions, signals
+    for t0 in range(0, horizon, STAGE_BLOCK):
+        blk = np.empty((3, min(STAGE_BLOCK, horizon - t0), samples), dtype=np.int32)
+        for out in blk.transpose(1, 0, 2):
+            u = np.concatenate([g.random((2, n)) for g, n in streams], axis=1)
+            law = np.cumsum(strat.dist(mem), axis=1)
+            action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
+            row = cum[state, action]
+            code = (row <= (u[1] * row[:, -1])[:, None]).sum(axis=1)
+            out[:] = state, action, code % n_s
+            mem = strat.step(mem, action, code % n_s)
+            state = code // n_s
+        yield t0, *blk
 
 
 def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
@@ -276,32 +317,36 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     state_of = (np.arange(n_c) // m).astype(np.int32)
     signal_of = (np.arange(n_c * width) % n_s).astype(np.int32)
     act = act.astype(np.int32)
-    states = np.empty((samples, horizon), dtype=np.int32)
-    actions = np.empty((samples, horizon), dtype=np.int32)
-    signals = np.empty((samples, horizon), dtype=np.int32)
     # time-major block rows: idx[j] is the combined index at the block's stage
     # j, and idx[b] carries into the next block; `base` is 2 * idx at the
-    # stage being drawn
+    # stage being drawn.  y and pos, the block's uniforms and table
+    # positions, share one buffer reused from block to block: the positions
+    # are copied in once every uniform of the block is spent.
     idx = np.empty((STAGE_BLOCK + 1, samples), dtype=np.int64)
+    y = np.empty((STAGE_BLOCK, samples))
+    pos = y.view(np.int64)
     x1 = np.asarray(x1) / np.asarray(x1).sum()
     idx[0] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m + initial
     base = 2.0 * idx[0]
     for t0 in range(0, horizon, STAGE_BLOCK):
         b = min(STAGE_BLOCK, horizon - t0)
-        y = np.concatenate([g.random((b, n)) for g, n in streams], axis=1)
-        pos = []
+        col = 0
+        for g, n in streams:
+            y[:b, col:col + n] = g.random((b, n))
+            col += n
+        drawn = []
         for yj, a in zip(y, stage_table[t0:t0 + b].tolist()):
             yj += base
-            pos.append(tables[a].searchsorted(yj, side="right"))
-            shift_of.take(pos[-1], out=base)
-        pos = np.array(pos)
-        nxt_flat.take(pos, out=idx[1:b + 1])
-        blk = slice(t0, t0 + b)
-        states[:, blk] = state_of.take(idx[:b]).T
-        actions[:, blk] = act.take(idx[:b] + (stage_table[blk] * n_c)[:, None]).T
-        signals[:, blk] = signal_of.take(pos).T
+            drawn.append(tables[a].searchsorted(yj, side="right"))
+            shift_of.take(drawn[-1], out=base)
+        np.concatenate(drawn, out=pos[:b].reshape(-1))
+        del drawn                     # hold only the block while it is consumed
+        nxt_flat.take(pos[:b], out=idx[1:b + 1])
+        signals = signal_of.take(pos[:b])
+        # pos is spent too: reuse it for the flat indices into act
+        np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos[:b])
+        yield t0, state_of.take(idx[:b]), act.take(pos[:b]), signals
         idx[0] = idx[b]
-    return states, actions, signals
 
 
 def shard_seeds(seed: int, shards: int) -> list:
@@ -316,11 +361,10 @@ MC_CELL_BUDGET = 40_000_000
 
 def plan_shards(samples: int, horizon: int, shards: int) -> int:
     """Number of generator streams (shards) for `samples` plays: never fewer
-    than the requested shard count, and enough that each shard's
-    (samples x horizon) matrices fit in the cell budget.  A shard fixes which
-    generator draws its plays, not how they are simulated:
-    `reduce_sampled_plays` simulates consecutive shards in one pass while the
-    pass stays within the budget."""
+    than the requested shard count, and enough that each shard holds at most
+    MC_CELL_BUDGET (play, stage) cells.  A shard fixes which generator draws
+    its plays, not how they are simulated, so this count keeps fixed-seed
+    draws stable however the plays are reduced."""
     need = -(-samples * horizon // MC_CELL_BUDGET)
     return max(1, min(samples, max(shards, need)))
 
@@ -329,11 +373,14 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
                          samples: int, seed: int, reduce, shards: int = 4) -> list:
     """Simulate `samples` plays in seeded shards and reduce them play by play.
 
-    `reduce(states, actions, signals)` returns a tuple of per-play arrays;
-    the result lists each of them concatenated over all plays, in shard
-    order.  Consecutive shards share one simulation pass while the pass
-    stays within MC_CELL_BUDGET cells; each shard still draws from its own
-    generator, so the plays do not depend on the grouping.
+    `reduce(blocks)` consumes one pass's stream from `play_blocks`, (t0,
+    states, actions, signals) time-major blocks in stage order, and returns a
+    tuple of per-play arrays; the result lists each of them concatenated over
+    all plays, in shard order.  No (plays, horizon) matrix is built: a pass
+    holds O(plays x STAGE_BLOCK) cells plus what `reduce` carries.
+    Consecutive shards share one pass while it stays within MC_CELL_BUDGET
+    block cells; each shard still draws from its own generator, so the plays
+    do not depend on the grouping.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
@@ -343,11 +390,10 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
               np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))]
     passes = [[]]
     for g, n in zip(shard_seeds(seed, len(counts)), counts):
-        if passes[-1] and (sum(c for _, c in passes[-1]) + n) * horizon > MC_CELL_BUDGET:
+        if passes[-1] and (sum(c for _, c in passes[-1]) + n) * STAGE_BLOCK > MC_CELL_BUDGET:
             passes.append([])
         passes[-1].append((g, n))
-    parts = [reduce(*simulate_plays(p, x1, strat, horizon, sum(c for _, c in grp), grp))
-             for grp in passes]
+    parts = [reduce(play_blocks(p, x1, strat, horizon, grp)) for grp in passes]
     return [np.concatenate(col) for col in zip(*parts)]
 
 

@@ -400,10 +400,38 @@ def transducer_to_dict(t: Transducer) -> dict:
 
 
 def transducer_from_dict(doc: dict) -> Transducer:
-    return Transducer(
-        n_actions=int(doc["n_actions"]),
-        n_signals=int(doc["n_signals"]),
-        act=np.asarray(doc["act"], dtype=np.int64),
-        update=np.asarray(doc["update"], dtype=np.int64),
-        initial=int(doc.get("initial", 0)),
-    )
+    """Transducer from its JSON form.  `n_actions`, `n_signals` and `initial`
+    (default 0) must be integers, `act` a list and `update` a nested list of
+    integers; anything else is rejected with InvalidInputError naming the
+    field, never truncated."""
+    n_actions, n_signals, initial = (_json_integers(doc, name, scalar=True)
+                                     for name in ("n_actions", "n_signals", "initial"))
+    act, update = (_json_integers(doc, name, scalar=False) for name in ("act", "update"))
+    if act.ndim != 1:
+        raise InvalidInputError("transducer field 'act' must be a flat list of integers")
+    return Transducer(n_actions, n_signals, act, update, initial=initial)
+
+
+def _json_integers(doc: dict, name: str, scalar: bool):
+    """doc[name] as an int (`scalar`) or an int64 array from a rectangular
+    nested list; bools and integral floats count as non-integers."""
+    if name not in doc and name != "initial":
+        raise InvalidInputError(f"transducer field {name!r} is missing")
+    value = doc.get(name, 0)
+    if scalar == isinstance(value, list):
+        raise InvalidInputError(f"transducer field {name!r} must be "
+                                f"{'an integer' if scalar else 'a list of integers'}")
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidInputError(f"transducer field {name!r} has a non-integer entry {v!r}")
+    if scalar:
+        return int(value)
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except ValueError as exc:
+        raise InvalidInputError(f"transducer field {name!r} is not a rectangular "
+                                f"table ({exc})") from None

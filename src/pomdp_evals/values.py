@@ -3,9 +3,11 @@ discounted values, asymptotic-value estimates, exact and Monte Carlo weighted
 payoffs, chain-based payoffs for deterministic weights, and finite-horizon
 proxies for long-run superior/inferior average payoffs.
 
-Exact and Monte Carlo weighted payoffs reduce the same per-play rows
-(`_payoff_rows`): with the enumerated play probabilities, or as a sample mean
-with its standard error."""
+Exact and Monte Carlo weighted payoffs reduce plays with the same block fold
+(`evaluations.weight_sums`): the enumerated batch as one block, averaged with
+its play probabilities, or the sampled play stream block by block, as a
+sample mean with its standard error.  The long-run proxies fold the same
+stream into running extrema of prefix averages (`average_extrema`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,9 +16,9 @@ import numpy as np
 
 from .chain import MarkovChain
 from .errors import BudgetExceededError, InvalidInputError
-from .evaluations import EvalContext, Evaluation
+from .evaluations import EvalContext, Evaluation, McEstimate, weight_sums
 from .model import Pomdp, belief_key, belief_transition, stage_payoff
-from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs,
+from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks,
                         enumerate_plays, reduce_sampled_plays, sample_mean)
 from .strategies import Strategy
 
@@ -76,6 +78,16 @@ class _BeliefDp:
         self.memo[key] = best
         return best
 
+    def solve(self, x: np.ndarray, t: int) -> float:
+        """`total` at the root, with a recursion past Python's stack limit
+        reported as a budget overrun."""
+        try:
+            return self.total(x, t)
+        except RecursionError:
+            raise BudgetExceededError(
+                f"belief DP recursion exceeded the interpreter stack at horizon {t}"
+            ) from None
+
 
 def value_n(p: Pomdp, x1: np.ndarray, n: int,
             budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
@@ -83,7 +95,7 @@ def value_n(p: Pomdp, x1: np.ndarray, n: int,
     if n < 1:
         raise InvalidInputError("horizon must be >= 1")
     dp = _BeliefDp(p, budget=budget)
-    return ValueReport(value=dp.total(np.asarray(x1, dtype=float), n) / n,
+    return ValueReport(value=dp.solve(np.asarray(x1, dtype=float), n) / n,
                        method="exact_dp", error_bound=0.0, horizon_or_samples=n)
 
 
@@ -102,7 +114,7 @@ def value_discounted(p: Pomdp, x1: np.ndarray, lam: float, tol: float = 1e-6,
             f"discounted DP needs horizon {horizon}, beyond the supported range"
         )
     dp = _BeliefDp(p, discount=1.0 - lam, budget=budget)
-    value = lam * dp.total(np.asarray(x1, dtype=float), horizon)
+    value = lam * dp.solve(np.asarray(x1, dtype=float), horizon)
     return ValueReport(value=value, method="truncated_dp",
                        error_bound=(1.0 - lam) ** horizon,
                        horizon_or_samples=horizon)
@@ -115,7 +127,7 @@ def value_n_sequence(p: Pomdp, x1: np.ndarray, n_max: int,
         raise InvalidInputError("n_max must be >= 1")
     dp = _BeliefDp(p, budget=budget)
     x = np.asarray(x1, dtype=float)
-    return np.array([dp.total(x, n) / n for n in range(1, n_max + 1)])
+    return np.array([dp.solve(x, n) / n for n in range(1, n_max + 1)])
 
 
 def asymptotic_value_estimate(p: Pomdp, x1: np.ndarray, n_max: int,
@@ -150,20 +162,15 @@ def _tail_weight(e: Evaluation, horizon: int, truncated_mass: float) -> float:
 def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                           horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
     """E[sum theta_m r(k_m, i_m)] by exhaustive tree enumeration; exact when
-    the weights vanish within the horizon.  The same per-play rows as the
-    Monte Carlo estimators, averaged with the play probabilities."""
+    the weights vanish within the horizon.  The Monte Carlo estimators' fold
+    on the play batch as one block, averaged with the play probabilities."""
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     b = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    v, masses, _ = _payoff_rows(p, e, ctx, b.states, b.actions, b.signals)
+    v, masses, _ = weight_sums(
+        e.weight_blocks([(0, b.states.T, b.actions.T, b.signals.T)], horizon, ctx), p.reward)
     return ValueReport(value=float(b.prob @ v), method="exact_dp",
                        error_bound=_tail_weight(e, horizon, float(b.prob @ masses)),
                        horizon_or_samples=horizon)
-
-
-def _payoff_rows(p: Pomdp, e: Evaluation, ctx: EvalContext, states, actions, signals):
-    """Per-play weighted payoff, weight mass and the weights themselves."""
-    w = e.batch_weights(states, actions, signals, ctx)
-    return (w * p.reward[states, actions]).sum(axis=1), w.sum(axis=1), w
 
 
 def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
@@ -174,7 +181,7 @@ def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, masses = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda *play: _payoff_rows(p, e, ctx, *play)[:2], shards)
+        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx), p.reward)[:2], shards)
     value, se = sample_mean(v)
     return ValueReport(value=value, method="monte_carlo",
                        error_bound=3.0 * se + _tail_weight(e, horizon, float(masses.mean())),
@@ -188,15 +195,10 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
     sampled plays; returns (ValueReport, McEstimate).  Matches calling
     weighted_payoff_mc and irregularity_mc with the same seed at half the
     simulation cost."""
-    from .evaluations import McEstimate, batch_pathwise_irregularity
-
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
-
-    def reduce(*play):
-        v, mass, w = _payoff_rows(p, e, ctx, *play)
-        return v, mass, batch_pathwise_irregularity(w)
-
-    v, masses, j = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
+    v, masses, j = reduce_sampled_plays(
+        p, x1, strat, horizon, samples, seed,
+        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx), p.reward), shards)
     value, v_se = sample_mean(v)
     j_mean, j_se = sample_mean(j)
     payoff = ValueReport(value=value, method="monte_carlo",
@@ -225,19 +227,39 @@ def weighted_payoff_chain(c: MarkovChain, e: Evaluation, horizon: int) -> ValueR
 # Long-run average proxies
 # ---------------------------------------------------------------------------
 
-def running_average_extremum(payoffs: np.ndarray, mode: str,
-                             window_start: int = None) -> np.ndarray:
-    """Per-play max (limsup proxy) or min (liminf proxy) of the prefix
-    averages over stages [window_start, horizon]; payoffs is (n, horizon)."""
-    n, horizon = payoffs.shape
+def average_extrema(payoff_blocks, horizon: int, window_start: int = None) -> tuple:
+    """Per-play max (limsup proxy) and min (liminf proxy) of the prefix
+    averages over stages [window_start, horizon], folded over (t0, g) blocks
+    of stage payoffs, each time-major (block, plays), in stage order.  Between
+    blocks it carries the cumulative payoff and the two running extrema; the
+    prefix sums add stage by stage, as one cumulative sum along the play."""
     if window_start is None:
         window_start = max(horizon // 2, 1)
     if not 1 <= window_start <= horizon:
         raise InvalidInputError("window start outside [1, horizon]")
-    avg = np.cumsum(payoffs, axis=1)
-    avg /= np.arange(1, horizon + 1)
-    window = avg[:, window_start - 1:]
-    return window.max(axis=1) if mode == "limsup" else window.min(axis=1)
+    cum = hi = lo = None
+    for t0, g in payoff_blocks:
+        avg = np.array(g, dtype=float)
+        if cum is not None:
+            avg[0] += cum
+        np.cumsum(avg, axis=0, out=avg)
+        cum = avg[-1].copy()
+        avg /= np.arange(t0 + 1, t0 + len(avg) + 1)[:, None]
+        window = avg[max(window_start - 1 - t0, 0):]
+        if len(window):
+            top, bottom = window.max(axis=0), window.min(axis=0)
+            hi = top if hi is None else np.maximum(hi, top)
+            lo = bottom if lo is None else np.minimum(lo, bottom)
+    return hi, lo
+
+
+def running_average_extremum(payoffs: np.ndarray, mode: str,
+                             window_start: int = None) -> np.ndarray:
+    """Per-play max (limsup proxy) or min (liminf proxy) of the prefix
+    averages over stages [window_start, horizon]; payoffs is (n, horizon).
+    The one-block case of `average_extrema`."""
+    hi, lo = average_extrema([(0, payoffs.T)], payoffs.shape[1], window_start)
+    return hi if mode == "limsup" else lo
 
 
 def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
@@ -253,12 +275,12 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
     if payoff_on not in ("state", "belief"):
         raise InvalidInputError(f"unknown payoff base {payoff_on!r}")
 
-    def reduce(states, actions, signals):
+    def reduce(blocks):
         if payoff_on == "state":
-            g = p.reward[states, actions]
+            g = ((t0, p.reward[st, ac]) for t0, st, ac, _ in blocks)
         else:
-            g = batched_belief_payoffs(p, x1, actions, signals)
-        return (running_average_extremum(g, mode, window_start),)
+            g = belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, ac, sg in blocks))
+        return (average_extrema(g, horizon, window_start)[mode == "liminf"],)
 
     v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
     value, se = sample_mean(v)

@@ -197,6 +197,32 @@ def test_transducer_file_with_initial_memory_out_of_range_exits_invalid(capsys, 
         assert "initial memory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("initial", 1.5), ("initial", "x"), ("act", [0.7, 1.2]), ("act", [0, True]),
+    ("update", [[[0], [1]], [[1], [0.0]]]), ("n_actions", 2.0), ("n_signals", "1"),
+])
+def test_transducer_file_with_a_non_integer_entry_exits_invalid(capsys, tmp_path, field,
+                                                                value):
+    doc = {"type": "transducer", "n_actions": 2, "n_signals": 1, "initial": 0,
+           "act": [0, 1], "update": [[[0], [1]], [[1], [0]]]}
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    for command in (["evaluate", "--evaluation", '{"kind": "n_stage", "n": 3}',
+                     "--horizon", "3", "--samples", "10"], ["liminf"]):
+        code, out, err = run_cli(capsys, command[0], "--scenario", "blind-switching",
+                                 "--strategy", str(path), *command[1:])
+        assert code == 1 and out == ""
+        assert f"'{field}'" in err and "Traceback" not in err
+
+
+def test_belief_dp_past_the_interpreter_stack_exits_with_budget_code(capsys):
+    # lam = 0.01 at tol 1e-6 needs a horizon of 1375 stages
+    code, out, err = run_cli(capsys, "value", "--scenario", "matching-revealed",
+                             "--discount", "0.01")
+    assert code == 2 and out == ""
+    assert "horizon 1375" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["limsup", "--scenario", "blind-switching", "--strategy", "always:B",
      "--horizon", "100", "--samples", "0"],
