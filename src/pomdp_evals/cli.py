@@ -350,16 +350,20 @@ def _reproduce_known(args) -> list:
                                     mode="limsup", payoff_on="state")
     belief = limsup_belief_payoff_mc(p, x1, strat, horizon, samples, args.seed,
                                      mode="limsup", payoff_on="belief")
-    gap = abs(state.value - belief.value)
-    tol = max(state.error_bound, belief.error_bound, 1e-9)
-    checks = ("mean state/belief limsup within the larger 3 SE bound under "
-              "always:0; the lift has no known payoffs")
+    # the base belief stays uniform, so each play's belief payoff is 0 at
+    # stage 1 (the lift pins the recorded reward to 0) and 1/2 afterwards; the
+    # prefix average (m-1)/(2m) grows with m, so the limsup proxy is (h-1)/(2h)
+    expected = (horizon - 1) / (2 * horizon)
+    checks = (f"belief limsup equals (h-1)/(2h) = {expected:.12g} within 1e-9 under "
+              "always:0; gap to the state limsup is reported only, as the lift "
+              "has no known payoffs")
     return [
         _record("reproduce", "known-payoffs", "state_limsup", state.value,
                 state.error_bound, state.method, args.seed),
         _flagged(_record("reproduce", "known-payoffs", "belief_limsup",
                          belief.value, belief.error_bound, belief.method,
-                         args.seed, gap=gap, checks=checks), gap <= tol),
+                         args.seed, gap=abs(state.value - belief.value), checks=checks),
+                 abs(belief.value - expected) <= 1e-9),
     ]
 
 

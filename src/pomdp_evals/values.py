@@ -1,7 +1,8 @@
-"""Values and payoffs: belief-space backward induction for finite-horizon and
-discounted values, asymptotic-value estimates, exact and Monte Carlo weighted
-payoffs, chain-based payoffs for deterministic weights, and finite-horizon
-proxies for long-run superior/inferior average payoffs.
+"""Values and payoffs: one weighted backward induction on beliefs for the
+n-stage and discounted values (stage weights 1 and lam (1 - lam)^(m-1)) and
+the sequence v_1..v_n, asymptotic-value estimates, exact and Monte Carlo
+weighted payoffs, chain-based payoffs for deterministic weights, and
+finite-horizon proxies for long-run superior/inferior average payoffs.
 
 Exact and Monte Carlo weighted payoffs reduce plays with the same block fold
 (`evaluations.weight_sums`): the enumerated batch as one block, averaged with
@@ -17,7 +18,8 @@ import numpy as np
 from .chain import MarkovChain
 from .errors import BudgetExceededError, InvalidInputError
 from .evaluations import EvalContext, Evaluation, McEstimate, weight_sums
-from .model import Pomdp, belief_key, belief_transition, stage_payoff
+from .model import (SIGNAL_PROB_FLOOR, Pomdp, _check_dims, bayes_matrices, belief_key,
+                    canonical_belief)
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks,
                         enumerate_plays, reduce_sampled_plays, sample_mean)
 from .strategies import Strategy
@@ -43,65 +45,66 @@ class ValueReport:
 # Dynamic programming on beliefs
 # ---------------------------------------------------------------------------
 
-class _BeliefDp:
-    """Backward induction over the reachable belief tree with memoization on
-    (rounded belief, remaining horizon).  `discount` scales the continuation
-    term; 1.0 gives plain finite-horizon sums."""
+def _root_values(p: Pomdp, x1: np.ndarray, theta: np.ndarray, budget: int) -> np.ndarray:
+    """V_1(x1)..V_H(x1) for stage weights theta_1..theta_H, where V_0 = 0 and
+    V_t(x) = max_i [theta_{H-t+1} g(x, i) + sum_s P(s | x, i) V_{t-1}(x'_s)].
 
-    def __init__(self, p: Pomdp, discount: float = 1.0,
-                 budget: int = DEFAULT_NODE_BUDGET):
-        self.p = p
-        self.discount = discount
-        self.budget = budget
-        self.memo: dict = {}
-
-    def total(self, x: np.ndarray, t: int) -> float:
-        if t == 0:
-            return 0.0
-        key = (belief_key(x), t)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(self.memo) >= self.budget:
+    The beliefs reachable within depth H-1 are built level by level with the
+    batched Bayes step, dropping signals below SIGNAL_PROB_FLOOR, and stored
+    once per `belief_key` (the first belief with a key stands for it), at
+    most `budget` of them.  They are stored in order of first depth, so the
+    sweep for V_t runs over the prefix first seen within depth H-t."""
+    horizon, codes = len(theta), p.n_actions * p.n_signals
+    frontier = _check_dims(p, x1)[None, :]
+    keys = {belief_key(frontier[0]): 0}
+    payoffs = [frontier @ p.reward]
+    edges = [(np.zeros((0, codes), dtype=np.intp), np.zeros((0, codes)))]   # successors
+    seen = [1]                         # beliefs first seen within each depth
+    while True:
+        if len(keys) > budget:
             raise BudgetExceededError(
-                f"belief DP exceeded the node budget ({self.budget})"
-            )
-        best = -np.inf
-        for i in range(self.p.n_actions):
-            cont = sum(
-                prob * self.total(nxt, t - 1)
-                for _, prob, nxt in belief_transition(self.p, x, i)
-            )
-            total = stage_payoff(self.p, x, i) + self.discount * cont
-            if total > best:  # exact ties keep the earlier action
-                best = total
-        self.memo[key] = best
-        return best
-
-    def solve(self, x: np.ndarray, t: int) -> float:
-        """`total` at the root, with a recursion past Python's stack limit
-        reported as a budget overrun."""
-        try:
-            return self.total(x, t)
-        except RecursionError:
-            raise BudgetExceededError(
-                f"belief DP recursion exceeded the interpreter stack at horizon {t}"
-            ) from None
+                f"belief DP exceeded the node budget ({budget}) at depth {len(seen) - 1}")
+        if len(seen) == horizon or not len(frontier):
+            break
+        joint = np.einsum("nk,jkl->njl", frontier, bayes_matrices(p))
+        prob = joint.sum(axis=2)
+        keep = prob >= SIGNAL_PROB_FLOOR
+        post = joint[keep] / prob[keep][:, None]
+        found = [keys.setdefault(row.tobytes(), len(keys)) for row in canonical_belief(post)]
+        child = np.zeros(prob.shape, dtype=np.intp)
+        child[keep] = found
+        edges.append((child, np.where(keep, prob, 0.0)))
+        index, first = np.unique(found, return_index=True)
+        frontier = post[first[index >= seen[-1]]]
+        payoffs.append(frontier @ p.reward)
+        seen.append(len(keys))
+    g = np.concatenate(payoffs)
+    succ, succ_prob = (np.concatenate(e).reshape(-1, p.n_actions, p.n_signals) for e in zip(*edges))
+    roots = np.empty(horizon)
+    for t in range(1, horizon + 1):
+        n = seen[min(horizon - t, len(seen) - 1)]
+        q = theta[horizon - t] * g[:n]
+        if t > 1:   # summed in signal order, dropped signals adding 0
+            q += sum(succ_prob[:n, :, s] * v[succ[:n, :, s]] for s in range(p.n_signals))
+        v = q.max(axis=1)
+        roots[t - 1] = v[0]
+    return roots
 
 
 def value_n(p: Pomdp, x1: np.ndarray, n: int,
             budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
-    """Exact normalized n-stage value by backward induction on beliefs."""
+    """Exact normalized n-stage value: the weighted backward induction with
+    theta = 1, divided by n.  `budget` caps the distinct beliefs stored."""
     if n < 1:
         raise InvalidInputError("horizon must be >= 1")
-    dp = _BeliefDp(p, budget=budget)
-    return ValueReport(value=dp.solve(np.asarray(x1, dtype=float), n) / n,
+    return ValueReport(value=_root_values(p, x1, np.ones(n), budget)[-1] / n,
                        method="exact_dp", error_bound=0.0, horizon_or_samples=n)
 
 
 def value_discounted(p: Pomdp, x1: np.ndarray, lam: float, tol: float = 1e-6,
                      budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
-    """Discounted value within tol, truncating once the geometric tail is
+    """Discounted value within tol: the weighted backward induction with
+    theta_m = lam (1 - lam)^(m-1), truncated once the geometric tail is
     below tol."""
     if not 0.0 < lam < 1.0:
         raise InvalidInputError("discount weight must lie in (0, 1)")
@@ -113,8 +116,7 @@ def value_discounted(p: Pomdp, x1: np.ndarray, lam: float, tol: float = 1e-6,
         raise BudgetExceededError(
             f"discounted DP needs horizon {horizon}, beyond the supported range"
         )
-    dp = _BeliefDp(p, discount=1.0 - lam, budget=budget)
-    value = lam * dp.solve(np.asarray(x1, dtype=float), horizon)
+    value = _root_values(p, x1, lam * (1.0 - lam) ** np.arange(horizon), budget)[-1]
     return ValueReport(value=value, method="truncated_dp",
                        error_bound=(1.0 - lam) ** horizon,
                        horizon_or_samples=horizon)
@@ -122,12 +124,11 @@ def value_discounted(p: Pomdp, x1: np.ndarray, lam: float, tol: float = 1e-6,
 
 def value_n_sequence(p: Pomdp, x1: np.ndarray, n_max: int,
                      budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
-    """v_1..v_{n_max} at x1 with a shared memo table."""
+    """v_1..v_{n_max} at x1 from one sweep with theta = 1: after step t the
+    root holds the t-stage total."""
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
-    dp = _BeliefDp(p, budget=budget)
-    x = np.asarray(x1, dtype=float)
-    return np.array([dp.solve(x, n) / n for n in range(1, n_max + 1)])
+    return _root_values(p, x1, np.ones(n_max), budget) / np.arange(1, n_max + 1)
 
 
 def asymptotic_value_estimate(p: Pomdp, x1: np.ndarray, n_max: int,

@@ -8,6 +8,8 @@ import pytest
 
 from pomdp_evals.cli import CSV_COLUMNS, main
 
+from conftest import random_pomdp
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -215,12 +217,52 @@ def test_transducer_file_with_a_non_integer_entry_exits_invalid(capsys, tmp_path
         assert f"'{field}'" in err and "Traceback" not in err
 
 
-def test_belief_dp_past_the_interpreter_stack_exits_with_budget_code(capsys):
-    # lam = 0.01 at tol 1e-6 needs a horizon of 1375 stages
+def test_long_discounted_horizon_matches_the_closed_form(capsys):
+    # lam = 0.01 at tol 1e-6 needs 1375 stages; revealed matching is worth
+    # 1/2 at stage 1 and 1 afterwards, so v_lam = 1 - lam/2
     code, out, err = run_cli(capsys, "value", "--scenario", "matching-revealed",
                              "--discount", "0.01")
+    assert code == 0, err
+    rec = json.loads(out)["records"][0]
+    assert abs(rec["value"] - 0.995) <= rec["error_bound"] + 1e-12
+
+
+def test_belief_budget_overrun_exits_with_budget_code(capsys, tmp_path, rng):
+    # a dense instance: depths 0..h-1 hold sum_d (I*S)^d distinct beliefs
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    doc = {"states": p.states, "actions": p.actions, "signals": p.signals,
+           "transition": {f"{k},{i}": {f"{l},{s}": float(p.transition[a, b, c, d])
+                                       for c, l in enumerate(p.states)
+                                       for d, s in enumerate(p.signals)}
+                          for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
+           "reward": {f"{k},{i}": float(p.reward[a, b])
+                      for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
+           "initial_belief": [1 / 3] * 3}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    h, n = 5, sum(4 ** d for d in range(5))
+    code, _, err = run_cli(capsys, "value", "--scenario", str(path), "--horizon", str(h),
+                           "--budget", str(n))
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "value", "--scenario", str(path), "--horizon", str(h),
+                             "--budget", str(n - 1))
     assert code == 2 and out == ""
-    assert "horizon 1375" in err and "Traceback" not in err
+    assert "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon, samples, seed", [
+    (100, 50, 21), (2000, 1000, 2127584515),
+])
+def test_known_payoffs_flag_checks_the_belief_limsup(capsys, horizon, samples, seed):
+    # on these draws the state limsup lies more than 3 SE from the belief
+    # limsup; nothing claims the two agree, so the flag does not compare them
+    code, out, _ = run_cli(capsys, "reproduce", "known-payoffs", "--horizon", str(horizon),
+                           "--samples", str(samples), "--seed", str(seed))
+    assert code == 0
+    state, belief = json.loads(out)["records"]
+    assert belief["gap"] > state["error_bound"]
+    assert belief["pass"] is True
+    assert abs(belief["value"] - (horizon - 1) / (2 * horizon)) <= 1e-9
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,19 @@
 """Values and weighted payoffs: dynamic programming, simulation, chains."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.chain import product_chain
-from pomdp_evals.errors import InvalidInputError
+from pomdp_evals.errors import BudgetExceededError, InvalidInputError
+from pomdp_evals.model import belief_key, belief_transition, stage_payoff
 from pomdp_evals.playspace import batched_belief_payoffs, simulate_plays
 from pomdp_evals.values import (running_average_extremum, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
 
-from conftest import random_pomdp
+from conftest import random_pomdp, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,64 @@ def test_asymptotic_estimate_brackets_the_limit(revealed_matching):
     rep = pe.asymptotic_value_estimate(p, x1, 16)
     assert abs(rep.value - 1.0) <= rep.error_bound
     assert rep.method == "truncated_dp"
+
+
+class _RecursiveBeliefDp:
+    """Reference: memoised recursive backward induction on (belief key,
+    remaining stages), one `belief_transition` per action and node;
+    `discount` scales the continuation term."""
+
+    def __init__(self, p, discount=1.0):
+        self.p = p
+        self.discount = discount
+        self.memo = {}
+
+    def total(self, x, t):
+        if t == 0:
+            return 0.0
+        key = (belief_key(x), t)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        best = -np.inf
+        for i in range(self.p.n_actions):
+            cont = sum(prob * self.total(nxt, t - 1)
+                       for _, prob, nxt in belief_transition(self.p, x, i))
+            total = stage_payoff(self.p, x, i) + self.discount * cont
+            if total > best:
+                best = total
+        self.memo[key] = best
+        return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), horizon=hst.integers(1, 6),
+       lam=hst.floats(0.05, 0.95))
+def test_backward_induction_matches_the_recursive_dp(case, horizon, lam):
+    # zero transition cells give off-support signals and coinciding beliefs
+    p, x1, _ = case
+    ref = _RecursiveBeliefDp(p)
+    totals = [ref.total(x1, n) for n in range(1, horizon + 1)]
+    assert abs(pe.value_n(p, x1, horizon).value - totals[-1] / horizon) <= 1e-12
+    seq = value_n_sequence(p, x1, horizon)
+    assert np.allclose(seq, np.array(totals) / np.arange(1, horizon + 1), rtol=0, atol=1e-12)
+    # tol = (1 - lam)^(horizon - 1/2) truncates the discounted sum at `horizon`
+    rep = pe.value_discounted(p, x1, lam, tol=(1.0 - lam) ** (horizon - 0.5))
+    assert rep.horizon_or_samples == horizon
+    expected = lam * _RecursiveBeliefDp(p, discount=1.0 - lam).total(x1, horizon)
+    assert abs(rep.value - expected) <= 1e-12
+
+
+def test_belief_budget_counts_distinct_beliefs(rng):
+    # every transition cell is positive, so no two observed histories share a
+    # belief and depths 0..h-1 hold sum_d (I*S)^d distinct beliefs
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    x1 = pe.uniform_belief(3)
+    h = 5
+    n = sum(4 ** d for d in range(h))
+    pe.value_n(p, x1, h, budget=n)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        pe.value_n(p, x1, h, budget=n - 1)
 
 
 # ---------------------------------------------------------------------------
