@@ -6,7 +6,8 @@ Every evaluation computes its weights one stage block at a time for a whole
 batch of plays, carrying what it needs between blocks, and `weight_sums`
 folds them into per-play payoff, mass and irregularity sums: exact results
 run it on the enumerated play batch as one block and average with the play
-probabilities, Monte Carlo results stream the sampled blocks through it."""
+probabilities, Monte Carlo results stream the sampled blocks through it and
+retire from the stream the plays whose weights are spent."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -16,9 +17,9 @@ import numpy as np
 
 from .errors import InvalidInputError, TruncationError
 from .model import Pomdp
-from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs,
-                        enumerate_plays, prefix_ids, reduce_sampled_plays,
-                        sample_mean)
+from .playspace import (DEFAULT_NODE_BUDGET, PlayStream, batched_belief_payoffs,
+                        block_ids, enumerate_plays, prefix_ids,
+                        reduce_sampled_plays, sample_mean)
 from .strategies import ScheduleStrategy, Strategy
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
@@ -42,9 +43,11 @@ class Evaluation:
     step `batch_fn(blocks, ctx)`.  The step consumes a stream of (t0, states,
     actions, signals) play blocks, each a time-major (block, plays) array
     whose row j is stage t0 + j + 1, and yields every block back in order as
-    (t0, states, actions, signals, w) with its (block, plays) weights; what it
-    needs across blocks (a flag, a run length, look-ahead stages, the play
-    columns) it carries itself.  `weight_blocks` streams either kind and
+    (t0, states, actions, signals, w, done) with its (block, plays) weights
+    and the boolean flags `done` of the block's plays whose weights are zero
+    at every later stage (None when the step reports none); what it needs
+    across blocks (a flag, a run length, look-ahead stages, the play columns)
+    it carries itself.  `weight_blocks` streams either kind and
     `batch_weights` is the one-block case on (n_plays, horizon) matrices.
     `support_horizon` is the stage past which weights vanish on every play
     (None when unbounded).  `irregularity_tail` bounds the truncation error of
@@ -76,11 +79,14 @@ class Evaluation:
 
     def weight_blocks(self, blocks, horizon: int, ctx: Optional[EvalContext] = None):
         """The play blocks (t0, states, actions, signals) of a play stream over
-        `horizon` stages, each yielded back with its weights appended."""
+        `horizon` stages, each yielded back with its weights and `done` flags
+        appended.  Deterministic weights flag every play once the stream
+        passes `support_horizon`."""
         if not self.deterministic:
             return self.batch_fn(blocks, ctx)
-        w = self.stage_fn(horizon)
-        return ((t0, st, ac, sg, np.broadcast_to(w[t0:t0 + len(st), None], st.shape))
+        w, end = self.stage_fn(horizon), self.support_horizon
+        return ((t0, st, ac, sg, np.broadcast_to(w[t0:t0 + len(st), None], st.shape),
+                 None if end is None or t0 + len(st) < end else np.ones(st.shape[1], dtype=bool))
                 for t0, st, ac, sg in blocks)
 
     def batch_weights(self, states: np.ndarray, actions: np.ndarray,
@@ -92,20 +98,29 @@ class Evaluation:
         return np.concatenate([blk[4] for blk in blocks]).T
 
 
-def weight_sums(weighted, reward: Optional[np.ndarray] = None) -> tuple:
+def weight_sums(e: "Evaluation", blocks, horizon: int, ctx: Optional[EvalContext] = None,
+                reward: Optional[np.ndarray] = None) -> tuple:
     """Per-play weighted payoff sum theta_m r(k_m, i_m) (None without
     `reward`), weight mass sum theta_m and pathwise irregularity
-    |theta_1| + sum |theta_m - theta_{m+1}| (the final drop to zero included),
-    folded over the (t0, states, actions, signals, w) blocks of
-    `Evaluation.weight_blocks`.  Between blocks it carries the three sums and
-    the last weight."""
-    payoff = mass = jumps = last = 0.0
-    for _, st, ac, _, w in weighted:
+    |theta_1| + sum |theta_m - theta_{m+1}| (the final drop to zero included)
+    of evaluation e, folded over the blocks of `e.weight_blocks(blocks,
+    horizon, ctx)`.  Between blocks it carries the three sums and the last
+    weight of each play, by play id.  On a `PlayStream` it retires the plays
+    each block flags `done`, so no later block simulates or weighs them: a
+    retired play would only add exact zeros, and its last weight's drop is
+    counted once either way."""
+    payoff = mass = jumps = last = None
+    for t0, st, ac, _, w, done in e.weight_blocks(blocks, horizon, ctx):
+        ids = block_ids(blocks, t0, w.shape[1])
+        if mass is None:                   # the first block holds every play
+            payoff, mass, jumps, last = np.zeros((4, w.shape[1]))
         if reward is not None:
-            payoff = payoff + (reward.take(st * reward.shape[1] + ac) * w).sum(axis=0)
-        mass = mass + w.sum(axis=0)
-        jumps = jumps + np.abs(w[0] - last) + np.abs(np.diff(w, axis=0)).sum(axis=0)
-        last = w[-1].copy()
+            payoff[ids] += (reward.take(st * reward.shape[1] + ac) * w).sum(axis=0)
+        mass[ids] += w.sum(axis=0)
+        jumps[ids] = jumps[ids] + np.abs(w[0] - last[ids]) + np.abs(np.diff(w, axis=0)).sum(axis=0)
+        last[ids] = w[-1]
+        if isinstance(blocks, PlayStream):
+            blocks.retire(t0, done)
         del st, ac, w        # drop the block before the next one is made
     return (None if reward is None else payoff), mass, jumps + np.abs(last)
 
@@ -251,7 +266,8 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
             if start is None:        # the first block holds stage 1
                 start = np.where(st[0] == early_state, 0, l)
             t = np.arange(t0, t0 + len(st))[:, None]
-            yield t0, st, ac, sg, np.where((t >= start) & (t < start + l), 1.0 / l, 0.0)
+            yield (t0, st, ac, sg, np.where((t >= start) & (t < start + l), 1.0 / l, 0.0),
+                   np.ones(st.shape[1], dtype=bool) if t0 + len(st) >= 2 * l else None)
 
     return Evaluation(
         kind="state_block_ex1",
@@ -264,17 +280,19 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
 
 
 def _with_later_states(blocks, rows: int):
-    """Each play block (t0, states, actions, signals) with the states of up to
-    `rows` later stages appended as a fifth, time-major entry (fewer at the
-    end of the play).  Holds back as many blocks as that takes."""
+    """Each play block (t0, states, actions, signals) with its play ids and
+    the blocks holding its next `rows` stages (fewer at the end of the
+    stream) appended, the latter as a list of (states, ids).  Holds back as
+    many blocks as that takes.  A block made after some plays were retired
+    holds fewer plays than the block it serves, so each keeps its own ids."""
     held = []
 
     def release():
-        t0, st, ac, sg = held.pop(0)
-        return t0, st, ac, sg, np.concatenate([st[:0]] + [h[1] for h in held])[:rows]
+        t0, st, ac, sg, ids = held.pop(0)
+        return t0, st, ac, sg, ids, [(h[1], h[4]) for h in held]
 
-    for blk in blocks:
-        held.append(blk)
+    for t0, st, ac, sg in blocks:
+        held.append((t0, st, ac, sg, block_ids(blocks, t0, st.shape[1])))
         while held and sum(len(h[1]) for h in held[1:]) >= rows:
             yield release()
     while held:
@@ -310,19 +328,24 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
     def batch_fn(blocks, ctx):
         # A stage's weight is known once the l - 1 stages after it are seen:
         # each block is weighted with the states of that many later stages.
-        # Plays whose first run is found weigh zero from then on and drop out.
-        run = live = None    # target run length before the block; plays still searching
-        for t0, st, ac, sg, later in _with_later_states(blocks, l - 1):
+        # Plays whose first run is found weigh zero from then on: they drop
+        # out and are flagged done in the block where their run ends.
+        run = live = None    # target run length before the block; ids of plays still searching
+        for t0, st, ac, sg, ids, later in _with_later_states(blocks, l - 1):
             b, n = st.shape
             if live is None:
-                run, live = np.zeros(n, dtype=np.int32), np.arange(n)
-            hit = np.concatenate([st[:, live], later[:, live]]) == target_state
+                run, live = np.zeros(n, dtype=np.int32), ids
+            cols = ids.searchsorted(live)
+            hit = np.concatenate([st[:, cols]] + [s[:, i.searchsorted(live)] for s, i in later])
+            hit = hit[:b + l - 1] == target_state
             if t0 == 0:
                 hit[0] = False                      # the search starts at stage 2
             w = np.zeros((b, n))
-            w[:, live], run, searching = _first_run(hit, run, l, b)
+            w[:, cols], run, searching = _first_run(hit, run, l, b)
+            done = np.zeros(n, dtype=bool)
+            done[cols[~searching]] = True
             live = live[searching]
-            yield t0, st, ac, sg, w
+            yield t0, st, ac, sg, w, done
             del st, ac, sg, w    # drop the block before the next one is made
 
     return Evaluation(
@@ -371,7 +394,7 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
             eta = eta_horizon(g[j], l)
             w[:eta, j] = 1.0 / eta
         for t0, st, ac, sg in held:
-            yield t0, st, ac, sg, w[t0:t0 + len(st)]
+            yield t0, st, ac, sg, w[t0:t0 + len(st)], None
 
     return Evaluation(
         kind="limsup_theta",
@@ -438,12 +461,12 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
 
     def batch_fn(blocks, ctx):
         head = None          # weights at the last block head seen
-        for t0, st, ac, sg, w in e.batch_fn(blocks, ctx):
+        for t0, st, ac, sg, w, _ in e.batch_fn(blocks, ctx):
             src = np.arange(t0, t0 + len(w)) // l * l - t0   # head row; < 0: earlier block
             out = w[np.maximum(src, 0)]
             out[src < 0] = head
             head = out[-1]
-            yield t0, st, ac, sg, out
+            yield t0, st, ac, sg, out, None
 
     support = None if e.support_horizon is None else -(-e.support_horizon // l) * l
     if e.deterministic:
@@ -479,9 +502,10 @@ def pathwise_irregularity(w: np.ndarray) -> float:
 
 
 def batch_pathwise_irregularity(w: np.ndarray) -> np.ndarray:
-    """`pathwise_irregularity` of each row of w: the one-block case of
-    `weight_sums`."""
-    return weight_sums([(0, None, None, None, w.T)])[2]
+    """`pathwise_irregularity` of each row of w, summed as `weight_sums`
+    sums one block of (horizon, n_plays) weights."""
+    w = w.T
+    return np.abs(w[0]) + np.abs(np.diff(w, axis=0)).sum(axis=0) + np.abs(w[-1])
 
 
 def _truncation_tail(e: Evaluation, horizon: int) -> float:
@@ -519,7 +543,7 @@ def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx))[2:], shards)
+        lambda blocks: weight_sums(e, blocks, horizon, ctx)[2:], shards)
     mean, se = sample_mean(v)
     return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
 
@@ -608,7 +632,7 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
                 for m in range(t0 + 1, acts.shape[1] + 1):
                     keys = _prefix_keys(acts, sigs, first[m - 1], m)
                     w[m - 1 - t0] = np.array([table.rho.get(k, 0.0) for k in keys])[ids[:, m - 1]]
-            yield t0, st, ac, sg, w
+            yield t0, st, ac, sg, w, None
 
     return Evaluation(
         kind=f"conditional({e.kind})",

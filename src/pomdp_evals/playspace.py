@@ -3,8 +3,9 @@
 Exact and Monte Carlo results reduce plays with the same block folds:
 `enumerate_plays` returns the whole play tree as one `PlayBatch` with its
 probabilities (one block), and `play_blocks` streams seeded plays one stage
-block at a time, so Monte Carlo never holds a (plays, horizon) matrix;
-`simulate_plays` collects that stream for API callers.  Also here:
+block at a time, so Monte Carlo never holds a (plays, horizon) matrix and
+stops simulating the plays its consumer retires; `simulate_plays` collects
+that stream for API callers.  Also here:
 observed-prefix grouping and the stage-blocked Bayes filter along observed
 histories."""
 from __future__ import annotations
@@ -224,20 +225,106 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
 
 def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
-    """Sampled plays one stage block at a time: yields (t0, states, actions,
-    signals) for consecutive blocks of at most STAGE_BLOCK stages, each a
-    time-major (block, plays) int32 array whose row j is stage t0 + j + 1.
-    `streams` lists (generator, count) pairs as in `simulate_plays`, whose
-    draw contract the blocks follow; a consumer that keeps only per-play
-    state holds O(plays x STAGE_BLOCK) memory."""
+    """Sampled plays one stage block at a time, as a `PlayStream` over
+    `horizon` stages.  `streams` lists (generator, count) pairs as in
+    `simulate_plays`, whose draw contract the blocks follow; a consumer that
+    keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
+    consumer may retire plays it needs no more stages of: later blocks leave
+    them out and neither kernel steps them, while each stream still draws
+    its full (block, count) uniforms, so the plays kept see exactly the
+    draws they would without retirement."""
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     if any(n < 0 for _, n in streams):
         raise InvalidInputError("stream counts must be >= 0")
     tables = _chain_tables(p, strat, horizon)
     if tables is None:
-        return _simulate_stepped(p, x1, strat, horizon, streams)
-    return _simulate_chain(p, x1, *tables, horizon, streams)
+        return PlayStream(_simulate_stepped(p, x1, strat, horizon, streams))
+    return PlayStream(_simulate_chain(p, x1, *tables, horizon, streams))
+
+
+class PlayStream:
+    """One pass's sampled plays, one stage block at a time.
+
+    Iterating yields (t0, states, actions, signals) for consecutive blocks of
+    at most STAGE_BLOCK stages, each a time-major (block, plays) int32 array
+    whose row j is stage t0 + j + 1.  A block's columns are plays of the pass
+    in id order, a play's id being its position among the pass's plays;
+    `ids(t0)` lists them for the block at stage t0.  A consumer that needs no
+    more stages of some plays retires them: every block made afterwards
+    leaves them out, both simulation kernels step only the plays kept, and
+    the stream ends once no play is left.  A consumer that never retires
+    sees every play in every block.
+    """
+
+    def __init__(self, kernel):
+        self._kernel = kernel   # yields (ids, t0, states, actions, signals); sent retired ids
+        self._ids = {}          # t0 -> play ids of the block's columns, until it is retired
+        self._alive = None      # play ids of the last block made
+        self._gone = []         # play ids retired and not yet left out
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        gone = np.concatenate(self._gone) if self._gone else None
+        # A block is never cut to one play of several: numpy sums a lone
+        # column pairwise, not stage by stage as it sums each column of a
+        # wider block, so the consumers' sums would change in the last bits.
+        # The retired plays wait until the last one goes too.
+        if gone is not None and np.isin(self._alive, gone, invert=True).sum() == 1:
+            gone = None
+        else:
+            self._gone = []
+        self._alive, *blk = self._kernel.send(gone)
+        self._ids[blk[0]] = self._alive
+        return tuple(blk)
+
+    def ids(self, t0: int) -> np.ndarray:
+        """Play ids of the columns of the block at stage t0."""
+        return self._ids[t0]
+
+    def retire(self, t0: int, done) -> None:
+        """Called once per block, in stage order, when the consumer is through
+        with the block at stage t0: the plays its boolean `done` flags (none
+        when None) are left out of every block made afterwards."""
+        ids = self._ids.pop(t0)
+        if done is not None and done.any():
+            self._gone.append(ids[done])
+
+
+def block_ids(blocks, t0: int, width: int) -> np.ndarray:
+    """Play ids of the columns of the block at stage t0: a `PlayStream`'s
+    own, else all `width` plays in order."""
+    return blocks.ids(t0) if isinstance(blocks, PlayStream) else np.arange(width)
+
+
+def _stream_draws(streams: list, alive: np.ndarray) -> list:
+    """(generator, count, columns) per stream: which columns of its
+    (rows, count) uniforms belong to the plays `alive` (sorted ids), a slice
+    when all of them do."""
+    bounds = np.cumsum([0] + [n for _, n in streams])
+    cut = alive.searchsorted(bounds)
+    return [(g, n, slice(None) if hi - lo == n else alive[lo:hi] - first)
+            for (g, n), first, lo, hi in zip(streams, bounds, cut, cut[1:])]
+
+
+def _draw(draws: list, out: np.ndarray) -> np.ndarray:
+    """Fill out (rows, plays) with every stream's next (rows, count)
+    uniforms, each stream drawing all of them, keeping its alive columns."""
+    col = 0
+    for g, n, cols in draws:
+        u = g.random((len(out), n))[:, cols]
+        out[:, col:col + u.shape[1]] = u
+        col += u.shape[1]
+    return out
+
+
+def _narrow(streams: list, alive: np.ndarray, gone: np.ndarray) -> tuple:
+    """(keep, alive, draws) once the plays `gone` leave: the positions in
+    `alive` of the plays kept, their ids and their streams' draw columns."""
+    keep = np.flatnonzero(~np.isin(alive, gone))
+    return keep, alive[keep], _stream_draws(streams, alive[keep])
 
 
 def _chain_tables(p: Pomdp, strat: Strategy, horizon: int):
@@ -266,17 +353,22 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     inverse-CDF draw of each play's action from `dist`, then of its (next
     state, signal) pair, then one `step` of the memory.  Each uniform is
     scaled by its row's total, so a draw never lands past the last
-    positive-probability entry.  Stages are yielded in blocks."""
+    positive-probability entry.  Yields (ids, t0, states, actions, signals)
+    per block and takes the ids of retired plays back, as `PlayStream`
+    drives it."""
     k, n_s = p.n_states, p.n_signals
     samples = sum(n for _, n in streams)
     cum = np.cumsum(p.transition.reshape(k, p.n_actions, k * n_s), axis=2)
     x1 = np.asarray(x1) / np.asarray(x1).sum()
     state = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams])
     mem = strat.start(samples)
+    alive = np.arange(samples)
+    draws = _stream_draws(streams, alive)
     for t0 in range(0, horizon, STAGE_BLOCK):
-        blk = np.empty((3, min(STAGE_BLOCK, horizon - t0), samples), dtype=np.int32)
+        blk = np.empty((3, min(STAGE_BLOCK, horizon - t0), len(alive)), dtype=np.int32)
+        u = np.empty((2, len(alive)))
         for out in blk.transpose(1, 0, 2):
-            u = np.concatenate([g.random((2, n)) for g, n in streams], axis=1)
+            _draw(draws, u)
             law = np.cumsum(strat.dist(mem), axis=1)
             action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
             row = cum[state, action]
@@ -284,7 +376,12 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
             out[:] = state, action, code % n_s
             mem = strat.step(mem, action, code % n_s)
             state = code // n_s
-        yield t0, *blk
+        gone = yield alive, t0, *blk
+        if gone is not None:
+            keep, alive, draws = _narrow(streams, alive, gone)
+            if not len(alive):
+                return
+            state, mem = state[keep], mem[keep]
 
 
 def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
@@ -294,7 +391,8 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     act[a, c] is the action played at c under table a, stage_table[t] the
     table used at stage t+1, and nxt[c, code] the next combined index after
     the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
-    draw per play from its stream's next uniforms, in stage order.
+    draw per play from its stream's next uniforms, in stage order.  Yields
+    and takes back as `_simulate_stepped` does.
     """
     k, n_s = p.n_states, p.n_signals
     width = k * n_s
@@ -321,32 +419,40 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     # j, and idx[b] carries into the next block; `base` is 2 * idx at the
     # stage being drawn.  y and pos, the block's uniforms and table
     # positions, share one buffer reused from block to block: the positions
-    # are copied in once every uniform of the block is spent.
-    idx = np.empty((STAGE_BLOCK + 1, samples), dtype=np.int64)
-    y = np.empty((STAGE_BLOCK, samples))
-    pos = y.view(np.int64)
+    # are copied in once every uniform of the block is spent.  Both buffers
+    # are flat, so a block over fewer plays is a contiguous prefix of them.
+    idx_buf = np.empty((STAGE_BLOCK + 1) * samples, dtype=np.int64)
+    y_buf = np.empty(STAGE_BLOCK * samples)
     x1 = np.asarray(x1) / np.asarray(x1).sum()
-    idx[0] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m + initial
-    base = 2.0 * idx[0]
+    idx_buf[:samples] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m \
+        + initial
+    base = 2.0 * idx_buf[:samples]
+    alive = np.arange(samples)
+    draws = _stream_draws(streams, alive)
     for t0 in range(0, horizon, STAGE_BLOCK):
-        b = min(STAGE_BLOCK, horizon - t0)
-        col = 0
-        for g, n in streams:
-            y[:b, col:col + n] = g.random((b, n))
-            col += n
+        b, n = min(STAGE_BLOCK, horizon - t0), len(alive)
+        idx = idx_buf[:(b + 1) * n].reshape(b + 1, n)
+        y = _draw(draws, y_buf[:b * n].reshape(b, n))
+        pos = y.view(np.int64)
         drawn = []
         for yj, a in zip(y, stage_table[t0:t0 + b].tolist()):
             yj += base
             drawn.append(tables[a].searchsorted(yj, side="right"))
             shift_of.take(drawn[-1], out=base)
-        np.concatenate(drawn, out=pos[:b].reshape(-1))
+        np.concatenate(drawn, out=pos.reshape(-1))
         del drawn                     # hold only the block while it is consumed
-        nxt_flat.take(pos[:b], out=idx[1:b + 1])
-        signals = signal_of.take(pos[:b])
+        nxt_flat.take(pos, out=idx[1:])
+        signals = signal_of.take(pos)
         # pos is spent too: reuse it for the flat indices into act
-        np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos[:b])
-        yield t0, state_of.take(idx[:b]), act.take(pos[:b]), signals
-        idx[0] = idx[b]
+        np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos)
+        gone = yield alive, t0, state_of.take(idx[:b]), act.take(pos), signals
+        carry = idx[b]
+        if gone is not None:
+            keep, alive, draws = _narrow(streams, alive, gone)
+            if not len(alive):
+                return
+            carry, base = carry[keep], base[keep]
+        idx_buf[:len(alive)] = carry
 
 
 def shard_seeds(seed: int, shards: int) -> list:
@@ -373,14 +479,17 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
                          samples: int, seed: int, reduce, shards: int = 4) -> list:
     """Simulate `samples` plays in seeded shards and reduce them play by play.
 
-    `reduce(blocks)` consumes one pass's stream from `play_blocks`, (t0,
-    states, actions, signals) time-major blocks in stage order, and returns a
-    tuple of per-play arrays; the result lists each of them concatenated over
-    all plays, in shard order.  No (plays, horizon) matrix is built: a pass
-    holds O(plays x STAGE_BLOCK) cells plus what `reduce` carries.
-    Consecutive shards share one pass while it stays within MC_CELL_BUDGET
-    block cells; each shard still draws from its own generator, so the plays
-    do not depend on the grouping.
+    `reduce(blocks)` consumes one pass's `PlayStream` from `play_blocks`,
+    (t0, states, actions, signals) time-major blocks in stage order, and
+    returns a tuple of per-play arrays, indexed by play id; the result lists
+    each of them concatenated over all plays, in shard order.  No
+    (plays, horizon) matrix is built: a pass holds O(plays x STAGE_BLOCK)
+    cells plus what `reduce` carries.  A `reduce` that retires plays (the
+    weight fold `evaluations.weight_sums` retires those whose weights are
+    spent) makes the pass simulate only the plays still needed, and ends it
+    once none is.  Consecutive shards share one pass while it stays within
+    MC_CELL_BUDGET block cells; each shard still draws from its own
+    generator, so the plays do not depend on the grouping.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")

@@ -167,8 +167,8 @@ def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluati
     on the play batch as one block, averaged with the play probabilities."""
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     b = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    v, masses, _ = weight_sums(
-        e.weight_blocks([(0, b.states.T, b.actions.T, b.signals.T)], horizon, ctx), p.reward)
+    v, masses, _ = weight_sums(e, [(0, b.states.T, b.actions.T, b.signals.T)], horizon, ctx,
+                               p.reward)
     return ValueReport(value=float(b.prob @ v), method="exact_dp",
                        error_bound=_tail_weight(e, horizon, float(b.prob @ masses)),
                        horizon_or_samples=horizon)
@@ -182,7 +182,7 @@ def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, masses = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx), p.reward)[:2], shards)
+        lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward)[:2], shards)
     value, se = sample_mean(v)
     return ValueReport(value=value, method="monte_carlo",
                        error_bound=3.0 * se + _tail_weight(e, horizon, float(masses.mean())),
@@ -199,7 +199,7 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, masses, j = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e.weight_blocks(blocks, horizon, ctx), p.reward), shards)
+        lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward), shards)
     value, v_se = sample_mean(v)
     j_mean, j_se = sample_mean(j)
     payoff = ValueReport(value=value, method="monte_carlo",

@@ -1,6 +1,8 @@
 """Stage-weight evaluations: makers, irregularity, conditional weights."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError, TruncationError
@@ -10,7 +12,7 @@ from pomdp_evals.evaluations import (EvalContext, batch_pathwise_irregularity,
                                      pathwise_irregularity)
 from pomdp_evals.playspace import enumerate_plays, simulate_plays
 
-from conftest import random_pomdp
+from conftest import random_pomdp, sparse_instances
 
 
 def one_play(states, actions=None, signals=None):
@@ -200,6 +202,26 @@ def test_exact_irregularity_closed_forms(frozen_matching):
                                     pe.make_evaluation("state_block_ex1", l=l),
                                     horizon=2 * l)
         assert abs(rep.value - 2.0 / l) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sparse_instances(), lam=hst.floats(0.01, 1.0), horizon=hst.integers(1, 200),
+       l_h=hst.sampled_from([(1, 2), (1, 3), (2, 4)]))
+def test_exact_irregularity_of_discounted_and_state_block_weights(case, lam, horizon, l_h):
+    # the discounted weights telescope to 2*lam at every horizon; the
+    # state-block weights rise to 1/l and fall back once on every play
+    # whose window fits the horizon
+    p, x1, rng = case
+    m = int(rng.integers(1, 3))
+    strat = pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, m),
+                          rng.integers(0, m, (m, p.n_actions, p.n_signals)))
+    rep = pe.irregularity_exact(p, x1, strat, pe.make_evaluation("discounted", lam=lam), horizon)
+    assert rep.lower - 1e-12 <= 2 * lam <= rep.upper + 1e-12
+    l, h = l_h
+    rep = pe.irregularity_exact(p, x1, pe.uniform_strategy(p.n_actions),
+                                pe.make_evaluation("state_block_ex1", l=l,
+                                                   early_state=int(rng.integers(p.n_states))), h)
+    assert rep.lower == rep.upper and abs(rep.value - 2.0 / l) <= 1e-12
 
 
 def test_truncated_exact_irregularity_brackets_the_tail(frozen_matching):

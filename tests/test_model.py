@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError, ScenarioValidationError
+from pomdp_evals.model import bayes_matrices, bayes_update_rows
+from pomdp_evals.playspace import belief_blocks
 
-from conftest import random_belief, random_pomdp
+from conftest import random_belief, random_pomdp, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,22 @@ def test_posteriors_average_back_to_the_next_marginal(rng):
             for s, prob, post in pe.belief_transition(p, x, i):
                 assert np.isclose(prob, sig[s], atol=1e-12)
                 assert np.allclose(post, pe.bayes_update(p, x, i, s), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), width=hst.integers(1, 8), horizon=hst.integers(1, 70))
+def test_posterior_rows_sum_to_one(case, width, horizon):
+    # random beliefs (Diracs among them) and observed pairs, many of them
+    # impossible on the sparse instance, so the off-support fallback runs too
+    p, x1, rng = case
+    x = rng.dirichlet(np.ones(p.n_states), width)
+    x[::2] = np.eye(p.n_states)[rng.integers(0, p.n_states, len(x[::2]))]
+    code = rng.integers(0, p.n_actions * p.n_signals, width)
+    assert np.all(np.abs(bayes_update_rows(bayes_matrices(p), x, code).sum(axis=1) - 1) <= 1e-12)
+    actions = rng.integers(0, p.n_actions, (width, horizon))
+    signals = rng.integers(0, p.n_signals, (width, horizon))
+    for _, bel in belief_blocks(p, x1, actions, signals):
+        assert np.all(np.abs(bel.sum(axis=2) - 1) <= 1e-12)
 
 
 def test_off_support_signal_falls_back_to_dirac(blind):
