@@ -20,7 +20,7 @@ from .evaluations import (evaluation_from_spec, irregularity_exact,
                           irregularity_mc, make_evaluation)
 from .instances import builtin_scenario, builtin_strategy
 from .measures import SupportedMeasure, invariance_residual
-from .model import Scenario, load_scenario
+from .model import Scenario, load_scenario, make_belief
 from .playspace import DEFAULT_NODE_BUDGET, reduce_sampled_plays
 from .strategies import (StationaryStrategy, Transducer, enumerate_transducers,
                          transducer_from_dict)
@@ -88,28 +88,46 @@ def _load(args) -> Scenario:
     return builtin_scenario(src)
 
 
+def _json_file(path: str, what: str):
+    """The JSON document in the file `path`, holding the command's `what`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidInputError(f"{what} file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
 def _strategy(args, scenario: Scenario):
     name = args.strategy
     if name is None:
         raise InvalidInputError("--strategy is required for this command")
     if Path(name).exists():
-        try:
-            doc = json.loads(Path(name).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"strategy file {name} is not valid JSON: {exc}") from None
+        doc = _json_file(name, "strategy")
         if isinstance(doc, dict) and doc.get("type") == "transducer":
             return transducer_from_dict(doc)
         raise InvalidInputError(f"strategy file {name} has unsupported type")
     return builtin_strategy(name, scenario.pomdp)
 
 
-def _evaluation(args):
+def _evaluation(args) -> tuple:
+    """(pomdp, x1, strategy, evaluation, horizon) for evaluate and
+    irregularity, the evaluation's state indices checked against the
+    scenario."""
+    scenario = _load(args)
+    p, strat = scenario.pomdp, _strategy(args, scenario)
     spec = args.evaluation
     if spec is None:
         raise InvalidInputError("--evaluation is required for this command")
     if Path(spec).exists():
         spec = Path(spec).read_text()
-    return evaluation_from_spec(spec)
+    e = evaluation_from_spec(spec)
+    for key in ("target_state", "early_state"):
+        k = e.params.get(key)
+        if k is not None and not 0 <= k < p.n_states:
+            raise InvalidInputError(f"evaluation {e.kind!r}: {key} {k} is not a state "
+                                    f"index in [0, {p.n_states})")
+    return p, scenario.initial_belief, strat, e, _given(args.horizon, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +162,7 @@ def _cmd_value(args) -> list:
 
 
 def _cmd_evaluate(args) -> list:
-    scenario = _load(args)
-    p, x1 = scenario.pomdp, scenario.initial_belief
-    strat = _strategy(args, scenario)
-    e = _evaluation(args)
-    horizon = _given(args.horizon, 50)
+    p, x1, strat, e, horizon = _evaluation(args)
     if args.samples is not None:
         rep = weighted_payoff_mc(p, x1, strat, e, horizon, args.samples, args.seed)
     else:
@@ -158,11 +172,7 @@ def _cmd_evaluate(args) -> list:
 
 
 def _cmd_irregularity(args) -> list:
-    scenario = _load(args)
-    p, x1 = scenario.pomdp, scenario.initial_belief
-    strat = _strategy(args, scenario)
-    e = _evaluation(args)
-    horizon = _given(args.horizon, 50)
+    p, x1, strat, e, horizon = _evaluation(args)
     if args.samples is not None:
         est = irregularity_mc(p, x1, strat, e, horizon, args.samples, args.seed)
         return [_record("irregularity", str(args.scenario), e.kind, est.mean,
@@ -224,21 +234,20 @@ def _cmd_invariance(args) -> list:
     p = scenario.pomdp
     if args.measure is None:
         raise InvalidInputError("--measure is required for invariance")
-    mu = SupportedMeasure.from_dict(json.loads(Path(args.measure).read_text()))
-    if args.strategy and Path(args.strategy).exists():
-        doc = json.loads(Path(args.strategy).read_text())
-        strat = StationaryStrategy(
-            n_actions=p.n_actions,
-            support=[np.asarray(x, dtype=float) for x in doc["support"]],
-            action_dists=[np.asarray(r, dtype=float) for r in doc["rows"]],
-        )
-    else:
-        uniform = np.full(p.n_actions, 1.0 / p.n_actions)
-        strat = StationaryStrategy(
-            n_actions=p.n_actions,
-            support=[x for x, _ in mu.atoms],
-            action_dists=[uniform for _ in mu.atoms],
-        )
+    mu = SupportedMeasure.from_dict(_json_file(args.measure, "measure"))
+    support = [x for x, _ in mu.atoms]
+    rows = [np.full(p.n_actions, 1.0 / p.n_actions)] * len(support)
+    if args.strategy is not None:     # a stationary strategy's file, never a builtin
+        doc = _json_file(args.strategy, "strategy")
+        try:
+            support = [make_belief(x) for x in doc["support"]]
+            rows = [np.asarray(r, dtype=float) for r in doc["rows"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"strategy file {args.strategy} needs 'support' beliefs "
+                                    f"and 'rows' ({type(exc).__name__}: {exc})") from None
+    if any(len(x) != p.n_states for x in support):
+        raise InvalidInputError(f"invariance beliefs need {p.n_states} entries, one per state")
+    strat = StationaryStrategy(n_actions=p.n_actions, support=support, action_dists=rows)
     res = invariance_residual(p, mu, strat)
     return [_record("invariance", str(args.scenario), "residual", res, 0.0,
                     "exact_dp", args.seed)]
@@ -319,7 +328,7 @@ def _reproduce_blind(args) -> list:
     sups, infs = [], []
 
     def both_ways(blocks):
-        return average_extrema(((t0, p.reward[st, ac]) for t0, st, ac, _ in blocks),
+        return average_extrema(((t0, p.reward[st, ac]) for t0, _, st, ac, _ in blocks),
                                horizon, 1)
 
     # one simulated play per start, reduced both ways; a single sample is one

@@ -4,10 +4,10 @@ the stopping-rule weights built from running payoffs, conditional
 
 Every evaluation computes its weights one stage block at a time for a whole
 batch of plays, carrying what it needs between blocks, and `weight_sums`
-folds them into per-play payoff, mass and irregularity sums: exact results
-run it on the enumerated play batch as one block and average with the play
-probabilities, Monte Carlo results stream the sampled blocks through it and
-retire from the stream the plays whose weights are spent."""
+folds them into per-play payoff, mass and irregularity sums and retires from
+the `PlayStream` the plays whose weights are spent: exact results fold the
+enumerated play batch as a stream of one block and average with the play
+probabilities, Monte Carlo results fold the sampled stream."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InvalidInputError, TruncationError
 from .model import Pomdp
-from .playspace import (DEFAULT_NODE_BUDGET, PlayStream, batched_belief_payoffs,
-                        block_ids, enumerate_plays, prefix_ids,
-                        reduce_sampled_plays, sample_mean)
+from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs, enumerate_plays,
+                        one_block_stream, prefix_ids, reduce_sampled_plays,
+                        sample_mean)
 from .strategies import ScheduleStrategy, Strategy
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
@@ -40,15 +40,16 @@ class Evaluation:
 
     It has exactly one weight function: deterministic kinds give `stage_fn`
     (horizon -> weight vector, the same on every play), the others a block
-    step `batch_fn(blocks, ctx)`.  The step consumes a stream of (t0, states,
-    actions, signals) play blocks, each a time-major (block, plays) array
-    whose row j is stage t0 + j + 1, and yields every block back in order as
-    (t0, states, actions, signals, w, done) with its (block, plays) weights
-    and the boolean flags `done` of the block's plays whose weights are zero
-    at every later stage (None when the step reports none); what it needs
-    across blocks (a flag, a run length, look-ahead stages, the play columns)
-    it carries itself.  `weight_blocks` streams either kind and
-    `batch_weights` is the one-block case on (n_plays, horizon) matrices.
+    step `batch_fn(blocks, ctx)`.  The step consumes the (t0, ids, states,
+    actions, signals) blocks of a `PlayStream`, each a time-major (block,
+    plays) array whose row j is stage t0 + j + 1 with its columns' play ids,
+    and yields every block back in order as (t0, ids, states, actions,
+    signals, w, done) with its (block, plays) weights and the boolean flags
+    `done` of the block's plays whose weights are zero at every later stage
+    (None when the step reports none); what it needs across blocks (a flag,
+    a run length, look-ahead stages, the play columns) it carries itself.
+    `weight_blocks` streams either kind and `batch_weights` runs it on the
+    one-block stream of (n_plays, horizon) matrices.
     `support_horizon` is the stage past which weights vanish on every play
     (None when unbounded).  `irregularity_tail` bounds the truncation error of
     the pathwise irregularity at a given horizon; `mass_tail` bounds the weight
@@ -78,40 +79,38 @@ class Evaluation:
         return self.stage_fn is not None
 
     def weight_blocks(self, blocks, horizon: int, ctx: Optional[EvalContext] = None):
-        """The play blocks (t0, states, actions, signals) of a play stream over
-        `horizon` stages, each yielded back with its weights and `done` flags
-        appended.  Deterministic weights flag every play once the stream
-        passes `support_horizon`."""
+        """The (t0, ids, states, actions, signals) blocks of a `PlayStream`
+        over `horizon` stages, each yielded back with its weights and `done`
+        flags appended.  Deterministic weights flag every play once the
+        stream passes `support_horizon`."""
         if not self.deterministic:
             return self.batch_fn(blocks, ctx)
         w, end = self.stage_fn(horizon), self.support_horizon
-        return ((t0, st, ac, sg, np.broadcast_to(w[t0:t0 + len(st), None], st.shape),
+        return ((t0, ids, st, ac, sg, np.broadcast_to(w[t0:t0 + len(st), None], st.shape),
                  None if end is None or t0 + len(st) < end else np.ones(st.shape[1], dtype=bool))
-                for t0, st, ac, sg in blocks)
+                for t0, ids, st, ac, sg in blocks)
 
     def batch_weights(self, states: np.ndarray, actions: np.ndarray,
                       signals: np.ndarray, ctx: Optional[EvalContext] = None) -> np.ndarray:
         """Weights for a batch of plays, shape (n_plays, horizon)."""
-        if self.deterministic:
-            return np.tile(self.stage_fn(states.shape[1]), (len(states), 1))
-        blocks = self.batch_fn([(0, states.T, actions.T, signals.T)], ctx)
-        return np.concatenate([blk[4] for blk in blocks]).T
+        blocks = self.weight_blocks(one_block_stream(states, actions, signals),
+                                    states.shape[1], ctx)
+        return np.concatenate([blk[5] for blk in blocks]).T
 
 
-def weight_sums(e: "Evaluation", blocks, horizon: int, ctx: Optional[EvalContext] = None,
+def weight_sums(e: "Evaluation", stream, horizon: int, ctx: Optional[EvalContext] = None,
                 reward: Optional[np.ndarray] = None) -> tuple:
     """Per-play weighted payoff sum theta_m r(k_m, i_m) (None without
     `reward`), weight mass sum theta_m and pathwise irregularity
     |theta_1| + sum |theta_m - theta_{m+1}| (the final drop to zero included)
-    of evaluation e, folded over the blocks of `e.weight_blocks(blocks,
-    horizon, ctx)`.  Between blocks it carries the three sums and the last
-    weight of each play, by play id.  On a `PlayStream` it retires the plays
-    each block flags `done`, so no later block simulates or weighs them: a
-    retired play would only add exact zeros, and its last weight's drop is
-    counted once either way."""
+    of evaluation e, folded over the blocks of `e.weight_blocks(stream,
+    horizon, ctx)` for the plays of a `PlayStream`.  Between blocks it
+    carries the three sums and the last weight of each play, by play id.  It
+    retires from the stream the plays each block flags `done`, so no later
+    block simulates or weighs them: a retired play would only add exact
+    zeros, and its last weight's drop is counted once either way."""
     payoff = mass = jumps = last = None
-    for t0, st, ac, _, w, done in e.weight_blocks(blocks, horizon, ctx):
-        ids = block_ids(blocks, t0, w.shape[1])
+    for t0, ids, st, ac, _, w, done in e.weight_blocks(stream, horizon, ctx):
         if mass is None:                   # the first block holds every play
             payoff, mass, jumps, last = np.zeros((4, w.shape[1]))
         if reward is not None:
@@ -119,8 +118,8 @@ def weight_sums(e: "Evaluation", blocks, horizon: int, ctx: Optional[EvalContext
         mass[ids] += w.sum(axis=0)
         jumps[ids] = jumps[ids] + np.abs(w[0] - last[ids]) + np.abs(np.diff(w, axis=0)).sum(axis=0)
         last[ids] = w[-1]
-        if isinstance(blocks, PlayStream):
-            blocks.retire(t0, done)
+        if done is not None:
+            stream.retire(ids[done])
         del st, ac, w        # drop the block before the next one is made
     return (None if reward is None else payoff), mass, jumps + np.abs(last)
 
@@ -180,6 +179,17 @@ def _uniform_prefix(n: int):
     return stage_fn
 
 
+def _padded(w: np.ndarray):
+    """stage_fn of the finite weight vector w, zero past its end."""
+    def stage_fn(horizon: int) -> np.ndarray:
+        out = np.zeros(horizon)
+        t = min(horizon, len(w))
+        out[:t] = w[:t]
+        return out
+
+    return stage_fn
+
+
 def make_n_stage(n: int) -> Evaluation:
     if n < 1:
         raise InvalidInputError("n must be >= 1")
@@ -218,14 +228,7 @@ def make_decreasing(weights) -> Evaluation:
     if np.any(np.diff(w) > 1e-12):
         raise InvalidInputError("weights must be non-increasing")
     norm = "pointwise" if abs(w.sum() - 1.0) <= 1e-9 else "none"
-
-    def stage_fn(horizon: int) -> np.ndarray:
-        out = np.zeros(horizon)
-        t = min(horizon, len(w))
-        out[:t] = w[:t]
-        return out
-
-    return _deterministic("decreasing", stage_fn, len(w), norm, weights=w.tolist())
+    return _deterministic("decreasing", _padded(w), len(w), norm, weights=w.tolist())
 
 
 def make_piecewise_constant(breaks, levels) -> Evaluation:
@@ -243,14 +246,7 @@ def make_piecewise_constant(breaks, levels) -> Evaluation:
         for prev, b, v in zip([0] + breaks[:-1], breaks, levels)
     ])
     norm = "pointwise" if abs(full.sum() - 1.0) <= 1e-9 else "none"
-
-    def stage_fn(horizon: int) -> np.ndarray:
-        out = np.zeros(horizon)
-        t = min(horizon, len(full))
-        out[:t] = full[:t]
-        return out
-
-    return _deterministic("piecewise_constant", stage_fn, breaks[-1], norm,
+    return _deterministic("piecewise_constant", _padded(full), breaks[-1], norm,
                           breaks=breaks, levels=levels)
 
 
@@ -262,11 +258,11 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
 
     def batch_fn(blocks, ctx):
         start = None                 # per play: 0-based stage where its weights start
-        for t0, st, ac, sg in blocks:
+        for t0, ids, st, ac, sg in blocks:
             if start is None:        # the first block holds stage 1
                 start = np.where(st[0] == early_state, 0, l)
             t = np.arange(t0, t0 + len(st))[:, None]
-            yield (t0, st, ac, sg, np.where((t >= start) & (t < start + l), 1.0 / l, 0.0),
+            yield (t0, ids, st, ac, sg, np.where((t >= start) & (t < start + l), 1.0 / l, 0.0),
                    np.ones(st.shape[1], dtype=bool) if t0 + len(st) >= 2 * l else None)
 
     return Evaluation(
@@ -280,20 +276,19 @@ def make_state_block(l: int, early_state: int = 0) -> Evaluation:
 
 
 def _with_later_states(blocks, rows: int):
-    """Each play block (t0, states, actions, signals) with its play ids and
-    the blocks holding its next `rows` stages (fewer at the end of the
-    stream) appended, the latter as a list of (states, ids).  Holds back as
-    many blocks as that takes.  A block made after some plays were retired
-    holds fewer plays than the block it serves, so each keeps its own ids."""
+    """Each play block (t0, ids, states, actions, signals) with the blocks
+    holding its next `rows` stages (fewer at the end of the stream) appended
+    as a list of (states, ids).  Holds back as many blocks as that takes.  A
+    block made after some plays were retired holds fewer plays than the
+    block it serves, so each is read by its own ids."""
     held = []
 
     def release():
-        t0, st, ac, sg, ids = held.pop(0)
-        return t0, st, ac, sg, ids, [(h[1], h[4]) for h in held]
+        return (*held.pop(0), [(h[2], h[1]) for h in held])
 
-    for t0, st, ac, sg in blocks:
-        held.append((t0, st, ac, sg, block_ids(blocks, t0, st.shape[1])))
-        while held and sum(len(h[1]) for h in held[1:]) >= rows:
+    for blk in blocks:
+        held.append(blk)
+        while held and sum(len(h[2]) for h in held[1:]) >= rows:
             yield release()
     while held:
         yield release()
@@ -331,7 +326,7 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
         # Plays whose first run is found weigh zero from then on: they drop
         # out and are flagged done in the block where their run ends.
         run = live = None    # target run length before the block; ids of plays still searching
-        for t0, st, ac, sg, ids, later in _with_later_states(blocks, l - 1):
+        for t0, ids, st, ac, sg, later in _with_later_states(blocks, l - 1):
             b, n = st.shape
             if live is None:
                 run, live = np.zeros(n, dtype=np.int32), ids
@@ -345,7 +340,7 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
             done = np.zeros(n, dtype=bool)
             done[cols[~searching]] = True
             live = live[searching]
-            yield t0, st, ac, sg, w, done
+            yield t0, ids, st, ac, sg, w, done
             del st, ac, sg, w    # drop the block before the next one is made
 
     return Evaluation(
@@ -387,14 +382,14 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
             raise InvalidInputError("limsup weights need a POMDP context")
         # eta depends on the whole play, so this step keeps the play columns
         held = list(blocks)
-        actions, signals = (np.concatenate(c).T for c in list(zip(*held))[2:])
+        actions, signals = (np.concatenate(c).T for c in list(zip(*held))[3:])
         g = batched_belief_payoffs(ctx.pomdp, ctx.x1, actions, signals)
         w = np.zeros(g.shape[::-1])
         for j in range(len(g)):
             eta = eta_horizon(g[j], l)
             w[:eta, j] = 1.0 / eta
-        for t0, st, ac, sg in held:
-            yield t0, st, ac, sg, w[t0:t0 + len(st)], None
+        for t0, ids, st, ac, sg in held:
+            yield t0, ids, st, ac, sg, w[t0:t0 + len(st)], None
 
     return Evaluation(
         kind="limsup_theta",
@@ -456,21 +451,18 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
     if l == 1:
         return e
 
-    def smooth(w: np.ndarray) -> np.ndarray:
-        return w[..., (np.arange(w.shape[-1]) // l) * l]
-
     def batch_fn(blocks, ctx):
         head = None          # weights at the last block head seen
-        for t0, st, ac, sg, w, _ in e.batch_fn(blocks, ctx):
+        for t0, ids, st, ac, sg, w, _ in e.batch_fn(blocks, ctx):
             src = np.arange(t0, t0 + len(w)) // l * l - t0   # head row; < 0: earlier block
             out = w[np.maximum(src, 0)]
             out[src < 0] = head
             head = out[-1]
-            yield t0, st, ac, sg, out, None
+            yield t0, ids, st, ac, sg, out, None
 
     support = None if e.support_horizon is None else -(-e.support_horizon // l) * l
     if e.deterministic:
-        stage_fn = lambda horizon: smooth(e.stage_fn(horizon))
+        stage_fn = lambda horizon: e.stage_fn(horizon)[np.arange(horizon) // l * l]
         probe = stage_fn(support) if support else stage_fn(1000)
         norm = "pointwise" if support and abs(probe.sum() - 1.0) <= 1e-9 else "none"
         return Evaluation(
@@ -501,13 +493,6 @@ def pathwise_irregularity(w: np.ndarray) -> float:
     return float(abs(w[0]) + np.abs(np.diff(np.append(w, 0.0))).sum())
 
 
-def batch_pathwise_irregularity(w: np.ndarray) -> np.ndarray:
-    """`pathwise_irregularity` of each row of w, summed as `weight_sums`
-    sums one block of (horizon, n_plays) weights."""
-    w = w.T
-    return np.abs(w[0]) + np.abs(np.diff(w, axis=0)).sum(axis=0) + np.abs(w[-1])
-
-
 def _truncation_tail(e: Evaluation, horizon: int) -> float:
     if e.support_horizon is not None:
         if e.support_horizon > horizon:
@@ -526,13 +511,16 @@ def _truncation_tail(e: Evaluation, horizon: int) -> float:
 def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> IrregularityReport:
     """Expected pathwise irregularity by exhaustive tree enumeration; exact
-    when the weights vanish within the horizon, bracketed otherwise."""
+    when the weights vanish within the horizon, bracketed otherwise.  The
+    Monte Carlo estimator's fold on the enumerated plays as one block,
+    averaged with the play probabilities."""
     tail = _truncation_tail(e, horizon)
     if e.deterministic:
         total = pathwise_irregularity(e.stage_fn(horizon))
     else:
-        b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
-        total = float(b.prob @ batch_pathwise_irregularity(w))
+        b = enumerate_plays(p, x1, strat, horizon, budget=budget)
+        total = float(b.prob @ weight_sums(e, one_block_stream(b.states, b.actions, b.signals),
+                                           horizon, EvalContext(p, np.asarray(x1, dtype=float)))[2])
     return IrregularityReport(lower=max(total - tail, 0.0), upper=total + tail,
                               horizon=horizon, tail_bound=tail)
 
@@ -623,16 +611,16 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
 
     def batch_fn(blocks, ctx):
         seen = []            # the observed columns of stages 1..horizon so far
-        for t0, st, ac, sg in blocks:
+        for t0, ids, st, ac, sg in blocks:
             w = np.zeros(st.shape)
             if t0 < horizon:
                 seen.append((ac[:horizon - t0], sg[:horizon - t0]))
                 acts, sigs = (np.concatenate(c).T for c in zip(*seen))
-                ids, first = prefix_ids(acts, sigs)
+                hist, first = prefix_ids(acts, sigs)    # observed-prefix ids per stage
                 for m in range(t0 + 1, acts.shape[1] + 1):
                     keys = _prefix_keys(acts, sigs, first[m - 1], m)
-                    w[m - 1 - t0] = np.array([table.rho.get(k, 0.0) for k in keys])[ids[:, m - 1]]
-            yield t0, st, ac, sg, w, None
+                    w[m - 1 - t0] = np.array([table.rho.get(k, 0.0) for k in keys])[hist[:, m - 1]]
+            yield t0, ids, st, ac, sg, w, None
 
     return Evaluation(
         kind=f"conditional({e.kind})",

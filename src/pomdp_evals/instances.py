@@ -107,6 +107,18 @@ def builtin_scenario(name: str) -> Scenario:
     return SCENARIOS[name]()
 
 
+def _label_field(name: str, label: str, p: Pomdp = None) -> int:
+    """A field of the strategy label `name`: an action, by name or index,
+    when the scenario `p` is given, else a stage count."""
+    if p is not None and label in p.actions:
+        return p.action_index(label)
+    try:
+        return int(label)
+    except ValueError:
+        what = "an action name or index" if p is not None else "a stage count"
+        raise InvalidInputError(f"strategy {name!r}: {label!r} is not {what}") from None
+
+
 def builtin_strategy(name: str, p: Pomdp) -> Strategy:
     """Resolve a named strategy: uniform, doubling, always:<action>, or
     hold:<action>:<stages>:<action> (first action for N stages, then the
@@ -118,14 +130,11 @@ def builtin_strategy(name: str, p: Pomdp) -> Strategy:
             raise InvalidInputError("the doubling strategy needs exactly 2 actions")
         return doubling_strategy(2)
     if name.startswith("always:"):
-        label = name.split(":", 1)[1]
-        i = p.action_index(label) if label in p.actions else int(label)
-        return always_strategy(p.n_actions, p.n_signals, i)
+        return always_strategy(p.n_actions, p.n_signals, _label_field(name, name[7:], p))
     if name.startswith("hold:"):
         parts = name.split(":")
         if len(parts) != 4:
             raise InvalidInputError("hold strategy syntax: hold:<first>:<stages>:<second>")
-        first = p.action_index(parts[1]) if parts[1] in p.actions else int(parts[1])
-        second = p.action_index(parts[3]) if parts[3] in p.actions else int(parts[3])
-        return block_switch_strategy(p.n_actions, first, second, int(parts[2]))
+        return block_switch_strategy(p.n_actions, _label_field(name, parts[1], p),
+                                     _label_field(name, parts[3], p), _label_field(name, parts[2]))
     raise InvalidInputError(f"unknown strategy {name!r}")

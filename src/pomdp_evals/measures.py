@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .evaluations import Evaluation, enumerated_weights
 from .model import (ObservedHistory, Pomdp, belief_key, belief_transition,
-                    canonical_belief)
+                    canonical_belief, make_belief)
 from .playspace import DEFAULT_NODE_BUDGET, belief_blocks, prefix_ids
 from .strategies import StationaryStrategy, Strategy
 
@@ -68,10 +68,21 @@ class SupportedMeasure:
 
     @staticmethod
     def from_dict(doc: dict) -> "SupportedMeasure":
-        return SupportedMeasure.from_pairs(
-            [(np.asarray(a["belief"], dtype=float), float(a["mass"]))
-             for a in doc["atoms"]]
-        )
+        """Parse {"atoms": [{"belief": [...], "mass": m}, ...]}: finite
+        entries and masses summing to 1 (`from_pairs`), and beliefs of one
+        length, each valid for `make_belief`."""
+        try:
+            pairs = [(np.asarray(a["belief"], dtype=float), float(a["mass"]))
+                     for a in doc["atoms"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError("a measure needs an 'atoms' list with a 'belief' and a "
+                                    f"'mass' per atom ({type(exc).__name__}: {exc})") from None
+        if len({x.shape for x, _ in pairs}) > 1:
+            raise InvalidInputError("measure atoms have beliefs of different lengths")
+        measure = SupportedMeasure.from_pairs(pairs)
+        for x, _ in pairs:
+            make_belief(x)
+        return measure
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Play-space machinery shared by the payoff, irregularity and measure code.
 
-Exact and Monte Carlo results reduce plays with the same block folds:
-`enumerate_plays` returns the whole play tree as one `PlayBatch` with its
-probabilities (one block), and `play_blocks` streams seeded plays one stage
-block at a time, so Monte Carlo never holds a (plays, horizon) matrix and
-stops simulating the plays its consumer retires; `simulate_plays` collects
-that stream for API callers.  Also here:
-observed-prefix grouping and the stage-blocked Bayes filter along observed
-histories."""
+Exact and Monte Carlo results reduce one stream type, the `PlayStream`,
+whose blocks carry their play ids: `enumerate_plays` returns the whole play
+tree as one `PlayBatch` with its probabilities, which `one_block_stream`
+turns into a stream of one block, and `play_blocks` streams seeded plays one
+stage block at a time, so Monte Carlo never holds a (plays, horizon) matrix
+and stops simulating the plays its consumer retires; `simulate_plays`
+collects that stream for API callers.  Also here: observed-prefix grouping
+and the stage-blocked Bayes filter along observed histories."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -218,7 +218,7 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
         raise InvalidInputError("stream counts must sum to the sample count")
     blocks = play_blocks(p, x1, strat, horizon, streams)
     plays = [np.empty((samples, horizon), dtype=np.int32) for _ in range(3)]
-    for t0, *blk in blocks:
+    for t0, _, *blk in blocks:
         for out, b in zip(plays, blk):
             out[:, t0:t0 + len(b)] = b.T
     return tuple(plays)
@@ -226,9 +226,10 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
 def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
     """Sampled plays one stage block at a time, as a `PlayStream` over
-    `horizon` stages.  `streams` lists (generator, count) pairs as in
-    `simulate_plays`, whose draw contract the blocks follow; a consumer that
-    keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
+    `horizon` stages whose (t0, ids, states, actions, signals) blocks hold at
+    most STAGE_BLOCK stages each.  `streams` lists (generator, count) pairs as
+    in `simulate_plays`, whose draw contract the blocks follow; a consumer
+    that keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
     consumer may retire plays it needs no more stages of: later blocks leave
     them out and neither kernel steps them, while each stream still draws
     its full (block, count) uniforms, so the plays kept see exactly the
@@ -244,22 +245,23 @@ def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams
 
 
 class PlayStream:
-    """One pass's sampled plays, one stage block at a time.
+    """One pass's plays, one block at a time.
 
-    Iterating yields (t0, states, actions, signals) for consecutive blocks of
-    at most STAGE_BLOCK stages, each a time-major (block, plays) int32 array
-    whose row j is stage t0 + j + 1.  A block's columns are plays of the pass
-    in id order, a play's id being its position among the pass's plays;
-    `ids(t0)` lists them for the block at stage t0.  A consumer that needs no
-    more stages of some plays retires them: every block made afterwards
-    leaves them out, both simulation kernels step only the plays kept, and
-    the stream ends once no play is left.  A consumer that never retires
-    sees every play in every block.
+    Iterating yields (t0, ids, states, actions, signals) for consecutive
+    blocks in stage order: `states`, `actions` and `signals` are time-major
+    (block, plays) int arrays whose row j is stage t0 + j + 1, and `ids`
+    numbers their columns by play id, a play's id being its position among
+    the pass's plays.  Sampled streams (`play_blocks`) cut the plays into
+    blocks of at most STAGE_BLOCK stages; `one_block_stream` holds a whole
+    enumerated batch in one block.  A consumer that needs no more stages of
+    some plays retires them: every block made afterwards leaves them out,
+    both simulation kernels step only the plays kept, and the stream ends
+    once no play is left.  A consumer that never retires sees every play in
+    every block.
     """
 
     def __init__(self, kernel):
-        self._kernel = kernel   # yields (ids, t0, states, actions, signals); sent retired ids
-        self._ids = {}          # t0 -> play ids of the block's columns, until it is retired
+        self._kernel = kernel   # yields (t0, ids, states, actions, signals); sent retired ids
         self._alive = None      # play ids of the last block made
         self._gone = []         # play ids retired and not yet left out
 
@@ -276,27 +278,22 @@ class PlayStream:
             gone = None
         else:
             self._gone = []
-        self._alive, *blk = self._kernel.send(gone)
-        self._ids[blk[0]] = self._alive
-        return tuple(blk)
+        blk = self._kernel.send(gone)
+        self._alive = blk[1]
+        return blk
 
-    def ids(self, t0: int) -> np.ndarray:
-        """Play ids of the columns of the block at stage t0."""
-        return self._ids[t0]
-
-    def retire(self, t0: int, done) -> None:
-        """Called once per block, in stage order, when the consumer is through
-        with the block at stage t0: the plays its boolean `done` flags (none
-        when None) are left out of every block made afterwards."""
-        ids = self._ids.pop(t0)
-        if done is not None and done.any():
-            self._gone.append(ids[done])
+    def retire(self, ids: np.ndarray) -> None:
+        """Leave the plays `ids` out of every block made afterwards."""
+        if len(ids):
+            self._gone.append(ids)
 
 
-def block_ids(blocks, t0: int, width: int) -> np.ndarray:
-    """Play ids of the columns of the block at stage t0: a `PlayStream`'s
-    own, else all `width` plays in order."""
-    return blocks.ids(t0) if isinstance(blocks, PlayStream) else np.arange(width)
+def one_block_stream(states: np.ndarray, actions: np.ndarray, signals: np.ndarray) -> PlayStream:
+    """The (n_plays, horizon) play matrices as a `PlayStream` of one block
+    over every stage, each play's id being its row."""
+    def kernel():
+        yield 0, np.arange(len(states)), states.T, actions.T, signals.T
+    return PlayStream(kernel())
 
 
 def _stream_draws(streams: list, alive: np.ndarray) -> list:
@@ -353,7 +350,7 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     inverse-CDF draw of each play's action from `dist`, then of its (next
     state, signal) pair, then one `step` of the memory.  Each uniform is
     scaled by its row's total, so a draw never lands past the last
-    positive-probability entry.  Yields (ids, t0, states, actions, signals)
+    positive-probability entry.  Yields (t0, ids, states, actions, signals)
     per block and takes the ids of retired plays back, as `PlayStream`
     drives it."""
     k, n_s = p.n_states, p.n_signals
@@ -376,7 +373,7 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
             out[:] = state, action, code % n_s
             mem = strat.step(mem, action, code % n_s)
             state = code // n_s
-        gone = yield alive, t0, *blk
+        gone = yield t0, alive, *blk
         if gone is not None:
             keep, alive, draws = _narrow(streams, alive, gone)
             if not len(alive):
@@ -445,7 +442,7 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         signals = signal_of.take(pos)
         # pos is spent too: reuse it for the flat indices into act
         np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos)
-        gone = yield alive, t0, state_of.take(idx[:b]), act.take(pos), signals
+        gone = yield t0, alive, state_of.take(idx[:b]), act.take(pos), signals
         carry = idx[b]
         if gone is not None:
             keep, alive, draws = _narrow(streams, alive, gone)
@@ -480,7 +477,7 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
     """Simulate `samples` plays in seeded shards and reduce them play by play.
 
     `reduce(blocks)` consumes one pass's `PlayStream` from `play_blocks`,
-    (t0, states, actions, signals) time-major blocks in stage order, and
+    (t0, ids, states, actions, signals) time-major blocks in stage order, and
     returns a tuple of per-play arrays, indexed by play id; the result lists
     each of them concatenated over all plays, in shard order.  No
     (plays, horizon) matrix is built: a pass holds O(plays x STAGE_BLOCK)

@@ -4,11 +4,12 @@ the sequence v_1..v_n, asymptotic-value estimates, exact and Monte Carlo
 weighted payoffs, chain-based payoffs for deterministic weights, and
 finite-horizon proxies for long-run superior/inferior average payoffs.
 
-Exact and Monte Carlo weighted payoffs reduce plays with the same block fold
-(`evaluations.weight_sums`): the enumerated batch as one block, averaged with
-its play probabilities, or the sampled play stream block by block, as a
-sample mean with its standard error.  The long-run proxies fold the same
-stream into running extrema of prefix averages (`average_extrema`)."""
+Exact and Monte Carlo weighted payoffs reduce one `PlayStream` with the same
+block fold (`evaluations.weight_sums`): the enumerated batch as a stream of
+one block, averaged with its play probabilities, or the sampled play stream
+block by block, as a sample mean with its standard error.  The long-run
+proxies fold the same stream into running extrema of prefix averages
+(`average_extrema`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from .errors import BudgetExceededError, InvalidInputError
 from .evaluations import EvalContext, Evaluation, McEstimate, weight_sums
 from .model import (SIGNAL_PROB_FLOOR, Pomdp, _check_dims, bayes_matrices, belief_key,
                     canonical_belief)
-from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks,
-                        enumerate_plays, reduce_sampled_plays, sample_mean)
+from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
+                        one_block_stream, reduce_sampled_plays, sample_mean)
 from .strategies import Strategy
 
 METHODS = ("exact_dp", "truncated_dp", "monte_carlo", "ergodic_exact")
@@ -164,11 +165,12 @@ def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluati
                           horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
     """E[sum theta_m r(k_m, i_m)] by exhaustive tree enumeration; exact when
     the weights vanish within the horizon.  The Monte Carlo estimators' fold
-    on the play batch as one block, averaged with the play probabilities."""
+    on the enumerated plays as one block, averaged with the play
+    probabilities."""
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     b = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    v, masses, _ = weight_sums(e, [(0, b.states.T, b.actions.T, b.signals.T)], horizon, ctx,
-                               p.reward)
+    v, masses, _ = weight_sums(e, one_block_stream(b.states, b.actions, b.signals), horizon,
+                               ctx, p.reward)
     return ValueReport(value=float(b.prob @ v), method="exact_dp",
                        error_bound=_tail_weight(e, horizon, float(b.prob @ masses)),
                        horizon_or_samples=horizon)
@@ -179,14 +181,8 @@ def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        shards: int = 4) -> ValueReport:
     """Monte Carlo estimate of the weighted payoff; the error bound combines
     three standard errors with the expected tail weight."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
-    v, masses = reduce_sampled_plays(
-        p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward)[:2], shards)
-    value, se = sample_mean(v)
-    return ValueReport(value=value, method="monte_carlo",
-                       error_bound=3.0 * se + _tail_weight(e, horizon, float(masses.mean())),
-                       horizon_or_samples=samples)
+    return weighted_payoff_and_irregularity_mc(p, x1, strat, e, horizon, samples, seed,
+                                               shards)[0]
 
 
 def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy,
@@ -278,9 +274,9 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
 
     def reduce(blocks):
         if payoff_on == "state":
-            g = ((t0, p.reward[st, ac]) for t0, st, ac, _ in blocks)
+            g = ((t0, p.reward[st, ac]) for t0, _, st, ac, _ in blocks)
         else:
-            g = belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, ac, sg in blocks))
+            g = belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, _, ac, sg in blocks))
         return (average_extrema(g, horizon, window_start)[mode == "liminf"],)
 
     v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)

@@ -294,3 +294,73 @@ def test_negative_seed_exits_invalid(capsys):
                            "--evaluation", '{"kind":"discounted","lam":0.5}',
                            "--horizon", "5", "--samples", "5", "--seed", "-1")
     assert code == 1 and "seed" in err
+
+
+GOOD_MEASURE = '{"atoms": [{"belief": [0.5, 0.5], "mass": 1.0}]}'
+GOOD_STATIONARY = '{"support": [[0.5, 0.5]], "rows": [[0.5, 0.5]]}'
+
+
+@pytest.mark.parametrize("measure, strategy, expect", [
+    ("{atoms", None, "not valid JSON"),
+    (None, None, "No such file"),
+    ("{}", None, "'atoms'"),
+    ('{"atoms": [{"mass": 1.0}]}', None, "'belief'"),
+    ('{"atoms": [{"belief": [0.5, 0.5]}]}', None, "'mass'"),
+    ('{"atoms": [{"belief": [1, 0], "mass": 0.5}, {"belief": [1, 0, 0], "mass": 0.5}]}',
+     None, "different lengths"),
+    ('{"atoms": [{"belief": [2, -1], "mass": 1.0}]}', None, "[0, 1]"),
+    ('{"atoms": [{"belief": [0.2, 0.3, 0.5], "mass": 1.0}]}', None, "2 entries"),
+    (GOOD_MEASURE, "{support", "not valid JSON"),
+    (GOOD_MEASURE, "doubling", "No such file"),
+    (GOOD_MEASURE, '{"rows": [[0.5, 0.5]]}', "'support'"),
+    (GOOD_MEASURE, '{"support": [[0.5, 0.5]]}', "'rows'"),
+    (GOOD_MEASURE, '{"support": [[0.5, 0.5, 0]], "rows": [[0.5, 0.5]]}', "2 entries"),
+])
+def test_malformed_invariance_inputs_exit_invalid(capsys, tmp_path, measure, strategy, expect):
+    # each input is a file in tmp_path except the names of missing ones
+    def path(name, text):
+        if text is None or text == "doubling":
+            return text or str(tmp_path / "missing.json")
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    argv = ["invariance", "--scenario", "uniform-redraw", "--measure", path("m.json", measure)]
+    if strategy is not None:
+        argv += ["--strategy", path("s.json", strategy)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and expect in err and "Traceback" not in err
+
+
+def test_invariance_reads_a_stationary_strategy_file(capsys, tmp_path):
+    (tmp_path / "m.json").write_text(GOOD_MEASURE)
+    (tmp_path / "s.json").write_text(GOOD_STATIONARY)
+    code, out, _ = run_cli(capsys, "invariance", "--scenario", "uniform-redraw",
+                           "--measure", str(tmp_path / "m.json"),
+                           "--strategy", str(tmp_path / "s.json"))
+    assert code == 0 and json.loads(out)["records"][0]["value"] <= 1e-12
+
+
+@pytest.mark.parametrize("label, field", [("always:zz", "'zz'"), ("hold:0:x:1", "'x'"),
+                                          ("hold:q:2:1", "'q'"), ("hold:0:2:", "''")])
+def test_malformed_builtin_strategy_labels_exit_invalid(capsys, label, field):
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", label, "--evaluation", '{"kind": "n_stage", "n": 2}',
+                             "--horizon", "2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: strategy {label!r}: {field}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "irregularity"])
+@pytest.mark.parametrize("spec", [{"kind": "run_block_ex2", "l": 3, "target_state": 7},
+                                  {"kind": "run_block_ex2", "l": 3, "target_state": -1},
+                                  {"kind": "state_block_ex1", "l": 2, "early_state": 9},
+                                  {"kind": "state_block_ex1", "l": 2, "early_state": 2}])
+def test_evaluation_state_outside_the_scenario_exits_invalid(capsys, command, spec):
+    key = "target_state" if "target_state" in spec else "early_state"
+    for extra in ([], ["--samples", "10"]):
+        code, out, err = run_cli(capsys, command, "--scenario", "uniform-redraw",
+                                 "--strategy", "uniform", "--evaluation", json.dumps(spec),
+                                 "--horizon", "6", *extra)
+        assert code == 1 and out == ""
+        assert f"{key} {spec[key]} is not a state index in [0, 2)" in err

@@ -6,11 +6,10 @@ from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError, TruncationError
-from pomdp_evals.evaluations import (EvalContext, batch_pathwise_irregularity,
-                                     block_smooth, conditional_evaluation,
+from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
                                      eta_horizon, irregularity_supremum,
-                                     pathwise_irregularity)
-from pomdp_evals.playspace import enumerate_plays, simulate_plays
+                                     pathwise_irregularity, weight_sums)
+from pomdp_evals.playspace import enumerate_plays, one_block_stream, simulate_plays
 
 from conftest import random_pomdp, sparse_instances
 
@@ -179,8 +178,12 @@ def test_pathwise_irregularity_hand_examples():
 
 
 def test_batched_irregularity_matches_loop(rng):
+    # the weight fold's irregularity on a one-block stream of 10 plays whose
+    # weights are the rows of w
     w = rng.random((10, 8))
-    batch = batch_pathwise_irregularity(w)
+    e = pe.Evaluation(kind="rows", measurability="general", normalization="none",
+                      batch_fn=lambda blocks, ctx: ((*blk, w.T, None) for blk in blocks))
+    batch = weight_sums(e, one_block_stream(*np.zeros((3, 10, 8), dtype=int)), 8)[2]
     for j in range(10):
         assert np.isclose(batch[j], pathwise_irregularity(w[j]))
 

@@ -1,6 +1,8 @@
 """Belief-space measures: occupation, images, transport, disintegration."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import linprog
 
 import pomdp_evals as pe
@@ -34,11 +36,48 @@ def lp_transport(mu, nu):
     return float(res.fun)
 
 
+def lp_dual_transport(mu, nu):
+    """Independent dual oracle: max sum_i a_i f_i - sum_j b_j g_j subject to
+    f_i - g_j <= c_ij.  Shifting f and g together changes neither the
+    constraints nor (as the masses balance) the objective, so g_1 is pinned
+    to 0 to keep the LP bounded."""
+    a = np.array([m for _, m in mu.atoms])
+    b = np.array([m for _, m in nu.atoms])
+    na, nb = len(a), len(b)
+    cost = np.array([[np.abs(x - y).sum() for y, _ in nu.atoms] for x, _ in mu.atoms])
+    ub = np.zeros((na * nb, na + nb))
+    ub[np.arange(na * nb), np.repeat(np.arange(na), nb)] = 1.0
+    ub[np.arange(na * nb), na + np.tile(np.arange(nb), na)] = -1.0
+    bounds = [(None, None)] * (na + nb)
+    bounds[na] = (0.0, 0.0)
+    res = linprog(np.concatenate([-a, b]), A_ub=ub, b_ub=cost.ravel(), bounds=bounds,
+                  method="highs")
+    assert res.status == 0
+    return float(-res.fun)
+
+
 def random_measure(rng, k, max_atoms=5):
     n = int(rng.integers(1, max_atoms + 1))
     pts = rng.dirichlet(np.ones(k), size=n)
     w = rng.dirichlet(np.ones(n))
     return SM.from_pairs(list(zip(pts, w)))
+
+
+@hst.composite
+def measure_lists(draw, count):
+    """`count` random measures on one belief simplex of dimension K in 2..4,
+    with 1-6 atoms each; about a third of the atoms sit on a vertex or on a
+    point shared by the measures."""
+    k = draw(hst.integers(2, 4))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    shared = np.concatenate([np.eye(k), rng.dirichlet(np.ones(k), size=3)])
+    out = []
+    for _ in range(count):
+        n = draw(hst.integers(1, 6))
+        pts = np.where(rng.random((n, 1)) < 0.3, shared[rng.integers(len(shared), size=n)],
+                       rng.dirichlet(np.ones(k), size=n))
+        out.append(SM.from_pairs(list(zip(pts, rng.dirichlet(np.ones(n))))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +201,22 @@ def test_transport_distance_basics():
     assert np.isclose(pe.kr_distance(half, d1), 1.0)
 
 
-def test_transport_distance_matches_lp_oracle(rng):
-    for _ in range(60):
-        k = int(rng.integers(2, 5))
-        mu, nu = random_measure(rng, k), random_measure(rng, k)
-        assert abs(pe.kr_distance(mu, nu) - lp_transport(mu, nu)) <= 1e-9
+@settings(max_examples=80, deadline=None)
+@given(measures=measure_lists(2))
+def test_transport_distance_matches_lp_oracle(measures):
+    mu, nu = measures
+    d = pe.kr_distance(mu, nu)
+    assert abs(d - lp_transport(mu, nu)) <= 1e-9
+    assert abs(d - lp_dual_transport(mu, nu)) <= 1e-9
 
 
-def test_transport_distance_is_a_metric(rng):
-    for _ in range(20):
-        k = int(rng.integers(2, 4))
-        mu, nu, rho = (random_measure(rng, k) for _ in range(3))
-        dmn = pe.kr_distance(mu, nu)
-        assert np.isclose(dmn, pe.kr_distance(nu, mu), atol=1e-9)
-        assert dmn <= pe.kr_distance(mu, rho) + pe.kr_distance(rho, nu) + 1e-9
+@settings(max_examples=60, deadline=None)
+@given(measures=measure_lists(3))
+def test_transport_distance_is_a_metric(measures):
+    mu, nu, rho = measures
+    dmn = pe.kr_distance(mu, nu)
+    assert np.isclose(dmn, pe.kr_distance(nu, mu), atol=1e-9)
+    assert dmn <= pe.kr_distance(mu, rho) + pe.kr_distance(rho, nu) + 1e-9
 
 
 def test_lipschitz_test_functions_respect_duality(rng):

@@ -18,11 +18,11 @@ from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
-                                     eta_horizon, weight_sums)
+                                     eta_horizon, pathwise_irregularity, weight_sums)
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
-from pomdp_evals.playspace import (STAGE_BLOCK, belief_payoff_blocks, plan_shards,
-                                   play_blocks, reduce_sampled_plays, shard_seeds,
-                                   simulate_plays)
+from pomdp_evals.playspace import (STAGE_BLOCK, PlayStream, belief_payoff_blocks,
+                                   plan_shards, play_blocks, reduce_sampled_plays,
+                                   shard_seeds, simulate_plays)
 from pomdp_evals.values import average_extrema, weighted_payoff_and_irregularity_mc
 
 from conftest import sparse_instances
@@ -143,19 +143,26 @@ def ref_extremum(payoffs, mode, window_start):
 # ---------------------------------------------------------------------------
 
 def cut(plays, sizes):
-    """(t0, states, actions, signals) time-major blocks of the (n, horizon)
-    plays, with block lengths taken cyclically from `sizes`."""
-    horizon, t0, j = plays[0].shape[1], 0, 0
-    while t0 < horizon:
-        b = sizes[j % len(sizes)]
-        yield (t0, *(m[:, t0:t0 + b].T for m in plays))
-        t0, j = t0 + b, j + 1
+    """A `PlayStream` of (t0, ids, states, actions, signals) time-major
+    blocks of the (n, horizon) plays, with block lengths taken cyclically
+    from `sizes`.  Like the simulation kernels, it leaves the plays its
+    consumer retires out of every later block and ends once none is left."""
+    def blocks():
+        horizon, t0, j = plays[0].shape[1], 0, 0
+        ids = np.arange(len(plays[0]))
+        while t0 < horizon and len(ids):
+            b = sizes[j % len(sizes)]
+            gone = yield (t0, ids, *(m[ids, t0:t0 + b].T for m in plays))
+            if gone is not None:
+                ids = ids[~np.isin(ids, gone)]
+            t0, j = t0 + b, j + 1
+    return PlayStream(blocks())
 
 
 def streamed_weights(e, plays, sizes, ctx=None):
     blocks = list(e.weight_blocks(cut(plays, sizes), plays[0].shape[1], ctx))
     assert [b[0] for b in blocks] == [b[0] for b in cut(plays, sizes)]
-    return np.concatenate([b[4] for b in blocks]).T
+    return np.concatenate([b[5] for b in blocks]).T
 
 
 HORIZONS = [1, 2, STAGE_BLOCK - 1, STAGE_BLOCK, STAGE_BLOCK + 1, 2 * STAGE_BLOCK + 3]
@@ -265,9 +272,10 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
 
     def reduce(blocks):
         blocks = list(blocks)
-        g = [(t0, p.reward[s, a]) for t0, s, a, _ in blocks]
-        bel = belief_payoff_blocks(p, x1, [(t0, a, s) for t0, _, a, s in blocks])
-        return (*weight_sums(e, blocks, horizon, ctx, p.reward),
+        g = [(t0, p.reward[s, a]) for t0, _, s, a, _ in blocks]
+        bel = belief_payoff_blocks(p, x1, [(t0, a, s) for t0, _, _, a, s in blocks])
+        # the listed blocks replayed as a stream that leaves no play out
+        return (*weight_sums(e, PlayStream(b for b in blocks), horizon, ctx, p.reward),
                 *average_extrema(g, horizon, window), *average_extrema(bel, horizon))
 
     got = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
@@ -292,7 +300,9 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
 def test_run_block_weights_across_block_cuts():
     # l > STAGE_BLOCK: one run straddles two cuts, one ends at the last stage,
     # one play has no run, one has a run of l - 1 broken and restarted, and
-    # one has its only full run beginning at stage 1 (searched from stage 2)
+    # one has its only full run beginning at stage 1 (searched from stage 2).
+    # The fold retires plays 0 and 3 once their runs end, so with short
+    # blocks one look-ahead window holds blocks with and without them.
     l, horizon = STAGE_BLOCK + 7, 3 * STAGE_BLOCK + 5
     states = np.ones((5, horizon), dtype=np.int32)
     states[0, 50:50 + l] = 0
@@ -308,6 +318,10 @@ def test_run_block_weights_across_block_cuts():
     e = pe.make_evaluation("run_block_ex2", l=l)
     for sizes in ([STAGE_BLOCK], [1], [STAGE_BLOCK - 1, 3], [l - 1], [l + 1]):
         assert np.array_equal(streamed_weights(e, plays, sizes), want)
+        _, mass, jumps = weight_sums(e, cut(plays, sizes), horizon)
+        np.testing.assert_allclose(mass, want.sum(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jumps, [pathwise_irregularity(w) for w in want],
+                                   rtol=0, atol=1e-12)
 
 
 STRATEGY_KINDS = hst.sampled_from(["transducer", "schedule", "uniform", "random_behavior"])
@@ -348,8 +362,7 @@ def test_retired_plays_leave_the_kept_plays_draws_unchanged(case, kind, horizon,
         assert np.array_equal(full, ref_stepped(p, x1, strat, horizon, streams()))
     stream = play_blocks(p, x1, strat, horizon, streams())
     retired, end = np.zeros(samples, dtype=bool), 0
-    for t0, *blk in stream:
-        ids = stream.ids(t0)
+    for t0, ids, *blk in stream:
         live = np.flatnonzero(~retired)
         assert t0 == end and np.isin(live, ids).all()
         assert len(ids) == len(live) or (len(live) == 1 and len(ids) > 1)
@@ -358,7 +371,7 @@ def test_retired_plays_leave_the_kept_plays_draws_unchanged(case, kind, horizon,
             assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
         end = t0 + len(blk[0])
         done = rng.random(len(ids)) < rate
-        stream.retire(t0, done)
+        stream.retire(ids[done])
         retired[ids[done]] = True
     assert end == horizon or retired.all()
 
@@ -377,9 +390,10 @@ def test_the_pass_stops_once_every_play_is_retired(redraw, spec, blocks):
     e, ctx = pe.evaluation_from_spec(spec), EvalContext(p, x1)
     stream = play_blocks(p, x1, strat, horizon, [(np.random.default_rng(7), samples)])
     made = []
-    for t0, *_, done in e.weight_blocks(stream, horizon, ctx):
+    for t0, ids, *_, done in e.weight_blocks(stream, horizon, ctx):
         made.append(t0)
-        stream.retire(t0, done)
+        if done is not None:
+            stream.retire(ids[done])
     assert made == list(range(0, blocks * STAGE_BLOCK, STAGE_BLOCK))
     got = reduce_sampled_plays(p, x1, strat, horizon, samples, 7,
                                lambda b: weight_sums(e, b, horizon, ctx, p.reward), 3)
