@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidInputError, PomdpEvalError
 from .model import Pomdp
+from .playspace import _chain_tables
 from .strategies import Transducer
 
 EDGE_THRESHOLD = 1e-12
@@ -70,32 +71,25 @@ class ErgodicDecomposition:
 
 
 def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
-    """Markov chain on state x memory pairs under a transducer.
+    """Markov chain on state x memory pairs under a transducer, indexed by the
+    sampler's combined index c = state * M + memory.
 
     The action and signal at each step are determined by (state, memory), so
     the chain on the full (state, memory, action, signal) space projects onto
     this quotient without losing the payoff process.
     """
-    k, mem = p.n_states, t.n_memory
-    n = k * mem
+    if not isinstance(t, Transducer):
+        raise InvalidInputError(f"a product chain needs a finite-memory strategy "
+                                f"(a transducer), not {type(t).__name__}")
+    act, _, nxt, m, initial = _chain_tables(p, t, 0)
+    n = p.n_states * m
+    state, act = np.arange(n) // m, act[0]
     trans = np.zeros((n, n))
-    payoff = np.empty(n)
-    labels = []
-    for kk in range(k):
-        for mm in range(mem):
-            u = kk * mem + mm
-            i = int(t.act[mm])
-            labels.append((p.states[kk], mm))
-            payoff[u] = p.reward[kk, i]
-            for ll in range(k):
-                for s in range(p.n_signals):
-                    pr = p.transition[kk, i, ll, s]
-                    if pr > 0:
-                        trans[u, ll * mem + int(t.update[mm, i, s])] += pr
-    initial = np.zeros(n)
-    for kk in range(k):
-        initial[kk * mem + t.initial] = float(x1[kk])
-    return MarkovChain(tuple(labels), trans, payoff, initial)
+    np.add.at(trans, (np.arange(n)[:, None], nxt), p.transition[state, act].reshape(n, -1))
+    init = np.zeros(n)
+    init[np.arange(p.n_states) * m + initial] = x1
+    labels = tuple((k, mm) for k in p.states for mm in range(m))
+    return MarkovChain(labels, trans, p.reward[state, act], init)
 
 
 def _stationary_vector(sub: np.ndarray, label) -> np.ndarray:

@@ -73,12 +73,6 @@ def _emit(records, fmt: str, timing: float = None) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _given(value, default):
-    """An option's value, or `default` when it was not given; an explicit 0
-    or negative value is passed on for the callee to reject."""
-    return default if value is None else value
-
-
 def _load(args) -> Scenario:
     src = args.scenario
     if src is None:
@@ -99,15 +93,21 @@ def _json_file(path: str, what: str):
 
 
 def _strategy(args, scenario: Scenario):
-    name = args.strategy
+    name, p = args.strategy, scenario.pomdp
     if name is None:
         raise InvalidInputError("--strategy is required for this command")
-    if Path(name).exists():
-        doc = _json_file(name, "strategy")
-        if isinstance(doc, dict) and doc.get("type") == "transducer":
-            return transducer_from_dict(doc)
+    if not Path(name).exists():
+        return builtin_strategy(name, p)
+    doc = _json_file(name, "strategy")
+    if not (isinstance(doc, dict) and doc.get("type") == "transducer"):
         raise InvalidInputError(f"strategy file {name} has unsupported type")
-    return builtin_strategy(name, scenario.pomdp)
+    t = transducer_from_dict(doc)
+    for field, have, need in (("n_actions", t.n_actions, p.n_actions),
+                              ("n_signals", t.n_signals, p.n_signals)):
+        if have != need:
+            raise InvalidInputError(f"strategy file {name}: transducer field {field!r} is "
+                                    f"{have}, the scenario has {need}")
+    return t
 
 
 def _evaluation(args) -> tuple:
@@ -127,7 +127,7 @@ def _evaluation(args) -> tuple:
         if k is not None and not 0 <= k < p.n_states:
             raise InvalidInputError(f"evaluation {e.kind!r}: {key} {k} is not a state "
                                     f"index in [0, {p.n_states})")
-    return p, scenario.initial_belief, strat, e, _given(args.horizon, 50)
+    return p, scenario.initial_belief, strat, e, args.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,8 @@ def _cmd_irregularity(args) -> list:
 
 def _cmd_ergodic(args) -> list:
     scenario = _load(args)
-    strat = _strategy(args, scenario)
-    if not isinstance(strat, Transducer):
-        raise InvalidInputError("ergodic analysis needs a finite-memory strategy")
-    chain = product_chain(scenario.pomdp, strat, scenario.initial_belief)
+    chain = product_chain(scenario.pomdp, _strategy(args, scenario),
+                          scenario.initial_belief)
     dec = ergodic_decomposition(chain)
     out = []
     for d, (idx, pi, gamma, absorb) in enumerate(
@@ -203,30 +201,29 @@ def _cmd_ergodic(args) -> list:
     return out
 
 
-def _cmd_liminf(args) -> list:
+def _long_run(args, mode: str) -> list:
+    """The expected `mode` ("limsup" or "liminf") average payoff: exact on the
+    product chain for a transducer's liminf, else the Monte Carlo proxy."""
     scenario = _load(args)
     p, x1 = scenario.pomdp, scenario.initial_belief
     strat = _strategy(args, scenario)
-    if isinstance(strat, Transducer):
-        v = liminf_value_transducer(p, x1, strat)
-        return [_record("liminf", str(args.scenario), args.strategy, v, 0.0,
-                        "ergodic_exact", args.seed)]
-    rep = limsup_belief_payoff_mc(p, x1, strat, _given(args.horizon, 1000),
-                                  _given(args.samples, 100), args.seed, mode="liminf",
-                                  payoff_on=args.payoff_on,
-                                  window_start=args.window_start)
-    return [_record("liminf", str(args.scenario), args.strategy, rep.value,
-                    rep.error_bound, rep.method, args.seed)]
+    if mode == "liminf" and isinstance(strat, Transducer):
+        value, bound, method = liminf_value_transducer(p, x1, strat), 0.0, "ergodic_exact"
+    else:
+        rep = limsup_belief_payoff_mc(p, x1, strat, args.horizon, args.samples, args.seed,
+                                      mode=mode, payoff_on=args.payoff_on,
+                                      window_start=args.window_start)
+        value, bound, method = rep.value, rep.error_bound, rep.method
+    return [_record(mode, str(args.scenario), args.strategy, value, bound, method,
+                    args.seed)]
+
+
+def _cmd_liminf(args) -> list:
+    return _long_run(args, "liminf")
 
 
 def _cmd_limsup(args) -> list:
-    scenario = _load(args)
-    rep = limsup_belief_payoff_mc(
-        scenario.pomdp, scenario.initial_belief, _strategy(args, scenario),
-        _given(args.horizon, 1000), _given(args.samples, 100), args.seed, mode="limsup",
-        payoff_on=args.payoff_on, window_start=args.window_start)
-    return [_record("limsup", str(args.scenario), args.strategy, rep.value,
-                    rep.error_bound, rep.method, args.seed)]
+    return _long_run(args, "limsup")
 
 
 def _cmd_invariance(args) -> list:
@@ -265,7 +262,7 @@ def _flagged(rec: dict, ok: bool) -> dict:
 def _reproduce_ex1(args) -> list:
     scenario = builtin_scenario("matching-frozen")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    l = _given(args.l, 8)
+    l = args.l
     baseline = value_n(p, x1, 50)
     e = make_evaluation("state_block_ex1", l=l)
     strat = builtin_strategy(f"hold:0:{l}:1", p)
@@ -287,11 +284,10 @@ def _reproduce_ex1(args) -> list:
 def _reproduce_ex2(args) -> list:
     scenario = builtin_scenario("uniform-redraw")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    l = _given(args.l, 10)
+    l, samples, horizon = args.l, args.samples, args.horizon
     e = make_evaluation("run_block_ex2", l=l)
-    samples = _given(args.samples, 10_000)
-    # long enough that a length-l target run fits inside with prob ~1-e^-9
-    horizon = _given(args.horizon, max(50 * l, 9 * 2 ** (l + 1)))
+    if horizon is None:   # a length-l target run then fits inside with prob ~1-e^-9
+        horizon = max(50 * l, 9 * 2 ** (l + 1))
     strat = builtin_strategy("always:0", p)
     chain = product_chain(p, strat, x1)
     dec = ergodic_decomposition(chain)
@@ -316,7 +312,7 @@ def _reproduce_blind(args) -> list:
 
     scenario = builtin_scenario("blind-switching")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    horizon = _given(args.horizon, 100_000)
+    horizon = args.horizon
     strat = builtin_strategy("doubling", p)
     out = []
     sweep = [liminf_value_transducer(p, x1, t)
@@ -352,8 +348,7 @@ def _reproduce_blind(args) -> list:
 def _reproduce_known(args) -> list:
     scenario = builtin_scenario("blind-switching-lift")
     p, x1 = scenario.pomdp, scenario.initial_belief
-    horizon = _given(args.horizon, 2000)
-    samples = _given(args.samples, 1000)
+    horizon, samples = args.horizon, args.samples
     strat = builtin_strategy("always:0", p)
     state = limsup_belief_payoff_mc(p, x1, strat, horizon, samples, args.seed,
                                     mode="limsup", payoff_on="state")
@@ -385,10 +380,6 @@ _REPRODUCERS = {
 
 
 def _cmd_reproduce(args) -> list:
-    if args.example not in _REPRODUCERS:
-        raise InvalidInputError(
-            f"unknown example {args.example!r}; choices: {', '.join(_REPRODUCERS)}"
-        )
     return _REPRODUCERS[args.example](args)
 
 
@@ -396,64 +387,66 @@ def _cmd_reproduce(args) -> list:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+# add_argument keywords of each option; a subcommand names the options it
+# reads, each with its own default
+_OPTIONS = {
+    "scenario": {"help": "builtin name or JSON file"},
+    "strategy": {"help": "builtin name or JSON file"},
+    "evaluation": {"help": "inline JSON or file"},
+    "measure": {"help": "JSON file with belief atoms"},
+    "horizon": {"type": int},
+    "samples": {"type": int},
+    "budget": {"type": int},
+    "discount": {"type": float},
+    "nmax": {"type": int},
+    "l": {"type": int},
+    "payoff_on": {"choices": ("state", "belief")},
+    "window_start": {"type": int},
+}
+
+
+def _leaf(group, name: str, func, help: str = None, **defaults) -> None:
+    """Subcommand `name` of `group` running `func`.  It accepts the options
+    named in `defaults`, with those defaults, and the output options --seed
+    (every record carries it), --format and --timing."""
+    sp = group.add_parser(name, help=help)
+    for key, default in defaults.items():
+        sp.add_argument("--" + key.replace("_", "-"), default=default, **_OPTIONS[key])
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--timing", action="store_true", help="include wall time in JSON output")
+    sp.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pomdp-evals",
                      description="values, payoffs and diagnostics for finite "
                                  "POMDPs with history-dependent stage weights")
     sub = parser.add_subparsers(dest="command", required=True)
+    played = {"scenario": None, "strategy": None}
+    weighted = dict(played, evaluation=None, horizon=50, samples=None,
+                    budget=DEFAULT_NODE_BUDGET)
+    long_run = dict(played, horizon=1000, samples=100, payoff_on="state", window_start=None)
 
-    def common(sp):
-        sp.add_argument("--scenario", help="builtin name or JSON file")
-        sp.add_argument("--strategy", help="builtin name or JSON file")
-        sp.add_argument("--evaluation", help="inline JSON or file")
-        sp.add_argument("--horizon", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-        sp.add_argument("--timing", action="store_true",
-                        help="include wall time in JSON output")
+    _leaf(sub, "validate", _cmd_validate, "validate a scenario file", scenario=None)
+    _leaf(sub, "value", _cmd_value, "finite-horizon / discounted / long-run values",
+          scenario=None, horizon=None, discount=None, nmax=None, budget=DEFAULT_NODE_BUDGET)
+    _leaf(sub, "evaluate", _cmd_evaluate, "weighted payoff of a strategy", **weighted)
+    _leaf(sub, "irregularity", _cmd_irregularity, "irregularity of an evaluation",
+          **weighted)
+    _leaf(sub, "ergodic", _cmd_ergodic, "ergodic decomposition of a strategy chain",
+          **played)
+    _leaf(sub, "liminf", _cmd_liminf, "liminf average payoff", **long_run)
+    _leaf(sub, "limsup", _cmd_limsup, "limsup average payoff", **long_run)
+    _leaf(sub, "invariance", _cmd_invariance, "transport residual of a belief measure",
+          **played, measure=None)
 
-    sp = sub.add_parser("validate", help="validate a scenario file")
-    common(sp)
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("value", help="finite-horizon / discounted / long-run values")
-    common(sp)
-    sp.add_argument("--discount", type=float, default=None)
-    sp.add_argument("--nmax", type=int, default=None)
-    sp.set_defaults(func=_cmd_value)
-
-    sp = sub.add_parser("evaluate", help="weighted payoff of a strategy")
-    common(sp)
-    sp.set_defaults(func=_cmd_evaluate)
-
-    sp = sub.add_parser("irregularity", help="irregularity of an evaluation")
-    common(sp)
-    sp.set_defaults(func=_cmd_irregularity)
-
-    sp = sub.add_parser("ergodic", help="ergodic decomposition of a strategy chain")
-    common(sp)
-    sp.set_defaults(func=_cmd_ergodic)
-
-    for name, func in (("liminf", _cmd_liminf), ("limsup", _cmd_limsup)):
-        sp = sub.add_parser(name, help=f"{name} average payoff")
-        common(sp)
-        sp.add_argument("--payoff-on", choices=("state", "belief"), default="state")
-        sp.add_argument("--window-start", type=int, default=None)
-        sp.set_defaults(func=func)
-
-    sp = sub.add_parser("invariance", help="transport residual of a belief measure")
-    common(sp)
-    sp.add_argument("--measure", help="JSON file with belief atoms")
-    sp.set_defaults(func=_cmd_invariance)
-
-    sp = sub.add_parser("reproduce", help="pinned example reproductions")
-    sp.add_argument("example", choices=sorted(_REPRODUCERS))
-    common(sp)
-    sp.add_argument("--l", type=int, default=None)
-    sp.set_defaults(func=_cmd_reproduce)
-
+    reproduce = sub.add_parser("reproduce", help="pinned example reproductions")
+    examples = reproduce.add_subparsers(dest="example", required=True)
+    _leaf(examples, "blind-limsup", _cmd_reproduce, horizon=100_000)
+    _leaf(examples, "ex1", _cmd_reproduce, l=8)
+    _leaf(examples, "ex2", _cmd_reproduce, l=10, samples=10_000, horizon=None)
+    _leaf(examples, "known-payoffs", _cmd_reproduce, horizon=2000, samples=1000)
     return parser
 
 

@@ -108,15 +108,19 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def _label_field(name: str, label: str, p: Pomdp = None) -> int:
-    """A field of the strategy label `name`: an action, by name or index,
-    when the scenario `p` is given, else a stage count."""
+    """A field of the strategy label `name`: an action, by name or index in
+    [0, I), when the scenario `p` is given, else a stage count >= 0."""
     if p is not None and label in p.actions:
         return p.action_index(label)
     try:
-        return int(label)
+        value = int(label)
     except ValueError:
-        what = "an action name or index" if p is not None else "a stage count"
-        raise InvalidInputError(f"strategy {name!r}: {label!r} is not {what}") from None
+        value = -1
+    if value >= 0 and (p is None or value < p.n_actions):
+        return value
+    what = (f"an action name or index in [0, {p.n_actions})" if p is not None
+            else "a stage count >= 0")
+    raise InvalidInputError(f"strategy {name!r}: {label!r} is not {what}")
 
 
 def builtin_strategy(name: str, p: Pomdp) -> Strategy:

@@ -1,6 +1,8 @@
 """Finite chains induced by finite-memory strategies: ergodic structure."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.chain import (MarkovChain, ergodic_decomposition,
@@ -9,7 +11,7 @@ from pomdp_evals.chain import (MarkovChain, ergodic_decomposition,
 from pomdp_evals.errors import InvalidInputError
 from pomdp_evals.playspace import simulate_plays
 
-from conftest import random_pomdp
+from conftest import random_pomdp, sparse_instances
 
 
 def _chain(labels, T, payoff, init):
@@ -39,6 +41,53 @@ def test_product_chain_size_scales_with_memory(blind):
     two = [t for t in pe.enumerate_transducers(p, max_memory=2) if t.n_memory == 2]
     c = product_chain(p, two[0], x1)
     assert c.n_states == 4
+
+
+def _reference_product_chain(p, t, x1):
+    """The product chain built entry by entry: state-major, memory-minor."""
+    k, mem = p.n_states, t.n_memory
+    n = k * mem
+    trans = np.zeros((n, n))
+    payoff = np.empty(n)
+    labels = []
+    for kk in range(k):
+        for mm in range(mem):
+            u = kk * mem + mm
+            i = int(t.act[mm])
+            labels.append((p.states[kk], mm))
+            payoff[u] = p.reward[kk, i]
+            for ll in range(k):
+                for s in range(p.n_signals):
+                    pr = p.transition[kk, i, ll, s]
+                    if pr > 0:
+                        trans[u, ll * mem + int(t.update[mm, i, s])] += pr
+    initial = np.zeros(n)
+    for kk in range(k):
+        initial[kk * mem + t.initial] = float(x1[kk])
+    return tuple(labels), trans, payoff, initial
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), n_memory=hst.integers(1, 4))
+def test_product_chain_matches_the_entrywise_reference(case, n_memory):
+    p, x1, rng = case
+    t = pe.Transducer(p.n_actions, p.n_signals,
+                      rng.integers(0, p.n_actions, n_memory),
+                      rng.integers(0, n_memory, (n_memory, p.n_actions, p.n_signals)),
+                      initial=int(rng.integers(n_memory)))
+    c = product_chain(p, t, x1)
+    labels, trans, payoff, initial = _reference_product_chain(p, t, x1)
+    assert c.labels == labels
+    assert np.array_equal(c.transition, trans)
+    assert np.array_equal(c.payoff, payoff)
+    assert np.array_equal(c.initial, initial)
+
+
+@pytest.mark.parametrize("label", ["uniform", "hold:0:2:1"])
+def test_product_chain_needs_a_transducer(blind, label):
+    p = blind.pomdp
+    with pytest.raises(InvalidInputError, match="finite-memory"):
+        product_chain(p, pe.builtin_strategy(label, p), blind.initial_belief)
 
 
 def test_decomposition_of_identity_chain():

@@ -2,11 +2,13 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pomdp_evals.cli import CSV_COLUMNS, main
+from pomdp_evals.cli import CSV_COLUMNS, build_parser, main
 
 from conftest import random_pomdp
 
@@ -217,6 +219,24 @@ def test_transducer_file_with_a_non_integer_entry_exits_invalid(capsys, tmp_path
         assert f"'{field}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("n_actions", 3), ("n_signals", 1)])
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--evaluation", '{"kind": "n_stage", "n": 3}', "--horizon", "3"],
+    ["ergodic"], ["liminf"], ["limsup", "--horizon", "20", "--samples", "2"]])
+def test_transducer_file_sized_for_another_scenario_exits_invalid(capsys, tmp_path, command,
+                                                                  field, value):
+    # matching-revealed has 2 actions and 2 signals
+    doc = {"type": "transducer", "n_actions": 2, "n_signals": 2, "initial": 0, "act": [0]}
+    doc[field] = value
+    doc["update"] = np.zeros((1, doc["n_actions"], doc["n_signals"]), dtype=int).tolist()
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], "--scenario", "matching-revealed",
+                             "--strategy", str(path), *command[1:])
+    assert code == 1 and out == ""
+    assert f"'{field}' is {value}, the scenario has 2" in err and "Traceback" not in err
+
+
 def test_long_discounted_horizon_matches_the_closed_form(capsys):
     # lam = 0.01 at tol 1e-6 needs 1375 stages; revealed matching is worth
     # 1/2 at stage 1 and 1 afterwards, so v_lam = 1 - lam/2
@@ -342,7 +362,9 @@ def test_invariance_reads_a_stationary_strategy_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("label, field", [("always:zz", "'zz'"), ("hold:0:x:1", "'x'"),
-                                          ("hold:q:2:1", "'q'"), ("hold:0:2:", "''")])
+                                          ("hold:q:2:1", "'q'"), ("hold:0:2:", "''"),
+                                          ("hold:0:2:7", "'7'"), ("hold:0:-5:1", "'-5'"),
+                                          ("hold:7:0:1", "'7'")])
 def test_malformed_builtin_strategy_labels_exit_invalid(capsys, label, field):
     code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
                              "--strategy", label, "--evaluation", '{"kind": "n_stage", "n": 2}',
@@ -364,3 +386,71 @@ def test_evaluation_state_outside_the_scenario_exits_invalid(capsys, command, sp
                                  "--horizon", "6", *extra)
         assert code == 1 and out == ""
         assert f"{key} {spec[key]} is not a state index in [0, 2)" in err
+
+
+# a command line each command accepts, and the options it does not read, each
+# with a value it would accept if it read it
+_ACCEPTED = {
+    "validate": ["validate", "--scenario", "uniform-redraw"],
+    "value": ["value", "--scenario", "uniform-redraw", "--horizon", "3"],
+    "ergodic": ["ergodic", "--scenario", "uniform-redraw", "--strategy", "always:wait"],
+    "invariance": ["invariance", "--scenario", "uniform-redraw", "--measure", "MEASURE"],
+    "limsup": ["limsup", "--scenario", "blind-switching", "--strategy", "always:B",
+               "--horizon", "50", "--samples", "2"],
+    "liminf": ["liminf", "--scenario", "blind-switching", "--strategy", "always:T"],
+    "reproduce ex1": ["reproduce", "ex1", "--l", "2"],
+    "reproduce ex2": ["reproduce", "ex2", "--l", "2", "--samples", "20"],
+    "reproduce blind-limsup": ["reproduce", "blind-limsup", "--horizon", "100"],
+    "reproduce known-payoffs": ["reproduce", "known-payoffs", "--horizon", "50",
+                                "--samples", "5"],
+}
+_NOT_IN_ANY_EXAMPLE = ["--scenario", "--strategy", "--evaluation", "--budget"]
+_UNREAD = {
+    "validate": ["--strategy", "--evaluation", "--horizon", "--samples", "--budget"],
+    "value": ["--strategy", "--evaluation", "--samples"],
+    "ergodic": ["--evaluation", "--horizon", "--samples", "--budget"],
+    "invariance": ["--evaluation", "--horizon", "--samples", "--budget"],
+    "limsup": ["--evaluation", "--budget"],
+    "liminf": ["--evaluation", "--budget"],
+    "reproduce ex1": _NOT_IN_ANY_EXAMPLE + ["--samples", "--horizon"],
+    "reproduce ex2": _NOT_IN_ANY_EXAMPLE,
+    "reproduce blind-limsup": _NOT_IN_ANY_EXAMPLE + ["--l", "--samples"],
+    "reproduce known-payoffs": _NOT_IN_ANY_EXAMPLE + ["--l"],
+}
+_VALUES = {"--scenario": "uniform-redraw", "--strategy": "uniform",
+           "--evaluation": '{"kind": "n_stage", "n": 2}', "--horizon": "3",
+           "--samples": "5", "--budget": "1000", "--l": "2"}
+
+
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, opts in _UNREAD.items() for o in opts])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, command,
+                                                             option):
+    measure = tmp_path / "measure.json"
+    measure.write_text(GOOD_MEASURE)
+    argv = [str(measure) if a == "MEASURE" else a for a in _ACCEPTED[command]]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, _VALUES[option]])
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def _readme_commands() -> list:
+    """The argument lists of the README's Command line block, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("pomdp-evals ")]
+
+
+def test_readme_shows_every_command_and_example():
+    shown = {" ".join(argv[:2]) if argv[0] == "reproduce" else argv[0]
+             for argv in _readme_commands()}
+    assert shown == set(_ACCEPTED) | {"evaluate", "irregularity"}
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_commands_parse(argv):
+    build_parser().parse_args(argv)
