@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidInputError, PomdpEvalError
 from .model import Pomdp
@@ -106,11 +104,58 @@ def _stationary_vector(sub: np.ndarray, label) -> np.ndarray:
     return pi
 
 
+def _strong_components(succ: list) -> tuple:
+    """(component count, component label per node) of the digraph whose
+    node v has the successors succ[v]: Tarjan's (1972) algorithm with an
+    explicit stack of (node, successor iterator), so a long path needs no
+    recursion."""
+    n = len(succ)
+    index = [-1] * n          # discovery order; -1 = not yet visited
+    low = [0] * n
+    on_stack = [False] * n
+    comp = np.empty(n, dtype=np.int64)
+    stack, n_comp, seen = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every successor of v is done: v leaves the path
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    return n_comp, comp
+
+
 def ergodic_decomposition(c: MarkovChain) -> ErgodicDecomposition:
     """Closed strongly connected components, their stationary laws and
     average payoffs, and the absorption probabilities from the initial law."""
-    support = sp.csr_matrix(c.transition > EDGE_THRESHOLD)
-    n_comp, comp = connected_components(support, directed=True, connection="strong")
+    support = c.transition > EDGE_THRESHOLD
+    n_comp, comp = _strong_components([np.flatnonzero(row).tolist() for row in support])
     # a component is recurrent iff it is closed: no mass leaves it
     closed = []
     for d in range(n_comp):

@@ -42,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n{self.format_usage()}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's unknown options up to the top-level
+        # parser; reject them here, so the error names the subcommand and
+        # shows its own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
 
 def _record(command, instance, parameter, value, error_bound, method, seed=None,
             **extra) -> dict:

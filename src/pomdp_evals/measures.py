@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import InvalidInputError
@@ -147,9 +146,19 @@ def _integer_masses(measure: SupportedMeasure) -> list:
     return raw
 
 
+def _edge_costs(mu: SupportedMeasure, nu: SupportedMeasure) -> np.ndarray:
+    """Integer cost of moving unit mass from each atom of mu to each atom of
+    nu: the L1 distance of their beliefs, rounded to 1/_FLOW_SCALE."""
+    x = np.array([x for x, _ in mu.atoms])
+    y = np.array([y for y, _ in nu.atoms])
+    return np.rint(np.abs(x[:, None] - y[None]).sum(axis=2) * _FLOW_SCALE).astype(np.int64)
+
+
 def kr_distance(mu: SupportedMeasure, nu: SupportedMeasure) -> float:
     """Exact optimal-transport distance with L1 ground metric on beliefs,
     via integer min-cost flow on the bipartite support graph."""
+    import networkx as nx  # on first use: the package's only networkx caller
+
     dim = len(mu.atoms[0][0])
     if any(len(x) != dim for x, _ in nu.atoms):
         raise InvalidInputError("measures live on belief spaces of different dimension")
@@ -160,10 +169,9 @@ def kr_distance(mu: SupportedMeasure, nu: SupportedMeasure) -> float:
         g.add_node(("s", j), demand=-supply)
     for j, demand in enumerate(b):
         g.add_node(("t", j), demand=demand)
-    for j, (x, _) in enumerate(mu.atoms):
-        for jj, (y, _) in enumerate(nu.atoms):
-            cost = int(round(float(np.abs(x - y).sum()) * _FLOW_SCALE))
-            g.add_edge(("s", j), ("t", jj), weight=cost)
+    g.add_edges_from((("s", j), ("t", jj), {"weight": w})
+                     for j, row in enumerate(_edge_costs(mu, nu).tolist())
+                     for jj, w in enumerate(row))
     cost, _ = nx.network_simplex(g)
     return cost / (_FLOW_SCALE * _FLOW_SCALE)
 

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import pomdp_evals as pe
-from pomdp_evals.chain import (MarkovChain, ergodic_decomposition,
+from pomdp_evals import chain
+from pomdp_evals.chain import (MarkovChain, _strong_components, ergodic_decomposition,
                                liminf_value_transducer, mixing_threshold,
                                product_chain, step_distribution)
 from pomdp_evals.errors import InvalidInputError
@@ -132,6 +135,73 @@ def test_absorption_masses_sum_to_one(rng):
         for cls, pi in zip(dec.classes, dec.stationary):
             assert np.isclose(pi.sum(), 1.0, atol=1e-9)
             assert len(pi) == len(cls)
+
+
+def _scipy_components(succ):
+    """Strongly connected components by scipy's csgraph: the oracle."""
+    n = len(succ)
+    adj = np.zeros((n, n), dtype=bool)
+    for v, ws in enumerate(succ):
+        adj[v, ws] = True
+    return connected_components(csr_matrix(adj), directed=True, connection="strong")
+
+
+def _partition(labels):
+    """Labels renumbered by first appearance: equal iff the partitions are."""
+    first = {}
+    return [first.setdefault(int(c), len(first)) for c in labels]
+
+
+@hst.composite
+def digraphs(draw):
+    """Successor lists of a digraph on 1-40 nodes: each node's out-degree is
+    drawn at a density of 0 (no successors), sparse or dense, and about a
+    third of the nodes carry a self-loop."""
+    n = draw(hst.integers(1, 40))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    density = rng.choice([0.0, 0.03, 0.1, 0.5, 0.95], size=(n, 1))
+    adj = rng.random((n, n)) < density
+    adj[np.diag_indices(n)] = rng.random(n) < 0.3
+    return [np.flatnonzero(row).tolist() for row in adj]
+
+
+@settings(max_examples=300, deadline=None)
+@given(succ=digraphs())
+def test_strong_components_match_scipy(succ):
+    n_comp, comp = _strong_components(succ)
+    ref_n, ref = _scipy_components(succ)
+    assert n_comp == ref_n
+    assert _partition(comp) == _partition(ref)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_strong_components_of_a_long_path_need_no_recursion(closed):
+    n = 20_000
+    succ = [[v + 1] for v in range(n - 1)] + [[0] if closed else []]
+    n_comp, comp = _strong_components(succ)
+    assert n_comp == (1 if closed else n)
+    assert len(set(comp.tolist())) == n_comp
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decomposition_of_a_300_memory_chain_equals_the_scipy_one(seed, monkeypatch):
+    # the exact-tree benchmark's memory chain: a dense random 3-state POMDP
+    # and a random 300-memory transducer drawn from one generator
+    rng = np.random.default_rng(seed)
+    trans = rng.uniform(0.05, 1.0, size=(3, 2, 6))
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(("k0", "k1", "k2"), ("a0", "a1"), ("s0", "s1"),
+                 trans.reshape(3, 2, 3, 2), rng.uniform(0.05, 1.0, size=(3, 2)))
+    t = pe.Transducer(2, 2, rng.integers(0, 2, size=300), rng.integers(0, 300, size=(300, 2, 2)))
+    c = product_chain(p, t, np.full(3, 1.0 / 3))
+    dec = ergodic_decomposition(c)
+    monkeypatch.setattr(chain, "_strong_components", _scipy_components)
+    ref = ergodic_decomposition(c)
+    assert c.n_states == 900
+    assert (dec.transient, dec.classes) == (ref.transient, ref.classes)
+    for got, want in [(dec.class_values, ref.class_values), (dec.absorption, ref.absorption),
+                      *zip(dec.stationary, ref.stationary)]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_step_distribution_matches_matrix_power():

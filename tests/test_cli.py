@@ -2,7 +2,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -433,7 +436,19 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, 
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, _VALUES[option]])
     assert exc.value.code == 64
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"pomdp-evals {command}: error: unrecognized arguments: {option}")
+    assert f"usage: pomdp-evals {command} [-h]" in err
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_networkx():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, pomdp_evals.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))")
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def _readme_commands() -> list:

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
-from pomdp_evals.measures import DisintegrationTable
+from pomdp_evals.measures import _FLOW_SCALE, DisintegrationTable, _edge_costs
 
 from conftest import random_belief, random_pomdp
 
@@ -208,6 +208,15 @@ def test_transport_distance_matches_lp_oracle(measures):
     d = pe.kr_distance(mu, nu)
     assert abs(d - lp_transport(mu, nu)) <= 1e-9
     assert abs(d - lp_dual_transport(mu, nu)) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(measures=measure_lists(2))
+def test_edge_costs_equal_the_per_pair_rounding(measures):
+    mu, nu = measures
+    per_pair = [[int(round(float(np.abs(x - y).sum()) * _FLOW_SCALE)) for y, _ in nu.atoms]
+                for x, _ in mu.atoms]
+    assert _edge_costs(mu, nu).tolist() == per_pair
 
 
 @settings(max_examples=60, deadline=None)
