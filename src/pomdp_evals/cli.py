@@ -39,10 +39,25 @@ CSV_COLUMNS = ("command", "instance", "parameter", "value", "error_bound",
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommands = None   # the action holding the subcommands of a parser that has them
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n{self.format_usage()}")
 
+    def add_subparsers(self, **kwargs):
+        self.subcommands = super().add_subparsers(**kwargs)
+        return self.subcommands
+
     def parse_known_args(self, args=None, namespace=None):
+        # options belong to the subcommand, so they follow its name; say so
+        # rather than take an option's value for the name
+        if self.subcommands is not None:
+            args = sys.argv[1:] if args is None else list(args)
+            at = next((n for n, a in enumerate(args) if a in self.subcommands.choices), len(args))
+            if any(a.startswith("--") and a != "--help" for a in args[:at]):
+                name = args[at] if at < len(args) else next(iter(self.subcommands.choices))
+                self.error(f"options follow the {self.subcommands.dest} name, for example "
+                           f"'{self.prog} {name} {' '.join(args[:at])}'")
         # argparse hands a subcommand's unknown options up to the top-level
         # parser; reject them here, so the error names the subcommand and
         # shows its own usage

@@ -5,7 +5,12 @@ a stationary strategy.
 
 The occupation measure and the disintegration reduce the enumerated play
 batch: deposits are grouped by the beliefs of the stage-blocked Bayes filter
-and by observed prefix, not play by play."""
+and by observed prefix, not play by play.
+
+The transport distance is solved exactly on integer masses and costs by a
+transportation simplex in numpy (`_transport`): a least-cost greedy start,
+Dantzig pricing, and the strongly feasible tree rule for the leaving cell,
+which rules out cycling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -154,25 +159,122 @@ def _edge_costs(mu: SupportedMeasure, nu: SupportedMeasure) -> np.ndarray:
     return np.rint(np.abs(x[:, None] - y[None]).sum(axis=2) * _FLOW_SCALE).astype(np.int64)
 
 
-def kr_distance(mu: SupportedMeasure, nu: SupportedMeasure) -> float:
-    """Exact optimal-transport distance with L1 ground metric on beliefs,
-    via integer min-cost flow on the bipartite support graph."""
-    import networkx as nx  # on first use: the package's only networkx caller
+def _transport(a: list, b: list, costs: np.ndarray) -> tuple:
+    """Exact min-cost transport of the positive integer supplies `a` (rows) to
+    the demands `b` (columns) of equal total, at int64 `costs[i, j]` per unit.
+    Returns the optimal total cost as a Python int and an optimal basis
+    {(i, j): flow} of len(a) + len(b) - 1 cells.
 
+    Transportation simplex on the bipartite network with an arc from each
+    row i to each column j; a basis is a spanning tree of cells.
+      - Start: least-cost greedy.  Cells in ascending cost order take as much
+        flow as both their ends have left; zero-flow cells then join the
+        forest into one tree, each hanging a component by one of its rows
+        under a column of row 0's component.
+      - Pricing: row and column potentials u, v from one walk of the tree
+        from row 0, reduced costs costs - u - v in one numpy expression; the
+        most negative cell enters (Dantzig's rule).
+      - Leaving cell: the strongly feasible tree rule (Cunningham 1976).  In
+        the tree rooted at row 0 every zero-flow cell has its row below its
+        column.  The entering cell closes a cycle through the apex of its two
+        ends; of the cells whose flow the pivot lowers to zero, the one met
+        last going round the cycle from the apex in the entering cell's
+        direction leaves.  This keeps the tree strongly feasible, and so no
+        basis repeats even when pivots move no flow.
+    Flows stay integers, and the total is summed in Python ints, since flow
+    times cost may exceed int64.  Potentials are sums of costs along tree
+    paths, so (len(a) + len(b)) * max |cost| must fit in int64."""
+    n, m = len(a), len(b)
+    cost_rows = costs.tolist()
+    flow: dict = {}
+    left_a, left_b, left = list(a), list(b), sum(a)
+    for cell in np.argsort(costs, axis=None, kind="stable").tolist():
+        if not left:
+            break
+        i, j = divmod(cell, m)
+        moved = min(left_a[i], left_b[j])
+        if moved:
+            flow[i, j] = moved
+            left_a[i] -= moved
+            left_b[j] -= moved
+            left -= moved
+    # nodes: row i is i, column j is n + j; join the components at row 0's
+    component = list(range(n + m))
+
+    def find(v):
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    for i, j in flow:
+        component[find(i)] = find(n + j)
+    hub = next(j for j in range(m) if (0, j) in flow)
+    for i in range(1, n):
+        if find(i) != find(0):
+            component[find(i)] = find(0)
+            flow[i, hub] = 0
+    adj = [set() for _ in range(n + m)]
+    for i, j in flow:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+
+    while True:
+        parent, depth, potential = [-1] * (n + m), [0] * (n + m), [0] * (n + m)
+        above = [None] * (n + m)   # the tree cell joining a node to its parent
+        walk = [0]
+        for v in walk:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    i, j = above[w] = (w, v - n) if w < n else (v, w - n)
+                    potential[w] = cost_rows[i][j] - potential[v]
+                    walk.append(w)
+        potential = np.array(potential, dtype=np.int64)
+        reduced = costs - potential[:n, None] - potential[None, n:]
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= 0:
+            break
+        k, l = divmod(enter, m)
+        down, up = [], []   # tree paths from row k and from column l to the apex
+        x, y = k, n + l
+        while depth[x] > depth[y]:
+            down.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up.append(y)
+            y = parent[y]
+        while x != y:
+            down.append(x)
+            x = parent[x]
+            up.append(y)
+            y = parent[y]
+        # the cycle from the apex: down to row k, across to column l, back up;
+        # a cell is passed against its row-to-column direction, so loses
+        # flow, where the path enters a row
+        cycle = [(above[v], v < n) for v in reversed(down)]
+        cycle += [(above[v], v >= n) for v in up]
+        theta = min(flow[c] for c, lowered in cycle if lowered)
+        leave = [c for c, lowered in cycle if lowered and flow[c] == theta][-1]
+        for c, lowered in cycle:
+            flow[c] += -theta if lowered else theta
+        del flow[leave]
+        flow[k, l] = theta
+        adj[leave[0]].discard(n + leave[1])
+        adj[n + leave[1]].discard(leave[0])
+        adj[k].add(n + l)
+        adj[n + l].add(k)
+    return sum(f * cost_rows[i][j] for (i, j), f in flow.items()), flow
+
+
+def kr_distance(mu: SupportedMeasure, nu: SupportedMeasure) -> float:
+    """Exact optimal-transport distance with L1 ground metric on beliefs:
+    masses and costs are rounded to integers (`_integer_masses`,
+    `_edge_costs`), the integer problem is solved exactly by `_transport`, and
+    its optimal cost is divided by the flow scale squared."""
     dim = len(mu.atoms[0][0])
     if any(len(x) != dim for x, _ in nu.atoms):
         raise InvalidInputError("measures live on belief spaces of different dimension")
-    a = _integer_masses(mu)
-    b = _integer_masses(nu)
-    g = nx.DiGraph()
-    for j, supply in enumerate(a):
-        g.add_node(("s", j), demand=-supply)
-    for j, demand in enumerate(b):
-        g.add_node(("t", j), demand=demand)
-    g.add_edges_from((("s", j), ("t", jj), {"weight": w})
-                     for j, row in enumerate(_edge_costs(mu, nu).tolist())
-                     for jj, w in enumerate(row))
-    cost, _ = nx.network_simplex(g)
+    cost, _ = _transport(_integer_masses(mu), _integer_masses(nu), _edge_costs(mu, nu))
     return cost / (_FLOW_SCALE * _FLOW_SCALE)
 
 

@@ -441,9 +441,30 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, 
     assert f"usage: pomdp-evals {command} [-h]" in err
 
 
+@pytest.mark.parametrize("argv, fix", [
+    (["reproduce", "--seed", "3", "ex1"], "pomdp-evals reproduce ex1 --seed 3"),
+    (["reproduce", "--l", "9", "--format", "csv", "ex2"],
+     "pomdp-evals reproduce ex2 --l 9 --format csv"),
+    (["--format", "csv", "validate", "--scenario", "uniform-redraw"],
+     "pomdp-evals validate --format csv"),
+])
+def test_an_option_before_the_subcommand_name_is_a_usage_error(capsys, argv, fix):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    what = "example" if argv[0] == "reproduce" else "command"
+    assert f"error: options follow the {what} name, for example '{fix}'" in err
+    assert "invalid choice" not in err
+
+
 def test_importing_the_cli_loads_neither_scipy_nor_networkx():
+    # nor does computing a transport distance
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, pomdp_evals.cli; "
+    probe = ("import sys, numpy as np, pomdp_evals.cli, pomdp_evals as pe; "
+             "mu = pe.SupportedMeasure.from_pairs([(np.array([0.25, 0.75]), 0.4), "
+             "(np.array([1.0, 0.0]), 0.6)]); "
+             "assert pe.kr_distance(mu, pe.SupportedMeasure.dirac([0.0, 1.0])) > 0; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))")
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),

@@ -1,4 +1,5 @@
 """Belief-space measures: occupation, images, transport, disintegration."""
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from scipy.optimize import linprog
 
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
-from pomdp_evals.measures import _FLOW_SCALE, DisintegrationTable, _edge_costs
+from pomdp_evals.measures import _FLOW_SCALE, DisintegrationTable, _edge_costs, _transport
 
 from conftest import random_belief, random_pomdp
 
@@ -226,6 +227,113 @@ def test_transport_distance_is_a_metric(measures):
     dmn = pe.kr_distance(mu, nu)
     assert np.isclose(dmn, pe.kr_distance(nu, mu), atol=1e-9)
     assert dmn <= pe.kr_distance(mu, rho) + pe.kr_distance(rho, nu) + 1e-9
+
+
+def networkx_transport_cost(a, b, costs):
+    """Independent integer oracle: networkx's network simplex on the
+    bipartite graph with an arc from each supply to each demand."""
+    g = nx.DiGraph()
+    g.add_nodes_from((("s", i), {"demand": -supply}) for i, supply in enumerate(a))
+    g.add_nodes_from((("t", j), {"demand": demand}) for j, demand in enumerate(b))
+    g.add_edges_from((("s", i), ("t", j), {"weight": w})
+                     for i, row in enumerate(costs.tolist()) for j, w in enumerate(row))
+    return nx.network_simplex(g)[0]
+
+
+def assert_optimal_basis(a, b, costs, cost, basis):
+    """`basis` is a spanning tree of len(a) + len(b) - 1 cells carrying a
+    feasible flow of total `cost`, and every zero-flow cell has its row below
+    its column in the tree rooted at row 0 (a strongly feasible tree)."""
+    n, m = len(a), len(b)
+    assert len(basis) == n + m - 1
+    assert all(type(f) is int and f >= 0 for f in basis.values())
+    rows, cols = [0] * n, [0] * m
+    for (i, j), f in basis.items():
+        rows[i] += f
+        cols[j] += f
+    assert rows == list(a) and cols == list(b)
+    assert cost == sum(f * int(costs[i, j]) for (i, j), f in basis.items())
+    adj = {v: [] for v in range(n + m)}
+    for i, j in basis:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    parent, walk = {0: None}, [0]
+    for v in walk:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                walk.append(w)
+    assert len(parent) == n + m
+    assert all(parent[i] == n + j for (i, j), f in basis.items() if f == 0)
+
+
+def _split(rng, total, size, equal):
+    """`size` positive integers summing to `total`: equal shares (the
+    remainder on the first) or random ones."""
+    weights = np.ones(size, dtype=np.int64) if equal else rng.integers(1, 10**6, size)
+    parts = (weights * total // weights.sum()).tolist()
+    parts[0] += total - sum(parts)
+    return parts
+
+
+@hst.composite
+def transport_problems(draw):
+    """Integer transport problems of 1-12 x 1-12 cells with masses summing to
+    the flow scale, drawn degenerate on purpose: equal masses, column atoms
+    that repeat row atoms (zero-cost cells), costs from 2-3 values, and
+    single rows or columns."""
+    n, m = draw(hst.integers(1, 12)), draw(hst.integers(1, 12))
+    shape = draw(hst.sampled_from(["any", "one row", "one column"]))
+    n, m = (1 if shape == "one row" else n), (1 if shape == "one column" else m)
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    a = _split(rng, _FLOW_SCALE, n, draw(hst.booleans()))
+    b = _split(rng, _FLOW_SCALE, m, draw(hst.booleans()))
+    kind = draw(hst.sampled_from(["beliefs", "shared atoms", "few values"]))
+    if kind == "few values":
+        values = rng.integers(0, 2 * _FLOW_SCALE, draw(hst.integers(2, 3)))
+        return a, b, rng.choice(values, size=(n, m)).astype(np.int64)
+    k = draw(hst.integers(2, 4))
+    x = rng.dirichlet(np.ones(k), size=n)
+    y = rng.dirichlet(np.ones(k), size=m)
+    if kind == "shared atoms":
+        y = np.where(rng.random((m, 1)) < 0.5, x[rng.integers(n, size=m)], y)
+    return a, b, np.rint(np.abs(x[:, None] - y[None]).sum(axis=2) * _FLOW_SCALE).astype(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=transport_problems())
+def test_transport_cost_equals_networkx_exactly(problem):
+    a, b, costs = problem
+    cost, basis = _transport(a, b, costs)
+    assert cost == networkx_transport_cost(a, b, costs)
+    assert_optimal_basis(a, b, costs, cost, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measures=measure_lists(1))
+def test_transport_distance_of_a_measure_to_itself_is_zero(measures):
+    assert pe.kr_distance(measures[0], measures[0]) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+def test_transport_terminates_on_degenerate_problems(k):
+    # every greedy cell exhausts a row and a column at once, and every pivot
+    # from such a start moves no flow unless it breaks a tie
+    unit = _FLOW_SCALE // k
+    equal = [unit] * k
+    equal[0] += _FLOW_SCALE - unit * k
+    eye = np.eye(k, dtype=np.int64)
+    cases = [
+        (equal, equal, np.full((k, k), 7, dtype=np.int64)),     # all costs equal
+        (equal, equal, 1 - eye),                                # identity optimum, cost 0
+        (equal, equal, eye),                                    # identity is the worst plan
+        (equal, equal[::-1], np.add.outer(np.arange(k), np.arange(k)) % 2),
+        (equal, [_FLOW_SCALE], np.arange(k, dtype=np.int64)[:, None]),
+    ]
+    for a, b, costs in cases:
+        cost, basis = _transport(a, b, costs)
+        assert cost == networkx_transport_cost(a, b, costs)
+        assert_optimal_basis(a, b, costs, cost, basis)
 
 
 def test_lipschitz_test_functions_respect_duality(rng):
