@@ -1,6 +1,7 @@
 """Stage-weight evaluations over plays: standard families, block smoothing,
 the stopping-rule weights built from running payoffs, conditional
-(prefix-observed) versions, and the irregularity metric.
+(prefix-observed) versions, which carry one observed-prefix id per play down
+their table's prefix tree, and the irregularity metric.
 
 Every evaluation computes its weights one stage block at a time for a whole
 batch of plays, carrying what it needs between blocks, and `weight_sums`
@@ -47,7 +48,8 @@ class Evaluation:
     signals, w, done) with its (block, plays) weights and the boolean flags
     `done` of the block's plays whose weights are zero at every later stage
     (None when the step reports none); what it needs across blocks (a flag,
-    a run length, look-ahead stages, the play columns) it carries itself.
+    a run length, look-ahead stages, a prefix id, the play columns) it
+    carries itself.
     `weight_blocks` streams either kind and `batch_weights` runs it on the
     one-block stream of (n_plays, horizon) matrices.
     `support_horizon` is the stage past which weights vanish on every play
@@ -526,12 +528,12 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 
 
 def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
-                    horizon: int, samples: int, seed: int, shards: int = 4) -> McEstimate:
+                    horizon: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the horizon-truncated irregularity."""
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e, blocks, horizon, ctx)[2:], shards)
+        lambda blocks: weight_sums(e, blocks, horizon, ctx)[2:])
     mean, se = sample_mean(v)
     return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
 
@@ -565,21 +567,20 @@ def irregularity_supremum(p: Pomdp, x1: np.ndarray, e: Evaluation, horizon: int,
 class ConditionalTable:
     """Prefix-conditional expected weights rho_m and the prefix masses that
     support them.  Keys are (stage, actions, signals) with len = stage-1;
-    `kids` maps a key to the keys one stage deeper that extend it."""
+    `kids` maps a key to the keys one stage deeper that extend it.  As arrays
+    over stage m's prefix ids (`prefix_ids`): `weights[m-1]` is rho_m with a
+    trailing 0 for the off-table id, and `child[m-1][g, i, s]` the stage-m+1
+    id of g extended by (i, s), off-table where unreached."""
 
     rho: dict
     mass: dict
     horizon: int
     kids: dict
+    weights: list
+    child: list
 
     def children(self, key) -> list:
         return self.kids.get(key, [])
-
-
-def _prefix_keys(actions: np.ndarray, signals: np.ndarray, rows: np.ndarray, m: int) -> list:
-    """(stage, actions, signals) keys of the prefixes held before stage m on `rows`."""
-    return [(m, tuple(a), tuple(s)) for a, s in
-            zip(actions[rows, :m - 1].tolist(), signals[rows, :m - 1].tolist())]
 
 
 def conditional_table(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
@@ -587,19 +588,23 @@ def conditional_table(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     """Expected evaluation weight at each stage given the observed prefix."""
     b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
     ids, first = prefix_ids(b.actions, b.signals)
-    rho: dict = {}
-    mass: dict = {}
-    kids: dict = {}
+    rho, mass, kids, weights, child = {}, {}, {}, [], []
+    keys = [(1, (), ())]
     for m in range(1, horizon + 1):
-        keys = _prefix_keys(b.actions, b.signals, first[m - 1], m)
+        if m > 1:            # stage m's prefixes extend their parents' by one pair
+            up, keys, rows = keys, [], first[m - 1]
+            parent, acts, sigs = ids[rows, m - 2], b.actions[rows, m - 2], b.signals[rows, m - 2]
+            for g, i, s in zip(parent.tolist(), acts.tolist(), sigs.tolist()):
+                keys.append((m, up[g][1] + (i,), up[g][2] + (s,)))
+                kids.setdefault(up[g], []).append(keys[-1])
+            child.append(np.full((len(up) + 1, p.n_actions, p.n_signals), len(keys)))
+            child[-1][parent, acts, sigs] = np.arange(len(keys))
         num = np.bincount(ids[:, m - 1], weights=b.prob * w[:, m - 1], minlength=len(keys))
         den = np.bincount(ids[:, m - 1], weights=b.prob, minlength=len(keys))
         mass.update(zip(keys, den.tolist()))
         rho.update((k, v / d) for k, v, d in zip(keys, num.tolist(), den.tolist()) if d > 0)
-        if m > 1:
-            for key in keys:
-                kids.setdefault((m - 1, key[1][:-1], key[2][:-1]), []).append(key)
-    return ConditionalTable(rho=rho, mass=mass, horizon=horizon, kids=kids)
+        weights.append(np.append(np.divide(num, den, out=np.zeros(len(keys)), where=den > 0), 0.0))
+    return ConditionalTable(rho, mass, horizon, kids, weights, child)
 
 
 def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
@@ -610,16 +615,17 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
     table = conditional_table(p, x1, strat, e, horizon, budget=budget)
 
     def batch_fn(blocks, ctx):
-        seen = []            # the observed columns of stages 1..horizon so far
+        at = None            # per play id: its prefix id in the table at the block's first stage
         for t0, ids, st, ac, sg in blocks:
+            if at is None:   # the first block holds every play, at the empty prefix
+                at = np.zeros(st.shape[1], dtype=np.intp)
             w = np.zeros(st.shape)
-            if t0 < horizon:
-                seen.append((ac[:horizon - t0], sg[:horizon - t0]))
-                acts, sigs = (np.concatenate(c).T for c in zip(*seen))
-                hist, first = prefix_ids(acts, sigs)    # observed-prefix ids per stage
-                for m in range(t0 + 1, acts.shape[1] + 1):
-                    keys = _prefix_keys(acts, sigs, first[m - 1], m)
-                    w[m - 1 - t0] = np.array([table.rho.get(k, 0.0) for k in keys])[hist[:, m - 1]]
+            g = at[ids]
+            for j in range(min(len(st), horizon - t0)):
+                w[j] = table.weights[t0 + j][g]
+                if t0 + j + 1 < horizon:
+                    g = table.child[t0 + j][g, ac[j], sg[j]]
+            at[ids] = g
             yield t0, ids, st, ac, sg, w, None
 
     return Evaluation(

@@ -3,9 +3,9 @@ measures, one-step images under stationary strategies, exact transport
 distance, invariance residuals, and the history disintegration that induces
 a stationary strategy.
 
-The occupation measure and the disintegration reduce the enumerated play
-batch: deposits are grouped by the beliefs of the stage-blocked Bayes filter
-and by observed prefix, not play by play.
+The occupation measure and the disintegration group the weight of the
+enumerated plays by observed prefix, filtered once per prefix from its
+parent (`_weighted_prefixes`), and then by belief.
 
 The transport distance is solved exactly on integer masses and costs by a
 transportation simplex in numpy (`_transport`): a least-cost greedy start,
@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .evaluations import Evaluation, enumerated_weights
-from .model import (ObservedHistory, Pomdp, belief_key, belief_transition,
-                    canonical_belief, make_belief)
-from .playspace import DEFAULT_NODE_BUDGET, belief_blocks, prefix_ids
+from .model import (ObservedHistory, Pomdp, bayes_matrices, bayes_update_rows, belief_key,
+                    belief_transition, canonical_belief, make_belief)
+from .playspace import DEFAULT_NODE_BUDGET, prefix_ids
 from .strategies import StationaryStrategy, Strategy
 
 MASS_FLOOR = 1e-12
@@ -98,13 +98,7 @@ class OccupationResult:
 def occupation_measure(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> OccupationResult:
     """Expected evaluation weight deposited on each visited belief."""
-    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
-    ids, _, stages = _history_beliefs(p, x1, b)
-    xs, masses = [], []
-    for m, x in stages:
-        d = np.bincount(ids[:, -1], weights=b.prob * w[:, m], minlength=len(x))
-        xs.append(x[d > 0])
-        masses.append(d[d > 0])
+    _, _, masses, xs, _ = zip(*_weighted_prefixes(p, x1, strat, e, horizon, budget))
     masses = np.concatenate(masses)
     atoms, where = np.unique(canonical_belief(np.concatenate(xs)), axis=0, return_inverse=True)
     measure = SupportedMeasure.from_pairs(
@@ -112,17 +106,26 @@ def occupation_measure(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     return OccupationResult(measure=measure, total_weight=float(masses.sum()))
 
 
-def _history_beliefs(p: Pomdp, x1: np.ndarray, b) -> tuple:
-    """Observed-prefix ids of a play batch (see `prefix_ids`) and its beliefs.
-
-    The third item yields (m, x) per stage m+1, in order: x[g] is the belief
-    of every play j whose observed history ids[j, -1] is g.  The Bayes filter
-    runs once per distinct observed history, not once per play.
-    """
+def _weighted_prefixes(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
+                       horizon: int, budget: int):
+    """Per stage m = 1..horizon, the observed prefixes h held before stage m
+    with E[1{h} theta_m] > 0 on the enumerated plays: their (n, m-1) actions
+    and signals, those expectations, beliefs and strategy memory.  Each
+    distinct prefix takes one Bayes update and one `step` from its parent's."""
+    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
     ids, first = prefix_ids(b.actions, b.signals)
-    rows = first[-1]
-    return ids, first, ((m, x) for t0, bel in belief_blocks(p, x1, b.actions[rows], b.signals[rows])
-                        for m, x in enumerate(bel, t0))
+    bayes = bayes_matrices(p)
+    x, mem = np.asarray(x1, dtype=float)[None], strat.start(1)
+    for m in range(horizon):
+        rows = first[m]
+        if m:
+            parent, i, s = ids[rows, m - 1], b.actions[rows, m - 1], b.signals[rows, m - 1]
+            x = bayes_update_rows(bayes, x[parent], i * p.n_signals + s)
+            mem = strat.step(mem[parent], i, s)
+        weight = np.bincount(ids[:, m], weights=b.prob * w[:, m])
+        kept = np.flatnonzero(weight > 0)
+        yield (b.actions[rows[kept], :m], b.signals[rows[kept], :m], weight[kept], x[kept],
+               mem[kept])
 
 
 def image_measure(p: Pomdp, mu: SupportedMeasure, strat: StationaryStrategy) -> SupportedMeasure:
@@ -307,26 +310,17 @@ def disintegrate(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 
     Returns (DisintegrationTable, StationaryStrategy).
     """
-    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
-    ids, first, stages = _history_beliefs(p, x1, b)
-    prefixes = []   # (actions, signals, weight, belief at the prefix's end)
-    for m, x in stages:
-        weight = np.bincount(ids[:, m], weights=b.prob * w[:, m])
-        kept = np.flatnonzero(weight > 0)
-        rows = first[m][kept]
-        prefixes += zip(map(tuple, b.actions[rows, :m].tolist()),
-                        map(tuple, b.signals[rows, :m].tolist()),
-                        weight[kept].tolist(), canonical_belief(x[ids[rows, -1]]))
+    prefixes = []   # (actions, signals, weight, belief, action law) per weighted prefix
+    for acts, sigs, weight, x, mem in _weighted_prefixes(p, x1, strat, e, horizon, budget):
+        prefixes += zip(map(tuple, acts.tolist()), map(tuple, sigs.tolist()), weight.tolist(),
+                        canonical_belief(x), strat.dist(mem))
 
     groups: dict = {}
     beliefs: dict = {}
-    for acts, sigs, mass, x in sorted(prefixes, key=lambda q: q[:2]):
-        h = ObservedHistory(acts, sigs)
+    for acts, sigs, mass, x, dist in sorted(prefixes, key=lambda q: q[:2]):
         key = belief_key(x)
         beliefs[key] = x
-        groups.setdefault(key, []).append(
-            (h, mass, np.asarray(strat.action_distribution(h), dtype=float))
-        )
+        groups.setdefault(key, []).append((ObservedHistory(acts, sigs), mass, dist))
 
     support, rows = [], []
     normalized: dict = {}

@@ -203,19 +203,18 @@ def belief_transition(p: Pomdp, x: np.ndarray, i: int):
     return out
 
 
-def bayes_update(p: Pomdp, x: np.ndarray, i: int, s: int,
-                 fallback_state: int = 0) -> np.ndarray:
+def bayes_update(p: Pomdp, x: np.ndarray, i: int, s: int) -> np.ndarray:
     """Posterior after playing i and observing s.
 
-    Off-support signals fall back to the Dirac belief at `fallback_state`
-    (first state in the declared order by default); this path only occurs in
-    simulations that can visit zero-probability histories.
+    Off-support signals fall back to the Dirac belief at the first state in
+    the declared order; this path only occurs in simulations that can visit
+    zero-probability histories.
     """
     x = _check_dims(p, x)
     joint = x @ p.transition[:, i, :, s]
     tot = float(joint.sum())
     if tot < SIGNAL_PROB_FLOOR:
-        return dirac_belief(p.n_states, fallback_state)
+        return dirac_belief(p.n_states, 0)
     return joint / tot
 
 

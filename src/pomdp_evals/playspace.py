@@ -47,11 +47,11 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
     The tree is built stage by stage.  A stage cell is a prefix extended by
     one (action, next state, signal) triple whose action and transition
-    probabilities both exceed PROB_FLOOR.  The cells of the last stage are the
-    plays, so two rows are equal when their plays differ only in the state
-    after the horizon.  Rows come in lexicographic order of
-    (k_1, i_1, k_2, s_1, i_2, k_3, s_2, ...), and each probability is the
-    left-to-right product x1(k_1) pi_1(i_1) q(k_2, s_1 | k_1, i_1) pi_2(i_2) ...
+    probabilities both exceed PROB_FLOOR; the last stage sums out the state
+    after the horizon, so its cells are (action, signal) pairs and each play
+    is one row.  Rows come in lexicographic order of (k_1, i_1, k_2, s_1, ...,
+    i_h, s_h), and each probability is the left-to-right product x1(k_1)
+    pi_1(i_1) q(k_2, s_1 | k_1, i_1) ... pi_h(i_h) q(s_h | k_h, i_h).
     The strategy's memory is stepped along the tree, one batched call per stage.
 
     Raises BudgetExceededError, before a stage is built, once the total number
@@ -59,26 +59,25 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    n_k, n_s = p.n_states, p.n_signals
-    live = p.transition > PROB_FLOOR                     # (K, I, K, S)
-    live_count = live.sum(axis=(2, 3))                   # (K, I)
     state = np.flatnonzero(np.asarray(x1) > PROB_FLOOR)  # current state per node
     prob = np.asarray(x1, dtype=float)[state]
     mem = strat.start(len(state))                        # strategy memory per node
     cols = [np.empty((len(state), 0), dtype=np.intp)] * 3  # states, actions, signals so far
     cells = 0
     for t in range(horizon):
+        table = p.transition if t + 1 < horizon else p.transition.sum(axis=2, keepdims=True)
+        live = table > PROB_FLOOR                        # (K, I, next states, S)
         pi = strat.dist(mem)
         played = pi > PROB_FLOOR
-        cells += int((played * live_count[state]).sum())
+        cells += int((played * live.sum(axis=(2, 3))[state]).sum())
         if cells > budget:
             raise BudgetExceededError(f"play enumeration exceeded the node budget ({budget})")
         parent, cell = np.nonzero((played[:, :, None, None] & live[state]).reshape(len(state), -1))
-        action, rest = np.divmod(cell, n_k * n_s)
-        nxt, signal = np.divmod(rest, n_s)
+        action, rest = np.divmod(cell, live[0, 0].size)
+        nxt, signal = np.divmod(rest, p.n_signals)
         cols = [np.column_stack([c[parent], v]) for c, v in
                 zip(cols, (state[parent], action, signal))]
-        prob = prob[parent] * pi[parent, action] * p.transition[state[parent], action, nxt, signal]
+        prob = prob[parent] * pi[parent, action] * table[state[parent], action, nxt, signal]
         state = nxt
         if t + 1 < horizon:
             mem = strat.step(mem[parent], action, signal)
@@ -123,19 +122,6 @@ def belief_sequence(p: Pomdp, x1: np.ndarray, actions, signals) -> np.ndarray:
         out[m] = x
         x = bayes_update(p, x, int(actions[m]), int(signals[m]))
     return out
-
-
-def belief_blocks(p: Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.ndarray):
-    """Stage-blocked Bayes filter for a batch of observed plays.
-
-    actions/signals have shape (n_plays, horizon).  Yields (t0, bel) for
-    consecutive blocks of at most STAGE_BLOCK stages, where bel[j] (n_plays, K)
-    holds the beliefs at stage t0 + j + 1.  `bel` is a view of a one-block
-    buffer that the next block overwrites.  Off-support observations fall
-    back to the Dirac at the first state, as in `belief_sequence`.
-    """
-    for t0, _, bel in _filter(p, x1, _column_blocks(actions, signals)):
-        yield t0, bel
 
 
 def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
@@ -460,6 +446,9 @@ def shard_seeds(seed: int, shards: int) -> list:
 
 
 MC_CELL_BUDGET = 40_000_000
+# Generator streams every Monte Carlo estimator asks for; `plan_shards` adds
+# more when the plays would not fit MC_CELL_BUDGET.
+MC_SHARDS = 4
 
 
 def plan_shards(samples: int, horizon: int, shards: int) -> int:
@@ -473,7 +462,7 @@ def plan_shards(samples: int, horizon: int, shards: int) -> int:
 
 
 def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                         samples: int, seed: int, reduce, shards: int = 4) -> list:
+                         samples: int, seed: int, reduce, shards: int = MC_SHARDS) -> list:
     """Simulate `samples` plays in seeded shards and reduce them play by play.
 
     `reduce(blocks)` consumes one pass's `PlayStream` from `play_blocks`,

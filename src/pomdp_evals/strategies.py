@@ -124,7 +124,7 @@ class RandomBehaviorStrategy(HistoryStrategy):
         key = np.hstack([np.full((n, 1), self.seed), actions, np.full((n, 1), -1), signals])
         digests = b"".join(hashlib.blake2b(row, digest_size=8 * self.n_actions).digest()
                            for row in key.astype(np.int64))
-        raw = np.frombuffer(digests, dtype=np.uint64).reshape(n, -1).astype(float) + 1.0
+        raw = np.frombuffer(digests, dtype=np.uint64).reshape(n, self.n_actions).astype(float) + 1.0
         return raw / raw.sum(axis=1, keepdims=True)
 
 

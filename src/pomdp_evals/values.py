@@ -177,17 +177,15 @@ def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluati
 
 
 def weighted_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
-                       horizon: int, samples: int, seed: int,
-                       shards: int = 4) -> ValueReport:
+                       horizon: int, samples: int, seed: int) -> ValueReport:
     """Monte Carlo estimate of the weighted payoff; the error bound combines
     three standard errors with the expected tail weight."""
-    return weighted_payoff_and_irregularity_mc(p, x1, strat, e, horizon, samples, seed,
-                                               shards)[0]
+    return weighted_payoff_and_irregularity_mc(p, x1, strat, e, horizon, samples, seed)[0]
 
 
 def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy,
                                         e: Evaluation, horizon: int, samples: int,
-                                        seed: int, shards: int = 4):
+                                        seed: int):
     """Weighted payoff and irregularity estimated from one shared batch of
     sampled plays; returns (ValueReport, McEstimate).  Matches calling
     weighted_payoff_mc and irregularity_mc with the same seed at half the
@@ -195,7 +193,7 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
     ctx = EvalContext(p, np.asarray(x1, dtype=float))
     v, masses, j = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
-        lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward), shards)
+        lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward))
     value, v_se = sample_mean(v)
     j_mean, j_se = sample_mean(j)
     payoff = ValueReport(value=value, method="monte_carlo",
@@ -261,8 +259,7 @@ def running_average_extremum(payoffs: np.ndarray, mode: str,
 
 def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                             samples: int, seed: int, mode: str = "limsup",
-                            payoff_on: str = "state", window_start: int = None,
-                            shards: int = 4) -> ValueReport:
+                            payoff_on: str = "state", window_start: int = None) -> ValueReport:
     """Finite-horizon estimate of the expected limsup/liminf average payoff,
     with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief")."""
     if horizon < 2:
@@ -279,7 +276,7 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
             g = belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, _, ac, sg in blocks))
         return (average_extrema(g, horizon, window_start)[mode == "liminf"],)
 
-    v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
+    v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce)
     value, se = sample_mean(v)
     return ValueReport(value=value, method="monte_carlo",
                        error_bound=3.0 * se, horizon_or_samples=samples)

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError, ScenarioValidationError
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
-from pomdp_evals.playspace import belief_blocks
+from pomdp_evals.playspace import _column_blocks, _filter
 
 from conftest import random_belief, random_pomdp, sparse_instances
 
@@ -138,7 +138,7 @@ def test_posterior_rows_sum_to_one(case, width, horizon):
     assert np.all(np.abs(bayes_update_rows(bayes_matrices(p), x, code).sum(axis=1) - 1) <= 1e-12)
     actions = rng.integers(0, p.n_actions, (width, horizon))
     signals = rng.integers(0, p.n_signals, (width, horizon))
-    for _, bel in belief_blocks(p, x1, actions, signals):
+    for _, _, bel in _filter(p, x1, _column_blocks(actions, signals)):
         assert np.all(np.abs(bel.sum(axis=2) - 1) <= 1e-12)
 
 

@@ -378,23 +378,28 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
 
 
 def _product_plays(p, x1, strat, horizon):
-    """Brute-force play tree: every (k_1, (i, k', s) per stage) tuple from
-    itertools.product, kept when every factor exceeds PROB_FLOOR.  Returns the
+    """Brute-force play tree: every (k_1, (i, k', s) per stage, (i, s) at the
+    last stage) tuple from itertools.product, kept when every factor exceeds
+    PROB_FLOOR.  The last stage's transition factor is the signal law
+    q(s | k, i), the state after the horizon summed out.  Returns the
     (states, actions, signals) rows, the left-to-right probability products and
     the number of distinct kept prefixes over all stages (the stage cells)."""
     stage = list(itertools.product(range(p.n_actions), range(p.n_states), range(p.n_signals)))
+    last = list(itertools.product(range(p.n_actions), [None], range(p.n_signals)))
+    signal_law = p.transition.sum(axis=2)
 
     @functools.lru_cache(maxsize=None)
     def dist(acts, sigs):
         return strat.action_distribution(ObservedHistory(acts, sigs))
 
     rows, probs, prefixes = [], [], set()
-    for k1, *path in itertools.product(range(p.n_states), *[stage] * horizon):
+    for k1, *path in itertools.product(range(p.n_states), *[stage] * (horizon - 1), last):
         q, k, keep = x1[k1], k1, x1[k1] > PROB_FLOOR
         for t, (i, nxt, s) in enumerate(path):
             pi = dist(tuple(c[0] for c in path[:t]), tuple(c[2] for c in path[:t]))[i]
-            keep = keep and pi > PROB_FLOOR and p.transition[k, i, nxt, s] > PROB_FLOOR
-            q = q * pi * p.transition[k, i, nxt, s]
+            move = signal_law[k, i, s] if nxt is None else p.transition[k, i, nxt, s]
+            keep = keep and pi > PROB_FLOOR and move > PROB_FLOOR
+            q = q * pi * move
             k = nxt
         if keep:
             rows.append(([k1] + [c[1] for c in path[:-1]], [c[0] for c in path],
@@ -414,7 +419,7 @@ def test_enumerated_plays_match_a_product_enumeration(case, horizon, kind):
         x1 = x1.copy()
         x1[rng.integers(k)] = 0.0
         x1 = pe.make_belief(x1 / x1.sum())
-    # keep the brute-force product small: (K I S)^horizon K tuples
+    # keep the brute-force product small: at most (K I S)^horizon K tuples
     while horizon > 1 and (k * n_i * n_s) ** horizon * k > 10_000:
         horizon -= 1
     m = int(rng.integers(1, 4))

@@ -26,6 +26,21 @@ def test_behavior_strategy_rejects_invalid_rows():
         strat.action_distribution(ObservedHistory())
 
 
+@pytest.mark.parametrize("strat", [pe.RandomBehaviorStrategy(2, 1),
+                                   pe.BehaviorStrategy(2, lambda h: np.array([0.3, 0.7]))],
+                         ids=["random-behavior", "behavior-rule"])
+def test_history_strategies_answer_zero_histories(redraw, strat):
+    # a batch of no histories, of any length, has a (0, I) law matrix, as
+    # uniform play and schedules give, and so has a zero-play simulation
+    for stages in (0, 3):
+        empty = np.zeros((0, stages), dtype=np.int64)
+        assert strat.laws(empty, empty).shape == (0, 2)
+    assert strat.dist(strat.start(0)).shape == (0, 2)
+    plays = pe.simulate_plays(redraw.pomdp, redraw.initial_belief, strat, 5, 0,
+                              np.random.default_rng(0))
+    assert [m.shape for m in plays] == [(0, 5)] * 3
+
+
 def test_strategy_sizes_out_of_range_are_rejected():
     for n_actions in (0, 9):
         with pytest.raises(InvalidInputError):

@@ -324,6 +324,28 @@ def test_run_block_weights_across_block_cuts():
                                    rtol=0, atol=1e-12)
 
 
+def test_conditional_prefix_ids_carry_across_block_cuts(frozen_matching):
+    # a table deeper than STAGE_BLOCK: under hold:0:70:1 the frozen game has
+    # a tree of 2 plays and one observed prefix per stage, switching action
+    # after a cut.  Plays of that schedule stay on the table through stage
+    # 150; plays of always:1 leave it at stage 2 and must weigh zero from
+    # there on, in every block, as their prefix id is carried across cuts.
+    p, x1 = frozen_matching.pomdp, frozen_matching.initial_belief
+    horizon, stages = 150, 3 * STAGE_BLOCK
+    e = pe.make_evaluation("state_block_ex1", l=horizon // 2)
+    cond = conditional_evaluation(p, x1, pe.builtin_strategy("hold:0:70:1", p), e, horizon)
+    table = cond.params["table"]
+    assert len(pe.enumerate_plays(p, x1, pe.builtin_strategy("hold:0:70:1", p), horizon)) == 2
+    rng = np.random.default_rng(0)
+    plays = [np.concatenate(m) for m in zip(*(
+        simulate_plays(p, x1, pe.builtin_strategy(name, p), stages, 2, rng)
+        for name in ("hold:0:70:1", "always:1")))]
+    want = ref_conditional(table, plays[1], plays[2], horizon)
+    assert np.all(want[:2, :horizon] > 0) and np.all(want[2:, 1:] == 0) and want[2, 0] > 0
+    assert np.array_equal(streamed_weights(cond, plays, [STAGE_BLOCK]), want)
+    assert np.array_equal(cond.batch_weights(*plays), want)
+
+
 STRATEGY_KINDS = hst.sampled_from(["transducer", "schedule", "uniform", "random_behavior"])
 
 
