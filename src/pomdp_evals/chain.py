@@ -34,13 +34,17 @@ class MarkovChain:
         u = len(self.labels)
         if t.shape != (u, u) or f.shape != (u,) or y.shape != (u,):
             raise InvalidInputError("chain table shapes disagree with the state count")
+        # NaN fails every comparison below, so it is caught here
+        for name, arr in (("transition", t), ("payoff", f), ("initial law", y)):
+            if not np.isfinite(arr).all():
+                raise InvalidInputError(f"chain {name} has a non-finite entry")
         bad = np.abs(t.sum(axis=1) - 1.0) > 1e-9
         if bad.any():
             j = int(np.nonzero(bad)[0][0])
             raise InvalidInputError(
                 f"chain row {self.labels[j]!r} sums to {t[j].sum():.12f}"
             )
-        if np.any(t < 0) or np.any(f < 0) or np.any(f > 1) or np.any(y < 0):
+        if (t < 0).any() or (f < 0).any() or (f > 1).any() or (y < 0).any():
             raise InvalidInputError("chain entries out of range")
         if abs(y.sum() - 1.0) > 1e-9:
             raise InvalidInputError("initial distribution does not sum to 1")

@@ -611,7 +611,9 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
                            horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> Evaluation:
     """Prefix-observed version of e under (x1, strat): at each observed prefix
     the weight is the conditional expectation of e's weight.  Unreached
-    prefixes weigh zero."""
+    prefixes, and every stage past the table's horizon, weigh zero; its
+    block step flags every play done in the block that reaches that
+    horizon."""
     table = conditional_table(p, x1, strat, e, horizon, budget=budget)
 
     def batch_fn(blocks, ctx):
@@ -626,7 +628,9 @@ def conditional_evaluation(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluat
                 if t0 + j + 1 < horizon:
                     g = table.child[t0 + j][g, ac[j], sg[j]]
             at[ids] = g
-            yield t0, ids, st, ac, sg, w, None
+            # every weight past the table's horizon is 0
+            yield t0, ids, st, ac, sg, w, \
+                None if t0 + len(st) < horizon else np.ones(st.shape[1], dtype=bool)
 
     return Evaluation(
         kind=f"conditional({e.kind})",

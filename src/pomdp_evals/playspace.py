@@ -10,6 +10,7 @@ collects that stream for API callers.  Also here: observed-prefix grouping
 and the stage-blocked Bayes filter along observed histories."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,14 @@ PROB_FLOOR = 1e-12
 # so a Monte Carlo pass holds O(plays x STAGE_BLOCK) memory whatever the
 # horizon.  At 64 stages x 10 000 plays one float64 block takes 5 MB.
 STAGE_BLOCK = 64
+# Chain-kernel blocks of at most this many plays step play by play in scalar
+# Python, wider ones one numpy search per stage.  Per 64-stage block of a
+# 3-memory transducer on a K=3, I=2, S=2 instance (best of 9, 2-core host),
+# scalar against numpy: 1 play 33 vs 190 us, 4 plays 89 vs 160, 8 plays 160
+# vs 175, 10 plays 192 vs 186, 12 plays 225 vs 193, 16 plays 296 vs 208.
+# The steps cost the same near 9-10 plays; 8 keeps the scalar step where it
+# won in every run.
+SCALAR_PLAYS = 8
 
 
 @dataclass(frozen=True)
@@ -217,9 +226,10 @@ def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams
     in `simulate_plays`, whose draw contract the blocks follow; a consumer
     that keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
     consumer may retire plays it needs no more stages of: later blocks leave
-    them out and neither kernel steps them, while each stream still draws
-    its full (block, count) uniforms, so the plays kept see exactly the
-    draws they would without retirement."""
+    them out and neither kernel steps them, while each stream with a play
+    kept still draws its full (block, count) uniforms, so the plays kept see
+    exactly the draws they would without retirement.  A stream whose plays
+    are all retired stops drawing."""
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     if any(n < 0 for _, n in streams):
@@ -283,18 +293,19 @@ def one_block_stream(states: np.ndarray, actions: np.ndarray, signals: np.ndarra
 
 
 def _stream_draws(streams: list, alive: np.ndarray) -> list:
-    """(generator, count, columns) per stream: which columns of its
-    (rows, count) uniforms belong to the plays `alive` (sorted ids), a slice
-    when all of them do."""
+    """(generator, count, columns) per stream holding a play of `alive`
+    (sorted ids): which columns of its (rows, count) uniforms belong to
+    those plays, a slice when all of them do.  A stream with none is left
+    out, so it draws no more."""
     bounds = np.cumsum([0] + [n for _, n in streams])
     cut = alive.searchsorted(bounds)
     return [(g, n, slice(None) if hi - lo == n else alive[lo:hi] - first)
-            for (g, n), first, lo, hi in zip(streams, bounds, cut, cut[1:])]
+            for (g, n), first, lo, hi in zip(streams, bounds, cut, cut[1:]) if hi > lo]
 
 
 def _draw(draws: list, out: np.ndarray) -> np.ndarray:
-    """Fill out (rows, plays) with every stream's next (rows, count)
-    uniforms, each stream drawing all of them, keeping its alive columns."""
+    """Fill out (rows, plays) with the next (rows, count) uniforms of every
+    stream in `draws`, each drawing all of them, keeping its alive columns."""
     col = 0
     for g, n, cols in draws:
         u = g.random((len(out), n))[:, cols]
@@ -374,8 +385,12 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     act[a, c] is the action played at c under table a, stage_table[t] the
     table used at stage t+1, and nxt[c, code] the next combined index after
     the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
-    draw per play from its stream's next uniforms, in stage order.  Yields
-    and takes back as `_simulate_stepped` does.
+    draw per play from its stream's next uniforms, in stage order.  A block
+    of at most SCALAR_PLAYS plays is stepped play by play in scalar Python
+    (`_step_plays`), a wider one stage by stage in numpy; the width is taken
+    per block, as retired plays leave.  Both steps add the same floats and
+    search the same table from the right, so they give the same positions.
+    Yields and takes back as `_simulate_stepped` does.
     """
     k, n_s = p.n_states, p.n_signals
     width = k * n_s
@@ -395,6 +410,8 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         axis=2).reshape(len(act), -1))
     nxt_flat = np.ascontiguousarray(nxt, dtype=np.int64).ravel()
     shift_of = 2.0 * nxt_flat
+    # the same tables as Python lists, for the scalar step
+    table_lists, shift_list = [t.tolist() for t in tables], shift_of.tolist()
     state_of = (np.arange(n_c) // m).astype(np.int32)
     signal_of = (np.arange(n_c * width) % n_s).astype(np.int32)
     act = act.astype(np.int32)
@@ -417,13 +434,18 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         idx = idx_buf[:(b + 1) * n].reshape(b + 1, n)
         y = _draw(draws, y_buf[:b * n].reshape(b, n))
         pos = y.view(np.int64)
-        drawn = []
-        for yj, a in zip(y, stage_table[t0:t0 + b].tolist()):
-            yj += base
-            drawn.append(tables[a].searchsorted(yj, side="right"))
-            shift_of.take(drawn[-1], out=base)
-        np.concatenate(drawn, out=pos.reshape(-1))
-        del drawn                     # hold only the block while it is consumed
+        stage_a = stage_table[t0:t0 + b].tolist()
+        if n <= SCALAR_PLAYS:
+            pos[:] = np.array(_step_plays(y, base, [table_lists[a] for a in stage_a],
+                                          shift_list)).T
+        else:
+            drawn = []
+            for yj, a in zip(y, stage_a):
+                yj += base
+                drawn.append(tables[a].searchsorted(yj, side="right"))
+                shift_of.take(drawn[-1], out=base)
+            np.concatenate(drawn, out=pos.reshape(-1))
+            del drawn                 # hold only the block while it is consumed
         nxt_flat.take(pos, out=idx[1:])
         signals = signal_of.take(pos)
         # pos is spent too: reuse it for the flat indices into act
@@ -436,6 +458,25 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
                 return
             carry, base = carry[keep], base[keep]
         idx_buf[:len(alive)] = carry
+
+
+def _step_plays(y: np.ndarray, base: np.ndarray, rows: list, shifts: list) -> list:
+    """The chain kernel's block step, play by play in scalar Python: for
+    each column of the (block, plays) uniforms y, its table positions, stage
+    by stage, from its own 2c + u and the table (a list) of each stage in
+    `rows`.  Like the numpy step it leaves each play's 2c for the next
+    block in `base`."""
+    out = []
+    for j, (col, c2) in enumerate(zip(y.T.tolist(), base.tolist())):
+        at = []
+        push = at.append
+        for u, row in zip(col, rows):
+            i = bisect_right(row, u + c2)
+            push(i)
+            c2 = shifts[i]
+        base[j] = c2
+        out.append(at)
+    return out
 
 
 def shard_seeds(seed: int, shards: int) -> list:

@@ -29,6 +29,16 @@ def test_chain_validation_names_the_offending_row():
     assert "u" in str(err.value)
 
 
+@pytest.mark.parametrize("table, T, payoff, init", [
+    ("transition", [[np.nan, 0.3], [0, 1]], [0.3, 0.9], [1, 0]),
+    ("payoff", [[0.5, 0.5], [0, 1]], [np.nan, 0.3], [1, 0]),
+    ("initial law", [[0.5, 0.5], [0, 1]], [0.2, 0.3], [np.nan, 1])])
+def test_chain_validation_rejects_non_finite_entries(table, T, payoff, init):
+    # NaN fails every comparison, so the row-sum and range checks let it by
+    with pytest.raises(InvalidInputError, match=table):
+        _chain(("u", "v"), T, payoff, init)
+
+
 def test_product_chain_of_constant_strategy_is_the_state_chain(blind):
     p, x1 = blind.pomdp, blind.initial_belief
     t = pe.always_strategy(p.n_actions, p.n_signals, 0)

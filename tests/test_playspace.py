@@ -1,6 +1,7 @@
 """Play enumeration, belief sequences, and seeded simulation."""
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import pomdp_evals as pe
+from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory
 from pomdp_evals.playspace import (batched_belief_payoffs, belief_sequence,
-                                   enumerate_plays, plan_shards, shard_seeds,
+                                   enumerate_plays, plan_shards, play_blocks, shard_seeds,
                                    simulate_plays, MC_CELL_BUDGET, PROB_FLOOR,
-                                   STAGE_BLOCK)
+                                   SCALAR_PLAYS, STAGE_BLOCK)
 
 from conftest import random_belief, random_pomdp, sparse_instances
 
@@ -215,8 +217,10 @@ def _dense_instance_with_a_zero_cell(rng):
 
 @pytest.mark.parametrize("horizon", [1, STAGE_BLOCK - 1, STAGE_BLOCK,
                                      STAGE_BLOCK + 1, 3 * STAGE_BLOCK + 5])
-@pytest.mark.parametrize("samples", [1, 7])
+@pytest.mark.parametrize("samples", [1, 7, SCALAR_PLAYS, SCALAR_PLAYS + 1, 40])
 def test_blocked_kernel_reproduces_per_stage_loops(rng, horizon, samples):
+    # widths up to SCALAR_PLAYS take the kernel's scalar step, wider ones
+    # its numpy step
     p = _dense_instance_with_a_zero_cell(rng)
     x1 = random_belief(rng, 3)
     transducer = pe.Transducer(2, 2, rng.integers(0, 2, 5),
@@ -230,6 +234,52 @@ def test_blocked_kernel_reproduces_per_stage_loops(rng, horizon, samples):
         for g, w in zip(got, want):
             assert g.dtype == np.int32
             assert np.array_equal(g, w)
+
+
+def _stream_blocks(p, x1, strat, horizon, streams, left, seed):
+    """Every block of a chain-kernel stream that, after block j, retires
+    plays at random until at most left[j] are kept (None: keeps them all)."""
+    stream, pick, out = play_blocks(p, x1, strat, horizon, streams), \
+        np.random.default_rng(seed), []
+    for j, (t0, ids, *blk) in enumerate(stream):
+        out.append((t0, ids.copy(), *blk))
+        if j < len(left) and left[j] is not None:
+            stream.retire(pick.permutation(ids)[:max(0, len(ids) - left[j])])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), kind=hst.sampled_from(["transducer", "schedule"]),
+       counts=hst.lists(hst.integers(0, SCALAR_PLAYS), min_size=2, max_size=4)
+       .filter(lambda c: sum(c) > SCALAR_PLAYS),
+       left=hst.lists(hst.one_of(hst.none(), hst.integers(0, 2 * SCALAR_PLAYS)),
+                      min_size=3, max_size=3),
+       last=hst.integers(0, SCALAR_PLAYS), seed=hst.integers(0, 2**16))
+def test_scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last, seed):
+    # a pass that starts wider than SCALAR_PLAYS and retires plays block by
+    # block, narrowing to at most `last` plays in its last blocks: its blocks
+    # must equal, bit for bit, those of the same pass with every block on the
+    # numpy step.  sparse_instances hold zero-probability cells.
+    p, x1, rng = case
+    horizon = 5 * STAGE_BLOCK + 3
+    if kind == "transducer":
+        m = int(rng.integers(1, 5))
+        strat = pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, m),
+                              rng.integers(0, m, (m, p.n_actions, p.n_signals)),
+                              initial=int(rng.integers(0, m)))
+    else:
+        plan = rng.integers(0, p.n_actions, horizon)
+        strat = pe.ScheduleStrategy(p.n_actions, lambda t: int(plan[t - 1]))
+    streams = lambda: [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
+    got = _stream_blocks(p, x1, strat, horizon, streams(), [*left, last], seed)
+    with mock.patch.object(playspace, "SCALAR_PLAYS", 0):
+        want = _stream_blocks(p, x1, strat, horizon, streams(), [*left, last], seed)
+    assert len(got[0][1]) > SCALAR_PLAYS
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        for a, b in zip(g[1:], w[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("short, long", [(STAGE_BLOCK - 3, STAGE_BLOCK + 2),

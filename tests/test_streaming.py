@@ -427,6 +427,56 @@ def test_the_pass_stops_once_every_play_is_retired(redraw, spec, blocks):
     assert np.allclose(got[1], 1.0)
 
 
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_stream_whose_plays_all_retire_stops_drawing(redraw, stepped):
+    # stream 0's plays retire after the first block: its generator then ends
+    # where a pass of one block leaves it, while stream 1's plays keep the
+    # columns of the pass that retires none
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    strat = pe.uniform_strategy(2) if stepped else pe.always_strategy(2, 1, 0)
+    horizon, counts = 3 * STAGE_BLOCK + 5, [3, 4]
+    streams = lambda: [(np.random.default_rng([9, j]), n) for j, n in enumerate(counts)]
+    full = simulate_plays(p, x1, strat, horizon, sum(counts), streams())
+    gens = streams()
+    stream = play_blocks(p, x1, strat, horizon, gens)
+    made = []
+    for t0, ids, *blk in stream:
+        made.append(t0)
+        for got, want in zip(blk, full):
+            assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
+        if t0 == 0:
+            stream.retire(np.arange(counts[0]))
+    assert made == list(range(0, horizon, STAGE_BLOCK))
+    one_block = streams()
+    for _ in play_blocks(p, x1, strat, STAGE_BLOCK, one_block):
+        pass
+    assert gens[0][0].bit_generator.state == one_block[0][0].bit_generator.state
+    assert gens[1][0].bit_generator.state != one_block[1][0].bit_generator.state
+
+
+def test_conditional_weights_retire_every_play_at_the_table_horizon(redraw):
+    # the conditional of a 3-stage table weighs zero from stage 4 on, so a
+    # 640-stage pass ends after its first block, with the sums of a pass
+    # that retires no play
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    strat, horizon = pe.uniform_strategy(2), 10 * STAGE_BLOCK
+    cond = conditional_evaluation(p, x1, strat, pe.make_evaluation("n_stage", n=3), 3)
+    stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(4), 20)])
+    retiring, made = stream(), []
+    for t0, ids, *_, done in cond.weight_blocks(retiring, horizon):
+        made.append(t0)
+        if done is not None:
+            retiring.retire(ids[done])
+    assert made == [0]
+    keeping = stream()
+    keeping.retire = lambda ids: None
+    assert len(list(cond.weight_blocks(stream(), horizon))) == 10
+    got = weight_sums(cond, stream(), horizon, None, p.reward)
+    for g, r in zip(got, weight_sums(cond, keeping, horizon, None, p.reward)):
+        assert np.array_equal(g, r)
+    assert np.allclose(got[1], 1.0)
+
+
 def _late_switch(stage):
     """Action at `stage`: flip the state at stage 140, else alternate between
     two actions that keep it and pay differently."""

@@ -7,8 +7,10 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals.chain import product_chain
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
+from pomdp_evals.evaluations import EvalContext, weight_sums
 from pomdp_evals.model import belief_key, belief_transition, stage_payoff
-from pomdp_evals.playspace import batched_belief_payoffs, simulate_plays
+from pomdp_evals.playspace import (SCALAR_PLAYS, batched_belief_payoffs, one_block_stream,
+                                   simulate_plays)
 from pomdp_evals.values import (running_average_extremum, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
@@ -186,6 +188,34 @@ def test_chain_payoff_matches_tree_payoff(redraw):
         a = weighted_payoff_chain(c, e, horizon=40)
         b = pe.weighted_payoff_exact(p, x1, t, e, horizon=12)
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=sparse_instances(), horizon=hst.integers(1, 4),
+       kind=hst.sampled_from(["n_stage", "discounted", "run_block_ex2", "state_block_ex1"]),
+       samples=hst.sampled_from([3, SCALAR_PLAYS, SCALAR_PLAYS + 1, 40]),
+       seed=hst.integers(0, 2**16))
+def test_mc_payoff_lies_within_five_sigma_of_the_exact_payoff(case, horizon, kind, samples,
+                                                              seed):
+    # sigma is the standard error of a mean of `samples` plays under the
+    # enumerated law of the horizon-truncated payoff, which both estimators
+    # target; the sampled standard error is 0 whenever every sampled play
+    # pays the same, as few plays often do.  The examples are fixed
+    # (derandomize): a 5-sigma miss by chance, from a rare play, still
+    # comes about once in 10^4 examples.
+    p, x1, rng = case
+    m = int(rng.integers(1, 4))
+    strat = pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, m),
+                          rng.integers(0, m, (m, p.n_actions, p.n_signals)))
+    e = pe.make_evaluation(kind, **{"n_stage": {"n": int(rng.integers(1, horizon + 1))},
+                                    "discounted": {"lam": 0.5}}.get(kind, {"l": 2}))
+    exact = pe.weighted_payoff_exact(p, x1, strat, e, horizon)
+    b = pe.enumerate_plays(p, x1, strat, horizon)
+    v = weight_sums(e, one_block_stream(b.states, b.actions, b.signals), horizon,
+                    EvalContext(p, x1), p.reward)[0]
+    sigma = np.sqrt(b.prob @ (v - exact.value) ** 2 / samples)
+    mc = pe.weighted_payoff_mc(p, x1, strat, e, horizon, samples, seed)
+    assert abs(mc.value - exact.value) <= 5 * sigma + 1e-12
 
 
 # ---------------------------------------------------------------------------
