@@ -22,7 +22,7 @@ from .model import (ObservedHistory, Pomdp, Scenario, bayes_update,
                     has_known_payoffs, known_payoff_lift, known_payoff_partition,
                     lift_belief, load_scenario, make_belief, pomdp_from_tables,
                     signal_distribution, stage_payoff, uniform_belief)
-from .playspace import (belief_sequence, enumerate_plays, simulate_plays)
+from .playspace import enumerate_plays, simulate_plays
 from .strategies import (BehaviorStrategy, RandomBehaviorStrategy,
                          ScheduleStrategy, StationaryStrategy, Strategy,
                          Transducer, always_strategy, belief_tracking_strategy,

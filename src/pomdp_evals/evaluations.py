@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InvalidInputError, TruncationError
 from .model import Pomdp
-from .playspace import (DEFAULT_NODE_BUDGET, batched_belief_payoffs, enumerate_plays,
+from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, prefix_ids, reduce_sampled_plays,
                         sample_mean)
-from .strategies import ScheduleStrategy, Strategy
+from .strategies import ScheduleStrategy, Strategy, json_integer
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
 NORMALIZATION = ("pointwise", "in-expectation", "none")
@@ -234,7 +234,7 @@ def make_decreasing(weights) -> Evaluation:
 
 
 def make_piecewise_constant(breaks, levels) -> Evaluation:
-    breaks = [int(b) for b in breaks]
+    breaks = [json_integer(b, "evaluation 'piecewise_constant' field 'breaks'") for b in breaks]
     levels = [float(v) for v in levels]
     if len(breaks) != len(levels) or not breaks:
         raise InvalidInputError("breaks and levels must be non-empty and equal-length")
@@ -375,20 +375,21 @@ def eta_horizon(running_payoffs, l: int) -> int:
 
 def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     """Uniform weights 1/eta on stages 1..eta, where eta is the stopping stage
-    from eta_horizon applied to the play's belief payoffs."""
+    from eta_horizon applied to the play's belief payoffs.  Its block step
+    holds every block of the stream, because eta depends on the whole play,
+    and filters the beliefs over the blocks as they came."""
     if l < 1 or horizon < l:
         raise InvalidInputError("need horizon >= l >= 1")
 
     def batch_fn(blocks, ctx):
         if ctx is None:
             raise InvalidInputError("limsup weights need a POMDP context")
-        # eta depends on the whole play, so this step keeps the play columns
         held = list(blocks)
-        actions, signals = (np.concatenate(c).T for c in list(zip(*held))[3:])
-        g = batched_belief_payoffs(ctx.pomdp, ctx.x1, actions, signals)
-        w = np.zeros(g.shape[::-1])
-        for j in range(len(g)):
-            eta = eta_horizon(g[j], l)
+        g = np.concatenate([gb for _, gb in belief_payoff_blocks(
+            ctx.pomdp, ctx.x1, [(t0, ac, sg) for t0, _, _, ac, sg in held])])
+        w = np.zeros(g.shape)
+        for j in range(g.shape[1]):
+            eta = eta_horizon(g[:, j], l)
             w[:eta, j] = 1.0 / eta
         for t0, ids, st, ac, sg in held:
             yield t0, ids, st, ac, sg, w[t0:t0 + len(st)], None
@@ -404,20 +405,25 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
 
 
 _MAKERS = {
-    "n_stage": lambda **kw: make_n_stage(int(kw["n"])),
+    "n_stage": lambda **kw: make_n_stage(kw["n"]),
     "discounted": lambda **kw: make_discounted(float(kw.get("lam", kw.get("lambda", 0.0)))),
     "decreasing": lambda **kw: make_decreasing(kw["weights"]),
     "piecewise_constant": lambda **kw: make_piecewise_constant(kw["breaks"], kw["levels"]),
-    "state_block_ex1": lambda **kw: make_state_block(int(kw["l"]), int(kw.get("early_state", 0))),
-    "run_block_ex2": lambda **kw: make_run_block(int(kw["l"]), int(kw.get("target_state", 0))),
-    "limsup_theta": lambda **kw: make_limsup_theta(int(kw["l"]), int(kw["horizon"])),
+    "state_block_ex1": lambda **kw: make_state_block(kw["l"], kw.get("early_state", 0)),
+    "run_block_ex2": lambda **kw: make_run_block(kw["l"], kw.get("target_state", 0)),
+    "limsup_theta": lambda **kw: make_limsup_theta(kw["l"], kw["horizon"]),
 }
+# the parameters that hold integers, whatever the kind
+_INTEGER_PARAMS = ("n", "l", "early_state", "target_state", "horizon")
 
 
 def make_evaluation(kind: str, **params) -> Evaluation:
-    """Build a named evaluation; see _MAKERS for the accepted kinds."""
+    """Build a named evaluation; see _MAKERS for the accepted kinds.  An
+    integer parameter given as a bool, a float or a string is rejected."""
     if kind not in _MAKERS:
         raise InvalidInputError(f"unknown evaluation kind {kind!r}")
+    params = {k: json_integer(v, f"evaluation {kind!r} field {k!r}")
+              if k in _INTEGER_PARAMS else v for k, v in params.items()}
     try:
         return _MAKERS[kind](**params)
     except (KeyError, TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import Pomdp, bayes_matrices, bayes_update, bayes_update_rows
+from .model import Pomdp, bayes_matrices, bayes_update_rows
 from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -118,62 +118,31 @@ def prefix_ids(actions: np.ndarray, signals: np.ndarray) -> tuple:
 # Beliefs along histories
 # ---------------------------------------------------------------------------
 
-def belief_sequence(p: Pomdp, x1: np.ndarray, actions, signals) -> np.ndarray:
-    """Beliefs x_1 .. x_n held before each stage, from the observed pairs.
-
-    Entry m-1 is the belief at stage m (computed from the first m-1 pairs).
-    Off-support observations fall back to the Dirac at the first state.
-    """
-    n = len(actions)
-    out = np.empty((n, p.n_states))
-    x = np.asarray(x1, dtype=float)
-    for m in range(n):
-        out[m] = x
-        x = bayes_update(p, x, int(actions[m]), int(signals[m]))
-    return out
-
-
 def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     """Per-stage belief payoffs g(x_m, i_m) along a stream of observed play
-    blocks (t0, actions, signals), each time-major (block, plays) with at
-    most STAGE_BLOCK stages: yields (t0, g) with g of the block's shape.  The
-    filter state carried between blocks is one (plays, K) belief."""
+    blocks (t0, actions, signals), each time-major (block, plays), as `_filter`
+    takes them: yields (t0, g) with g of the block's shape.  The filter state
+    carried between blocks is one (plays, K) belief."""
     reward_of = p.reward.T
     for t0, actions, bel in _filter(p, x1, blocks):
         yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
 
 
-def batched_belief_payoffs(p: Pomdp, x1: np.ndarray, actions: np.ndarray,
-                           signals: np.ndarray) -> np.ndarray:
-    """Per-stage belief payoffs g(x_m, i_m) for a batch of observed plays.
-
-    actions/signals have shape (n_plays, horizon); returns the same shape.
-    """
-    out = np.empty(actions.shape)
-    for t0, g in belief_payoff_blocks(p, x1, _column_blocks(actions, signals)):
-        out[:, t0:t0 + len(g)] = g.T
-    return out
-
-
-def _column_blocks(*mats):
-    """(t0, *blocks): the (n, horizon) matrices cut into time-major blocks of
-    at most STAGE_BLOCK stages."""
-    for t0 in range(0, mats[0].shape[1], STAGE_BLOCK):
-        yield (t0, *(m[:, t0:t0 + STAGE_BLOCK].T for m in mats))
-
-
 def _filter(p: Pomdp, x1: np.ndarray, blocks):
-    """Bayes filter over (t0, actions, signals) blocks of at most STAGE_BLOCK
-    stages: yields (t0, actions, bel), bel[j] (plays, K) being the beliefs at
-    stage t0 + j + 1, a view of a buffer that the next block overwrites."""
+    """Bayes filter over (t0, actions, signals) blocks of any length: yields
+    (t0, actions, bel), bel[j] (plays, K) being the beliefs at stage
+    t0 + j + 1, a view of a buffer that the next block overwrites.  The
+    buffer is sized from the first block, and no later block of a sampled
+    stream or of an enumerated batch (one block) is longer; it grows only for
+    a stream cut otherwise."""
     bayes = bayes_matrices(p)
-    bel = None
+    bel = np.asarray(x1, dtype=float)[None, None]      # bel[0]: the beliefs carried in
     for t0, actions, signals in blocks:
-        if bel is None:
+        if len(bel) <= len(actions):
             # bel[j] holds the beliefs at the block's stage j; bel[b] carries
             # into the next block, so only one block of beliefs is ever held
-            bel = np.empty((STAGE_BLOCK + 1, actions.shape[1], p.n_states))
-            bel[0] = np.asarray(x1, dtype=float)
+            carry, bel = bel[0], np.empty((len(actions) + 1, actions.shape[1], p.n_states))
+            bel[0] = carry
         codes = actions * p.n_signals + signals
         for j, code in enumerate(codes):
             bayes_update_rows(bayes, bel[j], code, out=bel[j + 1])
@@ -221,9 +190,11 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
 def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
     """Sampled plays one stage block at a time, as a `PlayStream` over
-    `horizon` stages whose (t0, ids, states, actions, signals) blocks hold at
-    most STAGE_BLOCK stages each.  `streams` lists (generator, count) pairs as
-    in `simulate_plays`, whose draw contract the blocks follow; a consumer
+    `horizon` stages whose (t0, ids, states, actions, signals) blocks hold
+    STAGE_BLOCK stages each but the last, which may hold fewer, so no block
+    is longer than the first.  `streams` lists (generator, count) pairs as
+    in `simulate_plays`, whose draw contract the blocks follow;
+    `reduce_sampled_plays` passes a group of its seeded streams.  A consumer
     that keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
     consumer may retire plays it needs no more stages of: later blocks leave
     them out and neither kernel steps them, while each stream with a play
@@ -336,8 +307,7 @@ def _chain_tables(p: Pomdp, strat: Strategy, horizon: int):
         return act, np.zeros(horizon, dtype=np.intp), nxt, m, strat.initial
     if isinstance(strat, ScheduleStrategy):
         act = np.repeat(np.arange(p.n_actions)[:, None], k, axis=1)
-        stage_table = strat.dist(np.arange(horizon)).argmax(axis=1)
-        return act, stage_table, np.broadcast_to(code // n_s, (k, k * n_s)), 1, 0
+        return act, strat.stage_actions(horizon), np.broadcast_to(code // n_s, (k, k * n_s)), 1, 0
     return None
 
 
@@ -486,44 +456,36 @@ def shard_seeds(seed: int, shards: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
 
 
+# Block cells one Monte Carlo pass may hold: consecutive streams share a pass
+# while their plays times STAGE_BLOCK stay within it.
 MC_CELL_BUDGET = 40_000_000
-# Generator streams every Monte Carlo estimator asks for; `plan_shards` adds
-# more when the plays would not fit MC_CELL_BUDGET.
+# Generator streams every Monte Carlo estimator splits its samples over.
 MC_SHARDS = 4
 
 
-def plan_shards(samples: int, horizon: int, shards: int) -> int:
-    """Number of generator streams (shards) for `samples` plays: never fewer
-    than the requested shard count, and enough that each shard holds at most
-    MC_CELL_BUDGET (play, stage) cells.  A shard fixes which generator draws
-    its plays, not how they are simulated, so this count keeps fixed-seed
-    draws stable however the plays are reduced."""
-    need = -(-samples * horizon // MC_CELL_BUDGET)
-    return max(1, min(samples, max(shards, need)))
-
-
 def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                         samples: int, seed: int, reduce, shards: int = MC_SHARDS) -> list:
-    """Simulate `samples` plays in seeded shards and reduce them play by play.
+                         samples: int, seed: int, reduce) -> list:
+    """Simulate `samples` plays in seeded streams and reduce them play by play.
 
-    `reduce(blocks)` consumes one pass's `PlayStream` from `play_blocks`,
-    (t0, ids, states, actions, signals) time-major blocks in stage order, and
-    returns a tuple of per-play arrays, indexed by play id; the result lists
-    each of them concatenated over all plays, in shard order.  No
-    (plays, horizon) matrix is built: a pass holds O(plays x STAGE_BLOCK)
-    cells plus what `reduce` carries.  A `reduce` that retires plays (the
-    weight fold `evaluations.weight_sums` retires those whose weights are
-    spent) makes the pass simulate only the plays still needed, and ends it
-    once none is.  Consecutive shards share one pass while it stays within
-    MC_CELL_BUDGET block cells; each shard still draws from its own
-    generator, so the plays do not depend on the grouping.
+    The samples are split as evenly as `np.array_split` splits them over
+    min(samples, MC_SHARDS) generator streams from `shard_seeds(seed, ...)`,
+    whatever the horizon.  `reduce(blocks)` consumes one pass's `PlayStream`
+    from `play_blocks`, (t0, ids, states, actions, signals) time-major blocks
+    in stage order, and returns a tuple of per-play arrays, indexed by play
+    id; the result lists each of them concatenated over all plays, in stream
+    order.  No (plays, horizon) matrix is built: a pass holds
+    O(plays x STAGE_BLOCK) cells plus what `reduce` carries.  A `reduce` that
+    retires plays (the weight fold `evaluations.weight_sums` retires those
+    whose weights are spent) makes the pass simulate only the plays still
+    needed, and ends it once none is.  Consecutive streams share one pass
+    while it stays within MC_CELL_BUDGET block cells; each stream still draws
+    from its own generator, so the plays do not depend on the grouping.
     """
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    counts = [len(c) for c in
-              np.array_split(np.arange(samples), plan_shards(samples, horizon, shards))]
+    counts = [len(c) for c in np.array_split(np.arange(samples), min(samples, MC_SHARDS))]
     passes = [[]]
     for g, n in zip(shard_seeds(seed, len(counts)), counts):
         if passes[-1] and (sum(c for _, c in passes[-1]) + n) * STAGE_BLOCK > MC_CELL_BUDGET:

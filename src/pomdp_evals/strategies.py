@@ -22,6 +22,13 @@ from .model import (ObservedHistory, Pomdp, bayes_matrices, bayes_update_rows,
 STATIONARY_LOOKUP_TOL = 1e-9
 
 
+def _is_law(d: np.ndarray, n_actions: int) -> bool:
+    """Whether d is a distribution over n_actions actions: finite,
+    non-negative entries summing to 1 within 1e-9."""
+    return (d.shape == (n_actions,) and bool(np.all(np.isfinite(d)))
+            and abs(d.sum() - 1.0) <= 1e-9 and not np.any(d < 0))
+
+
 class Strategy:
     """Base interface: a batched automaton on observed histories.  The default
     memory is the length of the history, all that a strategy blind to the
@@ -97,9 +104,11 @@ class BehaviorStrategy(HistoryStrategy):
     def laws(self, actions, signals) -> np.ndarray:
         out = np.empty((len(actions), self.n_actions))
         for j, (acts, sigs) in enumerate(zip(actions.tolist(), signals.tolist())):
-            dist = np.asarray(self.rule(ObservedHistory(tuple(acts), tuple(sigs))), dtype=float)
-            if dist.shape != (self.n_actions,) or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
-                raise InvalidInputError("behavior rule returned an invalid action distribution")
+            h = ObservedHistory(tuple(acts), tuple(sigs))
+            dist = np.asarray(self.rule(h), dtype=float)
+            if not _is_law(dist, self.n_actions):
+                raise InvalidInputError(f"behavior rule returned an invalid action "
+                                        f"distribution {dist} after the history {h}")
             out[j] = dist
         return out
 
@@ -149,19 +158,21 @@ def uniform_strategy(n_actions: int) -> UniformStrategy:
 @dataclass
 class ScheduleStrategy(Strategy):
     """Open-loop pure strategy: the action depends only on the stage number.
-    `dist` asks `action_at_stage` once for each stage in the span of the
+    `dist` reads the actions of `stage_actions` up to the latest stage in the
     batch."""
 
     n_actions: int
     action_at_stage: Callable[[int], int]
 
-    def dist(self, mem) -> np.ndarray:
-        first, last = int(np.min(mem, initial=0)), int(np.max(mem, initial=0))
-        plan = np.array([self.action_at_stage(t + 1) for t in range(first, last + 1)],
-                        dtype=np.intp)
+    def stage_actions(self, n: int) -> np.ndarray:
+        """The actions at stages 1..n, as ints; raises when one is out of range."""
+        plan = np.array([self.action_at_stage(t) for t in range(1, n + 1)], dtype=np.intp)
         if np.any((plan < 0) | (plan >= self.n_actions)):
             raise InvalidInputError("schedule action out of range")
-        return np.eye(self.n_actions)[plan[mem - first]]
+        return plan
+
+    def dist(self, mem) -> np.ndarray:
+        return np.eye(self.n_actions)[self.stage_actions(int(np.max(mem, initial=0)) + 1)[mem]]
 
 
 @dataclass
@@ -244,10 +255,11 @@ class StationaryStrategy(Strategy):
             raise InvalidInputError("support and action tables differ in length")
         sup = [canonical_belief(x) for x in self.support]
         dists = []
-        for d in self.action_dists:
+        for j, d in enumerate(self.action_dists):
             d = np.asarray(d, dtype=float)
-            if d.shape != (self.n_actions,) or abs(d.sum() - 1.0) > 1e-9 or np.any(d < 0):
-                raise InvalidInputError("stationary strategy has an invalid action row")
+            if not _is_law(d, self.n_actions):
+                raise InvalidInputError(f"stationary strategy action row {j} is not a "
+                                        f"finite distribution over {self.n_actions} actions")
             dists.append(d)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "action_dists", dists)
@@ -426,8 +438,8 @@ def _json_integers(doc: dict, name: str, scalar: bool):
         v = stack.pop()
         if isinstance(v, list):
             stack.extend(v)
-        elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise InvalidInputError(f"transducer field {name!r} has a non-integer entry {v!r}")
+        else:
+            json_integer(v, f"transducer field {name!r}")
     if scalar:
         return int(value)
     try:
@@ -435,3 +447,11 @@ def _json_integers(doc: dict, name: str, scalar: bool):
     except ValueError as exc:
         raise InvalidInputError(f"transducer field {name!r} is not a rectangular "
                                 f"table ({exc})") from None
+
+
+def json_integer(v, what: str) -> int:
+    """v as an int.  A bool, a float (integral or not) or a string is
+    rejected with InvalidInputError naming `what`, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidInputError(f"{what} has a non-integer entry {v!r}")
+    return int(v)

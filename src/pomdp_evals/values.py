@@ -248,15 +248,6 @@ def average_extrema(payoff_blocks, horizon: int, window_start: int = None) -> tu
     return hi, lo
 
 
-def running_average_extremum(payoffs: np.ndarray, mode: str,
-                             window_start: int = None) -> np.ndarray:
-    """Per-play max (limsup proxy) or min (liminf proxy) of the prefix
-    averages over stages [window_start, horizon]; payoffs is (n, horizon).
-    The one-block case of `average_extrema`."""
-    hi, lo = average_extrema([(0, payoffs.T)], payoffs.shape[1], window_start)
-    return hi if mode == "limsup" else lo
-
-
 def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                             samples: int, seed: int, mode: str = "limsup",
                             payoff_on: str = "state", window_start: int = None) -> ValueReport:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as hst
 
 import pomdp_evals as pe
+from pomdp_evals.playspace import STAGE_BLOCK, belief_payoff_blocks
 
 
 def random_pomdp(rng: np.random.Generator, k: int = 3, n_i: int = 2,
@@ -39,6 +40,35 @@ def sparse_instances(draw):
                  tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
                  rng.random((k, n_i)))
     return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
+
+
+def belief_sequence(p: pe.Pomdp, x1: np.ndarray, actions, signals) -> np.ndarray:
+    """Scalar Bayes reference: the beliefs x_1 .. x_n held before each stage,
+    from the observed pairs, one `bayes_update` per stage.  Entry m-1 is the
+    belief at stage m (computed from the first m-1 pairs).  Off-support
+    observations fall back to the Dirac at the first state."""
+    n = len(actions)
+    out = np.empty((n, p.n_states))
+    x = np.asarray(x1, dtype=float)
+    for m in range(n):
+        out[m] = x
+        x = pe.bayes_update(p, x, int(actions[m]), int(signals[m]))
+    return out
+
+
+def stage_blocks(actions: np.ndarray, signals: np.ndarray, block: int = STAGE_BLOCK) -> list:
+    """(t0, actions, signals): (n, horizon) matrices cut into time-major
+    blocks of at most `block` stages."""
+    return [(t0, actions[:, t0:t0 + block].T, signals[:, t0:t0 + block].T)
+            for t0 in range(0, actions.shape[1], block)]
+
+
+def belief_payoffs(p: pe.Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.ndarray,
+                   block: int = STAGE_BLOCK) -> np.ndarray:
+    """(n, horizon) belief payoffs g(x_m, i_m) of (n, horizon) observed plays
+    from `belief_payoff_blocks` over blocks of at most `block` stages."""
+    blocks = belief_payoff_blocks(p, x1, stage_blocks(actions, signals, block))
+    return np.concatenate([g for _, g in blocks]).T
 
 
 @pytest.fixture

@@ -9,11 +9,12 @@ import pomdp_evals as pe
 from pomdp_evals.chain import (ergodic_decomposition, liminf_value_transducer,
                                mixing_threshold, product_chain)
 from pomdp_evals.evaluations import EvalContext, conditional_evaluation
-from pomdp_evals.playspace import batched_belief_payoffs, enumerate_plays, simulate_plays
-from pomdp_evals.values import (running_average_extremum, value_n_sequence,
+from pomdp_evals.playspace import enumerate_plays, simulate_plays
+from pomdp_evals.values import (average_extrema, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
 
+from conftest import belief_payoffs
 from test_measures import lp_transport, random_measure
 
 
@@ -109,10 +110,10 @@ def test_lifted_blind_state_and_belief_limsup_agree():
         st, ac, sg = simulate_plays(p, x1, strat, horizon, samples,
                                     np.random.default_rng(100 + seed))
         state_payoffs = p.reward[st, ac].astype(float)
-        belief_payoffs = batched_belief_payoffs(p, x1, ac, sg)
-        assert np.allclose(state_payoffs, belief_payoffs, rtol=0.0, atol=1e-12)
-        state = running_average_extremum(state_payoffs, "limsup")
-        belief = running_average_extremum(belief_payoffs, "limsup")
+        belief_pay = belief_payoffs(p, x1, ac, sg)
+        assert np.allclose(state_payoffs, belief_pay, rtol=0.0, atol=1e-12)
+        state = average_extrema([(0, state_payoffs.T)], horizon)[0]
+        belief = average_extrema([(0, belief_pay.T)], horizon)[0]
         diff = state - belief
         se = diff.std(ddof=1) / np.sqrt(samples)
         assert abs(diff.mean()) <= 3.0 * se

@@ -149,6 +149,22 @@ def test_malformed_evaluation_specs_exit_invalid(capsys, spec):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, kind, field", [
+    ({"kind": "run_block_ex2", "l": 2.5}, "run_block_ex2", "l"),
+    ({"kind": "n_stage", "n": True}, "n_stage", "n"),
+    ({"kind": "piecewise_constant", "breaks": [1.9, 3.2], "levels": [0.5, 0.5]},
+     "piecewise_constant", "breaks"),
+    ({"kind": "limsup_theta", "l": 2, "horizon": "6"}, "limsup_theta", "horizon"),
+    ({"kind": "state_block_ex1", "l": 2, "early_state": 0.5}, "state_block_ex1", "early_state"),
+])
+def test_a_non_integer_evaluation_field_is_rejected_not_truncated(capsys, spec, kind, field):
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", "uniform", "--evaluation", json.dumps(spec),
+                             "--horizon", "6")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: evaluation {kind!r} field {field!r}") and "Traceback" not in err
+
+
 def test_json_output_is_byte_identical_across_runs(capsys):
     argv = ("evaluate", "--scenario", "uniform-redraw", "--strategy",
             "always:wait", "--evaluation", '{"kind": "run_block_ex2", "l": 3}',
@@ -338,6 +354,7 @@ GOOD_STATIONARY = '{"support": [[0.5, 0.5]], "rows": [[0.5, 0.5]]}'
     (GOOD_MEASURE, '{"rows": [[0.5, 0.5]]}', "'support'"),
     (GOOD_MEASURE, '{"support": [[0.5, 0.5]]}', "'rows'"),
     (GOOD_MEASURE, '{"support": [[0.5, 0.5, 0]], "rows": [[0.5, 0.5]]}', "2 entries"),
+    (GOOD_MEASURE, '{"support": [[0.5, 0.5]], "rows": [[NaN, 1.0]]}', "action row 0"),
 ])
 def test_malformed_invariance_inputs_exit_invalid(capsys, tmp_path, measure, strategy, expect):
     # each input is a file in tmp_path except the names of missing ones

@@ -10,7 +10,7 @@ import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
 from pomdp_evals.measures import _FLOW_SCALE, DisintegrationTable, _edge_costs, _transport
 
-from conftest import random_belief, random_pomdp
+from conftest import belief_sequence, random_belief, random_pomdp
 
 
 SM = pe.SupportedMeasure
@@ -365,7 +365,7 @@ def test_occupation_and_disintegration_match_per_play_belief_sequences(rng):
         c, d = rng.random(3), rng.random(3)
         integral, total, ends = 0.0, 0.0, {}
         for j in range(len(b)):
-            seq = pe.belief_sequence(p, x1, b.actions[j], b.signals[j])
+            seq = belief_sequence(p, x1, b.actions[j], b.signals[j])
             for m in range(horizon):
                 mass = b.prob[j] * w[j, m]
                 if mass > 0:

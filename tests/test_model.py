@@ -9,9 +9,9 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError, ScenarioValidationError
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
-from pomdp_evals.playspace import _column_blocks, _filter
+from pomdp_evals.playspace import _filter
 
-from conftest import random_belief, random_pomdp, sparse_instances
+from conftest import random_belief, random_pomdp, sparse_instances, stage_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,9 @@ def test_posteriors_average_back_to_the_next_marginal(rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=sparse_instances(), width=hst.integers(1, 8), horizon=hst.integers(1, 70))
-def test_posterior_rows_sum_to_one(case, width, horizon):
+@given(case=sparse_instances(), width=hst.integers(1, 8), horizon=hst.integers(1, 70),
+       block=hst.integers(1, 70))
+def test_posterior_rows_sum_to_one(case, width, horizon, block):
     # random beliefs (Diracs among them) and observed pairs, many of them
     # impossible on the sparse instance, so the off-support fallback runs too
     p, x1, rng = case
@@ -138,7 +139,7 @@ def test_posterior_rows_sum_to_one(case, width, horizon):
     assert np.all(np.abs(bayes_update_rows(bayes_matrices(p), x, code).sum(axis=1) - 1) <= 1e-12)
     actions = rng.integers(0, p.n_actions, (width, horizon))
     signals = rng.integers(0, p.n_signals, (width, horizon))
-    for _, _, bel in _filter(p, x1, _column_blocks(actions, signals)):
+    for _, _, bel in _filter(p, x1, stage_blocks(actions, signals, block)):
         assert np.all(np.abs(bel.sum(axis=2) - 1) <= 1e-12)
 
 

@@ -13,12 +13,11 @@ import pomdp_evals as pe
 from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory
-from pomdp_evals.playspace import (batched_belief_payoffs, belief_sequence,
-                                   enumerate_plays, plan_shards, play_blocks, shard_seeds,
-                                   simulate_plays, MC_CELL_BUDGET, PROB_FLOOR,
-                                   SCALAR_PLAYS, STAGE_BLOCK)
+from pomdp_evals.playspace import (enumerate_plays, play_blocks, shard_seeds,
+                                   simulate_plays, PROB_FLOOR, SCALAR_PLAYS, STAGE_BLOCK)
 
-from conftest import random_belief, random_pomdp, sparse_instances
+from conftest import (belief_payoffs, belief_sequence, random_belief, random_pomdp,
+                      sparse_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +69,12 @@ def test_belief_sequence_matches_iterated_bayes_updates(rng):
         x = pe.bayes_update(p, x, actions[m], signals[m])
 
 
-def test_batched_belief_payoffs_match_scalar_path(rng):
+def test_belief_payoff_blocks_match_scalar_path(rng):
     p = random_pomdp(rng, k=3, n_i=2, n_s=2)
     x1 = random_belief(rng, 3)
     st, ac, sg = simulate_plays(p, x1, pe.uniform_strategy(2), 6, 20,
                                 np.random.default_rng(1))
-    batch = batched_belief_payoffs(p, x1, ac, sg)
+    batch = belief_payoffs(p, x1, ac, sg)
     for j in range(20):
         seq = belief_sequence(p, x1, ac[j], sg[j])
         manual = [pe.stage_payoff(p, seq[m], int(ac[j, m])) for m in range(6)]
@@ -335,7 +334,7 @@ def test_sampled_plays_follow_the_enumerated_law():
     # action law that depends on the belief
     weight = rng.random((2, 2)) + 0.1
     b = enumerate_plays(p, x1, pe.uniform_strategy(2), 3)
-    beliefs = [pe.belief_sequence(p, x1, a, s) for a, s in zip(b.actions, b.signals)]
+    beliefs = [belief_sequence(p, x1, a, s) for a, s in zip(b.actions, b.signals)]
     support = list({pe.belief_key(x): x for seq in beliefs for x in seq}.values())
     stat = pe.StationaryStrategy(2, support, [weight @ x / (weight @ x).sum() for x in support])
     strategies = [
@@ -394,21 +393,23 @@ def test_grouped_pass_equals_separate_shard_calls(case, horizon, width, data):
 
 @settings(max_examples=60, deadline=None)
 @given(case=sparse_instances(), horizon=HORIZONS, width=hst.integers(1, 6))
-def test_batched_belief_payoffs_match_belief_sequences(case, horizon, width):
+def test_belief_payoff_blocks_match_belief_sequences(case, horizon, width):
     # arbitrary observed histories: with zero cells many of them leave the
-    # support, where both paths fall back to the Dirac at the first state
+    # support, where both paths fall back to the Dirac at the first state;
+    # one block over every stage, as an enumerated batch is filtered, gives
+    # the payoffs of STAGE_BLOCK-stage blocks bit for bit
     p, x1, rng = case
     actions = rng.integers(0, p.n_actions, (width, horizon))
     signals = rng.integers(0, p.n_signals, (width, horizon))
-    batch = batched_belief_payoffs(p, x1, actions, signals)
+    batch = belief_payoffs(p, x1, actions, signals)
     assert batch.shape == (width, horizon)
+    assert np.array_equal(batch, belief_payoffs(p, x1, actions, signals, block=horizon))
     for j in range(width):
         seq = belief_sequence(p, x1, actions[j], signals[j])
         want = [pe.stage_payoff(p, seq[m], int(actions[j, m])) for m in range(horizon)]
         assert np.allclose(batch[j], want, rtol=0, atol=1e-12)
         assert np.array_equal(batch[j:j + 1],
-                              batched_belief_payoffs(p, x1, actions[j:j + 1],
-                                                     signals[j:j + 1]))
+                              belief_payoffs(p, x1, actions[j:j + 1], signals[j:j + 1]))
 
 
 def test_off_support_history_falls_back_to_the_first_state_at_width_one():
@@ -423,7 +424,7 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
     seq = belief_sequence(q, x1, actions[0], signals[0])
     assert np.array_equal(seq[2], [1.0, 0.0])
     want = [pe.stage_payoff(q, seq[m], int(actions[0, m])) for m in range(4)]
-    assert np.allclose(batched_belief_payoffs(q, x1, actions, signals)[0], want,
+    assert np.allclose(belief_payoffs(q, x1, actions, signals)[0], want,
                        rtol=0, atol=1e-12)
 
 
@@ -504,9 +505,3 @@ def test_shard_seeds_are_reproducible_and_distinct():
     assert draws_a == draws_b
     assert len(set(draws_a)) == 4
 
-
-def test_plan_shards_limits_cells_per_shard():
-    assert plan_shards(100, 10, 4) == 4
-    big = plan_shards(1_000_000, 100, 4)
-    assert -(-1_000_000 // big) * 100 <= MC_CELL_BUDGET
-    assert plan_shards(2, 10, 8) == 2   # never more shards than samples

@@ -26,6 +26,18 @@ def test_behavior_strategy_rejects_invalid_rows():
         strat.action_distribution(ObservedHistory())
 
 
+@pytest.mark.parametrize("play", [
+    lambda p, x1, s: pe.simulate_plays(p, x1, s, 3, 4, np.random.default_rng(0)),
+    lambda p, x1, s: pe.enumerate_plays(p, x1, s, 3)], ids=["simulate", "enumerate"])
+def test_a_behavior_rule_returning_nan_names_the_history(redraw, play):
+    # every comparison with NaN is false, so only a finiteness check stops
+    # such a law from playing action 0 or breaking the play tree
+    strat = pe.BehaviorStrategy(2, lambda h: [np.nan, np.nan] if len(h) == 1 else [0.5, 0.5])
+    with pytest.raises(InvalidInputError, match=r"after the history "
+                                                r"ObservedHistory\(actions=\(\d,\), signals=\(\d,\)\)"):
+        play(redraw.pomdp, redraw.initial_belief, strat)
+
+
 @pytest.mark.parametrize("strat", [pe.RandomBehaviorStrategy(2, 1),
                                    pe.BehaviorStrategy(2, lambda h: np.array([0.3, 0.7]))],
                          ids=["random-behavior", "behavior-rule"])

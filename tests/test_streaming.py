@@ -20,9 +20,9 @@ import pomdp_evals as pe
 from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
                                      eta_horizon, pathwise_irregularity, weight_sums)
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
-from pomdp_evals.playspace import (STAGE_BLOCK, PlayStream, belief_payoff_blocks,
-                                   plan_shards, play_blocks, reduce_sampled_plays,
-                                   shard_seeds, simulate_plays)
+from pomdp_evals.playspace import (MC_SHARDS, STAGE_BLOCK, PlayStream, belief_payoff_blocks,
+                                   play_blocks, reduce_sampled_plays, shard_seeds,
+                                   simulate_plays)
 from pomdp_evals.values import average_extrema, weighted_payoff_and_irregularity_mc
 
 from conftest import sparse_instances
@@ -246,10 +246,10 @@ def _into_state_zero(p):
 
 @settings(max_examples=80, deadline=None)
 @given(case=sparse_instances(), kind=KINDS, horizon=hst.sampled_from(HORIZONS[1:]),
-       samples=hst.integers(1, 12), shards=hst.integers(1, 4), seed=hst.integers(0, 2**16),
+       samples=hst.integers(1, 12), seed=hst.integers(0, 2**16),
        stepped=hst.booleans(), absorbing=hst.booleans())
-def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples, shards,
-                                                   seed, stepped, absorbing):
+def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples, seed,
+                                                   stepped, absorbing):
     # the same seeded plays reduced from (samples, horizon) matrices and
     # streamed block by block through reduce_sampled_plays: once with every
     # block listed first, so that nothing retires, and once through the
@@ -264,8 +264,7 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
                       rng.integers(0, m, (m, p.n_actions, p.n_signals)))
     e, ref = _family(kind, p, x1, horizon, rng)
     ctx = EvalContext(p, x1)
-    counts = [len(c) for c in np.array_split(np.arange(samples),
-                                             plan_shards(samples, horizon, shards))]
+    counts = [len(c) for c in np.array_split(np.arange(samples), min(samples, MC_SHARDS))]
     st, ac, sg = simulate_plays(p, x1, strat, horizon, samples,
                                 list(zip(shard_seeds(seed, len(counts)), counts)))
     window = int(rng.integers(1, horizon + 1))
@@ -278,10 +277,9 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
         return (*weight_sums(e, PlayStream(b for b in blocks), horizon, ctx, p.reward),
                 *average_extrema(g, horizon, window), *average_extrema(bel, horizon))
 
-    got = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce, shards)
+    got = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce)
     retiring = reduce_sampled_plays(p, x1, strat, horizon, samples, seed,
-                                    lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward),
-                                    shards)
+                                    lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward))
     state_g = p.reward[st, ac]
     belief_g = ref_belief_payoffs(p, x1, ac, sg)
     w = ref(st, ac, sg)
@@ -295,6 +293,25 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
     if kind == "run_block":
         for g, r in zip(retiring, ref_block_sums(p, w, st, ac)):
             assert np.array_equal(g, r)
+
+
+def test_sampled_pass_splits_samples_over_mc_shards_streams_at_any_horizon(redraw):
+    # 8 plays over 25 000 000 stages are 200M cells, yet the samples still
+    # go two by two to MC_SHARDS streams; the pass stops after one block
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    strat, seed = pe.uniform_strategy(p.n_actions), 11
+
+    def reduce(blocks):
+        _, ids, *first = next(blocks)
+        blocks.retire(ids)
+        assert next(blocks, None) is None
+        return tuple(b.T for b in first)
+
+    got = reduce_sampled_plays(p, x1, strat, 25_000_000, 8, seed, reduce)
+    want = simulate_plays(p, x1, strat, STAGE_BLOCK, 8,
+                          list(zip(shard_seeds(seed, MC_SHARDS), [2, 2, 2, 2])))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_run_block_weights_across_block_cuts():
@@ -418,9 +435,9 @@ def test_the_pass_stops_once_every_play_is_retired(redraw, spec, blocks):
             stream.retire(ids[done])
     assert made == list(range(0, blocks * STAGE_BLOCK, STAGE_BLOCK))
     got = reduce_sampled_plays(p, x1, strat, horizon, samples, 7,
-                               lambda b: weight_sums(e, b, horizon, ctx, p.reward), 3)
+                               lambda b: weight_sums(e, b, horizon, ctx, p.reward))
     plays = simulate_plays(p, x1, strat, horizon, samples,
-                           list(zip(shard_seeds(7, 3), [17, 17, 16])))
+                           list(zip(shard_seeds(7, MC_SHARDS), [13, 13, 12, 12])))
     want = ref_block_sums(p, e.batch_weights(*plays, ctx), *plays[:2])
     for g, r in zip(got, want):
         assert np.array_equal(g, r)

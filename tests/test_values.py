@@ -9,13 +9,12 @@ from pomdp_evals.chain import product_chain
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.evaluations import EvalContext, weight_sums
 from pomdp_evals.model import belief_key, belief_transition, stage_payoff
-from pomdp_evals.playspace import (SCALAR_PLAYS, batched_belief_payoffs, one_block_stream,
-                                   simulate_plays)
-from pomdp_evals.values import (running_average_extremum, value_n_sequence,
+from pomdp_evals.playspace import SCALAR_PLAYS, one_block_stream, simulate_plays
+from pomdp_evals.values import (average_extrema, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
 
-from conftest import random_pomdp, sparse_instances
+from conftest import belief_payoffs, random_pomdp, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,14 @@ def test_mc_payoff_lies_within_five_sigma_of_the_exact_payoff(case, horizon, kin
 # ---------------------------------------------------------------------------
 
 def test_running_average_extrema_hand_example():
-    g = np.array([[1.0, 0.0, 0.0, 1.0]])
+    g = [(0, np.array([[1.0], [0.0], [0.0], [1.0]]))]
     # prefix averages: 1, 1/2, 1/3, 1/2 ; default window is [2, 4]
-    assert np.isclose(running_average_extremum(g, "limsup")[0], 0.5)
-    assert np.isclose(running_average_extremum(g, "liminf")[0], 1 / 3)
-    assert np.isclose(running_average_extremum(g, "limsup", window_start=1)[0], 1.0)
+    hi, lo = average_extrema(g, 4)
+    assert np.isclose(hi[0], 0.5)
+    assert np.isclose(lo[0], 1 / 3)
+    assert np.isclose(average_extrema(g, 4, window_start=1)[0][0], 1.0)
     with pytest.raises(InvalidInputError):
-        running_average_extremum(g, "limsup", window_start=9)
+        average_extrema(g, 4, window_start=9)
 
 
 def test_liminf_proxy_never_exceeds_limsup_proxy(rng):
@@ -262,7 +262,7 @@ def test_belief_and_state_modes_coincide_when_states_are_revealed(revealed_match
     st, ac, sg = simulate_plays(p, x1, pe.uniform_strategy(2), 40, 100,
                                 np.random.default_rng(8))
     state_pay = p.reward[st, ac]
-    belief_pay = batched_belief_payoffs(p, x1, ac, sg)
+    belief_pay = belief_payoffs(p, x1, ac, sg)
     assert np.allclose(state_pay[:, 1:], belief_pay[:, 1:], atol=1e-12)
 
 
