@@ -101,9 +101,19 @@ def _load(args) -> Scenario:
     src = args.scenario
     if src is None:
         raise InvalidInputError("--scenario is required for this command")
-    if Path(src).exists():
+    if _names_a_file(src):
         return load_scenario(src)
     return builtin_scenario(src)
+
+
+def _names_a_file(arg: str) -> bool:
+    """Whether an argument that takes a file or an inline value names an
+    existing path; one too long to be a path name (an inline JSON document,
+    say) does not."""
+    try:
+        return Path(arg).exists()
+    except OSError:
+        return False
 
 
 def _json_file(path: str, what: str):
@@ -120,7 +130,7 @@ def _strategy(args, scenario: Scenario):
     name, p = args.strategy, scenario.pomdp
     if name is None:
         raise InvalidInputError("--strategy is required for this command")
-    if not Path(name).exists():
+    if not _names_a_file(name):
         return builtin_strategy(name, p)
     doc = _json_file(name, "strategy")
     if not (isinstance(doc, dict) and doc.get("type") == "transducer"):
@@ -143,7 +153,7 @@ def _evaluation(args) -> tuple:
     spec = args.evaluation
     if spec is None:
         raise InvalidInputError("--evaluation is required for this command")
-    if Path(spec).exists():
+    if _names_a_file(spec):
         spec = Path(spec).read_text()
     e = evaluation_from_spec(spec)
     for key in ("target_state", "early_state"):

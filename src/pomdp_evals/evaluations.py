@@ -11,6 +11,7 @@ enumerated play batch as a stream of one block and average with the play
 probabilities, Monte Carlo results fold the sampled stream."""
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ from .model import Pomdp
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, prefix_ids, reduce_sampled_plays,
                         sample_mean)
-from .strategies import ScheduleStrategy, Strategy, json_integer
+from .strategies import ScheduleStrategy, Strategy, json_float, json_integer
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
 NORMALIZATION = ("pointwise", "in-expectation", "none")
@@ -214,17 +215,15 @@ def make_discounted(lam: float) -> Evaluation:
                           lam=lam)
 
 
-def _check_finite(name: str, v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
-        j = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise InvalidInputError(f"{name} entry {j} is {v[j]}, expected a finite number")
+def _floats(name: str, values) -> list:
+    """The entries of `values` as floats, each checked by `json_float`."""
+    return [json_float(v, f"{name} entry {j}") for j, v in enumerate(values)]
 
 
 def make_decreasing(weights) -> Evaluation:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(w) == 0:
+    if np.ndim(weights) != 1 or len(weights) == 0:
         raise InvalidInputError("weights must be a non-empty vector")
-    _check_finite("weights", w)
+    w = np.array(_floats("weights", weights))
     if np.any(w < 0) or np.any(w > 1):
         raise InvalidInputError("weights must lie in [0,1]")
     if np.any(np.diff(w) > 1e-12):
@@ -235,12 +234,11 @@ def make_decreasing(weights) -> Evaluation:
 
 def make_piecewise_constant(breaks, levels) -> Evaluation:
     breaks = [json_integer(b, "evaluation 'piecewise_constant' field 'breaks'") for b in breaks]
-    levels = [float(v) for v in levels]
+    levels = _floats("levels", levels)
     if len(breaks) != len(levels) or not breaks:
         raise InvalidInputError("breaks and levels must be non-empty and equal-length")
     if breaks[0] < 1 or any(b >= c for b, c in zip(breaks, breaks[1:])):
         raise InvalidInputError("breaks must be strictly increasing stages >= 1")
-    _check_finite("levels", np.asarray(levels))
     if any(v < 0 or v > 1 for v in levels):
         raise InvalidInputError("levels must lie in [0,1]")
     full = np.concatenate([
@@ -377,7 +375,9 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     """Uniform weights 1/eta on stages 1..eta, where eta is the stopping stage
     from eta_horizon applied to the play's belief payoffs.  Its block step
     holds every block of the stream, because eta depends on the whole play,
-    and filters the beliefs over the blocks as they came."""
+    and takes the belief payoffs of the blocks as they came from
+    `belief_payoff_blocks`: walked along the closed belief graph, or
+    filtered on an open orbit."""
     if l < 1 or horizon < l:
         raise InvalidInputError("need horizon >= l >= 1")
 
@@ -404,26 +404,41 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     )
 
 
+# each kind's fields are its maker's parameters
 _MAKERS = {
-    "n_stage": lambda **kw: make_n_stage(kw["n"]),
-    "discounted": lambda **kw: make_discounted(float(kw.get("lam", kw.get("lambda", 0.0)))),
-    "decreasing": lambda **kw: make_decreasing(kw["weights"]),
-    "piecewise_constant": lambda **kw: make_piecewise_constant(kw["breaks"], kw["levels"]),
-    "state_block_ex1": lambda **kw: make_state_block(kw["l"], kw.get("early_state", 0)),
-    "run_block_ex2": lambda **kw: make_run_block(kw["l"], kw.get("target_state", 0)),
-    "limsup_theta": lambda **kw: make_limsup_theta(kw["l"], kw["horizon"]),
+    "n_stage": make_n_stage,
+    "discounted": make_discounted,
+    "decreasing": make_decreasing,
+    "piecewise_constant": make_piecewise_constant,
+    "state_block_ex1": make_state_block,
+    "run_block_ex2": make_run_block,
+    "limsup_theta": make_limsup_theta,
 }
-# the parameters that hold integers, whatever the kind
+# the parameters that hold integers, and those that hold floats, whatever the kind
 _INTEGER_PARAMS = ("n", "l", "early_state", "target_state", "horizon")
+_FLOAT_PARAMS = ("lam", "lambda")
 
 
 def make_evaluation(kind: str, **params) -> Evaluation:
-    """Build a named evaluation; see _MAKERS for the accepted kinds.  An
-    integer parameter given as a bool, a float or a string is rejected."""
+    """Build a named evaluation; see _MAKERS for the accepted kinds, whose
+    fields are their makers' parameters, and "lambda" for the discounted
+    kind's "lam".  A field the kind does not read is rejected, and so is an
+    integer field given as a bool, a float or a string, or a float field
+    given as a bool, a string or a non-finite number."""
     if kind not in _MAKERS:
         raise InvalidInputError(f"unknown evaluation kind {kind!r}")
-    params = {k: json_integer(v, f"evaluation {kind!r} field {k!r}")
-              if k in _INTEGER_PARAMS else v for k, v in params.items()}
+    fields = inspect.signature(_MAKERS[kind]).parameters
+    for k in params:
+        if k not in fields and (kind, k) != ("discounted", "lambda"):
+            raise InvalidInputError(f"evaluation {kind!r} has no field {k!r} "
+                                    f"(its fields: {', '.join(fields)})")
+    params = {k: json_integer(v, f"evaluation {kind!r} field {k!r}") if k in _INTEGER_PARAMS
+              else json_float(v, f"evaluation {kind!r} field {k!r}") if k in _FLOAT_PARAMS
+              else v for k, v in params.items()}
+    if "lambda" in params:
+        if "lam" in params:
+            raise InvalidInputError("evaluation 'discounted' gives both 'lam' and 'lambda'")
+        params["lam"] = params.pop("lambda")
     try:
         return _MAKERS[kind](**params)
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,11 +7,13 @@ turns into a stream of one block, and `play_blocks` streams seeded plays one
 stage block at a time, so Monte Carlo never holds a (plays, horizon) matrix
 and stops simulating the plays its consumer retires; `simulate_plays`
 collects that stream for API callers.  Also here: observed-prefix grouping
-and the stage-blocked Bayes filter along observed histories."""
+and belief payoffs along observed histories, walked on the closed belief
+graph of the initial belief or filtered stage block by stage block."""
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -120,12 +122,86 @@ def prefix_ids(actions: np.ndarray, signals: np.ndarray) -> tuple:
 
 def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     """Per-stage belief payoffs g(x_m, i_m) along a stream of observed play
-    blocks (t0, actions, signals), each time-major (block, plays), as `_filter`
-    takes them: yields (t0, g) with g of the block's shape.  The filter state
-    carried between blocks is one (plays, K) belief."""
+    blocks (t0, actions, signals), each time-major (block, plays) over the
+    same plays, as `_filter` takes them: yields (t0, g) with g of the
+    block's shape.
+
+    When the beliefs reachable from x1 close into a graph of at most as many
+    beliefs as the first block has stages (`_belief_graph`), each play
+    carries a belief id, stepped along the graph by its observed pairs with
+    one numpy `take` per stage, and g is gathered from a (beliefs, actions)
+    payoff table.  The limit holds a failed attempt to at most I*S
+    posteriors per stage of the first block, however many plays the filter
+    then carries, and lets a narrow pass close a graph wider than itself.
+    An open orbit runs the Bayes filter `_filter`, carrying one (plays, K)
+    belief.  Both paths give the same floats: the graph's beliefs are the
+    filter's own updates told apart by their bytes, and the table is made
+    by the filter path's einsum."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return
+    blocks = chain([first], blocks)
     reward_of = p.reward.T
-    for t0, actions, bel in _filter(p, x1, blocks):
-        yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
+    graph = _belief_graph(p, x1, len(first[1]))
+    if graph is None:
+        for t0, actions, bel in _filter(p, x1, blocks):
+            yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
+        return
+    beliefs, child = graph
+    n_b, n_c = child.shape
+    # A play at belief b is carried as b*n_c in `at` and `walk`, so one add
+    # and one take step it: the flat index of its posterior after code is
+    # b*n_c + code, and of its payoff under action i is b*n_c + i (i < n_c).
+    # g_at holds g(belief b, i) there, summed over the same (rows, K)
+    # layouts as the filter path's einsum.
+    step = (child * n_c).ravel()
+    g_at = np.zeros((n_b, n_c))
+    g_at[:, :p.n_actions] = np.einsum(
+        "tnk,tnk->tn", beliefs[:, None].repeat(p.n_actions, axis=1),
+        reward_of[np.tile(np.arange(p.n_actions), (n_b, 1))])
+    g_at = g_at.ravel()
+    at = np.zeros(first[1].shape[1], dtype=np.intp)     # every play starts at x1, id 0
+    for t0, actions, signals in blocks:
+        codes = actions * p.n_signals + signals
+        walk = np.empty((len(codes) + 1, len(at)), dtype=np.intp)
+        walk[0] = at
+        for j, code in enumerate(codes):
+            step.take(walk[j] + code, out=walk[j + 1])
+        at = walk[-1]
+        yield t0, g_at.take(walk[:-1] + actions)
+
+
+def _belief_graph(p: Pomdp, x1: np.ndarray, limit: int):
+    """The closed belief graph of (p, x1), or None once it would hold more
+    than `limit` beliefs.
+
+    Returns (beliefs, child): beliefs[0] is x1, and child[b, code] is the id
+    of the posterior of belief b after the observed pair code = i*S + s,
+    off-support codes included.  Posteriors come from `bayes_update_rows`,
+    as in the filter, and are told apart by their exact float bytes, not by
+    the rounded `belief_key`, so the beliefs are bit for bit those the filter
+    would carry along any history."""
+    if limit < 1:
+        return None
+    bayes = bayes_matrices(p)
+    n_c = len(bayes)
+    x = np.asarray(x1, dtype=float)
+    beliefs, seen, child = [x], {x.tobytes(): 0}, []
+    level = x[None]
+    while len(level):
+        post = bayes_update_rows(bayes, level.repeat(n_c, axis=0),
+                                 np.tile(np.arange(n_c), len(level)))
+        new = len(beliefs)
+        for row in post:
+            b = seen.setdefault(row.tobytes(), len(beliefs))
+            if b == len(beliefs):
+                if b == limit:
+                    return None
+                beliefs.append(row)
+            child.append(b)
+        level = np.array(beliefs[new:]).reshape(-1, len(x))
+    return np.array(beliefs), np.array(child, dtype=np.intp).reshape(len(beliefs), n_c)
 
 
 def _filter(p: Pomdp, x1: np.ndarray, blocks):
@@ -134,7 +210,8 @@ def _filter(p: Pomdp, x1: np.ndarray, blocks):
     t0 + j + 1, a view of a buffer that the next block overwrites.  The
     buffer is sized from the first block, and no later block of a sampled
     stream or of an enumerated batch (one block) is longer; it grows only for
-    a stream cut otherwise."""
+    a stream cut otherwise.  `belief_payoff_blocks` runs it for open belief
+    orbits, and the tests take it as the reference of the belief graph."""
     bayes = bayes_matrices(p)
     bel = np.asarray(x1, dtype=float)[None, None]      # bel[0]: the beliefs carried in
     for t0, actions, signals in blocks:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -455,3 +456,18 @@ def json_integer(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise InvalidInputError(f"{what} has a non-integer entry {v!r}")
     return int(v)
+
+
+def json_float(v, what: str) -> float:
+    """v as a float.  A bool, a string, any other non-number, a non-finite
+    number or an integer too large for a float is rejected with
+    InvalidInputError naming `what`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
+    try:
+        x = float(v)
+    except OverflowError:
+        raise InvalidInputError(f"{what} is an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
+    return x

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import strategies as hst
 
 import pomdp_evals as pe
-from pomdp_evals.playspace import STAGE_BLOCK, belief_payoff_blocks
+from pomdp_evals.playspace import STAGE_BLOCK, _filter, belief_payoff_blocks
+
+BUILTIN_SCENARIOS = ("matching-frozen", "matching-revealed", "uniform-redraw",
+                     "blind-switching", "blind-switching-lift")
 
 
 def random_pomdp(rng: np.random.Generator, k: int = 3, n_i: int = 2,
@@ -42,6 +45,41 @@ def sparse_instances(draw):
     return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
 
 
+@hst.composite
+def closed_instances(draw, permuting: bool = True):
+    """Random POMDP with K, I, S <= 3 whose belief orbits close.  An action
+    either reveals the next state through its signal (each signal goes with
+    one state and only the cells (that state, s) are positive, about a third
+    of them zero, each row keeping one), so every posterior is a Dirac; or,
+    when `permuting`, moves the states by a permutation and emits one fixed
+    signal, so the posterior permutes the belief.  Normalising a permuted
+    belief can move it by an ulp, so a permutation orbit may take a few
+    rounds to close on exact floats.  Revealing actions alone give at most
+    K + 1 beliefs."""
+    k, n_i, n_s = (draw(hst.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    named = np.eye(k)[rng.integers(0, k, n_s)].T.ravel() > 0     # cell (l, s) with l named by s
+    trans = rng.random((k, n_i, k * n_s)) * (rng.random((k, n_i, k * n_s)) > 0.35) * named
+    keep = rng.choice(np.flatnonzero(named), (k, n_i))
+    trans[np.arange(k)[:, None], np.arange(n_i), keep] += 0.1
+    for i in range(n_i):
+        if permuting and draw(hst.booleans()):
+            trans[:, i] = 0.0
+            trans[np.arange(k), i, rng.permutation(k) * n_s + rng.integers(0, n_s)] = 1.0
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), tuple(f"a{j}" for j in range(n_i)),
+                 tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
+                 rng.random((k, n_i)))
+    return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
+
+
+@hst.composite
+def builtin_cases(draw):
+    """A builtin scenario's POMDP and initial belief, with a seeded generator."""
+    sc = pe.builtin_scenario(draw(hst.sampled_from(BUILTIN_SCENARIOS)))
+    return sc.pomdp, sc.initial_belief, np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+
 def belief_sequence(p: pe.Pomdp, x1: np.ndarray, actions, signals) -> np.ndarray:
     """Scalar Bayes reference: the beliefs x_1 .. x_n held before each stage,
     from the observed pairs, one `bayes_update` per stage.  Entry m-1 is the
@@ -69,6 +107,15 @@ def belief_payoffs(p: pe.Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np
     from `belief_payoff_blocks` over blocks of at most `block` stages."""
     blocks = belief_payoff_blocks(p, x1, stage_blocks(actions, signals, block))
     return np.concatenate([g for _, g in blocks]).T
+
+
+def filter_payoffs(p: pe.Pomdp, x1: np.ndarray, actions: np.ndarray, signals: np.ndarray,
+                   block: int = STAGE_BLOCK) -> np.ndarray:
+    """The reference of `belief_payoffs`: the same payoffs from the Bayes
+    filter `_filter` over the same blocks, whether or not the orbit closes."""
+    reward_of = p.reward.T
+    return np.concatenate([np.einsum("tnk,tnk->tn", bel, reward_of[ac]) for _, ac, bel in
+                           _filter(p, x1, stage_blocks(actions, signals, block))]).T
 
 
 @pytest.fixture

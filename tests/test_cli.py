@@ -165,6 +165,53 @@ def test_a_non_integer_evaluation_field_is_rejected_not_truncated(capsys, spec, 
     assert err.startswith(f"error: evaluation {kind!r} field {field!r}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "run_block_ex2", "l": 3, "target_sate": 1}, "target_sate"),
+    ({"kind": "n_stage", "n": 3, "l": 2}, "l"),
+    ({"kind": "discounted", "lam": 0.5, "n": 3}, "n"),
+    ({"kind": "decreasing", "weights": [0.5, 0.5], "levels": [1]}, "levels"),
+    ({"kind": "piecewise_constant", "breaks": [2], "levels": [0.5], "weights": [0.5]},
+     "weights"),
+    ({"kind": "state_block_ex1", "l": 2, "target_state": 1}, "target_state"),
+    ({"kind": "limsup_theta", "l": 2, "horizon": 6, "lambda": 0.5}, "lambda"),
+])
+def test_an_evaluation_field_its_kind_does_not_read_is_rejected(capsys, spec, field):
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", "uniform", "--evaluation", json.dumps(spec),
+                             "--horizon", "6")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: evaluation {spec['kind']!r} has no field {field!r}")
+
+
+@pytest.mark.parametrize("spec, what", [
+    ('{"kind": "discounted", "lam": "0.5"}', "evaluation 'discounted' field 'lam' is '0.5'"),
+    ('{"kind": "discounted", "lam": true}', "evaluation 'discounted' field 'lam' is True"),
+    ('{"kind": "piecewise_constant", "breaks": [2], "levels": ["1"]}', "levels entry 0 is '1'"),
+    ('{"kind": "discounted", "lambda": Infinity}', "field 'lambda' is inf"),
+    ('{"kind": "decreasing", "weights": [0.5, false]}', "weights entry 1 is False"),
+    pytest.param('{"kind": "discounted", "lam": 1' + "0" * 400 + '}',
+                 "field 'lam' is an integer too large for a float", id="huge-lam"),
+    pytest.param('{"kind": "decreasing", "weights": [1' + "0" * 400 + ']}',
+                 "weights entry 0 is an integer too large for a float", id="huge-weight"),
+    ('{"kind": "discounted", "lam": 0.5, "lambda": 0.5}', "both 'lam' and 'lambda'"),
+])
+def test_a_float_evaluation_field_is_checked(capsys, spec, what):
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", "uniform", "--evaluation", spec, "--horizon", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and what in err and "Traceback" not in err
+
+
+def test_an_inline_evaluation_longer_than_a_path_name_is_read_as_json(capsys):
+    weights = [round(0.5 ** j, 12) for j in range(1, 40)]
+    spec = json.dumps({"kind": "decreasing", "weights": weights})
+    assert len(spec) > 255
+    code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
+                             "--strategy", "uniform", "--evaluation", spec, "--horizon", "6")
+    assert code == 0 and err == ""
+    assert json.loads(out)["records"][0]["parameter"] == "decreasing"
+
+
 def test_json_output_is_byte_identical_across_runs(capsys):
     argv = ("evaluate", "--scenario", "uniform-redraw", "--strategy",
             "always:wait", "--evaluation", '{"kind": "run_block_ex2", "l": 3}',

@@ -12,11 +12,12 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
-from pomdp_evals.model import ObservedHistory
+from pomdp_evals.model import ObservedHistory, bayes_matrices, bayes_update_rows
 from pomdp_evals.playspace import (enumerate_plays, play_blocks, shard_seeds,
                                    simulate_plays, PROB_FLOOR, SCALAR_PLAYS, STAGE_BLOCK)
 
-from conftest import (belief_payoffs, belief_sequence, random_belief, random_pomdp,
+from conftest import (BUILTIN_SCENARIOS, belief_payoffs, belief_sequence, builtin_cases,
+                      closed_instances, filter_payoffs, random_belief, random_pomdp,
                       sparse_instances)
 
 
@@ -426,6 +427,113 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
     want = [pe.stage_payoff(q, seq[m], int(actions[0, m])) for m in range(4)]
     assert np.allclose(belief_payoffs(q, x1, actions, signals)[0], want,
                        rtol=0, atol=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=hst.one_of(builtin_cases(), closed_instances(), sparse_instances()),
+       width=hst.integers(1, 40), horizon=hst.integers(1, 150), block=hst.integers(1, 70),
+       sampled=hst.booleans())
+def test_belief_graph_payoffs_equal_the_filter_bit_for_bit(case, width, horizon, block,
+                                                           sampled):
+    # the builtin scenarios and the closed instances close their belief
+    # orbits, within the first block's stages but for the shortest blocks;
+    # most sparse instances do not; random observed pairs leave the
+    # support, where both paths fall back to the Dirac at the first state
+    p, x1, rng = case
+    if sampled:
+        _, actions, signals = simulate_plays(p, x1, pe.uniform_strategy(p.n_actions),
+                                             horizon, width, rng)
+    else:
+        actions = rng.integers(0, p.n_actions, (width, horizon))
+        signals = rng.integers(0, p.n_signals, (width, horizon))
+    got = belief_payoffs(p, x1, actions, signals, block)
+    assert got.shape == (width, horizon)
+    assert np.array_equal(got, filter_payoffs(p, x1, actions, signals, block))
+
+
+def _graph_is_closed(p, x1, graph):
+    """Every edge of the graph leads to the filter's posterior, bytes and all."""
+    beliefs, child = graph
+    codes = np.arange(child.shape[1])
+    for b, x in enumerate(beliefs):
+        post = bayes_update_rows(bayes_matrices(p), np.repeat(x[None], len(codes), axis=0), codes)
+        assert post.tobytes() == beliefs[child[b]].tobytes()
+    assert beliefs[0].tobytes() == np.asarray(x1, dtype=float).tobytes()
+
+
+def test_builtin_belief_orbits_close():
+    counts = []
+    for name in BUILTIN_SCENARIOS:
+        sc = pe.builtin_scenario(name)
+        graph = playspace._belief_graph(sc.pomdp, sc.initial_belief, 1000)
+        _graph_is_closed(sc.pomdp, sc.initial_belief, graph)
+        counts.append(len(graph[0]))
+        # the limit is the number of beliefs the graph may hold
+        assert playspace._belief_graph(sc.pomdp, sc.initial_belief, counts[-1]) is not None
+        assert playspace._belief_graph(sc.pomdp, sc.initial_belief, counts[-1] - 1) is None
+    assert counts == [1, 3, 1, 1, 3]
+
+
+def test_a_narrow_pass_walks_a_closed_graph_larger_than_its_width(rng, monkeypatch):
+    # matching-revealed holds 3 beliefs: a pass of 2 plays still walks its
+    # graph, because the graph may hold as many beliefs as the first block
+    # has stages
+    sc = pe.builtin_scenario("matching-revealed")
+    p, x1 = sc.pomdp, sc.initial_belief
+    _, actions, signals = simulate_plays(p, x1, pe.uniform_strategy(p.n_actions), 150, 2, rng)
+    want = filter_payoffs(p, x1, actions, signals)
+    monkeypatch.setattr(playspace, "_filter", None)
+    assert np.array_equal(belief_payoffs(p, x1, actions, signals), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(revealing=closed_instances(permuting=False), case=closed_instances())
+def test_graph_edges_lead_to_the_filters_posteriors(revealing, case):
+    p, x1, _ = revealing
+    _graph_is_closed(p, x1, playspace._belief_graph(p, x1, p.n_states + 1))
+    # a permutation orbit drifts by ulps before it closes: each drifted
+    # belief is a belief of its own
+    p, x1, _ = case
+    graph = playspace._belief_graph(p, x1, 1000)
+    if graph is not None:
+        _graph_is_closed(p, x1, graph)
+
+
+def test_a_drifting_permutation_orbit_keeps_each_drifted_belief(rng):
+    # two blind permutations of three states: the orbit of x1 has 6 images,
+    # but normalising a permuted belief moves it by an ulp now and then, and
+    # the filter carries those floats, so the graph holds 28 beliefs
+    trans = np.zeros((3, 2, 3, 1))
+    trans[[0, 1, 2], 0, [1, 2, 0], 0] = 1.0
+    trans[[0, 1, 2], 1, [1, 0, 2], 0] = 1.0
+    p = pe.Pomdp(("k0", "k1", "k2"), ("cycle", "swap"), ("o",), trans,
+                 [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    x1 = np.array([0.1, 0.2, 0.7])
+    graph = playspace._belief_graph(p, x1, 1000)
+    assert len(graph[0]) == 28
+    _graph_is_closed(p, x1, graph)
+    for width in (1, 40):
+        actions = rng.integers(0, 2, (width, 300))
+        signals = np.zeros_like(actions)
+        assert np.array_equal(belief_payoffs(p, x1, actions, signals),
+                              filter_payoffs(p, x1, actions, signals))
+
+
+def test_dense_orbit_is_open_and_falls_back_to_the_filter():
+    # shaped like the benchmark's random instances: every cell positive, so
+    # no two observed histories share a belief
+    rng = np.random.default_rng(7)
+    trans = rng.uniform(0.05, 1.0, size=(3, 2, 6))
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(("k0", "k1", "k2"), ("a0", "a1"), ("s0", "s1"), trans.reshape(3, 2, 3, 2),
+                 rng.uniform(0.05, 1.0, size=(3, 2)))
+    x1 = np.full(3, 1.0 / 3)
+    assert playspace._belief_graph(p, x1, 4) is None
+    assert playspace._belief_graph(p, x1, 1000) is None
+    for width in (4, 40):
+        _, actions, signals = simulate_plays(p, x1, pe.uniform_strategy(2), 150, width, rng)
+        assert np.array_equal(belief_payoffs(p, x1, actions, signals),
+                              filter_payoffs(p, x1, actions, signals))
 
 
 def _product_plays(p, x1, strat, horizon):
