@@ -20,7 +20,7 @@ from .evaluations import (evaluation_from_spec, irregularity_exact,
                           irregularity_mc, make_evaluation)
 from .instances import builtin_scenario, builtin_strategy
 from .measures import SupportedMeasure, invariance_residual
-from .model import Scenario, load_scenario, make_belief
+from .model import Scenario, load_scenario, make_belief, names_a_file
 from .playspace import DEFAULT_NODE_BUDGET, reduce_sampled_plays
 from .strategies import (StationaryStrategy, Transducer, enumerate_transducers,
                          transducer_from_dict)
@@ -101,39 +101,32 @@ def _load(args) -> Scenario:
     src = args.scenario
     if src is None:
         raise InvalidInputError("--scenario is required for this command")
-    if _names_a_file(src):
-        return load_scenario(src)
+    if names_a_file(src):
+        return load_scenario(_json_file(src, "scenario"))
     return builtin_scenario(src)
 
 
-def _names_a_file(arg: str) -> bool:
-    """Whether an argument that takes a file or an inline value names an
-    existing path; one too long to be a path name (an inline JSON document,
-    say) does not."""
+def _json_file(path: str, what: str) -> dict:
+    """The JSON object in the file `path`, holding the command's `what`."""
     try:
-        return Path(arg).exists()
-    except OSError:
-        return False
-
-
-def _json_file(path: str, what: str):
-    """The JSON document in the file `path`, holding the command's `what`."""
-    try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InvalidInputError(f"{what} file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what} file {path} does not hold a JSON object")
+    return doc
 
 
 def _strategy(args, scenario: Scenario):
     name, p = args.strategy, scenario.pomdp
     if name is None:
         raise InvalidInputError("--strategy is required for this command")
-    if not _names_a_file(name):
+    if not names_a_file(name):
         return builtin_strategy(name, p)
     doc = _json_file(name, "strategy")
-    if not (isinstance(doc, dict) and doc.get("type") == "transducer"):
+    if doc.get("type") != "transducer":
         raise InvalidInputError(f"strategy file {name} has unsupported type")
     t = transducer_from_dict(doc)
     for field, have, need in (("n_actions", t.n_actions, p.n_actions),
@@ -153,8 +146,8 @@ def _evaluation(args) -> tuple:
     spec = args.evaluation
     if spec is None:
         raise InvalidInputError("--evaluation is required for this command")
-    if _names_a_file(spec):
-        spec = Path(spec).read_text()
+    if names_a_file(spec):
+        spec = _json_file(spec, "evaluation")
     e = evaluation_from_spec(spec)
     for key in ("target_state", "early_state"):
         k = e.params.get(key)

@@ -18,11 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, TruncationError
-from .model import Pomdp
+from .model import Pomdp, json_float
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, prefix_ids, reduce_sampled_plays,
                         sample_mean)
-from .strategies import ScheduleStrategy, Strategy, json_float, json_integer
+from .strategies import ScheduleStrategy, Strategy, json_integer
 
 MEASURABILITY = ("prefix-observed", "prefix-full", "play-observed", "general")
 NORMALIZATION = ("pointwise", "in-expectation", "none")
@@ -455,6 +455,8 @@ def evaluation_from_spec(doc) -> Evaluation:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"evaluation spec is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError("evaluation spec must be a JSON object")
     doc = dict(doc)
     kind = doc.pop("kind", None)
     if kind is None:
@@ -486,8 +488,7 @@ def block_smooth(e: Evaluation, l: int) -> Evaluation:
     support = None if e.support_horizon is None else -(-e.support_horizon // l) * l
     if e.deterministic:
         stage_fn = lambda horizon: e.stage_fn(horizon)[np.arange(horizon) // l * l]
-        probe = stage_fn(support) if support else stage_fn(1000)
-        norm = "pointwise" if support and abs(probe.sum() - 1.0) <= 1e-9 else "none"
+        norm = "pointwise" if support and abs(stage_fn(support).sum() - 1.0) <= 1e-9 else "none"
         return Evaluation(
             kind=f"block_smooth({e.kind},{l})",
             measurability=e.measurability,

@@ -120,7 +120,7 @@ def _weighted_prefixes(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
         rows = first[m]
         if m:
             parent, i, s = ids[rows, m - 1], b.actions[rows, m - 1], b.signals[rows, m - 1]
-            x = bayes_update_rows(bayes, x[parent], i * p.n_signals + s)
+            x = bayes_update_rows(bayes, x[parent], i * p.n_signals + s)[0]
             mem = strat.step(mem[parent], i, s)
         weight = np.bincount(ids[:, m], weights=b.prob * w[:, m])
         kept = np.flatnonzero(weight > 0)

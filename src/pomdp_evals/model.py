@@ -1,5 +1,10 @@
-"""Finite POMDPs: the model tuple, beliefs, Bayes updates, stage payoffs and
-the payoff-tracking state lift.
+"""Finite POMDPs: the model tuple, beliefs, Bayes updates, the belief graph
+of an initial belief, stage payoffs, the payoff-tracking state lift and
+scenario JSON.
+
+The belief graph (`belief_graph`) is the one finite belief MDP of the
+package: the belief DP sweeps it to the horizon, with beliefs merged to 12
+decimals, and the Monte Carlo belief payoffs walk it once it closes.
 
 A POMDP is the tuple (states, actions, signals, transition, reward).  The
 transition table maps a (state, action) pair to a joint distribution over
@@ -9,8 +14,10 @@ probability vectors over the state set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
+from pathlib import Path, PurePath
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,21 +232,76 @@ def bayes_matrices(p: Pomdp) -> np.ndarray:
 
 
 def bayes_update_rows(bayes: np.ndarray, x: np.ndarray, code: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None) -> tuple:
     """Batched `bayes_update`: row j of the (n, K) beliefs x updated by the
     observed pair code[j] = i*S + s, with `bayes` from `bayes_matrices`.
 
-    Off-support rows fall back to the Dirac at the first state.  The result
-    goes to `out` when given (it must not overlap x).
+    Returns (posteriors, prob): prob[j] is the probability of the pair's
+    signal, the sum that normalises row j.  Off-support rows, whose signal
+    has probability below SIGNAL_PROB_FLOOR, fall back to the Dirac at the
+    first state and get prob 0.  The posteriors go to `out` when given (it
+    must not overlap x).
     """
     joint = np.einsum("nk,nkl->nl", x, bayes.take(code, axis=0), out=out)
     tot = joint.sum(axis=1, keepdims=True)
     if tot.min() < SIGNAL_PROB_FLOOR:
-        off = tot[:, 0] < SIGNAL_PROB_FLOOR
-        tot[off] = 1.0
-        joint[off] = np.eye(1, joint.shape[1])[0]
-    joint /= tot
-    return joint
+        off = tot < SIGNAL_PROB_FLOOR
+        tot[off] = 0.0
+        joint[off[:, 0]] = np.eye(1, joint.shape[1])[0]
+        joint /= tot + off
+    else:
+        joint /= tot
+    return joint, tot[:, 0]
+
+
+def belief_graph(p: Pomdp, x1: np.ndarray, limit: int, depth: int | None = None,
+                 rounded: bool = False):
+    """The beliefs reachable from x1 within `depth` observed pairs, all of
+    them when depth is None, or None once they would be more than `limit`.
+
+    Returns (beliefs, child, prob, seen).  beliefs[0] is x1 and the beliefs
+    come in order of first depth: the first seen[d] are those reached within
+    depth d.  Row b of child and of prob, for each belief b expanded (all
+    but those first reached at depth `depth`), holds for every observed pair
+    code = i*S + s the id of the posterior and the probability P(s | b, i).
+    Each level is expanded by `bayes_update_rows`, whose normalising sums
+    are the edge probabilities, so every code keeps its edge: an off-support
+    one leads to the Dirac fallback with probability 0.
+
+    Posteriors are told apart by their exact float bytes, so the beliefs are
+    bit for bit those the Bayes filter carries along any history.  With
+    `rounded` they are told apart by `belief_key`, the first belief with a
+    key standing for the others: an orbit that contracts onto a fractal has
+    far fewer points at 1e-12 than at float resolution, so the belief DP
+    stays within its budget where the exact graph outgrows it."""
+    bayes = bayes_matrices(p)
+    n_c, k = bayes.shape[:2]
+    canon = canonical_belief if rounded else np.asarray
+    step = max(1, (1 << 20) // (n_c * k * k))   # beliefs expanded at once: 8 MB of matrices
+    level = _check_dims(p, x1)[None]
+    ids = {canon(level[0]).tobytes(): 0}
+    levels, child, prob, seen = [level], [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [1]
+    while len(ids) <= limit:
+        if not len(level) or len(seen) - 1 == depth:
+            return (np.concatenate(levels), np.concatenate(child).reshape(-1, n_c),
+                    np.concatenate(prob).reshape(-1, n_c), seen)
+        new = []
+        for part in (level[j:j + step] for j in range(0, len(level), step)):
+            post, tot = bayes_update_rows(bayes, part.repeat(n_c, axis=0),
+                                          np.tile(np.arange(n_c), len(part)))
+            start = len(ids)
+            found = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in canon(post)],
+                             dtype=np.intp)
+            if len(ids) > limit:
+                return None
+            index, first = np.unique(found, return_index=True)
+            new.append(post[first[index >= start]])
+            child.append(found)
+            prob.append(tot)
+        level = np.concatenate(new)
+        levels.append(level)
+        seen.append(len(ids))
+    return None
 
 
 def signal_distribution(p: Pomdp, x: np.ndarray, i: int) -> np.ndarray:
@@ -345,24 +407,58 @@ def has_known_payoffs(p: Pomdp) -> bool:
 
 @dataclass
 class Scenario:
-    """A POMDP plus its initial belief and optional named strategies/evaluations."""
+    """A POMDP plus its initial belief."""
 
     pomdp: Pomdp
     initial_belief: np.ndarray
-    strategies: dict = field(default_factory=dict)
-    evaluations: dict = field(default_factory=dict)
+
+
+def json_float(v, what: str) -> float:
+    """v as a float.  A bool, a string, any other non-number, a non-finite
+    number or an integer too large for a float is rejected with
+    InvalidInputError naming `what`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
+    try:
+        x = float(v)
+    except OverflowError:
+        raise InvalidInputError(f"{what} is an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
+    return x
+
+
+def names_a_file(source) -> bool:
+    """Whether an argument that holds a file path or an inline document
+    names an existing path; one that cannot be a path name (an inline JSON
+    document longer than a file name, say) does not."""
+    try:
+        return Path(source).exists()
+    except (OSError, ValueError):
+        return False
+
+
+def _scenario_number(v, what: str) -> float:
+    """`json_float` for a scenario entry, raising ScenarioValidationError."""
+    try:
+        return json_float(v, what)
+    except InvalidInputError as exc:
+        raise ScenarioValidationError(str(exc)) from None
 
 
 def pomdp_from_tables(states, actions, signals, transition: dict, reward: dict) -> Pomdp:
     """Build a Pomdp from the sparse JSON tables.
 
     transition maps "state,action" -> {"state,signal": prob}; reward maps
-    "state,action" -> value.
+    "state,action" -> value.  An empty name list, a row that is not a
+    mapping or an entry that is not a number is rejected with
+    ScenarioValidationError naming it.
     """
     states, actions, signals = list(states), list(actions), list(signals)
+    for what, names in (("states", states), ("actions", actions), ("signals", signals)):
+        if not names:
+            raise ScenarioValidationError(f"scenario field {what!r} must be non-empty")
     k, n_i, n_s = len(states), len(actions), len(signals)
-    if k == 0 or n_i == 0 or n_s == 0:
-        raise ScenarioValidationError("states, actions and signals must be non-empty")
     s_idx = {str(v): j for j, v in enumerate(states)}
     a_idx = {str(v): j for j, v in enumerate(actions)}
     g_idx = {str(v): j for j, v in enumerate(signals)}
@@ -379,48 +475,54 @@ def pomdp_from_tables(states, actions, signals, transition: dict, reward: dict) 
         st, ac = split(key, "transition")
         if st not in s_idx or ac not in a_idx:
             raise ScenarioValidationError(f"transition row {key!r} names unknown state/action")
+        if not isinstance(row, Mapping):
+            raise ScenarioValidationError(f"transition row {key!r} must be an object")
         for dest_key, prob in row.items():
             dst, sig = split(dest_key, "transition entry")
             if dst not in s_idx or sig not in g_idx:
                 raise ScenarioValidationError(
                     f"transition row {key!r} entry {dest_key!r} names unknown state/signal"
                 )
-            trans[s_idx[st], a_idx[ac], s_idx[dst], g_idx[sig]] = float(prob)
+            trans[s_idx[st], a_idx[ac], s_idx[dst], g_idx[sig]] = _scenario_number(
+                prob, f"transition row {key!r} entry {dest_key!r}")
     for key, val in reward.items():
         st, ac = split(key, "reward")
         if st not in s_idx or ac not in a_idx:
             raise ScenarioValidationError(f"reward row {key!r} names unknown state/action")
-        rew[s_idx[st], a_idx[ac]] = float(val)
+        rew[s_idx[st], a_idx[ac]] = _scenario_number(val, f"reward row {key!r}")
     return Pomdp(tuple(states), tuple(actions), tuple(signals), trans, rew)
 
 
 def load_scenario(source) -> Scenario:
-    """Load and validate a scenario from a dict, JSON string, or file path."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+    """Load and validate a scenario from a dict, a JSON string, or the path
+    of a JSON file; a string is read as a path when it names one
+    (`names_a_file`)."""
+    doc = source
+    if isinstance(source, (str, PurePath)):
+        text = Path(source).read_text() if names_a_file(source) else str(source)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioValidationError(f"scenario is not valid JSON: {exc}") from exc
-    for key in ("states", "actions", "signals", "transition", "reward", "initial_belief"):
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError("scenario must be a JSON object")
+    for key, kind, name in (("states", list, "a list"), ("actions", list, "a list"),
+                            ("signals", list, "a list"), ("transition", dict, "an object"),
+                            ("reward", dict, "an object"), ("initial_belief", list, "a list")):
         if key not in doc:
             raise ScenarioValidationError(f"scenario is missing the {key!r} field")
+        if not isinstance(doc[key], kind):
+            raise ScenarioValidationError(f"scenario field {key!r} must be {name}")
     pomdp = pomdp_from_tables(
         doc["states"], doc["actions"], doc["signals"], doc["transition"], doc["reward"]
     )
     try:
-        x1 = make_belief(doc["initial_belief"])
+        x1 = make_belief([_scenario_number(v, f"initial_belief entry {j}")
+                          for j, v in enumerate(doc["initial_belief"])])
     except InvalidInputError as exc:
         raise ScenarioValidationError(f"initial_belief: {exc}") from exc
     if x1.shape != (pomdp.n_states,):
         raise ScenarioValidationError(
             f"initial_belief has {x1.size} entries, scenario has {pomdp.n_states} states"
         )
-    return Scenario(
-        pomdp=pomdp,
-        initial_belief=x1,
-        strategies=dict(doc.get("strategies", {})),
-        evaluations=dict(doc.get("evaluations", {})),
-    )
+    return Scenario(pomdp=pomdp, initial_belief=x1)

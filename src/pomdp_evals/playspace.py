@@ -8,7 +8,8 @@ stage block at a time, so Monte Carlo never holds a (plays, horizon) matrix
 and stops simulating the plays its consumer retires; `simulate_plays`
 collects that stream for API callers.  Also here: observed-prefix grouping
 and belief payoffs along observed histories, walked on the closed belief
-graph of the initial belief or filtered stage block by stage block."""
+graph of the initial belief (`model.belief_graph`) or filtered stage block
+by stage block."""
 from __future__ import annotations
 
 from bisect import bisect_right
@@ -18,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import Pomdp, bayes_matrices, bayes_update_rows
+from .model import Pomdp, bayes_matrices, bayes_update_rows, belief_graph
 from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -127,7 +128,8 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     block's shape.
 
     When the beliefs reachable from x1 close into a graph of at most as many
-    beliefs as the first block has stages (`_belief_graph`), each play
+    beliefs as the first block has stages (`model.belief_graph`, the graph
+    the belief DP sweeps), each play
     carries a belief id, stepped along the graph by its observed pairs with
     one numpy `take` per stage, and g is gathered from a (beliefs, actions)
     payoff table.  The limit holds a failed attempt to at most I*S
@@ -143,12 +145,12 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
         return
     blocks = chain([first], blocks)
     reward_of = p.reward.T
-    graph = _belief_graph(p, x1, len(first[1]))
+    graph = belief_graph(p, x1, len(first[1]))
     if graph is None:
         for t0, actions, bel in _filter(p, x1, blocks):
             yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
         return
-    beliefs, child = graph
+    beliefs, child, _, _ = graph
     n_b, n_c = child.shape
     # A play at belief b is carried as b*n_c in `at` and `walk`, so one add
     # and one take step it: the flat index of its posterior after code is
@@ -170,38 +172,6 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
             step.take(walk[j] + code, out=walk[j + 1])
         at = walk[-1]
         yield t0, g_at.take(walk[:-1] + actions)
-
-
-def _belief_graph(p: Pomdp, x1: np.ndarray, limit: int):
-    """The closed belief graph of (p, x1), or None once it would hold more
-    than `limit` beliefs.
-
-    Returns (beliefs, child): beliefs[0] is x1, and child[b, code] is the id
-    of the posterior of belief b after the observed pair code = i*S + s,
-    off-support codes included.  Posteriors come from `bayes_update_rows`,
-    as in the filter, and are told apart by their exact float bytes, not by
-    the rounded `belief_key`, so the beliefs are bit for bit those the filter
-    would carry along any history."""
-    if limit < 1:
-        return None
-    bayes = bayes_matrices(p)
-    n_c = len(bayes)
-    x = np.asarray(x1, dtype=float)
-    beliefs, seen, child = [x], {x.tobytes(): 0}, []
-    level = x[None]
-    while len(level):
-        post = bayes_update_rows(bayes, level.repeat(n_c, axis=0),
-                                 np.tile(np.arange(n_c), len(level)))
-        new = len(beliefs)
-        for row in post:
-            b = seen.setdefault(row.tobytes(), len(beliefs))
-            if b == len(beliefs):
-                if b == limit:
-                    return None
-                beliefs.append(row)
-            child.append(b)
-        level = np.array(beliefs[new:]).reshape(-1, len(x))
-    return np.array(beliefs), np.array(child, dtype=np.intp).reshape(len(beliefs), n_c)
 
 
 def _filter(p: Pomdp, x1: np.ndarray, blocks):

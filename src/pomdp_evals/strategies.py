@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -301,7 +300,7 @@ class BeliefTrackingStrategy(Strategy):
         return self.stationary.at_beliefs(mem)
 
     def step(self, mem, actions, signals) -> np.ndarray:
-        return bayes_update_rows(self.bayes, mem, actions * self.n_signals + signals)
+        return bayes_update_rows(self.bayes, mem, actions * self.n_signals + signals)[0]
 
 
 def belief_tracking_strategy(p: Pomdp, x1: np.ndarray,
@@ -456,18 +455,3 @@ def json_integer(v, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise InvalidInputError(f"{what} has a non-integer entry {v!r}")
     return int(v)
-
-
-def json_float(v, what: str) -> float:
-    """v as a float.  A bool, a string, any other non-number, a non-finite
-    number or an integer too large for a float is rejected with
-    InvalidInputError naming `what`."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
-    try:
-        x = float(v)
-    except OverflowError:
-        raise InvalidInputError(f"{what} is an integer too large for a float") from None
-    if not math.isfinite(x):
-        raise InvalidInputError(f"{what} is {v!r}, expected a finite number")
-    return x

@@ -1,5 +1,7 @@
-"""Values and payoffs: one weighted backward induction on beliefs for the
-n-stage and discounted values (stage weights 1 and lam (1 - lam)^(m-1)) and
+"""Values and payoffs: one weighted backward induction on the belief graph
+of the initial belief (`model.belief_graph`, built as for the Monte Carlo
+belief payoffs but with beliefs merged at 1e-12) for the n-stage and
+discounted values (stage weights 1 and lam (1 - lam)^(m-1)) and
 the sequence v_1..v_n, asymptotic-value estimates, exact and Monte Carlo
 weighted payoffs, chain-based payoffs for deterministic weights, and
 finite-horizon proxies for long-run superior/inferior average payoffs.
@@ -19,8 +21,7 @@ import numpy as np
 from .chain import MarkovChain
 from .errors import BudgetExceededError, InvalidInputError
 from .evaluations import EvalContext, Evaluation, McEstimate, weight_sums
-from .model import (SIGNAL_PROB_FLOOR, Pomdp, _check_dims, bayes_matrices, belief_key,
-                    canonical_belief)
+from .model import Pomdp, belief_graph
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, reduce_sampled_plays, sample_mean)
 from .strategies import Strategy
@@ -50,42 +51,22 @@ def _root_values(p: Pomdp, x1: np.ndarray, theta: np.ndarray, budget: int) -> np
     """V_1(x1)..V_H(x1) for stage weights theta_1..theta_H, where V_0 = 0 and
     V_t(x) = max_i [theta_{H-t+1} g(x, i) + sum_s P(s | x, i) V_{t-1}(x'_s)].
 
-    The beliefs reachable within depth H-1 are built level by level with the
-    batched Bayes step, dropping signals below SIGNAL_PROB_FLOOR, and stored
-    once per `belief_key` (the first belief with a key stands for it), at
-    most `budget` of them.  They are stored in order of first depth, so the
-    sweep for V_t runs over the prefix first seen within depth H-t."""
-    horizon, codes = len(theta), p.n_actions * p.n_signals
-    frontier = _check_dims(p, x1)[None, :]
-    keys = {belief_key(frontier[0]): 0}
-    payoffs = [frontier @ p.reward]
-    edges = [(np.zeros((0, codes), dtype=np.intp), np.zeros((0, codes)))]   # successors
-    seen = [1]                         # beliefs first seen within each depth
-    while True:
-        if len(keys) > budget:
-            raise BudgetExceededError(
-                f"belief DP exceeded the node budget ({budget}) at depth {len(seen) - 1}")
-        if len(seen) == horizon or not len(frontier):
-            break
-        joint = np.einsum("nk,jkl->njl", frontier, bayes_matrices(p))
-        prob = joint.sum(axis=2)
-        keep = prob >= SIGNAL_PROB_FLOOR
-        post = joint[keep] / prob[keep][:, None]
-        found = [keys.setdefault(row.tobytes(), len(keys)) for row in canonical_belief(post)]
-        child = np.zeros(prob.shape, dtype=np.intp)
-        child[keep] = found
-        edges.append((child, np.where(keep, prob, 0.0)))
-        index, first = np.unique(found, return_index=True)
-        frontier = post[first[index >= seen[-1]]]
-        payoffs.append(frontier @ p.reward)
-        seen.append(len(keys))
-    g = np.concatenate(payoffs)
-    succ, succ_prob = (np.concatenate(e).reshape(-1, p.n_actions, p.n_signals) for e in zip(*edges))
+    The sweep runs on the `belief_graph` of x1 to depth H-1, with beliefs
+    merged by their rounded key, in order of first depth, so the sweep for
+    V_t runs over the prefix first seen within depth H-t.  `budget` caps the
+    beliefs the graph holds."""
+    horizon = len(theta)
+    graph = belief_graph(p, x1, budget, horizon - 1, rounded=True)
+    if graph is None:
+        raise BudgetExceededError(f"belief DP exceeded the node budget ({budget})")
+    beliefs, child, prob, seen = graph
+    g = beliefs @ p.reward
+    succ, succ_prob = (a.reshape(-1, p.n_actions, p.n_signals) for a in (child, prob))
     roots = np.empty(horizon)
     for t in range(1, horizon + 1):
         n = seen[min(horizon - t, len(seen) - 1)]
         q = theta[horizon - t] * g[:n]
-        if t > 1:   # summed in signal order, dropped signals adding 0
+        if t > 1:   # summed in signal order, off-support signals adding 0
             q += sum(succ_prob[:n, :, s] * v[succ[:n, :, s]] for s in range(p.n_signals))
         v = q.max(axis=1)
         roots[t - 1] = v[0]

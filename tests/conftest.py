@@ -73,6 +73,18 @@ def closed_instances(draw, permuting: bool = True):
     return p, pe.make_belief(rng.dirichlet(np.ones(k))), rng
 
 
+def drifting_permutation():
+    """Two blind permutations of three states and an initial belief whose
+    orbit has 6 images; normalising a permuted belief moves it by an ulp now
+    and then, so the orbit closes on exact floats only after 28 beliefs."""
+    trans = np.zeros((3, 2, 3, 1))
+    trans[[0, 1, 2], 0, [1, 2, 0], 0] = 1.0
+    trans[[0, 1, 2], 1, [1, 0, 2], 0] = 1.0
+    p = pe.Pomdp(("k0", "k1", "k2"), ("cycle", "swap"), ("o",), trans,
+                 [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    return p, np.array([0.1, 0.2, 0.7])
+
+
 @hst.composite
 def builtin_cases(draw):
     """A builtin scenario's POMDP and initial belief, with a seeded generator."""

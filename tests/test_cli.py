@@ -44,6 +44,47 @@ def test_validate_rejects_bad_scenario_file(capsys, tmp_path):
     assert "u" in err and "go" in err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("transition", {"u,go": {"u,o": "x"}}, "transition row 'u,go' entry 'u,o'"),
+    ("transition", {"u,go": 1.0}, "transition row 'u,go'"),
+    ("states", 5, "'states'"),
+    # a file holding a JSON string names neither another file nor a document
+    (None, "other.json", "bad.json does not hold a JSON object"),
+])
+def test_validate_names_a_malformed_scenario_field(capsys, tmp_path, field, value, named):
+    doc = {"states": ["u"], "actions": ["go"], "signals": ["o"],
+           "transition": {"u,go": {"u,o": 1.0}}, "reward": {"u,go": 0.0},
+           "initial_belief": [1.0], field: value} if field else value
+    (tmp_path / "other.json").write_text(json.dumps(doc if field else {}))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_validate_ignores_the_fields_a_scenario_does_not_use(capsys, tmp_path):
+    doc = {"states": ["u"], "actions": ["go"], "signals": ["o"],
+           "transition": {"u,go": {"u,o": 1.0}}, "reward": {"u,go": 0.0},
+           "initial_belief": [1.0], "strategies": 5, "evaluations": 5}
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 0 and json.loads(out)["records"][0]["value"] == 1.0
+
+
+@pytest.mark.parametrize("option", ["--scenario", "--evaluation"])
+def test_a_directory_given_for_a_file_exits_invalid_naming_it(capsys, tmp_path, option):
+    argv = {"--scenario": "uniform-redraw", "--strategy": "uniform",
+            "--evaluation": '{"kind": "n_stage", "n": 3}', "--horizon": "3", option: str(tmp_path)}
+    code, out, err = run_cli(capsys, "evaluate", *[a for kv in argv.items() for a in kv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option[2:]} file {tmp_path}") and "Traceback" not in err
+    if option == "--scenario":
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(tmp_path))
+        assert code == 1 and out == "" and f"scenario file {tmp_path}" in err
+
+
 def test_unknown_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["value", "--scenario", "uniform-redraw", "--frobnicate"])
@@ -141,7 +182,8 @@ def test_non_finite_inputs_exit_invalid(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ['{"kind": "n_stage"}', '{"kind": "n_stage", "n": NaN}',
-                                  '{"kind": "run_block_ex2", "l": "x"}', '{kind'])
+                                  '{"kind": "run_block_ex2", "l": "x"}', '{kind',
+                                  "[1, 2]", '"x"', "5", "null"])
 def test_malformed_evaluation_specs_exit_invalid(capsys, spec):
     code, out, err = run_cli(capsys, "evaluate", "--scenario", "uniform-redraw",
                              "--strategy", "uniform", "--evaluation", spec, "--horizon", "3")

@@ -1,4 +1,6 @@
 """Stage-weight evaluations: makers, irregularity, conditional weights."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,21 @@ def test_block_smoothing_holds_the_first_weight_of_each_block():
     base = e.stage_fn(7)
     assert np.allclose(w, [base[0]] * 3 + [base[3]] * 3 + [base[6]])
     assert sm.measurability == e.measurability
+
+
+def test_block_smoothing_an_unbounded_deterministic_base_computes_no_weights():
+    # the normalisation is "none" whenever the support is unbounded, so the
+    # smoothed evaluation needs no weights of the base before it is used
+    base = pe.make_evaluation("discounted", lam=0.5)
+    calls = []
+
+    def stage_fn(horizon):
+        calls.append(horizon)
+        return base.stage_fn(horizon)
+
+    sm = block_smooth(dataclasses.replace(base, stage_fn=stage_fn), 3)
+    assert calls == [] and sm.normalization == "none"
+    assert np.array_equal(sm.stage_fn(7), base.stage_fn(7)[[0, 0, 0, 3, 3, 3, 6]])
 
 
 def test_block_smoothing_with_unit_block_is_identity():

@@ -1,5 +1,6 @@
 """Model layer: beliefs, Bayes updates, payoffs, lifts, scenario loading."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ def test_posterior_rows_sum_to_one(case, width, horizon, block):
     x = rng.dirichlet(np.ones(p.n_states), width)
     x[::2] = np.eye(p.n_states)[rng.integers(0, p.n_states, len(x[::2]))]
     code = rng.integers(0, p.n_actions * p.n_signals, width)
-    assert np.all(np.abs(bayes_update_rows(bayes_matrices(p), x, code).sum(axis=1) - 1) <= 1e-12)
+    post, _ = bayes_update_rows(bayes_matrices(p), x, code)
+    assert np.all(np.abs(post.sum(axis=1) - 1) <= 1e-12)
     actions = rng.integers(0, p.n_actions, (width, horizon))
     signals = rng.integers(0, p.n_signals, (width, horizon))
     for _, _, bel in _filter(p, x1, stage_blocks(actions, signals, block)):
@@ -266,6 +268,54 @@ def test_load_scenario_round_trip(tmp_path):
         assert sc.pomdp.states == ("u", "v")
         assert np.allclose(sc.initial_belief, [0.5, 0.5])
         assert np.isclose(sc.pomdp.transition[0, 0, 0, 0], 0.5)
+
+
+def test_load_scenario_reads_an_inline_document_longer_than_a_file_name(rng):
+    # a dense random instance: its document is too long to be a path name
+    p = random_pomdp(rng)
+    doc = {"states": list(p.states), "actions": list(p.actions), "signals": list(p.signals),
+           "transition": {f"{k},{i}": {f"{l},{s}": float(p.transition[a, b, c, d])
+                                       for c, l in enumerate(p.states)
+                                       for d, s in enumerate(p.signals)}
+                          for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
+           "reward": {f"{k},{i}": float(p.reward[a, b])
+                      for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
+           "initial_belief": [1 / 3] * 3}
+    text = json.dumps(doc)
+    assert len(text) > 255
+    sc = pe.load_scenario(text)
+    assert np.array_equal(sc.pomdp.transition, p.transition)
+    assert np.array_equal(sc.pomdp.reward, p.reward)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("transition", {"u,go": {"u,o": "0.5", "v,o": 0.5}, "v,go": {"v,o": 1.0}},
+     "transition row 'u,go' entry 'u,o'"),
+    ("transition", [1.0], "'transition'"),
+    ("reward", {"u,go": "1", "v,go": 0.0}, "reward row 'u,go'"),
+    ("reward", 5, "'reward'"),
+    ("actions", "go", "'actions'"),
+    ("signals", [], "'signals'"),
+    ("initial_belief", ["0.5", "0.5"], "initial_belief entry 0"),
+    ("initial_belief", 1.0, "'initial_belief'"),
+])
+def test_load_scenario_names_a_field_of_the_wrong_type(field, value, named):
+    doc = _scenario_doc()
+    doc[field] = value
+    with pytest.raises(ScenarioValidationError, match=re.escape(named)):
+        pe.load_scenario(doc)
+
+
+def test_pomdp_from_tables_takes_any_iterable_of_names():
+    p = pe.pomdp_from_tables(range(1), ("go",), iter(["o"]), {"0,go": {"0,o": 1.0}},
+                             {"0,go": 0.5})
+    assert p.states == (0,) and p.signals == ("o",) and p.reward.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", "5", "null", '"x"', [_scenario_doc()]])
+def test_load_scenario_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ScenarioValidationError, match="JSON object"):
+        pe.load_scenario(doc)
 
 
 def test_load_scenario_reports_missing_fields_and_bad_rows():

@@ -12,13 +12,13 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
-from pomdp_evals.model import ObservedHistory, bayes_matrices, bayes_update_rows
+from pomdp_evals.model import ObservedHistory, bayes_matrices, bayes_update_rows, belief_graph
 from pomdp_evals.playspace import (enumerate_plays, play_blocks, shard_seeds,
                                    simulate_plays, PROB_FLOOR, SCALAR_PLAYS, STAGE_BLOCK)
 
 from conftest import (BUILTIN_SCENARIOS, belief_payoffs, belief_sequence, builtin_cases,
-                      closed_instances, filter_payoffs, random_belief, random_pomdp,
-                      sparse_instances)
+                      closed_instances, drifting_permutation, filter_payoffs, random_belief,
+                      random_pomdp, sparse_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +453,11 @@ def test_belief_graph_payoffs_equal_the_filter_bit_for_bit(case, width, horizon,
 
 def _graph_is_closed(p, x1, graph):
     """Every edge of the graph leads to the filter's posterior, bytes and all."""
-    beliefs, child = graph
+    beliefs, child, _, _ = graph
     codes = np.arange(child.shape[1])
     for b, x in enumerate(beliefs):
-        post = bayes_update_rows(bayes_matrices(p), np.repeat(x[None], len(codes), axis=0), codes)
+        post, _ = bayes_update_rows(bayes_matrices(p), np.repeat(x[None], len(codes), axis=0),
+                                    codes)
         assert post.tobytes() == beliefs[child[b]].tobytes()
     assert beliefs[0].tobytes() == np.asarray(x1, dtype=float).tobytes()
 
@@ -465,12 +466,12 @@ def test_builtin_belief_orbits_close():
     counts = []
     for name in BUILTIN_SCENARIOS:
         sc = pe.builtin_scenario(name)
-        graph = playspace._belief_graph(sc.pomdp, sc.initial_belief, 1000)
+        graph = belief_graph(sc.pomdp, sc.initial_belief, 1000)
         _graph_is_closed(sc.pomdp, sc.initial_belief, graph)
         counts.append(len(graph[0]))
         # the limit is the number of beliefs the graph may hold
-        assert playspace._belief_graph(sc.pomdp, sc.initial_belief, counts[-1]) is not None
-        assert playspace._belief_graph(sc.pomdp, sc.initial_belief, counts[-1] - 1) is None
+        assert belief_graph(sc.pomdp, sc.initial_belief, counts[-1]) is not None
+        assert belief_graph(sc.pomdp, sc.initial_belief, counts[-1] - 1) is None
     assert counts == [1, 3, 1, 1, 3]
 
 
@@ -490,26 +491,20 @@ def test_a_narrow_pass_walks_a_closed_graph_larger_than_its_width(rng, monkeypat
 @given(revealing=closed_instances(permuting=False), case=closed_instances())
 def test_graph_edges_lead_to_the_filters_posteriors(revealing, case):
     p, x1, _ = revealing
-    _graph_is_closed(p, x1, playspace._belief_graph(p, x1, p.n_states + 1))
+    _graph_is_closed(p, x1, belief_graph(p, x1, p.n_states + 1))
     # a permutation orbit drifts by ulps before it closes: each drifted
     # belief is a belief of its own
     p, x1, _ = case
-    graph = playspace._belief_graph(p, x1, 1000)
+    graph = belief_graph(p, x1, 1000)
     if graph is not None:
         _graph_is_closed(p, x1, graph)
 
 
 def test_a_drifting_permutation_orbit_keeps_each_drifted_belief(rng):
-    # two blind permutations of three states: the orbit of x1 has 6 images,
-    # but normalising a permuted belief moves it by an ulp now and then, and
-    # the filter carries those floats, so the graph holds 28 beliefs
-    trans = np.zeros((3, 2, 3, 1))
-    trans[[0, 1, 2], 0, [1, 2, 0], 0] = 1.0
-    trans[[0, 1, 2], 1, [1, 0, 2], 0] = 1.0
-    p = pe.Pomdp(("k0", "k1", "k2"), ("cycle", "swap"), ("o",), trans,
-                 [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    x1 = np.array([0.1, 0.2, 0.7])
-    graph = playspace._belief_graph(p, x1, 1000)
+    # the orbit of x1 has 6 images, but the filter carries the ulps by which
+    # normalising moves a permuted belief, so the graph holds 28 beliefs
+    p, x1 = drifting_permutation()
+    graph = belief_graph(p, x1, 1000)
     assert len(graph[0]) == 28
     _graph_is_closed(p, x1, graph)
     for width in (1, 40):
@@ -517,6 +512,61 @@ def test_a_drifting_permutation_orbit_keeps_each_drifted_belief(rng):
         signals = np.zeros_like(actions)
         assert np.array_equal(belief_payoffs(p, x1, actions, signals),
                               filter_payoffs(p, x1, actions, signals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=hst.one_of(sparse_instances(), closed_instances()), depth=hst.integers(0, 3))
+def test_a_depth_limited_graph_is_the_first_levels_of_the_closed_graph(case, depth):
+    # an open orbit has no closed graph: its graph one level deeper stands in
+    p, x1, _ = case
+    full = belief_graph(p, x1, 2000) or belief_graph(p, x1, 10_000, depth + 1)
+    beliefs, child, prob, seen = belief_graph(p, x1, 10_000, depth)
+    assert seen == full[3][:len(seen)]
+    assert beliefs.tobytes() == full[0][:seen[-1]].tobytes()
+    # every belief but those first reached at the last depth is expanded
+    expanded = ([0] + seen)[-2]
+    assert len(child) == len(prob) == expanded
+    assert np.array_equal(child, full[1][:expanded])
+    assert prob.tobytes() == full[2][:expanded].tobytes()
+    if len(seen) <= depth:      # closed within `depth`: the whole graph
+        assert len(full[0]) == seen[-1] == expanded
+
+
+def test_a_level_expanded_in_several_chunks_keeps_every_edge(rng):
+    # with K = 100 and I*S = 4, 26 beliefs are expanded at a time, so the 64
+    # beliefs of depth 3 take three chunks; every cell is positive, so no
+    # two observed histories share a belief
+    p = random_pomdp(rng, k=100)
+    x1 = pe.uniform_belief(100)
+    beliefs, child, prob, seen = belief_graph(p, x1, 341, 4)
+    assert seen == [1, 5, 21, 85, 341] and child.tolist() == [
+        list(range(4 * b + 1, 4 * b + 5)) for b in range(85)]
+    codes = np.arange(4)
+    for b in range(85):
+        post, tot = bayes_update_rows(bayes_matrices(p), np.repeat(beliefs[b][None], 4, axis=0),
+                                      codes)
+        assert post.tobytes() == beliefs[child[b]].tobytes()
+        assert tot.tobytes() == prob[b].tobytes()
+    # the limit holds inside a level
+    for limit in (300, 340):
+        assert belief_graph(p, x1, limit, 4) is None
+
+
+def test_a_posterior_found_in_several_chunks_of_a_level_is_one_belief():
+    # K = 100 and I*S = 8: 13 beliefs are expanded at a time.  From the Dirac
+    # at state 0 the signals reveal 8 and then 64 states, and each of those
+    # 64 moves to state 73 under signal 0, so all five chunks of depth 2 find
+    # the Dirac at 73 as a new belief
+    trans = np.zeros((100, 1, 100, 8))
+    trans[0, 0, np.arange(1, 9), np.arange(8)] = 1 / 8
+    for j in range(1, 9):
+        trans[j, 0, 8 * j + np.arange(1, 9), np.arange(8)] = 1 / 8
+    trans[9:73, 0, 73, 0] = 1.0
+    trans[np.arange(73, 100), 0, np.arange(73, 100), 0] = 1.0
+    p = pe.Pomdp(tuple(range(100)), ("go",), tuple(range(8)), trans, np.zeros((100, 1)))
+    beliefs, child, _, seen = belief_graph(p, pe.dirac_belief(100, 0), 1000)
+    assert seen == [1, 9, 73, 74, 74] and len(beliefs) == len(child) == 74
+    assert (child[9:73, 0] == 73).all() and (child[9:73, 1:] == 0).all()
 
 
 def test_dense_orbit_is_open_and_falls_back_to_the_filter():
@@ -528,8 +578,8 @@ def test_dense_orbit_is_open_and_falls_back_to_the_filter():
     p = pe.Pomdp(("k0", "k1", "k2"), ("a0", "a1"), ("s0", "s1"), trans.reshape(3, 2, 3, 2),
                  rng.uniform(0.05, 1.0, size=(3, 2)))
     x1 = np.full(3, 1.0 / 3)
-    assert playspace._belief_graph(p, x1, 4) is None
-    assert playspace._belief_graph(p, x1, 1000) is None
+    assert belief_graph(p, x1, 4) is None
+    assert belief_graph(p, x1, 1000) is None
     for width in (4, 40):
         _, actions, signals = simulate_plays(p, x1, pe.uniform_strategy(2), 150, width, rng)
         assert np.array_equal(belief_payoffs(p, x1, actions, signals),

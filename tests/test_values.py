@@ -8,13 +8,13 @@ import pomdp_evals as pe
 from pomdp_evals.chain import product_chain
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.evaluations import EvalContext, weight_sums
-from pomdp_evals.model import belief_key, belief_transition, stage_payoff
+from pomdp_evals.model import belief_graph, belief_key, belief_transition, stage_payoff
 from pomdp_evals.playspace import SCALAR_PLAYS, one_block_stream, simulate_plays
 from pomdp_evals.values import (average_extrema, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
 
-from conftest import belief_payoffs, random_pomdp, sparse_instances
+from conftest import belief_payoffs, drifting_permutation, random_pomdp, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,54 @@ def test_backward_induction_matches_the_recursive_dp(case, horizon, lam):
     assert rep.horizon_or_samples == horizon
     expected = lam * _RecursiveBeliefDp(p, discount=1.0 - lam).total(x1, horizon)
     assert abs(rep.value - expected) <= 1e-12
+
+
+def test_an_off_support_code_adds_a_dirac_edge_of_probability_zero():
+    # two frozen states revealed by the signal: from state 1 the signal of
+    # state 0 never comes, yet its code keeps an edge, to the Dirac fallback
+    # at state 0, which pays 1 a stage; with probability 0 the edge leaves
+    # v_n at state 1's payoff
+    trans = np.zeros((2, 1, 2, 2))
+    trans[0, 0, 0, 0] = trans[1, 0, 1, 1] = 1.0
+    p = pe.Pomdp(("k0", "k1"), ("stay",), ("o0", "o1"), trans, [[1.0], [0.25]])
+    x1 = pe.dirac_belief(2, 1)
+    beliefs, child, prob, _ = belief_graph(p, x1, 10)
+    assert np.array_equal(beliefs, [[0.0, 1.0], [1.0, 0.0]])
+    assert child[0].tolist() == [1, 0] and prob[0].tolist() == [0.0, 1.0]
+    for n in (1, 2, 7):
+        assert pe.value_n(p, x1, n).value == 0.25
+        assert pe.value_n(p, beliefs[1], n).value == 1.0
+
+
+def test_the_dp_merges_drifted_beliefs_and_agrees_with_the_recursive_dp():
+    # the exact graph keeps each float the Bayes update makes; the DP's graph,
+    # like the recursive DP, merges beliefs by their rounded key
+    p, x1 = drifting_permutation()
+    assert len(belief_graph(p, x1, 1000, 30)[0]) == 28
+    assert len(belief_graph(p, x1, 1000, 30, rounded=True)[0]) == 6
+    ref = _RecursiveBeliefDp(p)
+    seq = value_n_sequence(p, x1, 30)
+    want = [ref.total(x1, n) / n for n in range(1, 31)]
+    assert np.allclose(seq, want, rtol=0, atol=1e-12)
+
+
+def test_the_dp_merges_a_contracting_orbit_the_exact_graph_cannot_hold():
+    # blind, two states: action i maps the probability q of state 0 to
+    # 0.1 q + b_i with b = (0.1, 0.8), so the orbit contracts onto a Cantor
+    # set with 12 287 points at 1e-12 but 533 154 floats
+    trans = np.zeros((2, 2, 2, 1))
+    for i, b in enumerate((0.1, 0.8)):
+        trans[:, i, 0, 0] = b + 0.1, b
+    trans[:, :, 1, 0] = 1.0 - trans[:, :, 0, 0]
+    p = pe.Pomdp(("s", "u"), ("L", "R"), ("o",), trans, [[1.0, 0.3], [0.0, 0.8]])
+    x1 = np.array([0.37, 0.63])
+    assert belief_graph(p, x1, 20_000, 39) is None
+    assert len(belief_graph(p, x1, 20_000, 39, rounded=True)[0]) == 12_287
+    ref = _RecursiveBeliefDp(p)
+    seq = value_n_sequence(p, x1, 40, budget=20_000)
+    want = [ref.total(x1, n) / n for n in range(1, 11)]
+    assert np.allclose(seq[:10], want, rtol=0, atol=1e-12)
+    assert pe.value_n(p, x1, 40, budget=20_000).value == seq[-1]
 
 
 def test_belief_budget_counts_distinct_beliefs(rng):
