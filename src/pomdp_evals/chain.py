@@ -86,8 +86,10 @@ def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
     act, _, nxt, m, initial = _chain_tables(p, t, 0)
     n = p.n_states * m
     state, act = np.arange(n) // m, act[0]
-    trans = np.zeros((n, n))
-    np.add.at(trans, (np.arange(n)[:, None], nxt), p.transition[state, act].reshape(n, -1))
+    # bincount adds each cell's contributions in index order, as np.add.at does
+    cell = (np.arange(n)[:, None] * n + nxt).ravel()
+    trans = np.bincount(cell, weights=p.transition[state, act].ravel(),
+                        minlength=n * n).reshape(n, n)
     init = np.zeros(n)
     init[np.arange(p.n_states) * m + initial] = x1
     labels = tuple((k, mm) for k in p.states for mm in range(m))
@@ -95,9 +97,11 @@ def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
 
 
 def _stationary_vector(sub: np.ndarray, label) -> np.ndarray:
-    """Solve pi P = pi, pi . 1 = 1 on a closed class by dense LU."""
+    """Solve pi P = pi, pi . 1 = 1 on a closed class by dense LU.  The
+    system is built in place of `sub`, a copy the caller gives away."""
     n = sub.shape[0]
-    a = sub.T - np.eye(n)
+    sub.flat[::n + 1] -= 1.0
+    a = sub.T
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -158,41 +162,47 @@ def _strong_components(succ: list) -> tuple:
 def ergodic_decomposition(c: MarkovChain) -> ErgodicDecomposition:
     """Closed strongly connected components, their stationary laws and
     average payoffs, and the absorption probabilities from the initial law."""
-    support = c.transition > EDGE_THRESHOLD
-    n_comp, comp = _strong_components([np.flatnonzero(row).tolist() for row in support])
-    # a component is recurrent iff it is closed: no mass leaves it
-    closed = []
-    for d in range(n_comp):
-        idx = np.nonzero(comp == d)[0]
-        outside = c.transition[np.ix_(idx, np.nonzero(comp != d)[0])]
-        if outside.size == 0 or outside.sum() <= EDGE_THRESHOLD:
-            closed.append(tuple(int(j) for j in idx))
-    closed.sort()
-    recurrent = np.zeros(c.n_states, dtype=bool)
-    for idx in closed:
-        recurrent[list(idx)] = True
-    transient = tuple(int(j) for j in np.nonzero(~recurrent)[0])
+    t, n = c.transition, c.n_states
+    rows, cols = np.nonzero(t)
+    mass = t[rows, cols]
+    edge = mass > EDGE_THRESHOLD
+    ends = np.bincount(rows[edge], minlength=n).cumsum().tolist()
+    succ = cols[edge].tolist()
+    n_comp, comp = _strong_components([succ[a:b] for a, b in zip([0, *ends], ends)])
+    # a component is recurrent iff it is closed: the mass leaving it, over
+    # every positive cell (support or not), is at most EDGE_THRESHOLD
+    leaving = comp[rows] != comp[cols]
+    leak = np.bincount(comp[rows[leaving]], weights=mass[leaving], minlength=n_comp)
+    is_closed = leak <= EDGE_THRESHOLD
+    members = [[] for _ in range(n_comp)]
+    for u, d in enumerate(comp.tolist()):
+        members[d].append(u)
+    closed = sorted(tuple(members[d]) for d in np.flatnonzero(is_closed).tolist())
+    transient = tuple(np.flatnonzero(~is_closed[comp]).tolist())
 
     stationary, values = [], []
     for d, idx in enumerate(closed):
-        sub = c.transition[np.ix_(idx, idx)]
-        pi = _stationary_vector(sub, d)
+        ix = np.array(idx)
+        pi = _stationary_vector(t[ix[:, None], ix], d)
         stationary.append(pi)
-        values.append(float(pi @ c.payoff[list(idx)]))
+        values.append(float(pi @ c.payoff[ix]))
 
     # absorption: h_d(u) = P(absorbed in class d | start u), linear system on
     # the transient part; recurrent states hit their own class with prob 1
     absorption = []
-    tr = list(transient)
-    if tr:
-        q = c.transition[np.ix_(tr, tr)]
-        lhs = np.eye(len(tr)) - q
+    if transient:
+        tr = np.array(transient)
+        lhs = np.eye(len(tr)) - t[tr[:, None], tr]
     for idx in closed:
-        h = np.zeros(c.n_states)
-        h[list(idx)] = 1.0
-        if tr:
-            rhs = c.transition[np.ix_(tr, list(idx))].sum(axis=1)
-            h[tr] = np.linalg.solve(lhs, rhs)
+        ix = np.array(idx)
+        h = np.zeros(n)
+        h[ix] = 1.0
+        if transient:
+            try:
+                h[tr] = np.linalg.solve(lhs, t[tr[:, None], ix].sum(axis=1))
+            except np.linalg.LinAlgError as exc:
+                raise PomdpEvalError(f"singular absorption system on the transient states "
+                                     f"{[c.labels[j] for j in transient]}") from exc
         absorption.append(float(c.initial @ h))
     return ErgodicDecomposition(
         transient=transient,

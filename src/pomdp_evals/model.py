@@ -496,10 +496,17 @@ def pomdp_from_tables(states, actions, signals, transition: dict, reward: dict) 
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a dict, a JSON string, or the path
     of a JSON file; a string is read as a path when it names one
-    (`names_a_file`)."""
+    (`names_a_file`); a path that cannot be read raises
+    ScenarioValidationError naming it."""
     doc = source
     if isinstance(source, (str, PurePath)):
-        text = Path(source).read_text() if names_a_file(source) else str(source)
+        text = str(source)
+        if names_a_file(source):
+            try:
+                text = Path(source).read_text()
+            except OSError as exc:
+                raise ScenarioValidationError(
+                    f"scenario file {source} cannot be read: {exc.strerror}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -220,24 +220,24 @@ class Transducer(Strategy):
     def canonical_form(self) -> tuple:
         """Breadth-first relabeling of the memory states reachable along the
         transducer's own run (only the played action's update entries matter)."""
-        order = [self.initial]
-        seen = {self.initial: 0}
-        pos = 0
-        while pos < len(order):
-            m = order[pos]
-            pos += 1
-            for s in range(self.n_signals):
-                nxt = int(self.update[m, int(self.act[m]), s])
-                if nxt not in seen:
-                    seen[nxt] = len(order)
-                    order.append(nxt)
-        acts = tuple(int(self.act[m]) for m in order)
-        moves = tuple(
-            seen[int(self.update[m, int(self.act[m]), s])]
-            for m in order
-            for s in range(self.n_signals)
-        )
-        return (len(order), acts, moves)
+        played = self.update[np.arange(self.n_memory), self.act]      # (M, S)
+        return _canonical_key(self.act.tolist(), played.ravel().tolist(), self.n_signals,
+                             self.initial)
+
+
+def _canonical_key(acts, moves, n_signals: int, initial: int = 0) -> tuple:
+    """(reachable count, actions, moves) of a transducer relabeled by the
+    breadth-first order of its run from `initial`; acts[m] is memory m's
+    action and moves[m * n_signals + s] its next memory after signal s."""
+    seen = {initial: 0}
+    order = [initial]
+    for m in order:                     # order grows as new memories are met
+        for nxt in moves[m * n_signals:(m + 1) * n_signals]:
+            if nxt not in seen:
+                seen[nxt] = len(order)
+                order.append(nxt)
+    return (len(order), tuple(acts[m] for m in order),
+            tuple(seen[nxt] for m in order for nxt in moves[m * n_signals:(m + 1) * n_signals]))
 
 
 @dataclass
@@ -362,6 +362,9 @@ def transducer_count_raw(n_actions: int, n_signals: int, n_memory: int) -> int:
 def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> list:
     """All transducers with at most `max_memory` memory states, de-duplicated
     by canonical form (BFS relabeling of the reachable part along the run).
+    The key of each candidate is computed from its plain action and move
+    tuples before anything is built, so only the first transducer of each
+    key is constructed.
 
     Only update entries for the played action are enumerated; entries for
     foreign actions are filled with the played action's moves, since the run
@@ -382,17 +385,12 @@ def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> li
     for m in range(1, max_memory + 1):
         for acts in itertools.product(range(n_i), repeat=m):
             for moves in itertools.product(range(m), repeat=m * n_s):
-                update = np.empty((m, n_i, n_s), dtype=np.int64)
-                for mm in range(m):
-                    row = moves[mm * n_s:(mm + 1) * n_s]
-                    for i in range(n_i):
-                        update[mm, i, :] = row
-                t = Transducer(n_actions=n_i, n_signals=n_s,
-                               act=np.array(acts), update=update)
-                key = t.canonical_form()
+                key = _canonical_key(acts, moves, n_s)
                 if key not in seen:
                     seen.add(key)
-                    out.append(t)
+                    update = np.repeat(np.array(moves).reshape(m, 1, n_s), n_i, axis=1)
+                    out.append(Transducer(n_actions=n_i, n_signals=n_s,
+                                          act=np.array(acts), update=update))
     return out
 
 

@@ -8,10 +8,10 @@ from scipy.sparse.csgraph import connected_components
 
 import pomdp_evals as pe
 from pomdp_evals import chain
-from pomdp_evals.chain import (MarkovChain, _strong_components, ergodic_decomposition,
-                               liminf_value_transducer, mixing_threshold,
-                               product_chain, step_distribution)
-from pomdp_evals.errors import InvalidInputError
+from pomdp_evals.chain import (EDGE_THRESHOLD, MarkovChain, _strong_components,
+                               ergodic_decomposition, liminf_value_transducer,
+                               mixing_threshold, product_chain, step_distribution)
+from pomdp_evals.errors import InvalidInputError, PomdpEvalError
 from pomdp_evals.playspace import simulate_plays
 
 from conftest import random_pomdp, sparse_instances
@@ -193,17 +193,21 @@ def test_strong_components_of_a_long_path_need_no_recursion(closed):
     assert len(set(comp.tolist())) == n_comp
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decomposition_of_a_300_memory_chain_equals_the_scipy_one(seed, monkeypatch):
-    # the exact-tree benchmark's memory chain: a dense random 3-state POMDP
-    # and a random 300-memory transducer drawn from one generator
+def _memory_chain(seed):
+    """The exact-tree benchmark's memory chain: a dense random 3-state POMDP
+    and a random 300-memory transducer drawn from one generator."""
     rng = np.random.default_rng(seed)
     trans = rng.uniform(0.05, 1.0, size=(3, 2, 6))
     trans /= trans.sum(axis=2, keepdims=True)
     p = pe.Pomdp(("k0", "k1", "k2"), ("a0", "a1"), ("s0", "s1"),
                  trans.reshape(3, 2, 3, 2), rng.uniform(0.05, 1.0, size=(3, 2)))
     t = pe.Transducer(2, 2, rng.integers(0, 2, size=300), rng.integers(0, 300, size=(300, 2, 2)))
-    c = product_chain(p, t, np.full(3, 1.0 / 3))
+    return product_chain(p, t, np.full(3, 1.0 / 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decomposition_of_a_300_memory_chain_equals_the_scipy_one(seed, monkeypatch):
+    c = _memory_chain(seed)
     dec = ergodic_decomposition(c)
     monkeypatch.setattr(chain, "_strong_components", _scipy_components)
     ref = ergodic_decomposition(c)
@@ -212,6 +216,109 @@ def test_decomposition_of_a_300_memory_chain_equals_the_scipy_one(seed, monkeypa
     for got, want in [(dec.class_values, ref.class_values), (dec.absorption, ref.absorption),
                       *zip(dec.stationary, ref.stationary)]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _per_component_decomposition(c):
+    """The decomposition that sums each component's outgoing submatrix on
+    its own and builds every linear system from `np.ix_` submatrices: the
+    reference for `ergodic_decomposition`."""
+    support = c.transition > EDGE_THRESHOLD
+    n_comp, comp = _strong_components([np.flatnonzero(row).tolist() for row in support])
+    closed = []
+    for d in range(n_comp):
+        idx = np.nonzero(comp == d)[0]
+        outside = c.transition[np.ix_(idx, np.nonzero(comp != d)[0])]
+        if outside.size == 0 or outside.sum() <= EDGE_THRESHOLD:
+            closed.append(tuple(int(j) for j in idx))
+    closed.sort()
+    recurrent = np.zeros(c.n_states, dtype=bool)
+    for idx in closed:
+        recurrent[list(idx)] = True
+    transient = tuple(int(j) for j in np.nonzero(~recurrent)[0])
+    stationary, values = [], []
+    for idx in closed:
+        a = c.transition[np.ix_(idx, idx)].T - np.eye(len(idx))
+        a[-1, :] = 1.0
+        b = np.zeros(len(idx))
+        b[-1] = 1.0
+        pi = np.linalg.solve(a, b)
+        stationary.append(pi)
+        values.append(float(pi @ c.payoff[list(idx)]))
+    absorption = []
+    tr = list(transient)
+    if tr:
+        lhs = np.eye(len(tr)) - c.transition[np.ix_(tr, tr)]
+    for idx in closed:
+        h = np.zeros(c.n_states)
+        h[list(idx)] = 1.0
+        if tr:
+            h[tr] = np.linalg.solve(lhs, c.transition[np.ix_(tr, list(idx))].sum(axis=1))
+        absorption.append(float(c.initial @ h))
+    return transient, tuple(closed), stationary, values, absorption
+
+
+def _assert_same_decomposition(c):
+    dec = ergodic_decomposition(c)
+    transient, classes, stationary, values, absorption = _per_component_decomposition(c)
+    assert (dec.transient, dec.classes) == (transient, classes)
+    assert len(dec.stationary) == len(stationary)
+    for got, want in [(dec.class_values, values), (dec.absorption, absorption),
+                      *zip(dec.stationary, stationary)]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    return dec
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_instances(), n_memory=hst.integers(1, 3))
+def test_decomposition_of_random_transducer_chains_equals_the_per_component_one(case, n_memory):
+    p, x1, rng = case
+    t = pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, size=n_memory),
+                      rng.integers(0, n_memory, size=(n_memory, p.n_actions, p.n_signals)),
+                      initial=int(rng.integers(n_memory)))
+    _assert_same_decomposition(product_chain(p, t, x1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decomposition_of_a_300_memory_chain_equals_the_per_component_one(seed):
+    _assert_same_decomposition(_memory_chain(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scale=hst.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1]), seed=hst.integers(0, 2**32 - 1))
+def test_decomposition_with_sub_threshold_leaks_equals_the_per_component_one(scale, seed):
+    # a strongly connected block of 2-4 states whose only way out is 2-4
+    # distinct cells below EDGE_THRESHOLD into 1-2 absorbing states, summing
+    # to `scale` times the threshold; the states are shuffled
+    rng = np.random.default_rng(seed)
+    size, n_out, n_leaks = (int(v) for v in rng.integers([2, 1, 2], [5, 3, 5]))
+    n, n_leaks = size + n_out, min(n_leaks, size * n_out)
+    T = np.zeros((n, n))
+    T[np.arange(size), np.roll(np.arange(size), 1)] = 1.0       # a cycle through the block
+    T[:size, :size] += rng.random((size, size)) * (rng.random((size, size)) < 0.5)
+    T[:size, :size] /= T[:size, :size].sum(axis=1, keepdims=True)
+    T[size:, size:] = np.eye(n_out)
+    w = rng.random(n_leaks) + 0.5
+    leaks = w / w.sum() * scale * EDGE_THRESHOLD
+    assert (leaks > 0).all() and (leaks < EDGE_THRESHOLD).all()
+    for leak, cell in zip(leaks, rng.choice(size * n_out, n_leaks, replace=False)):
+        u, v = divmod(int(cell), n_out)
+        T[u, size + v] = leak
+        T[u, T[u, :size].argmax()] -= leak
+    order = rng.permutation(n)
+    c = _chain([f"u{j}" for j in range(n)], T[np.ix_(order, order)], rng.random(n)[order],
+               rng.dirichlet(np.ones(n)))
+    dec = _assert_same_decomposition(c)
+    block = tuple(sorted(np.flatnonzero(order < size).tolist()))
+    assert (block in dec.classes) == (scale < 1.0)
+    assert (dec.transient == block) == (scale > 1.0)
+
+
+def test_a_singular_absorption_system_names_the_transient_states():
+    # a valid chain (row sums within 1e-9): state a keeps all of its mass and
+    # leaks 5e-10 more, so it is transient and I - Q is exactly zero
+    c = MarkovChain(("a", "b"), [[1.0, 5e-10], [0.0, 1.0]], [0, 1], [1, 0])
+    with pytest.raises(PomdpEvalError, match=r"singular absorption system .*\['a'\]"):
+        ergodic_decomposition(c)
 
 
 def test_step_distribution_matches_matrix_power():

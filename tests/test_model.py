@@ -306,6 +306,13 @@ def test_load_scenario_names_a_field_of_the_wrong_type(field, value, named):
         pe.load_scenario(doc)
 
 
+def test_load_scenario_names_a_path_it_cannot_read(tmp_path):
+    # a directory exists, so it is read as a path, and reading it fails
+    for source in (tmp_path, str(tmp_path)):
+        with pytest.raises(ScenarioValidationError, match=re.escape(f"{tmp_path} cannot be read")):
+            pe.load_scenario(source)
+
+
 def test_pomdp_from_tables_takes_any_iterable_of_names():
     p = pe.pomdp_from_tables(range(1), ("go",), iter(["o"]), {"0,go": {"0,o": 1.0}},
                              {"0,go": 0.5})

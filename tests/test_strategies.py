@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory, canonical_belief
-from pomdp_evals.strategies import transducer_count_raw
+from pomdp_evals.strategies import _canonical_key, transducer_count_raw
 
 from conftest import random_pomdp, sparse_instances
 
@@ -175,6 +175,93 @@ def test_transducer_dict_round_trip(blind):
     for t in pe.enumerate_transducers(p, max_memory=2)[:5]:
         back = pe.transducer_from_dict(pe.transducer_to_dict(t))
         assert back.canonical_form() == t.canonical_form()
+
+
+def _bfs_canonical_form(t):
+    """The canonical form read off a built transducer's arrays, one BFS step
+    per memory state: the reference for `_canonical_key`."""
+    order, seen, pos = [t.initial], {t.initial: 0}, 0
+    while pos < len(order):
+        m = order[pos]
+        pos += 1
+        for s in range(t.n_signals):
+            nxt = int(t.update[m, int(t.act[m]), s])
+            if nxt not in seen:
+                seen[nxt] = len(order)
+                order.append(nxt)
+    return (len(order), tuple(int(t.act[m]) for m in order),
+            tuple(seen[int(t.update[m, int(t.act[m]), s])]
+                  for m in order for s in range(t.n_signals)))
+
+
+def _construct_then_canonicalise(n_i, n_s, max_memory):
+    """The enumeration that builds every candidate transducer, filling its
+    update table entry by entry, and then keeps the first of each canonical
+    form: the reference for `enumerate_transducers`."""
+    out, seen = [], set()
+    for m in range(1, max_memory + 1):
+        for acts in itertools.product(range(n_i), repeat=m):
+            for moves in itertools.product(range(m), repeat=m * n_s):
+                update = np.empty((m, n_i, n_s), dtype=np.int64)
+                for mm in range(m):
+                    for i in range(n_i):
+                        update[mm, i, :] = moves[mm * n_s:(mm + 1) * n_s]
+                t = pe.Transducer(n_actions=n_i, n_signals=n_s, act=np.array(acts),
+                                  update=update)
+                key = _bfs_canonical_form(t)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(t)
+    return out
+
+
+# every action and signal count in {1, 2, 3} and memory bound <= 3 whose
+# candidate count stays under 20 000 (all but (2, 3, 3) and (3, 3, 3)); the
+# domain is finite, so it is covered exhaustively
+_ENUMERATION_CASES = [(n_i, n_s, mm) for n_i in (1, 2, 3) for n_s in (1, 2, 3)
+                      for mm in (1, 2, 3)
+                      if sum(n_i ** m * m ** (m * n_s) for m in range(1, mm + 1)) <= 20_000]
+
+
+@pytest.mark.parametrize("n_i, n_s, max_memory", _ENUMERATION_CASES)
+def test_enumeration_equals_the_construct_then_canonicalise_loop(n_i, n_s, max_memory):
+    p = random_pomdp(np.random.default_rng(n_i * 10 + n_s), k=2, n_i=n_i, n_s=n_s)
+    got = pe.enumerate_transducers(p, max_memory=max_memory)
+    want = _construct_then_canonicalise(n_i, n_s, max_memory)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n_actions, g.n_signals, g.initial) == (w.n_actions, w.n_signals, w.initial)
+        assert g.act.dtype == w.act.dtype and g.update.dtype == w.update.dtype
+        assert np.array_equal(g.act, w.act) and np.array_equal(g.update, w.update)
+        key = _canonical_key(g.act.tolist(), g.update[np.arange(g.n_memory), g.act].ravel().tolist(),
+                             n_s)
+        assert g.canonical_form() == key == _bfs_canonical_form(w)
+
+
+def test_canonical_form_equals_the_bfs_reference(rng):
+    # any initial memory, and update rows that differ across actions
+    for _ in range(50):
+        n_i, n_s, m = (int(v) for v in rng.integers(1, 4, size=3))
+        t = pe.Transducer(n_i, n_s, rng.integers(0, n_i, size=m),
+                          rng.integers(0, m, size=(m, n_i, n_s)), initial=int(rng.integers(m)))
+        assert t.canonical_form() == _bfs_canonical_form(t)
+
+
+def test_enumeration_builds_only_the_transducers_it_returns(rng, monkeypatch):
+    # a work count with no timing: a change that builds the discarded
+    # candidates again (5 898 for these sizes) fails here
+    built = []
+    check = pe.Transducer.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    monkeypatch.setattr(pe.Transducer, "__post_init__", counted)
+    out = pe.enumerate_transducers(p, max_memory=3)
+    assert len(out) == 1778
+    assert len(built) == len(out)
 
 
 # ---------------------------------------------------------------------------
