@@ -28,9 +28,10 @@ class MarkovChain:
     initial: np.ndarray      # (U,)
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        f = np.asarray(self.payoff, dtype=float)
-        y = np.asarray(self.initial, dtype=float)
+        # copies: the tables are frozen below, and the caller's arrays stay theirs
+        t = np.array(self.transition, dtype=float)
+        f = np.array(self.payoff, dtype=float)
+        y = np.array(self.initial, dtype=float)
         u = len(self.labels)
         if t.shape != (u, u) or f.shape != (u,) or y.shape != (u,):
             raise InvalidInputError("chain table shapes disagree with the state count")

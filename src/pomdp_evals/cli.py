@@ -112,6 +112,9 @@ def _json_file(path: str, what: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InvalidInputError(f"{what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{what} file {path} is not UTF-8 text: {exc.reason} "
+                                f"at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{what} file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -108,23 +108,48 @@ def weight_sums(e: "Evaluation", stream, horizon: int, ctx: Optional[EvalContext
     |theta_1| + sum |theta_m - theta_{m+1}| (the final drop to zero included)
     of evaluation e, folded over the blocks of `e.weight_blocks(stream,
     horizon, ctx)` for the plays of a `PlayStream`.  Between blocks it
-    carries the three sums and the last weight of each play, by play id.  It
-    retires from the stream the plays each block flags `done`, so no later
-    block simulates or weighs them: a retired play would only add exact
-    zeros, and its last weight's drop is counted once either way."""
+    carries the three sums and the last weight of each play, by play id.
+    Each sum adds its play's terms one stage at a time in stage order, on
+    from the carried total (`_add_on`), so its bits depend on neither the
+    block cut nor the block width.  It retires
+    from the stream the plays each block flags `done`, so no later block
+    simulates or weighs them: a retired play would only add exact zeros,
+    and its last weight's drop is counted once either way."""
     payoff = mass = jumps = last = None
     for t0, ids, st, ac, _, w, done in e.weight_blocks(stream, horizon, ctx):
         if mass is None:                   # the first block holds every play
             payoff, mass, jumps, last = np.zeros((4, w.shape[1]))
-        if reward is not None:
-            payoff[ids] += (reward.take(st * reward.shape[1] + ac) * w).sum(axis=0)
-        mass[ids] += w.sum(axis=0)
-        jumps[ids] = jumps[ids] + np.abs(w[0] - last[ids]) + np.abs(np.diff(w, axis=0)).sum(axis=0)
+        # one C-contiguous (block, plays) buffer holds each sum's terms in
+        # turn; `take` returns a new C-contiguous array
+        if reward is None:
+            terms = np.empty(w.shape)
+        else:
+            terms = reward.take(st * reward.shape[1] + ac)
+            terms *= w
+            payoff[ids] = _add_on(payoff[ids], terms)
+        np.copyto(terms, w)
+        mass[ids] = _add_on(mass[ids], terms)
+        np.subtract(w[0], last[ids], out=terms[0])
+        np.subtract(w[1:], w[:-1], out=terms[1:])
+        jumps[ids] = _add_on(jumps[ids], np.abs(terms, out=terms))
         last[ids] = w[-1]
         if done is not None:
             stream.retire(ids[done])
-        del st, ac, w        # drop the block before the next one is made
+        del st, ac, w, terms  # drop the block before the next one is made
     return (None if reward is None else payoff), mass, jumps + np.abs(last)
+
+
+def _add_on(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0] + terms[1] + ... per column of the C-contiguous
+    (stages, plays) terms, added one row at a time in that order; overwrites
+    terms.  numpy sums axis 0 of two or more such columns row by row, but a
+    lone column pairwise, so one column takes `np.cumsum`, which adds in
+    order at any width (and along axis 0 of a wide block is some 20x slower
+    than the sum)."""
+    terms[0] += total
+    if terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0, out=terms)[-1]
+    return terms.sum(axis=0)
 
 
 def enumerated_weights(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,

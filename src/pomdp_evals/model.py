@@ -507,6 +507,10 @@ def load_scenario(source) -> Scenario:
             except OSError as exc:
                 raise ScenarioValidationError(
                     f"scenario file {source} cannot be read: {exc.strerror}") from exc
+            except UnicodeDecodeError as exc:
+                raise ScenarioValidationError(
+                    f"scenario file {source} is not UTF-8 text: {exc.reason} at byte "
+                    f"{exc.start}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

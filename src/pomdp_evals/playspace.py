@@ -4,14 +4,17 @@ Exact and Monte Carlo results reduce one stream type, the `PlayStream`,
 whose blocks carry their play ids: `enumerate_plays` returns the whole play
 tree as one `PlayBatch` with its probabilities, which `one_block_stream`
 turns into a stream of one block, and `play_blocks` streams seeded plays one
-stage block at a time, so Monte Carlo never holds a (plays, horizon) matrix
-and stops simulating the plays its consumer retires; `simulate_plays`
+stage block at a time, each sized by the cells it costs (`BLOCK_CELLS`), so
+Monte Carlo never holds a (plays, horizon) matrix, a narrow pass pays the
+fixed cost of a block once per thousands of stages, and the pass stops
+simulating the plays its consumer retires; `simulate_plays`
 collects that stream for API callers.  Also here: observed-prefix grouping
 and belief payoffs along observed histories, walked on the closed belief
 graph of the initial belief (`model.belief_graph`) or filtered stage block
 by stage block."""
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -26,9 +29,14 @@ DEFAULT_NODE_BUDGET = 2_000_000
 PROB_FLOOR = 1e-12
 # Stages per block: simulation draws uniforms and emits plays, and the Bayes
 # filter and every Monte Carlo reduction consume them, one block at a time,
-# so a Monte Carlo pass holds O(plays x STAGE_BLOCK) memory whatever the
-# horizon.  At 64 stages x 10 000 plays one float64 block takes 5 MB.
+# so a Monte Carlo pass holds O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) memory
+# whatever the horizon.  A block holds at least STAGE_BLOCK stages, and as
+# many more as keep it within BLOCK_CELLS cells of the columns its streams
+# draw: a narrow pass pays the fixed per-block cost of Python and numpy
+# dispatch across kernel, stream and consumer once per BLOCK_CELLS // columns
+# stages, and a pass of 256 columns or more keeps 64-stage blocks.  At 64 stages x 10 000 plays one float64 block takes 5 MB.
 STAGE_BLOCK = 64
+BLOCK_CELLS = 2 ** 14
 # Chain-kernel blocks of at most this many plays step play by play in scalar
 # Python, wider ones one numpy search per stage.  Per 64-stage block of a
 # 3-memory transducer on a K=3, I=2, S=2 instance (best of 9, 2-core host),
@@ -128,13 +136,16 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     block's shape.
 
     When the beliefs reachable from x1 close into a graph of at most as many
-    beliefs as the first block has stages (`model.belief_graph`, the graph
-    the belief DP sweeps), each play
-    carries a belief id, stepped along the graph by its observed pairs with
-    one numpy `take` per stage, and g is gathered from a (beliefs, actions)
-    payoff table.  The limit holds a failed attempt to at most I*S
-    posteriors per stage of the first block, however many plays the filter
-    then carries, and lets a narrow pass close a graph wider than itself.
+    beliefs as the first block has stages, and at most STAGE_BLOCK
+    (`model.belief_graph`, the graph the belief DP sweeps), each play
+    carries a belief id, stepped along the graph by its observed pairs, and
+    g is gathered from a (beliefs, actions) payoff table.  A block of at
+    most SCALAR_PLAYS plays walks its ids play by play in scalar Python
+    (`_walk_plays`), a wider one with one numpy `take` per stage; both read
+    the same table, so the ids are the same.  The limit holds a failed
+    attempt to at most I*S posteriors per stage of a 64-stage block,
+    however many plays the filter then carries or however long the blocks
+    are, and lets a narrow pass close a graph wider than itself.
     An open orbit runs the Bayes filter `_filter`, carrying one (plays, K)
     belief.  Both paths give the same floats: the graph's beliefs are the
     filter's own updates told apart by their bytes, and the table is made
@@ -145,7 +156,7 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
         return
     blocks = chain([first], blocks)
     reward_of = p.reward.T
-    graph = belief_graph(p, x1, len(first[1]))
+    graph = belief_graph(p, x1, min(len(first[1]), STAGE_BLOCK))
     if graph is None:
         for t0, actions, bel in _filter(p, x1, blocks):
             yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
@@ -158,6 +169,7 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     # g_at holds g(belief b, i) there, summed over the same (rows, K)
     # layouts as the filter path's einsum.
     step = (child * n_c).ravel()
+    step_list = step.tolist()
     g_at = np.zeros((n_b, n_c))
     g_at[:, :p.n_actions] = np.einsum(
         "tnk,tnk->tn", beliefs[:, None].repeat(p.n_actions, axis=1),
@@ -166,21 +178,39 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     at = np.zeros(first[1].shape[1], dtype=np.intp)     # every play starts at x1, id 0
     for t0, actions, signals in blocks:
         codes = actions * p.n_signals + signals
-        walk = np.empty((len(codes) + 1, len(at)), dtype=np.intp)
-        walk[0] = at
-        for j, code in enumerate(codes):
-            step.take(walk[j] + code, out=walk[j + 1])
+        if len(at) <= SCALAR_PLAYS:
+            walk = np.array(_walk_plays(codes, at, step_list), dtype=np.intp) \
+                .reshape(len(at), len(codes) + 1).T
+        else:
+            walk = np.empty((len(codes) + 1, len(at)), dtype=np.intp)
+            walk[0] = at
+            for j, code in enumerate(codes):
+                step.take(walk[j] + code, out=walk[j + 1])
         at = walk[-1]
         yield t0, g_at.take(walk[:-1] + actions)
+
+
+def _walk_plays(codes: np.ndarray, at: np.ndarray, step: list) -> list:
+    """The belief walk of `belief_payoff_blocks`, play by play in scalar
+    Python: for each column of the (block, plays) observed codes, its play's
+    carried id from `at` and its id after each stage, one flat list."""
+    out = []
+    push = out.append
+    for col, b in zip(codes.T.tolist(), at.tolist()):
+        push(b)
+        for code in col:
+            b = step[b + code]
+            push(b)
+    return out
 
 
 def _filter(p: Pomdp, x1: np.ndarray, blocks):
     """Bayes filter over (t0, actions, signals) blocks of any length: yields
     (t0, actions, bel), bel[j] (plays, K) being the beliefs at stage
     t0 + j + 1, a view of a buffer that the next block overwrites.  The
-    buffer is sized from the first block, and no later block of a sampled
-    stream or of an enumerated batch (one block) is longer; it grows only for
-    a stream cut otherwise.  `belief_payoff_blocks` runs it for open belief
+    buffer is sized from the first block and grows when a later block is
+    longer, as a narrow sampled pass's blocks grow when its streams stop
+    drawing.  `belief_payoff_blocks` runs it for open belief
     orbits, and the tests take it as the reference of the belief graph."""
     bayes = bayes_matrices(p)
     bel = np.asarray(x1, dtype=float)[None, None]      # bel[0]: the beliefs carried in
@@ -237,12 +267,16 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 
 def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
     """Sampled plays one stage block at a time, as a `PlayStream` over
-    `horizon` stages whose (t0, ids, states, actions, signals) blocks hold
-    STAGE_BLOCK stages each but the last, which may hold fewer, so no block
-    is longer than the first.  `streams` lists (generator, count) pairs as
-    in `simulate_plays`, whose draw contract the blocks follow;
-    `reduce_sampled_plays` passes a group of its seeded streams.  A consumer
-    that keeps only per-play state holds O(plays x STAGE_BLOCK) memory.  A
+    `horizon` stages whose (t0, ids, states, actions, signals) blocks each
+    hold max(STAGE_BLOCK, BLOCK_CELLS // drawn) stages but the last, which
+    may hold fewer, `drawn` being the columns of the streams still drawing
+    when the block is made.  A pass of 256 columns or more gets 64-stage
+    blocks; a narrower one longer blocks, which grow as its streams stop
+    drawing, so a later block may be longer than the first.  `streams` lists
+    (generator, count) pairs as in `simulate_plays`, whose draw contract the
+    blocks follow whatever their lengths; `reduce_sampled_plays` passes a
+    group of its seeded streams.  A consumer that keeps only per-play state
+    holds O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) memory.  A
     consumer may retire plays it needs no more stages of: later blocks leave
     them out and neither kernel steps them, while each stream with a play
     kept still draws its full (block, count) uniforms, so the plays kept see
@@ -266,17 +300,18 @@ class PlayStream:
     (block, plays) int arrays whose row j is stage t0 + j + 1, and `ids`
     numbers their columns by play id, a play's id being its position among
     the pass's plays.  Sampled streams (`play_blocks`) cut the plays into
-    blocks of at most STAGE_BLOCK stages; `one_block_stream` holds a whole
-    enumerated batch in one block.  A consumer that needs no more stages of
-    some plays retires them: every block made afterwards leaves them out,
-    both simulation kernels step only the plays kept, and the stream ends
-    once no play is left.  A consumer that never retires sees every play in
-    every block.
+    blocks of at most max(STAGE_BLOCK x drawn, BLOCK_CELLS) cells, drawn
+    being the columns their streams still draw; `one_block_stream` holds a
+    whole enumerated batch in one block.  The consumers fold each play stage
+    by stage, so their results do not depend on the cut.  A consumer that
+    needs no more stages of some plays retires them: every block made
+    afterwards leaves them out, both simulation kernels step only the plays
+    kept, and the stream ends once no play is left.  A consumer that never
+    retires sees every play in every block.
     """
 
     def __init__(self, kernel):
         self._kernel = kernel   # yields (t0, ids, states, actions, signals); sent retired ids
-        self._alive = None      # play ids of the last block made
         self._gone = []         # play ids retired and not yet left out
 
     def __iter__(self):
@@ -284,17 +319,8 @@ class PlayStream:
 
     def __next__(self):
         gone = np.concatenate(self._gone) if self._gone else None
-        # A block is never cut to one play of several: numpy sums a lone
-        # column pairwise, not stage by stage as it sums each column of a
-        # wider block, so the consumers' sums would change in the last bits.
-        # The retired plays wait until the last one goes too.
-        if gone is not None and np.isin(self._alive, gone, invert=True).sum() == 1:
-            gone = None
-        else:
-            self._gone = []
-        blk = self._kernel.send(gone)
-        self._alive = blk[1]
-        return blk
+        self._gone = []
+        return self._kernel.send(gone)
 
     def retire(self, ids: np.ndarray) -> None:
         """Leave the plays `ids` out of every block made afterwards."""
@@ -319,6 +345,14 @@ def _stream_draws(streams: list, alive: np.ndarray) -> list:
     cut = alive.searchsorted(bounds)
     return [(g, n, slice(None) if hi - lo == n else alive[lo:hi] - first)
             for (g, n), first, lo, hi in zip(streams, bounds, cut, cut[1:]) if hi > lo]
+
+
+def _block_stages(draws: list) -> int:
+    """Stages of the next block: STAGE_BLOCK, or more as long as the block
+    holds at most BLOCK_CELLS cells of the columns its streams draw.  The
+    rule reads drawn columns, not kept plays, so a wide pass that retires
+    most of its plays keeps its 64-stage blocks and never draws ahead."""
+    return max(STAGE_BLOCK, BLOCK_CELLS // max(sum(n for _, n, _ in draws), 1))
 
 
 def _draw(draws: list, out: np.ndarray) -> np.ndarray:
@@ -375,8 +409,9 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     mem = strat.start(samples)
     alive = np.arange(samples)
     draws = _stream_draws(streams, alive)
-    for t0 in range(0, horizon, STAGE_BLOCK):
-        blk = np.empty((3, min(STAGE_BLOCK, horizon - t0), len(alive)), dtype=np.int32)
+    t0 = 0
+    while t0 < horizon:
+        blk = np.empty((3, min(_block_stages(draws), horizon - t0), len(alive)), dtype=np.int32)
         u = np.empty((2, len(alive)))
         for out in blk.transpose(1, 0, 2):
             _draw(draws, u)
@@ -388,6 +423,7 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
             mem = strat.step(mem, action, code % n_s)
             state = code // n_s
         gone = yield t0, alive, *blk
+        t0 += blk.shape[1]
         if gone is not None:
             keep, alive, draws = _narrow(streams, alive, gone)
             if not len(alive):
@@ -437,24 +473,27 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     # stage being drawn.  y and pos, the block's uniforms and table
     # positions, share one buffer reused from block to block: the positions
     # are copied in once every uniform of the block is spent.  Both buffers
-    # are flat, so a block over fewer plays is a contiguous prefix of them.
-    idx_buf = np.empty((STAGE_BLOCK + 1) * samples, dtype=np.int64)
-    y_buf = np.empty(STAGE_BLOCK * samples)
+    # are flat, so a block over fewer plays is a contiguous prefix of them,
+    # and sized for the largest block: b stages of at most `drawn` plays,
+    # b * drawn <= max(STAGE_BLOCK * samples, BLOCK_CELLS).
+    cells = max(STAGE_BLOCK * samples, BLOCK_CELLS)
+    idx_buf = np.empty(cells + samples, dtype=np.int64)
+    y_buf = np.empty(cells)
     x1 = np.asarray(x1) / np.asarray(x1).sum()
     idx_buf[:samples] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m \
         + initial
     base = 2.0 * idx_buf[:samples]
     alive = np.arange(samples)
     draws = _stream_draws(streams, alive)
-    for t0 in range(0, horizon, STAGE_BLOCK):
-        b, n = min(STAGE_BLOCK, horizon - t0), len(alive)
+    t0 = 0
+    while t0 < horizon:
+        b, n = min(_block_stages(draws), horizon - t0), len(alive)
         idx = idx_buf[:(b + 1) * n].reshape(b + 1, n)
         y = _draw(draws, y_buf[:b * n].reshape(b, n))
         pos = y.view(np.int64)
         stage_a = stage_table[t0:t0 + b].tolist()
         if n <= SCALAR_PLAYS:
-            pos[:] = np.array(_step_plays(y, base, [table_lists[a] for a in stage_a],
-                                          shift_list)).T
+            _step_plays(y, base, [table_lists[a] for a in stage_a], shift_list, pos)
         else:
             drawn = []
             for yj, a in zip(y, stage_a):
@@ -468,7 +507,7 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         # pos is spent too: reuse it for the flat indices into act
         np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos)
         gone = yield t0, alive, state_of.take(idx[:b]), act.take(pos), signals
-        carry = idx[b]
+        t0, carry = t0 + b, idx[b]
         if gone is not None:
             keep, alive, draws = _narrow(streams, alive, gone)
             if not len(alive):
@@ -477,23 +516,25 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         idx_buf[:len(alive)] = carry
 
 
-def _step_plays(y: np.ndarray, base: np.ndarray, rows: list, shifts: list) -> list:
+def _step_plays(y: np.ndarray, base: np.ndarray, rows: list, shifts: list,
+                pos: np.ndarray) -> None:
     """The chain kernel's block step, play by play in scalar Python: for
     each column of the (block, plays) uniforms y, its table positions, stage
     by stage, from its own 2c + u and the table (a list) of each stage in
-    `rows`.  Like the numpy step it leaves each play's 2c for the next
-    block in `base`."""
-    out = []
-    for j, (col, c2) in enumerate(zip(y.T.tolist(), base.tolist())):
-        at = []
+    `rows`, written to the same column of pos, which may share y's memory
+    (a column is read whole before it is written).  Like the numpy step it
+    leaves each play's 2c for the next block in `base`.  The column goes
+    through C arrays, not lists, so a long block holds no Python float or
+    int per stage."""
+    for j, c2 in enumerate(base.tolist()):
+        at = array("q")
         push = at.append
-        for u, row in zip(col, rows):
+        for u, row in zip(array("d", y[:, j].tobytes()), rows):
             i = bisect_right(row, u + c2)
             push(i)
             c2 = shifts[i]
         base[j] = c2
-        out.append(at)
-    return out
+        pos[:, j] = np.frombuffer(at, dtype=np.int64)
 
 
 def shard_seeds(seed: int, shards: int) -> list:
@@ -521,7 +562,7 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
     in stage order, and returns a tuple of per-play arrays, indexed by play
     id; the result lists each of them concatenated over all plays, in stream
     order.  No (plays, horizon) matrix is built: a pass holds
-    O(plays x STAGE_BLOCK) cells plus what `reduce` carries.  A `reduce` that
+    O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) cells plus what `reduce` carries.  A `reduce` that
     retires plays (the weight fold `evaluations.weight_sums` retires those
     whose weights are spent) makes the pass simulate only the plays still
     needed, and ends it once none is.  Consecutive streams share one pass

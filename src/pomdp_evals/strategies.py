@@ -166,13 +166,26 @@ class ScheduleStrategy(Strategy):
 
     def stage_actions(self, n: int) -> np.ndarray:
         """The actions at stages 1..n, as ints; raises when one is out of range."""
-        plan = np.array([self.action_at_stage(t) for t in range(1, n + 1)], dtype=np.intp)
+        plan = self._plan(n)
         if np.any((plan < 0) | (plan >= self.n_actions)):
             raise InvalidInputError("schedule action out of range")
         return plan
 
+    def _plan(self, n: int) -> np.ndarray:
+        return np.array([self.action_at_stage(t) for t in range(1, n + 1)], dtype=np.intp)
+
     def dist(self, mem) -> np.ndarray:
         return np.eye(self.n_actions)[self.stage_actions(int(np.max(mem, initial=0)) + 1)[mem]]
+
+
+class _TabledSchedule(ScheduleStrategy):
+    """A schedule whose stage table has a closed form: `plan(n)`, which
+    stands in for `_plan`, gives in numpy the ints that `action_at_stage`
+    gives at stages 1..n one call each."""
+
+    def __init__(self, n_actions: int, action_at_stage: Callable[[int], int], plan):
+        super().__init__(n_actions, action_at_stage)
+        self._plan = plan
 
 
 @dataclass
@@ -328,7 +341,16 @@ def doubling_strategy(n_actions: int = 2, hold_action: int = 0, switch_action: i
             switch_stages.add(frontier[0])
         return switch_action if stage in switch_stages else hold_action
 
-    return ScheduleStrategy(n_actions, action_at_stage)
+    def plan(n: int) -> np.ndarray:
+        out = np.full(n, hold_action, dtype=np.intp)
+        switch, j = 0, 1
+        while switch + 2 ** (j * j) + 1 <= n:
+            switch += 2 ** (j * j) + 1
+            out[switch - 1] = switch_action
+            j += 1
+        return out
+
+    return _TabledSchedule(n_actions, action_at_stage, plan)
 
 
 def block_switch_strategy(n_actions: int, first_action: int, second_action: int,
@@ -338,7 +360,11 @@ def block_switch_strategy(n_actions: int, first_action: int, second_action: int,
     def action_at_stage(stage: int) -> int:
         return first_action if stage <= switch_after else second_action
 
-    return ScheduleStrategy(n_actions, action_at_stage)
+    def plan(n: int) -> np.ndarray:
+        return np.where(np.arange(1, n + 1) <= switch_after, first_action,
+                        second_action).astype(np.intp)
+
+    return _TabledSchedule(n_actions, action_at_stage, plan)
 
 
 def always_strategy(n_actions: int, n_signals: int, action: int) -> Transducer:

@@ -29,6 +29,16 @@ def test_chain_validation_names_the_offending_row():
     assert "u" in str(err.value)
 
 
+def test_chain_freezes_its_own_copies_not_the_callers_arrays():
+    t, f, y = np.eye(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    c = MarkovChain(("a", "b"), t, f, y)
+    t[0, 0], f[0], y[0] = 0.5, 0.25, 0.75
+    assert c.transition[0, 0] == 1.0 and c.payoff[0] == 0.0 and c.initial[0] == 1.0
+    for arr in (c.transition, c.payoff, c.initial):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize("table, T, payoff, init", [
     ("transition", [[np.nan, 0.3], [0, 1]], [0.3, 0.9], [1, 0]),
     ("payoff", [[0.5, 0.5], [0, 1]], [np.nan, 0.3], [1, 0]),

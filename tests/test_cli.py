@@ -85,6 +85,21 @@ def test_a_directory_given_for_a_file_exits_invalid_naming_it(capsys, tmp_path, 
         assert code == 1 and out == "" and f"scenario file {tmp_path}" in err
 
 
+@pytest.mark.parametrize("option", ["--scenario", "--strategy", "--evaluation"])
+def test_a_file_that_is_not_utf8_exits_invalid_naming_it(capsys, tmp_path, option):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = {"--scenario": "uniform-redraw", "--strategy": "uniform",
+            "--evaluation": '{"kind": "n_stage", "n": 3}', "--horizon": "3", option: str(path)}
+    code, out, err = run_cli(capsys, "evaluate", *[a for kv in argv.items() for a in kv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option[2:]} file {path} is not UTF-8")
+    assert "Traceback" not in err
+    if option == "--scenario":
+        code, out, err = run_cli(capsys, "value", "--scenario", str(path), "--horizon", "2")
+        assert code == 1 and out == "" and f"scenario file {path} is not UTF-8" in err
+
+
 def test_unknown_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["value", "--scenario", "uniform-redraw", "--frobnicate"])

@@ -313,6 +313,14 @@ def test_load_scenario_names_a_path_it_cannot_read(tmp_path):
             pe.load_scenario(source)
 
 
+def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    for source in (path, str(path)):
+        with pytest.raises(ScenarioValidationError, match=re.escape(f"{path} is not UTF-8")):
+            pe.load_scenario(source)
+
+
 def test_pomdp_from_tables_takes_any_iterable_of_names():
     p = pe.pomdp_from_tables(range(1), ("go",), iter(["o"]), {"0,go": {"0,o": 1.0}},
                              {"0,go": 0.5})

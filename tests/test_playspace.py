@@ -14,7 +14,8 @@ from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory, bayes_matrices, bayes_update_rows, belief_graph
 from pomdp_evals.playspace import (enumerate_plays, play_blocks, shard_seeds,
-                                   simulate_plays, PROB_FLOOR, SCALAR_PLAYS, STAGE_BLOCK)
+                                   simulate_plays, BLOCK_CELLS, PROB_FLOOR, SCALAR_PLAYS,
+                                   STAGE_BLOCK)
 
 from conftest import (BUILTIN_SCENARIOS, belief_payoffs, belief_sequence, builtin_cases,
                       closed_instances, drifting_permutation, filter_payoffs, random_belief,
@@ -216,11 +217,13 @@ def _dense_instance_with_a_zero_cell(rng):
 
 
 @pytest.mark.parametrize("horizon", [1, STAGE_BLOCK - 1, STAGE_BLOCK,
-                                     STAGE_BLOCK + 1, 3 * STAGE_BLOCK + 5])
+                                     STAGE_BLOCK + 1, 3 * STAGE_BLOCK + 5,
+                                     2 * BLOCK_CELLS // 7 + 5])
 @pytest.mark.parametrize("samples", [1, 7, SCALAR_PLAYS, SCALAR_PLAYS + 1, 40])
 def test_blocked_kernel_reproduces_per_stage_loops(rng, horizon, samples):
     # widths up to SCALAR_PLAYS take the kernel's scalar step, wider ones
-    # its numpy step
+    # its numpy step; the longest horizon takes several blocks of up to
+    # BLOCK_CELLS cells at every width but 1
     p = _dense_instance_with_a_zero_cell(rng)
     x1 = random_belief(rng, 3)
     transducer = pe.Transducer(2, 2, rng.integers(0, 2, 5),
@@ -254,12 +257,20 @@ def _stream_blocks(p, x1, strat, horizon, streams, left, seed):
        .filter(lambda c: sum(c) > SCALAR_PLAYS),
        left=hst.lists(hst.one_of(hst.none(), hst.integers(0, 2 * SCALAR_PLAYS)),
                       min_size=3, max_size=3),
-       last=hst.integers(0, SCALAR_PLAYS), seed=hst.integers(0, 2**16))
-def test_scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last, seed):
+       last=hst.integers(0, SCALAR_PLAYS), seed=hst.integers(0, 2**16),
+       cells=hst.sampled_from([0, 2000, BLOCK_CELLS]))
+def test_scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last, seed,
+                                                     cells):
     # a pass that starts wider than SCALAR_PLAYS and retires plays block by
     # block, narrowing to at most `last` plays in its last blocks: its blocks
     # must equal, bit for bit, those of the same pass with every block on the
-    # numpy step.  sparse_instances hold zero-probability cells.
+    # numpy step.  sparse_instances hold zero-probability cells.  Small
+    # BLOCK_CELLS values keep several blocks within the horizon.
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        _scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last, seed)
+
+
+def _scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last, seed):
     p, x1, rng = case
     horizon = 5 * STAGE_BLOCK + 3
     if kind == "transducer":

@@ -96,6 +96,28 @@ def test_doubling_schedule_switch_stages():
     assert strat.action_at_stage(66071) == 0
 
 
+@pytest.mark.parametrize("strat", [
+    pe.doubling_strategy(), pe.doubling_strategy(3, 2, 1), pe.doubling_strategy(2, 1, 1),
+    pe.block_switch_strategy(2, 0, 1, 3), pe.block_switch_strategy(3, 2, 0, 0),
+    pe.block_switch_strategy(2, 1, 0, 66_070), pe.block_switch_strategy(2, 0, 1, -5),
+    pe.block_switch_strategy(2, 0, 1, 10 ** 6)])
+def test_closed_form_stage_tables_equal_the_per_stage_loop(strat):
+    n = 10 ** 5
+    loop = [strat.action_at_stage(t) for t in range(1, n + 1)]
+    for m in (0, 1, 2, 3, 19, 20, 21, 533, n):
+        table = strat.stage_actions(m)
+        assert table.dtype == np.intp and table.tolist() == loop[:m]
+    mem = np.array([0, 532, 2, 66_069])
+    assert np.array_equal(strat.dist(mem), np.eye(strat.n_actions)[[loop[m] for m in mem]])
+
+
+def test_closed_form_stage_tables_check_the_action_range():
+    for strat in (pe.doubling_strategy(2, 0, 2), pe.block_switch_strategy(2, 0, 5, 3)):
+        assert strat.stage_actions(2).tolist() == [0, 0]
+        with pytest.raises(pe.InvalidInputError, match="out of range"):
+            strat.stage_actions(4)
+
+
 # ---------------------------------------------------------------------------
 # Transducers
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ family's weights on (n_plays, horizon) matrices, the per-play payoff and mass
 rows, the padded-difference irregularity, the prefix-average extrema and the
 belief payoffs of the whole play.  The streamed results must agree with them
 to 1e-12 on random instances, block cuts and horizons on both sides of
-STAGE_BLOCK.  Sampled passes retire the plays whose weights are spent; the
-run-block sums must then equal, bit for bit, the matrix sums added up block by
-block as the fold adds them, and every block must hold the simulated columns
-of the plays it keeps."""
+STAGE_BLOCK.  The fold adds each play's terms one stage at a time, so its
+sums equal, bit for bit, the matrix sums added up stage by stage, whatever
+the block cuts and widths; the prefix-average extrema and belief payoffs
+are as cut-free.  Sampled passes retire the plays whose weights are spent,
+size their blocks by the columns they draw, and every block must hold the
+simulated columns of the plays it keeps."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ import pomdp_evals as pe
 from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
                                      eta_horizon, pathwise_irregularity, weight_sums)
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
-from pomdp_evals.playspace import (MC_SHARDS, STAGE_BLOCK, PlayStream, belief_payoff_blocks,
-                                   play_blocks, reduce_sampled_plays, shard_seeds,
-                                   simulate_plays)
+from pomdp_evals import playspace
+from pomdp_evals.playspace import (BLOCK_CELLS, MC_SHARDS, STAGE_BLOCK, PlayStream,
+                                   belief_payoff_blocks, play_blocks, reduce_sampled_plays,
+                                   shard_seeds, simulate_plays)
 from pomdp_evals.values import average_extrema, weighted_payoff_and_irregularity_mc
 
 from conftest import sparse_instances
@@ -96,19 +100,14 @@ def ref_sums(p, w, states, actions):
             np.abs(w[:, 0]) + np.abs(np.diff(padded, axis=1)).sum(axis=1))
 
 
-def ref_block_sums(p, w, states, actions):
-    """`ref_sums` added up in the fold's order: numpy sums each STAGE_BLOCK
-    block of time-major (block, plays) matrices over its stages, and the
-    block sums are added in stage order."""
-    payoff = mass = jumps = last = 0.0
-    g = p.reward[states, actions]
-    for t0 in range(0, w.shape[1], STAGE_BLOCK):
-        blk = np.ascontiguousarray(w[:, t0:t0 + STAGE_BLOCK].T)
-        payoff = payoff + (g[:, t0:t0 + STAGE_BLOCK].T * blk).sum(axis=0)
-        mass = mass + blk.sum(axis=0)
-        jumps = jumps + np.abs(blk[0] - last) + np.abs(np.diff(blk, axis=0)).sum(axis=0)
-        last = blk[-1]
-    return payoff, mass, jumps + np.abs(last)
+def ref_fold_sums(p, w, states, actions):
+    """`ref_sums` added up in the fold's order, one stage at a time along
+    each play (np.cumsum adds in order at any width); the final drop to zero
+    comes last."""
+    padded = np.concatenate([np.zeros((len(w), 1)), w, np.zeros((len(w), 1))], axis=1)
+    drops = np.abs(np.diff(padded, axis=1))
+    return (np.cumsum(w * p.reward[states, actions], axis=1)[:, -1],
+            np.cumsum(w, axis=1)[:, -1], np.cumsum(drops[:, :-1], axis=1)[:, -1] + drops[:, -1])
 
 
 def ref_stepped(p, x1, strat, horizon, streams):
@@ -244,17 +243,29 @@ def _into_state_zero(p):
     return pe.Pomdp(p.states, p.actions, p.signals, trans, p.reward)
 
 
+# BLOCK_CELLS values under which short passes still run several blocks: 0
+# gives every block STAGE_BLOCK stages
+CELLS = hst.sampled_from([0, 300, BLOCK_CELLS])
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=sparse_instances(), kind=KINDS, horizon=hst.sampled_from(HORIZONS[1:]),
        samples=hst.integers(1, 12), seed=hst.integers(0, 2**16),
-       stepped=hst.booleans(), absorbing=hst.booleans())
+       stepped=hst.booleans(), absorbing=hst.booleans(), cells=CELLS)
 def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples, seed,
-                                                   stepped, absorbing):
+                                                   stepped, absorbing, cells):
     # the same seeded plays reduced from (samples, horizon) matrices and
     # streamed block by block through reduce_sampled_plays: once with every
     # block listed first, so that nothing retires, and once through the
     # weight fold alone, which retires plays whose weights are spent (all of
     # them early when every play runs into state 0)
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        _sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples, seed,
+                                                   stepped, absorbing)
+
+
+def _sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples, seed, stepped,
+                                               absorbing):
     p, x1, rng = case
     if absorbing:
         p = _into_state_zero(p)
@@ -290,14 +301,17 @@ def test_sampled_pass_equals_the_matrix_reductions(case, kind, horizon, samples,
     for g, r in zip([*got, *retiring], [*want, *want[:3]]):
         assert g.shape == (samples,)
         np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
-    if kind == "run_block":
-        for g, r in zip(retiring, ref_block_sums(p, w, st, ac)):
-            assert np.array_equal(g, r)
+    # the fold's sums, retiring or not, are the stage-by-stage sums of the
+    # evaluation's own weights on the matrices, bit for bit
+    folded = ref_fold_sums(p, e.batch_weights(st, ac, sg, ctx), st, ac)
+    for g, r in zip([*got[:3], *retiring], [*folded, *folded]):
+        assert np.array_equal(g, r)
 
 
 def test_sampled_pass_splits_samples_over_mc_shards_streams_at_any_horizon(redraw):
     # 8 plays over 25 000 000 stages are 200M cells, yet the samples still
-    # go two by two to MC_SHARDS streams; the pass stops after one block
+    # go two by two to MC_SHARDS streams; the pass stops after one block,
+    # which holds the first stages of those streams' plays
     p, x1 = redraw.pomdp, redraw.initial_belief
     strat, seed = pe.uniform_strategy(p.n_actions), 11
 
@@ -308,8 +322,9 @@ def test_sampled_pass_splits_samples_over_mc_shards_streams_at_any_horizon(redra
         return tuple(b.T for b in first)
 
     got = reduce_sampled_plays(p, x1, strat, 25_000_000, 8, seed, reduce)
-    want = simulate_plays(p, x1, strat, STAGE_BLOCK, 8,
+    want = simulate_plays(p, x1, strat, got[0].shape[1], 8,
                           list(zip(shard_seeds(seed, MC_SHARDS), [2, 2, 2, 2])))
+    assert STAGE_BLOCK <= got[0].shape[1] < 25_000_000
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -372,8 +387,10 @@ def _strategy(kind, p, rng):
         return pe.Transducer(p.n_actions, p.n_signals, rng.integers(0, p.n_actions, m),
                              rng.integers(0, m, (m, p.n_actions, p.n_signals)))
     if kind == "schedule":
-        plan = rng.integers(0, p.n_actions, 4 * STAGE_BLOCK)
-        return pe.ScheduleStrategy(p.n_actions, lambda t: int(plan[t - 1]))
+        plan = rng.integers(0, p.n_actions, 4 * STAGE_BLOCK + 1)
+        return pe.ScheduleStrategy(p.n_actions, lambda t: int(plan[(t - 1) % len(plan)]))
+    if kind == "doubling":
+        return pe.doubling_strategy(p.n_actions, 0, p.n_actions - 1)
     if kind == "uniform":
         return pe.uniform_strategy(p.n_actions)
     return pe.RandomBehaviorStrategy(p.n_actions, int(rng.integers(2**16)))
@@ -383,100 +400,225 @@ def _strategy(kind, p, rng):
 @given(case=sparse_instances(), kind=STRATEGY_KINDS,
        horizon=hst.sampled_from([1, STAGE_BLOCK, STAGE_BLOCK + 1, 3 * STAGE_BLOCK + 5]),
        counts=hst.lists(hst.integers(0, 6), min_size=1, max_size=4).filter(any),
-       rate=hst.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=hst.integers(0, 2**16))
+       rate=hst.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=hst.integers(0, 2**16), cells=CELLS)
 def test_retired_plays_leave_the_kept_plays_draws_unchanged(case, kind, horizon, counts,
-                                                            rate, seed):
+                                                            rate, seed, cells):
     # a stream that retires random plays after random blocks: every block
     # holds the plays not yet retired with their columns of the full
-    # simulation, and only those, unless that would leave a lone play of
-    # several (the retired ones then wait for it); the stream ends once no
-    # play is left.  The full simulation of a stepped strategy is the
-    # per-stage one (the chain kernel has its references in test_playspace).
+    # simulation, and only those, a lone play of several included; the
+    # stream ends once no play is left.  The full simulation of a stepped
+    # strategy is the per-stage one (the chain kernel has its references in
+    # test_playspace).
     p, x1, rng = case
     strat = _strategy(kind, p, rng)
     samples = sum(counts)
     streams = lambda: [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
-    full = simulate_plays(p, x1, strat, horizon, samples, streams())
-    if kind in ("uniform", "random_behavior"):
-        assert np.array_equal(full, ref_stepped(p, x1, strat, horizon, streams()))
-    stream = play_blocks(p, x1, strat, horizon, streams())
-    retired, end = np.zeros(samples, dtype=bool), 0
-    for t0, ids, *blk in stream:
-        live = np.flatnonzero(~retired)
-        assert t0 == end and np.isin(live, ids).all()
-        assert len(ids) == len(live) or (len(live) == 1 and len(ids) > 1)
-        for got, want in zip(blk, full):
-            assert got.dtype == np.int32
-            assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
-        end = t0 + len(blk[0])
-        done = rng.random(len(ids)) < rate
-        stream.retire(ids[done])
-        retired[ids[done]] = True
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        full = simulate_plays(p, x1, strat, horizon, samples, streams())
+        if kind in ("uniform", "random_behavior"):
+            assert np.array_equal(full, ref_stepped(p, x1, strat, horizon, streams()))
+        stream = play_blocks(p, x1, strat, horizon, streams())
+        retired, end = np.zeros(samples, dtype=bool), 0
+        for t0, ids, *blk in stream:
+            assert t0 == end and np.array_equal(ids, np.flatnonzero(~retired))
+            for got, want in zip(blk, full):
+                assert got.dtype == np.int32
+                assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
+            end = t0 + len(blk[0])
+            done = rng.random(len(ids)) < rate
+            stream.retire(ids[done])
+            retired[ids[done]] = True
     assert end == horizon or retired.all()
 
 
-@pytest.mark.parametrize("spec, blocks", [
-    ({"kind": "run_block_ex2", "l": 5}, 2),
-    ({"kind": "run_block_ex2", "l": STAGE_BLOCK + 11}, 4),
-    ({"kind": "n_stage", "n": STAGE_BLOCK + 6}, 2),
-    ({"kind": "state_block_ex1", "l": 40}, 2)])
-def test_the_pass_stops_once_every_play_is_retired(redraw, spec, blocks):
+@settings(max_examples=40, deadline=None)
+@given(case=sparse_instances(), kind=hst.sampled_from(["transducer", "schedule", "doubling",
+                                                       "uniform", "random_behavior"]),
+       horizon=hst.sampled_from([1, STAGE_BLOCK + 1, 2500, 9000]),
+       counts=hst.lists(hst.integers(0, 6), min_size=1, max_size=4).filter(any),
+       seed=hst.integers(0, 2**16))
+def test_long_blocks_give_the_plays_and_draws_of_64_stage_blocks(case, kind, horizon, counts,
+                                                                 seed):
+    # a narrow pass cut into blocks of up to BLOCK_CELLS cells gives the
+    # plays of the same pass cut every STAGE_BLOCK stages (BLOCK_CELLS = 0),
+    # and leaves every generator where that pass leaves it: the draw
+    # contract does not see the cut
+    p, x1, rng = case
+    strat = _strategy(kind, p, rng)
+    if kind == "uniform":
+        horizon = min(horizon, 2500)
+    if kind == "random_behavior":        # O(horizon^2) history keys
+        horizon = min(horizon, STAGE_BLOCK + 1)
+    samples = sum(counts)
+    got_gens = [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
+    want_gens = [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
+    got = simulate_plays(p, x1, strat, horizon, samples, got_gens)
+    with mock.patch.object(playspace, "BLOCK_CELLS", 0):
+        want = simulate_plays(p, x1, strat, horizon, samples, want_gens)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int32 and np.array_equal(g, w)
+    for (g, _), (w, _) in zip(got_gens, want_gens):
+        assert g.bit_generator.state == w.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sparse_instances(), kind=hst.sampled_from(["transducer", "schedule", "uniform"]),
+       counts=hst.lists(hst.sampled_from([0, 1, 2, 5, 40, 300]), min_size=1, max_size=4)
+       .filter(any),
+       rate=hst.sampled_from([0.0, 0.3, 1.0]), seed=hst.integers(0, 2**16))
+def test_no_block_holds_more_than_its_cell_budget(case, kind, counts, rate, seed):
+    # whatever plays retire, a block holds min(max(STAGE_BLOCK, BLOCK_CELLS
+    # // drawn), stages left) stages, drawn being the columns of the streams
+    # still drawing, so at most max(STAGE_BLOCK * drawn, BLOCK_CELLS) cells;
+    # a stream of 256 columns or more keeps 64-stage blocks
+    p, x1, rng = case
+    strat = _strategy(kind, p, rng)
+    bounds = np.cumsum([0] + counts)
+    first = max(STAGE_BLOCK, BLOCK_CELLS // bounds[-1])
+    horizon = min(4 * first + 7, 3000 if kind == "uniform" else 40_000)
+    stream = play_blocks(p, x1, strat, horizon,
+                         [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)])
+    kept, end = np.ones(bounds[-1], dtype=bool), 0
+    for t0, ids, st, _, _ in stream:
+        drawn = sum(hi - lo for lo, hi in zip(bounds, bounds[1:]) if kept[lo:hi].any())
+        assert len(st) == min(max(STAGE_BLOCK, BLOCK_CELLS // drawn), horizon - t0)
+        assert st.size <= max(STAGE_BLOCK * drawn, BLOCK_CELLS)
+        end = t0 + len(st)
+        done = ids[rng.random(len(ids)) < rate]
+        stream.retire(done)
+        kept[done] = False
+    assert end == horizon or not kept.any()
+
+
+CUTS = hst.lists(hst.integers(1, 2 * STAGE_BLOCK + 5), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_instances(), kind=KINDS, horizon=hst.integers(1, 3 * STAGE_BLOCK),
+       width=hst.integers(1, 5), cuts=hst.lists(CUTS, min_size=2, max_size=2),
+       density=hst.floats(0.5, 1.0))
+def test_folds_do_not_see_the_block_cut_or_width(case, kind, horizon, width, cuts, density):
+    # the weight fold, the prefix-average extrema and the belief payoffs of
+    # the same plays, cut anyhow, or each play alone in one-column blocks,
+    # are those of one block over every play and stage, bit for bit
+    p, x1, rng = case
+    states = np.where(rng.random((width, horizon)) < density, 0,
+                      rng.integers(0, p.n_states, (width, horizon)))
+    plays = (states, rng.integers(0, p.n_actions, (width, horizon)),
+             rng.integers(0, p.n_signals, (width, horizon)))
+    e, _ = _family(kind, p, x1, horizon, rng)
+    ctx, window = EvalContext(p, x1), int(rng.integers(1, horizon + 1))
+
+    def reductions(plays, sizes):
+        blocks = list(cut(plays, sizes))
+        g = [(t0, p.reward[st, ac]) for t0, _, st, ac, _ in blocks]
+        bel = list(belief_payoff_blocks(p, x1, [(t0, a, s) for t0, _, _, a, s in blocks]))
+        return [*weight_sums(e, cut(plays, sizes), horizon, ctx, p.reward),
+                *average_extrema(g, horizon, window), *average_extrema(bel, horizon),
+                np.concatenate([b for _, b in bel]).T]
+
+    want = reductions(plays, [horizon])
+    for sizes in cuts:
+        for got, w in zip(reductions(plays, sizes), want):
+            assert np.array_equal(got, w)
+    for j in range(width):
+        alone = reductions(tuple(m[j:j + 1] for m in plays), cuts[j % 2])
+        for got, w in zip(alone, want):
+            assert np.array_equal(got, w[j:j + 1])
+
+
+def _block_bounds(stream) -> list:
+    """(t0, stages) of every block of a stream that retires no play."""
+    return [(t0, len(st)) for t0, _, st, _, _ in stream]
+
+
+def _blocks_needed(bounds, stage, ahead) -> int:
+    """How many of the blocks `bounds` hold stage `stage` (1-based) and at
+    least `ahead` stages after the end of the block that holds it, or all
+    of them."""
+    j = next(j for j, (t0, b) in enumerate(bounds) if t0 < stage <= t0 + b) + 1
+    while ahead > 0 and j < len(bounds):
+        ahead, j = ahead - bounds[j][1], j + 1
+    return j
+
+
+@pytest.mark.parametrize("spec, stage, ahead", [
+    ({"kind": "run_block_ex2", "l": 5}, 6, 4),
+    ({"kind": "run_block_ex2", "l": STAGE_BLOCK + 11}, STAGE_BLOCK + 12, STAGE_BLOCK + 10),
+    ({"kind": "n_stage", "n": STAGE_BLOCK + 6}, STAGE_BLOCK + 6, 0),
+    ({"kind": "state_block_ex1", "l": 40}, 80, 0)])
+@pytest.mark.parametrize("cells", [0, BLOCK_CELLS])
+def test_the_pass_stops_once_every_play_is_retired(redraw, spec, stage, ahead, cells):
     # every play starts in state 0 and stays there, so every play's weights
-    # end in the first or second block; the stream makes only the blocks the
-    # weights need (look-ahead included) and the fold's sums are unchanged
+    # are known to end at the same stage, given the look-ahead its block
+    # step reads past that stage's block (a run of l ends at stage l + 1
+    # and is seen l - 1 stages on); the stream makes only the blocks that
+    # holds, of the blocks a pass retiring no play makes, and the fold's sums
+    # are unchanged.  With cells = 0 every block holds STAGE_BLOCK stages.
     p, x1 = _into_state_zero(redraw.pomdp), np.array([1.0, 0.0])
-    strat, horizon, samples = pe.always_strategy(2, 1, 0), 8 * STAGE_BLOCK, 50
+    strat, samples = pe.always_strategy(2, 1, 0), 50
     e, ctx = pe.evaluation_from_spec(spec), EvalContext(p, x1)
-    stream = play_blocks(p, x1, strat, horizon, [(np.random.default_rng(7), samples)])
-    made = []
-    for t0, ids, *_, done in e.weight_blocks(stream, horizon, ctx):
-        made.append(t0)
-        if done is not None:
-            stream.retire(ids[done])
-    assert made == list(range(0, blocks * STAGE_BLOCK, STAGE_BLOCK))
-    got = reduce_sampled_plays(p, x1, strat, horizon, samples, 7,
-                               lambda b: weight_sums(e, b, horizon, ctx, p.reward))
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        horizon = 12 * playspace._block_stages([(None, samples, None)])
+        stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(7), samples)])
+        bounds = _block_bounds(stream())
+        retiring, made = stream(), []
+        for t0, ids, *_, done in e.weight_blocks(retiring, horizon, ctx):
+            made.append(t0)
+            if done is not None:
+                retiring.retire(ids[done])
+        got = reduce_sampled_plays(p, x1, strat, horizon, samples, 7,
+                                   lambda b: weight_sums(e, b, horizon, ctx, p.reward))
+    assert made == [t0 for t0, _ in bounds[:_blocks_needed(bounds, stage, ahead)]]
+    assert len(made) < len(bounds)
     plays = simulate_plays(p, x1, strat, horizon, samples,
                            list(zip(shard_seeds(7, MC_SHARDS), [13, 13, 12, 12])))
-    want = ref_block_sums(p, e.batch_weights(*plays, ctx), *plays[:2])
+    want = ref_fold_sums(p, e.batch_weights(*plays, ctx), *plays[:2])
     for g, r in zip(got, want):
         assert np.array_equal(g, r)
     assert np.allclose(got[1], 1.0)
 
 
+@pytest.mark.parametrize("cells", [0, BLOCK_CELLS])
 @pytest.mark.parametrize("stepped", [False, True])
-def test_a_stream_whose_plays_all_retire_stops_drawing(redraw, stepped):
+def test_a_stream_whose_plays_all_retire_stops_drawing(redraw, stepped, cells):
     # stream 0's plays retire after the first block: its generator then ends
     # where a pass of one block leaves it, while stream 1's plays keep the
-    # columns of the pass that retires none
+    # columns of the pass that retires none, in blocks that run on to the
+    # horizon
     p, x1 = redraw.pomdp, redraw.initial_belief
     strat = pe.uniform_strategy(2) if stepped else pe.always_strategy(2, 1, 0)
-    horizon, counts = 3 * STAGE_BLOCK + 5, [3, 4]
+    counts = [3, 4]
     streams = lambda: [(np.random.default_rng([9, j]), n) for j, n in enumerate(counts)]
-    full = simulate_plays(p, x1, strat, horizon, sum(counts), streams())
-    gens = streams()
-    stream = play_blocks(p, x1, strat, horizon, gens)
-    made = []
-    for t0, ids, *blk in stream:
-        made.append(t0)
-        for got, want in zip(blk, full):
-            assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
-        if t0 == 0:
-            stream.retire(np.arange(counts[0]))
-    assert made == list(range(0, horizon, STAGE_BLOCK))
-    one_block = streams()
-    for _ in play_blocks(p, x1, strat, STAGE_BLOCK, one_block):
-        pass
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        horizon = 3 * playspace._block_stages([(None, sum(counts), None)]) + 5
+        full = simulate_plays(p, x1, strat, horizon, sum(counts), streams())
+        gens = streams()
+        stream = play_blocks(p, x1, strat, horizon, gens)
+        made, end = [], 0
+        for t0, ids, *blk in stream:
+            assert t0 == end
+            made.append(t0)
+            for got, want in zip(blk, full):
+                assert np.array_equal(got, want[ids, t0:t0 + len(got)].T)
+            if t0 == 0:
+                stream.retire(np.arange(counts[0]))
+            end = t0 + len(blk[0])
+        one_block = streams()
+        for _ in play_blocks(p, x1, strat, made[1], one_block):
+            pass
+    assert end == horizon and len(made) > 1
     assert gens[0][0].bit_generator.state == one_block[0][0].bit_generator.state
     assert gens[1][0].bit_generator.state != one_block[1][0].bit_generator.state
 
 
 def test_conditional_weights_retire_every_play_at_the_table_horizon(redraw):
     # the conditional of a 3-stage table weighs zero from stage 4 on, so a
-    # 640-stage pass ends after its first block, with the sums of a pass
+    # pass of ten blocks ends after its first block, with the sums of a pass
     # that retires no play
     p, x1 = redraw.pomdp, redraw.initial_belief
-    strat, horizon = pe.uniform_strategy(2), 10 * STAGE_BLOCK
+    strat = pe.uniform_strategy(2)
+    horizon = 10 * playspace._block_stages([(None, 20, None)])
     cond = conditional_evaluation(p, x1, strat, pe.make_evaluation("n_stage", n=3), 3)
     stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(4), 20)])
     retiring, made = stream(), []
@@ -494,33 +636,52 @@ def test_conditional_weights_retire_every_play_at_the_table_horizon(redraw):
     assert np.allclose(got[1], 1.0)
 
 
-def _late_switch(stage):
-    """Action at `stage`: flip the state at stage 140, else alternate between
-    two actions that keep it and pay differently."""
-    return 2 if stage == 140 else bin(stage).count("1") % 2
+class _StageRule(pe.Strategy):
+    """A pure strategy blind to the observed pairs, the action at stage t
+    being rule(t), that is no schedule: it runs through the stepped kernel."""
+
+    def __init__(self, n_actions, rule):
+        self.n_actions, self.rule = n_actions, rule
+
+    def dist(self, mem):
+        return np.eye(self.n_actions)[[self.rule(m + 1) for m in mem.tolist()]]
 
 
+@pytest.mark.parametrize("cells", [0, BLOCK_CELLS])
 @pytest.mark.parametrize("l", [4, 9, 14])
 @pytest.mark.parametrize("stepped", [False, True])
-def test_a_play_left_alone_sums_as_a_column_of_its_pass(l, stepped):
+def test_a_play_left_alone_sums_as_a_column_of_its_pass(l, stepped, cells):
     # two plays start in state 0 and retire within the first block; the
-    # third starts in state 1, reaches state 0 at stage 141 and has its run
-    # in a block after the others left.  Its sums must be those of a column
-    # of the three-play pass, which numpy would not give for a lone column.
+    # third starts in state 1, reaches state 0 after stage `late` and has
+    # its run in a block that holds it alone.  Its sums must be those of a
+    # column of the three-play pass, added stage by stage as for the others:
+    # numpy sums a lone column pairwise, so the fold must not.
     trans = np.zeros((2, 3, 2, 1))
     for k in range(2):
         trans[k, 0, k, 0] = trans[k, 1, k, 0] = trans[k, 2, 1 - k, 0] = 1.0
     p = pe.Pomdp(("s0", "s1"), ("stay", "hold", "flip"), ("o",), trans,
                  np.array([[0.1, 0.7, 0.2], [0.3, 0.9, 0.4]]))
-    x1, horizon = np.array([0.5, 0.5]), 4 * STAGE_BLOCK
-    strat = pe.BehaviorStrategy(3, lambda h: np.eye(3)[_late_switch(len(h) + 1)]) if stepped \
-        else pe.ScheduleStrategy(3, _late_switch)
-    e = pe.make_evaluation("run_block_ex2", l=l)
-    plays = simulate_plays(p, x1, strat, horizon, 3, np.random.default_rng(0))
+    x1, e = np.array([0.5, 0.5]), pe.make_evaluation("run_block_ex2", l=l)
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells):
+        block = playspace._block_stages([(None, 3, None)])
+        late, horizon = 2 * block + 12, 2 * block + 4 * STAGE_BLOCK
+
+        def rule(stage):
+            # flip the state at stage `late`, else alternate between two
+            # actions that keep it and pay differently
+            return 2 if stage == late else bin(stage).count("1") % 2
+
+        strat = _StageRule(3, rule) if stepped else pe.ScheduleStrategy(3, rule)
+        plays = simulate_plays(p, x1, strat, horizon, 3, np.random.default_rng(0))
+        stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(0), 3)])
+        retiring, widths = stream(), []
+        for t0, ids, *_, done in e.weight_blocks(retiring, horizon):
+            widths.append(len(ids))
+            retiring.retire(ids[done])
+        got = weight_sums(e, stream(), horizon, None, p.reward)
     assert plays[0][:, 0].tolist() == [1, 0, 0]
-    got = weight_sums(e, play_blocks(p, x1, strat, horizon, [(np.random.default_rng(0), 3)]),
-                      horizon, None, p.reward)
-    for g, r in zip(got, ref_block_sums(p, e.batch_weights(*plays), *plays[:2])):
+    assert widths[0] == 3 and widths[-1] == 1
+    for g, r in zip(got, ref_fold_sums(p, e.batch_weights(*plays), *plays[:2])):
         assert np.array_equal(g, r)
 
 
