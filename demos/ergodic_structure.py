@@ -11,8 +11,7 @@ import numpy as np
 
 import pomdp_evals as pe
 from pomdp_evals.chain import (MarkovChain, ergodic_decomposition,
-                               mixing_threshold, product_chain,
-                               step_distribution)
+                               mixing_threshold, product_chain)
 
 # ---------------------------------------------------------------------------
 # The redraw chain mixes in one step: a single class, stationary law (.5,.5).
@@ -65,6 +64,9 @@ for eps in (0.5, 0.1, 0.02):
     T = np.array([[1 - eps, eps], [eps, 1 - eps]])
     chain = MarkovChain(("u", "v"), T, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     l = mixing_threshold(chain)
-    drift = abs(step_distribution(chain, l) @ chain.payoff - 0.5)
+    law = chain.initial              # the chain's law after l steps
+    for _ in range(l):
+        law = law @ chain.transition
+    drift = abs(law @ chain.payoff - 0.5)
     print(f"  flip prob {eps:4.2f}: threshold = {l:3d} "
           f"(payoff gap {drift:.4f} at that step)")

@@ -83,5 +83,6 @@ p, x1 = sc.pomdp, sc.initial_belief
 table, induced = pe.disintegrate(p, x1, pe.uniform_strategy(2),
                                  pe.make_evaluation("n_stage", n=2), horizon=2)
 print("\ninduced stationary strategy of the uniform play")
-for key, x in table.beliefs.items():
-    print(f"  at belief {np.round(x, 2)} play {np.round(induced.at_belief(x), 2)}")
+beliefs = np.array(list(table.beliefs.values()))
+for x, row in zip(beliefs, induced.at_beliefs(beliefs)):
+    print(f"  at belief {np.round(x, 2)} play {np.round(row, 2)}")

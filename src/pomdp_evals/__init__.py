@@ -2,8 +2,7 @@
 diagnostics for finite POMDPs with history-dependent stage weights."""
 
 from .chain import (ErgodicDecomposition, MarkovChain, ergodic_decomposition,
-                    liminf_value_transducer, mixing_threshold, product_chain,
-                    step_distribution)
+                    liminf_value_transducer, mixing_threshold, product_chain)
 from .errors import (BudgetExceededError, InvalidInputError, PomdpEvalError,
                      ScenarioValidationError, TruncationError)
 from .evaluations import (ConditionalTable, EvalContext, Evaluation,
@@ -18,10 +17,9 @@ from .measures import (DisintegrationTable, OccupationResult, SupportedMeasure,
                        disintegrate, image_measure, invariance_residual,
                        kr_distance, occupation_measure)
 from .model import (ObservedHistory, Pomdp, Scenario, bayes_update,
-                    belief_key, belief_transition, canonical_belief, dirac_belief,
-                    has_known_payoffs, known_payoff_lift, known_payoff_partition,
-                    lift_belief, load_scenario, make_belief, pomdp_from_tables,
-                    signal_distribution, stage_payoff, uniform_belief)
+                    belief_key, canonical_belief, dirac_belief, has_known_payoffs,
+                    known_payoff_lift, known_payoff_partition, lift_belief,
+                    load_scenario, make_belief, pomdp_from_tables, uniform_belief)
 from .playspace import enumerate_plays, simulate_plays
 from .strategies import (BehaviorStrategy, RandomBehaviorStrategy,
                          ScheduleStrategy, StationaryStrategy, Strategy,

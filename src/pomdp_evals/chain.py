@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PomdpEvalError
 from .model import Pomdp
-from .playspace import _chain_tables
+from .playspace import _chain_tables, _check_play_inputs
 from .strategies import Transducer
 
 EDGE_THRESHOLD = 1e-12
@@ -84,6 +84,7 @@ def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
     if not isinstance(t, Transducer):
         raise InvalidInputError(f"a product chain needs a finite-memory strategy "
                                 f"(a transducer), not {type(t).__name__}")
+    x1 = _check_play_inputs(p, x1, t)
     act, _, nxt, m, initial = _chain_tables(p, t, 0)
     n = p.n_states * m
     state, act = np.arange(n) // m, act[0]
@@ -212,16 +213,6 @@ def ergodic_decomposition(c: MarkovChain) -> ErgodicDecomposition:
         class_values=tuple(values),
         absorption=tuple(absorption),
     )
-
-
-def step_distribution(c: MarkovChain, l: int) -> np.ndarray:
-    """Law of the chain after l steps from the initial distribution."""
-    if l < 0:
-        raise InvalidInputError("step count must be >= 0")
-    y = c.initial.copy()
-    for _ in range(l):
-        y = y @ c.transition
-    return y
 
 
 def mixing_threshold(c: MarkovChain, dec: ErgodicDecomposition = None) -> int:

@@ -272,8 +272,6 @@ def _cmd_invariance(args) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"strategy file {args.strategy} needs 'support' beliefs "
                                     f"and 'rows' ({type(exc).__name__}: {exc})") from None
-    if any(len(x) != p.n_states for x in support):
-        raise InvalidInputError(f"invariance beliefs need {p.n_states} entries, one per state")
     strat = StationaryStrategy(n_actions=p.n_actions, support=support, action_dists=rows)
     res = invariance_residual(p, mu, strat)
     return [_record("invariance", str(args.scenario), "residual", res, 0.0,

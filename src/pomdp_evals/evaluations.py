@@ -152,14 +152,6 @@ def _add_on(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def enumerated_weights(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
-                       horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
-    """The enumerated play batch and its weights, shape (n_plays, horizon)."""
-    b = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    return b, e.batch_weights(b.states, b.actions, b.signals,
-                              EvalContext(p, np.asarray(x1, dtype=float)))
-
-
 @dataclass(frozen=True)
 class IrregularityReport:
     lower: float
@@ -380,20 +372,23 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
 
 def eta_horizon(running_payoffs, l: int) -> int:
     """Smallest stage n' >= l whose prefix-average payoff is within 1/l of the
-    empirical limsup proxy (max prefix average over the tail half)."""
-    g = np.asarray(running_payoffs, dtype=float)
+    empirical limsup proxy (max prefix average over the tail half), or the
+    stage of the largest prefix average when none is: `_eta_stages` of one
+    play."""
+    return int(_eta_stages(np.asarray(running_payoffs, dtype=float)[:, None], l)[0])
+
+
+def _eta_stages(g: np.ndarray, l: int) -> np.ndarray:
+    """`eta_horizon` of every column of the (stages, plays) payoffs g at once."""
     n = len(g)
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     if n < l:
         raise InvalidInputError("payoff sequence shorter than l")
-    avg = np.cumsum(g) / np.arange(1, n + 1)
-    window = avg[max(n // 2, 1) - 1:]
-    proxy = float(window.max())
-    hits = np.nonzero(avg[l - 1:] >= proxy - 1.0 / l - 1e-12)[0]
-    if len(hits):
-        return int(hits[0]) + l
-    return int(avg.argmax()) + 1
+    avg = np.cumsum(g, axis=0) / np.arange(1, n + 1)[:, None]
+    proxy = avg[max(n // 2, 1) - 1:].max(axis=0)
+    hits = avg[l - 1:] >= proxy - 1.0 / l - 1e-12
+    return np.where(hits.any(axis=0), hits.argmax(axis=0) + l, avg.argmax(axis=0) + 1)
 
 
 def make_limsup_theta(l: int, horizon: int) -> Evaluation:
@@ -412,10 +407,8 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
         held = list(blocks)
         g = np.concatenate([gb for _, gb in belief_payoff_blocks(
             ctx.pomdp, ctx.x1, [(t0, ac, sg) for t0, _, _, ac, sg in held])])
-        w = np.zeros(g.shape)
-        for j in range(g.shape[1]):
-            eta = eta_horizon(g[:, j], l)
-            w[:eta, j] = 1.0 / eta
+        eta = _eta_stages(g, l)
+        w = np.where(np.arange(len(g))[:, None] < eta, 1.0 / eta, 0.0)
         for t0, ids, st, ac, sg in held:
             yield t0, ids, st, ac, sg, w[t0:t0 + len(st)], None
 
@@ -630,24 +623,35 @@ class ConditionalTable:
         return self.kids.get(key, [])
 
 
+def _prefix_sums(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
+                 horizon: int, budget: int):
+    """The enumerated plays grouped by observed prefix (`prefix_ids`), per
+    stage m = 1..horizon: the (n, m-1) actions and signals of stage m's n
+    prefixes in id order, each one's parent id among stage m-1's (none at
+    m = 1), and per prefix h the sums E[1{h}] and E[1{h} theta_m]."""
+    b = enumerate_plays(p, x1, strat, horizon, budget=budget)
+    w = e.batch_weights(b.states, b.actions, b.signals,
+                        EvalContext(p, np.asarray(x1, dtype=float)))
+    ids, first = prefix_ids(b.actions, b.signals)
+    for m, rows in enumerate(first):
+        yield (b.actions[rows, :m], b.signals[rows, :m], ids[rows, m - 1] if m else None,
+               np.bincount(ids[:, m], weights=b.prob),
+               np.bincount(ids[:, m], weights=b.prob * w[:, m]))
+
+
 def conditional_table(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                       horizon: int, budget: int = DEFAULT_NODE_BUDGET) -> ConditionalTable:
     """Expected evaluation weight at each stage given the observed prefix."""
-    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
-    ids, first = prefix_ids(b.actions, b.signals)
-    rho, mass, kids, weights, child = {}, {}, {}, [], []
-    keys = [(1, (), ())]
-    for m in range(1, horizon + 1):
+    rho, mass, kids, weights, child, keys = {}, {}, {}, [], [], []
+    for m, (acts, sigs, parent, den, num) in enumerate(
+            _prefix_sums(p, x1, strat, e, horizon, budget), 1):
+        up, keys = keys, [(m, a, s) for a, s in zip(map(tuple, acts.tolist()),
+                                                   map(tuple, sigs.tolist()))]
         if m > 1:            # stage m's prefixes extend their parents' by one pair
-            up, keys, rows = keys, [], first[m - 1]
-            parent, acts, sigs = ids[rows, m - 2], b.actions[rows, m - 2], b.signals[rows, m - 2]
-            for g, i, s in zip(parent.tolist(), acts.tolist(), sigs.tolist()):
-                keys.append((m, up[g][1] + (i,), up[g][2] + (s,)))
-                kids.setdefault(up[g], []).append(keys[-1])
+            for g, key in zip(parent.tolist(), keys):
+                kids.setdefault(up[g], []).append(key)
             child.append(np.full((len(up) + 1, p.n_actions, p.n_signals), len(keys)))
-            child[-1][parent, acts, sigs] = np.arange(len(keys))
-        num = np.bincount(ids[:, m - 1], weights=b.prob * w[:, m - 1], minlength=len(keys))
-        den = np.bincount(ids[:, m - 1], weights=b.prob, minlength=len(keys))
+            child[-1][parent, acts[:, -1], sigs[:, -1]] = np.arange(len(keys))
         mass.update(zip(keys, den.tolist()))
         rho.update((k, v / d) for k, v, d in zip(keys, num.tolist(), den.tolist()) if d > 0)
         weights.append(np.append(np.divide(num, den, out=np.zeros(len(keys)), where=den > 0), 0.0))

@@ -4,8 +4,11 @@ distance, invariance residuals, and the history disintegration that induces
 a stationary strategy.
 
 The occupation measure and the disintegration group the weight of the
-enumerated plays by observed prefix, filtered once per prefix from its
-parent (`_weighted_prefixes`), and then by belief.
+enumerated plays by observed prefix, in the one pass over the prefix tree
+that the conditional table also reads (`evaluations._prefix_sums`), filter
+the belief once per prefix from its parent's (`_weighted_prefixes`), and
+then group by belief.  The image of a measure under a stationary strategy
+takes every atom and observed pair through one batched Bayes update.
 
 The transport distance is solved exactly on integer masses and costs by a
 transportation simplex in numpy (`_transport`): a least-cost greedy start,
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .evaluations import Evaluation, enumerated_weights
+from .evaluations import Evaluation, _prefix_sums
 from .model import (ObservedHistory, Pomdp, bayes_matrices, bayes_update_rows, belief_key,
-                    belief_transition, canonical_belief, make_belief)
-from .playspace import DEFAULT_NODE_BUDGET, prefix_ids
+                    canonical_belief, make_belief)
+from .playspace import DEFAULT_NODE_BUDGET
 from .strategies import StationaryStrategy, Strategy
 
 MASS_FLOOR = 1e-12
@@ -109,37 +112,38 @@ def occupation_measure(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 def _weighted_prefixes(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                        horizon: int, budget: int):
     """Per stage m = 1..horizon, the observed prefixes h held before stage m
-    with E[1{h} theta_m] > 0 on the enumerated plays: their (n, m-1) actions
-    and signals, those expectations, beliefs and strategy memory.  Each
-    distinct prefix takes one Bayes update and one `step` from its parent's."""
-    b, w = enumerated_weights(p, x1, strat, e, horizon, budget)
-    ids, first = prefix_ids(b.actions, b.signals)
+    with E[1{h} theta_m] > 0 on the enumerated plays (`_prefix_sums`): their
+    (n, m-1) actions and signals, those expectations, beliefs and strategy
+    memory.  Each distinct prefix takes one Bayes update and one `step` from
+    its parent's."""
     bayes = bayes_matrices(p)
     x, mem = np.asarray(x1, dtype=float)[None], strat.start(1)
-    for m in range(horizon):
-        rows = first[m]
-        if m:
-            parent, i, s = ids[rows, m - 1], b.actions[rows, m - 1], b.signals[rows, m - 1]
+    for acts, sigs, parent, _, weight in _prefix_sums(p, x1, strat, e, horizon, budget):
+        if parent is not None:
+            i, s = acts[:, -1], sigs[:, -1]
             x = bayes_update_rows(bayes, x[parent], i * p.n_signals + s)[0]
             mem = strat.step(mem[parent], i, s)
-        weight = np.bincount(ids[:, m], weights=b.prob * w[:, m])
         kept = np.flatnonzero(weight > 0)
-        yield (b.actions[rows[kept], :m], b.signals[rows[kept], :m], weight[kept], x[kept],
-               mem[kept])
+        yield acts[kept], sigs[kept], weight[kept], x[kept], mem[kept]
 
 
 def image_measure(p: Pomdp, mu: SupportedMeasure, strat: StationaryStrategy) -> SupportedMeasure:
     """Push each atom one step: split mass over (action, signal) by the
-    stationary strategy and the signal law, landing on the posteriors."""
-    pairs = []
-    for x, mass in mu.atoms:
-        dist = strat.at_belief(x)
-        for i in range(p.n_actions):
-            if dist[i] <= MASS_FLOOR:
-                continue
-            for _, prob, nxt in belief_transition(p, x, i):
-                pairs.append((nxt, mass * float(dist[i]) * prob))
-    return SupportedMeasure.from_pairs(pairs, renormalize=True)
+    stationary strategy and the signal law, landing on the posteriors, all
+    atoms and observed pairs in one `bayes_update_rows` call.  An action of
+    law at most MASS_FLOOR carries no mass, nor does an off-support signal
+    (prob 0)."""
+    if any(len(x) != p.n_states for x, _ in mu.atoms):
+        raise InvalidInputError(f"the measure's beliefs need {p.n_states} entries, one per state")
+    strat.check_pomdp(p)
+    xs, mass = np.array([x for x, _ in mu.atoms]), np.array([m for _, m in mu.atoms])
+    n_c = p.n_actions * p.n_signals
+    post, prob = bayes_update_rows(bayes_matrices(p), xs.repeat(n_c, axis=0),
+                                   np.tile(np.arange(n_c), len(xs)))
+    law = strat.at_beliefs(xs).repeat(p.n_signals, axis=1).ravel()
+    carried = (law > MASS_FLOOR) & (prob > 0)
+    weight = mass.repeat(n_c) * law * prob
+    return SupportedMeasure.from_pairs(zip(post[carried], weight[carried]), renormalize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Finite POMDPs: the model tuple, beliefs, Bayes updates, the belief graph
-of an initial belief, stage payoffs, the payoff-tracking state lift and
-scenario JSON.
+of an initial belief, the payoff-tracking state lift and scenario JSON.
 
-The belief graph (`belief_graph`) is the one finite belief MDP of the
-package: the belief DP sweeps it to the horizon, with beliefs merged to 12
-decimals, and the Monte Carlo belief payoffs walk it once it closes.
+Every belief step of the package goes through the batched Bayes update
+(`bayes_update_rows`); `bayes_update` is its one-belief form.  The belief
+graph (`belief_graph`) is the one finite belief MDP of the package: the
+belief DP sweeps it to the horizon, with beliefs merged to 12 decimals, and
+the Monte Carlo belief payoffs walk it once it closes.
 
 A POMDP is the tuple (states, actions, signals, transition, reward).  The
 transition table maps a (state, action) pair to a joint distribution over
@@ -38,6 +39,12 @@ def make_belief(weights: Sequence[float]) -> np.ndarray:
     x = np.asarray(weights, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("belief must be a non-empty 1-d vector")
+    # a valid belief passes in about 1 us (numpy's reductions below take 10
+    # on a short vector, and plays check x1 once per product chain); a NaN
+    # or infinite entry fails the sum test, and the checks below name it
+    v = x.tolist()
+    if min(v) >= -ROW_SUM_TOL and max(v) <= 1 + ROW_SUM_TOL and abs(sum(v) - 1.0) <= ROW_SUM_TOL:
+        return x
     if not np.all(np.isfinite(x)):
         j = int(np.flatnonzero(~np.isfinite(x))[0])
         raise InvalidInputError(f"belief entry {j} is {x[j]}, expected a finite number")
@@ -191,25 +198,6 @@ def _check_dims(p: Pomdp, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def belief_transition(p: Pomdp, x: np.ndarray, i: int):
-    """One-step belief dynamics under action i.
-
-    Returns a list of (signal, probability, next_belief).  Signals with
-    probability below 1e-12 are omitted; each next belief is the Bayes
-    posterior given that signal.
-    """
-    x = _check_dims(p, x)
-    joint = np.einsum("k,kls->ls", x, p.transition[:, i, :, :])
-    sig_prob = joint.sum(axis=0)
-    out = []
-    for s in range(p.n_signals):
-        ps = float(sig_prob[s])
-        if ps < SIGNAL_PROB_FLOOR:
-            continue
-        out.append((s, ps, joint[:, s] / ps))
-    return out
-
-
 def bayes_update(p: Pomdp, x: np.ndarray, i: int, s: int) -> np.ndarray:
     """Posterior after playing i and observing s.
 
@@ -302,17 +290,6 @@ def belief_graph(p: Pomdp, x1: np.ndarray, limit: int, depth: int | None = None,
         levels.append(level)
         seen.append(len(ids))
     return None
-
-
-def signal_distribution(p: Pomdp, x: np.ndarray, i: int) -> np.ndarray:
-    x = _check_dims(p, x)
-    return np.einsum("k,kls->s", x, p.transition[:, i, :, :])
-
-
-def stage_payoff(p: Pomdp, x: np.ndarray, i: int) -> float:
-    """Expected stage payoff sum_k x(k) r(k, i); affine and 1-Lipschitz in x."""
-    x = _check_dims(p, x)
-    return float(x @ p.reward[:, i])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import Pomdp, bayes_matrices, bayes_update_rows, belief_graph
+from .model import (Pomdp, _check_dims, bayes_matrices, bayes_update_rows, belief_graph,
+                    make_belief)
 from .strategies import ScheduleStrategy, Strategy, Transducer
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -61,6 +62,21 @@ class PlayBatch:
         return len(self.prob)
 
 
+def _check_play_inputs(p: Pomdp, x1: np.ndarray, strat: Strategy) -> np.ndarray:
+    """x1 as a belief over the K states of p, once the strategy is checked
+    to play p's actions and, for a transducer, to read p's signals; where
+    plays start, so a mismatch raises InvalidInputError, not an index or
+    broadcast error deep inside."""
+    x1 = make_belief(_check_dims(p, x1))
+    if strat.n_actions != p.n_actions:
+        raise InvalidInputError(f"the strategy plays {strat.n_actions} actions, the POMDP "
+                                f"has {p.n_actions}")
+    if isinstance(strat, Transducer) and strat.n_signals != p.n_signals:
+        raise InvalidInputError(f"the transducer reads {strat.n_signals} signals, the POMDP "
+                                f"has {p.n_signals}")
+    return x1
+
+
 def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                     budget: int = DEFAULT_NODE_BUDGET) -> PlayBatch:
     """All horizon-truncated plays with positive probability under (x1, strat).
@@ -79,8 +95,9 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    state = np.flatnonzero(np.asarray(x1) > PROB_FLOOR)  # current state per node
-    prob = np.asarray(x1, dtype=float)[state]
+    x1 = _check_play_inputs(p, x1, strat)
+    state = np.flatnonzero(x1 > PROB_FLOOR)              # current state per node
+    prob = x1[state]
     mem = strat.start(len(state))                        # strategy memory per node
     cols = [np.empty((len(state), 0), dtype=np.intp)] * 3  # states, actions, signals so far
     cells = 0
@@ -286,6 +303,7 @@ def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams
         raise InvalidInputError("horizon must be >= 1")
     if any(n < 0 for _, n in streams):
         raise InvalidInputError("stream counts must be >= 0")
+    x1 = _check_play_inputs(p, x1, strat)
     tables = _chain_tables(p, strat, horizon)
     if tables is None:
         return PlayStream(_simulate_stepped(p, x1, strat, horizon, streams))

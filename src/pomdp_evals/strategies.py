@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .model import (ObservedHistory, Pomdp, bayes_matrices, bayes_update_rows,
-                    canonical_belief)
+from .model import (ObservedHistory, Pomdp, _check_dims, bayes_matrices, bayes_update_rows,
+                    canonical_belief, make_belief)
 
 STATIONARY_LOOKUP_TOL = 1e-9
 
@@ -257,7 +257,9 @@ def _canonical_key(acts, moves, n_signals: int, initial: int = 0) -> tuple:
 class StationaryStrategy(Strategy):
     """Belief-stationary strategy on a finite support, with nearest-support
     lookup (L1 tolerance 1e-9) to absorb float drift.  It acts on beliefs,
-    not on observed histories: wrap it with `belief_tracking_strategy`."""
+    not on observed histories: wrap it with `belief_tracking_strategy`.
+    The support holds at least one belief, each valid for `make_belief`, all
+    of one length."""
 
     n_actions: int
     support: list           # list of belief vectors
@@ -266,7 +268,11 @@ class StationaryStrategy(Strategy):
     def __post_init__(self):
         if len(self.support) != len(self.action_dists):
             raise InvalidInputError("support and action tables differ in length")
-        sup = [canonical_belief(x) for x in self.support]
+        if len(self.support) == 0:
+            raise InvalidInputError("a stationary strategy needs at least one support belief")
+        sup = [canonical_belief(make_belief(x)) for x in self.support]
+        if len({len(x) for x in sup}) > 1:
+            raise InvalidInputError("stationary strategy support beliefs differ in length")
         dists = []
         for j, d in enumerate(self.action_dists):
             d = np.asarray(d, dtype=float)
@@ -288,13 +294,21 @@ class StationaryStrategy(Strategy):
             raise InvalidInputError(f"belief is {worst:.3e} (L1) away from the strategy support")
         return np.array(self.action_dists)[j]
 
-    def at_belief(self, x: np.ndarray) -> np.ndarray:
-        return self.at_beliefs(np.asarray(x, dtype=float)[None])[0]
-
     def dist(self, mem):
         raise InvalidInputError(
             "stationary strategies act on beliefs; wrap with belief_tracking_strategy"
         )
+
+    def check_pomdp(self, p: Pomdp) -> None:
+        """Raise InvalidInputError unless the strategy plays p's actions at
+        beliefs over p's states."""
+        if self.n_actions != p.n_actions:
+            raise InvalidInputError(f"the stationary strategy plays {self.n_actions} actions, "
+                                    f"the POMDP has {p.n_actions}")
+        if len(self.support[0]) != p.n_states:
+            raise InvalidInputError(f"the stationary strategy's support beliefs have "
+                                    f"{len(self.support[0])} entries, they need "
+                                    f"{p.n_states} entries, one per state")
 
 
 class BeliefTrackingStrategy(Strategy):
@@ -302,8 +316,9 @@ class BeliefTrackingStrategy(Strategy):
     of a history is its belief, one row of an (n, K) array."""
 
     def __init__(self, p: Pomdp, x1: np.ndarray, stationary: StationaryStrategy):
+        stationary.check_pomdp(p)
         self.n_actions, self.n_signals = stationary.n_actions, p.n_signals
-        self.x1, self.stationary = np.asarray(x1, dtype=float), stationary
+        self.x1, self.stationary = make_belief(_check_dims(p, x1)), stationary
         self.bayes = bayes_matrices(p)
 
     def start(self, n: int) -> np.ndarray:
@@ -379,11 +394,6 @@ def always_strategy(n_actions: int, n_signals: int, action: int) -> Transducer:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-def transducer_count_raw(n_actions: int, n_signals: int, n_memory: int) -> int:
-    """Full-table count |I|^M * M^(M*I*S) for a fixed memory size."""
-    return (n_actions ** n_memory) * (n_memory ** (n_memory * n_actions * n_signals))
-
 
 def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> list:
     """All transducers with at most `max_memory` memory states, de-duplicated

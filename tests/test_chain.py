@@ -10,7 +10,7 @@ import pomdp_evals as pe
 from pomdp_evals import chain
 from pomdp_evals.chain import (EDGE_THRESHOLD, MarkovChain, _strong_components,
                                ergodic_decomposition, liminf_value_transducer,
-                               mixing_threshold, product_chain, step_distribution)
+                               mixing_threshold, product_chain)
 from pomdp_evals.errors import InvalidInputError, PomdpEvalError
 from pomdp_evals.playspace import simulate_plays
 
@@ -21,6 +21,11 @@ def _chain(labels, T, payoff, init):
     return MarkovChain(tuple(labels), np.asarray(T, dtype=float),
                        np.asarray(payoff, dtype=float),
                        np.asarray(init, dtype=float))
+
+
+def _law_after(c: MarkovChain, l: int) -> np.ndarray:
+    """The chain's law after l steps from its initial law."""
+    return c.initial @ np.linalg.matrix_power(c.transition, l)
 
 
 def test_chain_validation_names_the_offending_row():
@@ -331,14 +336,6 @@ def test_a_singular_absorption_system_names_the_transient_states():
         ergodic_decomposition(c)
 
 
-def test_step_distribution_matches_matrix_power():
-    T = np.array([[0.9, 0.1], [0.4, 0.6]])
-    c = _chain(("u", "v"), T, [0, 1], [1, 0])
-    assert np.allclose(step_distribution(c, 0), [1, 0])
-    assert np.allclose(step_distribution(c, 5), np.array([1.0, 0]) @
-                       np.linalg.matrix_power(T, 5))
-
-
 def test_mixing_threshold_examples(redraw):
     # the redraw chain mixes immediately
     t = pe.always_strategy(2, 1, 0)
@@ -351,14 +348,14 @@ def test_mixing_threshold_examples(redraw):
     l = mixing_threshold(c2)
     assert l > 0
     # at the reported step the distribution's payoff is near the long-run one
-    assert abs(step_distribution(c2, l) @ c2.payoff - 0.5) <= 0.011
-    assert abs(step_distribution(c2, l - 1) @ c2.payoff - 0.5) > 0.01
+    assert abs(_law_after(c2, l) @ c2.payoff - 0.5) <= 0.011
+    assert abs(_law_after(c2, l - 1) @ c2.payoff - 0.5) > 0.01
 
 
 def test_transient_mass_decays(rng):
     T = np.array([[0.5, 0.25, 0.25], [0, 1, 0], [0, 0, 1]])
     c = _chain(("a", "b", "c"), T, [0, 1, 0], [1, 0, 0])
-    masses = [step_distribution(c, j)[0] for j in range(8)]
+    masses = [_law_after(c, j)[0] for j in range(8)]
     assert all(m2 < m1 or m1 == 0 for m1, m2 in zip(masses, masses[1:]))
 
 

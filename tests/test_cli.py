@@ -459,6 +459,7 @@ GOOD_STATIONARY = '{"support": [[0.5, 0.5]], "rows": [[0.5, 0.5]]}'
     (GOOD_MEASURE, '{"support": [[0.5, 0.5]]}', "'rows'"),
     (GOOD_MEASURE, '{"support": [[0.5, 0.5, 0]], "rows": [[0.5, 0.5]]}', "2 entries"),
     (GOOD_MEASURE, '{"support": [[0.5, 0.5]], "rows": [[NaN, 1.0]]}', "action row 0"),
+    (GOOD_MEASURE, '{"support": [], "rows": []}', "at least one support belief"),
 ])
 def test_malformed_invariance_inputs_exit_invalid(capsys, tmp_path, measure, strategy, expect):
     # each input is a file in tmp_path except the names of missing ones

@@ -8,8 +8,8 @@ from hypothesis import strategies as hst
 
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError, TruncationError
-from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
-                                     eta_horizon, irregularity_supremum,
+from pomdp_evals.evaluations import (EvalContext, _eta_stages, block_smooth,
+                                     conditional_evaluation, eta_horizon, irregularity_supremum,
                                      pathwise_irregularity, weight_sums)
 from pomdp_evals.playspace import enumerate_plays, one_block_stream, simulate_plays
 
@@ -298,6 +298,16 @@ def test_eta_matches_independent_oracle(rng):
         g = (rng.random(n) < rng.random()).astype(float)
         l = int(rng.integers(1, 6))
         assert eta_horizon(g, l) == _eta_oracle(g, l)
+
+
+def test_eta_of_every_play_at_once_matches_the_oracle(rng):
+    # the columns of one payoff matrix; 0/1 payoffs tie often, and l = n
+    # often has no hit, so eta falls back to the largest prefix average
+    for n, plays in ((1, 3), (8, 5), (17, 50), (60, 20)):
+        g = (rng.random((n, plays)) < rng.random(plays)).astype(float)
+        for l in sorted({1, min(3, n), n}):
+            assert _eta_stages(g, l).tolist() == [_eta_oracle(g[:, j], l)
+                                                  for j in range(plays)]
 
 
 def test_eta_validates_inputs():

@@ -8,9 +8,11 @@ from scipy.optimize import linprog
 
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
-from pomdp_evals.measures import _FLOW_SCALE, DisintegrationTable, _edge_costs, _transport
+from pomdp_evals.measures import (_FLOW_SCALE, MASS_FLOOR, DisintegrationTable, _edge_costs,
+                                  _transport)
+from pomdp_evals.model import SIGNAL_PROB_FLOOR
 
-from conftest import belief_sequence, random_belief, random_pomdp
+from conftest import belief_sequence, random_belief, random_pomdp, sparse_instances
 
 
 SM = pe.SupportedMeasure
@@ -180,6 +182,69 @@ def test_image_splits_on_revealing_signals(revealed_matching):
     assert np.isclose(atoms[(1.0, 0.0)], 0.5)
     assert np.isclose(atoms[(0.0, 1.0)], 0.5)
     assert np.isclose(pe.invariance_residual(p, mu, stat), 1.0)
+
+
+def _reference_image(p, mu, stat):
+    """The image one atom, action and signal at a time by the scalar Bayes
+    update: an action of law at most MASS_FLOOR, or a signal of probability
+    below SIGNAL_PROB_FLOOR, carries no mass."""
+    pairs = []
+    for x, mass in mu.atoms:
+        law = stat.at_beliefs(x[None])[0]
+        for i in range(p.n_actions):
+            for s in range(p.n_signals):
+                prob = (x @ p.transition[:, i, :, s]).sum()
+                if law[i] > MASS_FLOOR and prob >= SIGNAL_PROB_FLOOR:
+                    pairs.append((pe.bayes_update(p, x, i, s), mass * law[i] * prob))
+    return SM.from_pairs(pairs, renormalize=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances())
+def test_image_matches_the_scalar_image(case):
+    # a Dirac atom and zero transition cells give off-support signals, and a
+    # zero action entry an action that carries no mass
+    p, x1, rng = case
+    xs = [x1, np.eye(p.n_states)[rng.integers(p.n_states)], rng.dirichlet(np.ones(p.n_states))]
+    mu = SM.from_pairs(zip(xs, rng.dirichlet(np.ones(3))))
+    rows = rng.dirichlet(np.ones(p.n_actions), mu.n_atoms)
+    if p.n_actions > 1:
+        rows[0, 0] = 0.0
+        rows[0] /= rows[0].sum()
+    stat = pe.StationaryStrategy(p.n_actions, [x for x, _ in mu.atoms], list(rows))
+    img = pe.image_measure(p, mu, stat)
+    assert pe.kr_distance(img, _reference_image(p, mu, stat)) <= 1e-9
+    assert abs(sum(m for _, m in img.atoms) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("support, rows, named", [
+    ([], [], "at least one support belief"),
+    ([[np.nan, 1.0]], [[0.5, 0.5]], "finite"),
+    ([[0.5, 0.5], [0.2, 0.3, 0.5]], [[0.5, 0.5]] * 2, "differ in length"),
+    ([[0.5, 0.6]], [[0.5, 0.5]], "sum to"),
+])
+def test_a_stationary_strategy_needs_valid_support_beliefs(support, rows, named):
+    with pytest.raises(InvalidInputError, match=named):
+        pe.StationaryStrategy(2, support, rows)
+
+
+@pytest.mark.parametrize("support, rows, atom, named", [
+    ([[0.5, 0.5]], [[0.2, 0.3, 0.5]], [0.5, 0.5], "3 actions"),
+    ([[0.2, 0.3, 0.5]], [[0.5, 0.5]], [0.5, 0.5], "one per state"),
+    ([[0.5, 0.5]], [[0.5, 0.5]], [0.2, 0.3, 0.5], "one per state"),
+])
+def test_images_and_belief_tracking_check_the_strategy_against_the_pomdp(
+        redraw, support, rows, atom, named):
+    # uniform redraw: 2 states, 2 actions; before these checks a third
+    # action's mass was dropped and a support of the wrong length met a raw
+    # broadcast error
+    p = redraw.pomdp
+    stat = pe.StationaryStrategy(len(rows[0]), support, rows)
+    with pytest.raises(InvalidInputError, match=named):
+        pe.image_measure(p, SM.dirac(atom), stat)
+    if len(atom) == p.n_states:
+        with pytest.raises(InvalidInputError, match=named):
+            pe.belief_tracking_strategy(p, redraw.initial_belief, stat)
 
 
 def test_frozen_beliefs_make_every_dirac_invariant(frozen_matching):
@@ -397,8 +462,8 @@ def test_disintegration_on_constant_beliefs_is_one_group(frozen_matching):
                                   pe.make_evaluation("n_stage", n=3), horizon=3)
     assert isinstance(table, DisintegrationTable)
     assert len(table.beliefs) == 1
-    row = stat.at_belief(np.array([0.5, 0.5]))
-    assert np.allclose(row, [0.5, 0.5])
+    row = stat.at_beliefs(np.array([[0.5, 0.5]]))
+    assert np.allclose(row, [[0.5, 0.5]])
 
 
 def test_disintegration_groups_by_end_belief(revealed_matching):
@@ -415,8 +480,7 @@ def test_disintegration_groups_by_end_belief(revealed_matching):
     keys = {tuple(x) for x in table.beliefs.values()}
     assert keys == {(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)}
     # the induced stationary strategy replays the matched actions
-    assert np.allclose(stat.at_belief(np.array([1.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(stat.at_belief(np.array([0.0, 1.0])), [0.0, 1.0])
+    assert np.allclose(stat.at_beliefs(np.eye(2)), np.eye(2))
     # conditional masses within each group form distributions
     for key, group in table.groups.items():
         assert np.isclose(sum(m for _, m, _ in group), 1.0, atol=1e-9)

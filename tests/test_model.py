@@ -111,20 +111,30 @@ def test_bayes_posterior_on_hand_solved_instance():
     assert np.allclose(post, [0.75, 0.25], atol=1e-12)
 
 
+def _pair_posteriors(p, x):
+    """(post, prob) of `bayes_update_rows` for the belief x under every
+    observed pair, shaped (I, S, K) and (I, S)."""
+    n_c = p.n_actions * p.n_signals
+    post, prob = bayes_update_rows(bayes_matrices(p), np.tile(x, (n_c, 1)), np.arange(n_c))
+    return (post.reshape(p.n_actions, p.n_signals, p.n_states),
+            prob.reshape(p.n_actions, p.n_signals))
+
+
 def test_posteriors_average_back_to_the_next_marginal(rng):
     for _ in range(20):
         p = random_pomdp(rng, k=int(rng.integers(2, 5)),
                          n_i=int(rng.integers(1, 4)), n_s=int(rng.integers(1, 4)))
         x = random_belief(rng, p.n_states)
+        post, prob = _pair_posteriors(p, x)
         for i in range(p.n_actions):
             marginal = np.einsum("k,kl->l", x, p.transition[:, i].sum(axis=2))
-            mix = sum(prob * post for _, prob, post in pe.belief_transition(p, x, i))
-            assert np.allclose(mix, marginal, atol=1e-12)
-            sig = pe.signal_distribution(p, x, i)
-            assert np.isclose(sig.sum(), 1.0, atol=1e-12)
-            for s, prob, post in pe.belief_transition(p, x, i):
-                assert np.isclose(prob, sig[s], atol=1e-12)
-                assert np.allclose(post, pe.bayes_update(p, x, i, s), atol=1e-12)
+            assert np.allclose(prob[i] @ post[i], marginal, atol=1e-12)
+            # the signal law is the marginal of the joint law over signals
+            sig = np.einsum("k,kls->s", x, p.transition[:, i])
+            assert np.allclose(prob[i], sig, atol=1e-12)
+            assert np.isclose(prob[i].sum(), 1.0, atol=1e-12)
+            for s in range(p.n_signals):
+                assert np.allclose(post[i, s], pe.bayes_update(p, x, i, s), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,35 +167,17 @@ def test_off_support_signal_falls_back_to_dirac(blind):
 
 def test_frozen_matching_belief_never_moves(frozen_matching):
     p, x = frozen_matching.pomdp, frozen_matching.initial_belief
-    for i in range(p.n_actions):
-        steps = pe.belief_transition(p, x, i)
-        assert len(steps) == 1
-        _, prob, post = steps[0]
-        assert np.isclose(prob, 1.0)
-        assert np.allclose(post, x)
+    post, prob = _pair_posteriors(p, x)
+    assert prob.shape == (p.n_actions, 1)     # one signal, sure under every action
+    assert np.allclose(prob, 1.0)
+    assert np.allclose(post, x)
 
 
 def test_revealed_matching_belief_jumps_to_dirac(revealed_matching):
     p, x = revealed_matching.pomdp, revealed_matching.initial_belief
-    posts = {tuple(post) for _, _, post in pe.belief_transition(p, x, 0)}
-    assert posts == {(1.0, 0.0), (0.0, 1.0)}
-
-
-# ---------------------------------------------------------------------------
-# Stage payoff
-# ---------------------------------------------------------------------------
-
-def test_stage_payoff_is_affine_in_the_belief(rng):
-    p = random_pomdp(rng)
-    x, y = random_belief(rng, 3), random_belief(rng, 3)
-    for i in range(p.n_actions):
-        for t in (0.0, 0.3, 1.0):
-            mix = t * x + (1 - t) * y
-            assert np.isclose(
-                pe.stage_payoff(p, mix, i),
-                t * pe.stage_payoff(p, x, i) + (1 - t) * pe.stage_payoff(p, y, i),
-                atol=1e-12,
-            )
+    post, prob = _pair_posteriors(p, x)
+    assert {tuple(row) for row in post[0]} == {(1.0, 0.0), (0.0, 1.0)}
+    assert np.allclose(prob, 0.5)
 
 
 # ---------------------------------------------------------------------------

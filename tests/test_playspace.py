@@ -37,6 +37,35 @@ def test_enumerated_play_probabilities_sum_to_one(rng):
         assert np.all(plays.prob > 0)
 
 
+_PLAYS_FROM = {
+    "enumerate": lambda p, x1, strat: enumerate_plays(p, x1, strat, 2),
+    "simulate": lambda p, x1, strat: simulate_plays(p, x1, strat, 2, 3,
+                                                    np.random.default_rng(0)),
+    "mc": lambda p, x1, strat: pe.weighted_payoff_mc(p, x1, strat,
+                                                     pe.make_evaluation("n_stage", n=2), 2, 3, 0),
+    "chain": lambda p, x1, strat: pe.product_chain(p, strat, x1),
+}
+
+
+@pytest.mark.parametrize("entry, x1, strat, named", [
+    ("enumerate", [1.0], pe.uniform_strategy(2), "dimension"),
+    ("simulate", [0.2, 0.3, 0.5], pe.uniform_strategy(2), "dimension"),
+    ("simulate", [1.5, -0.5], pe.uniform_strategy(2), "lie in"),
+    ("mc", [np.nan, 1.0], pe.uniform_strategy(2), "finite"),
+    ("chain", [0.7, 0.7], pe.always_strategy(2, 1, 0), "sum to"),
+    ("enumerate", [0.5, 0.5], pe.uniform_strategy(3), "3 actions"),
+    ("simulate", [0.5, 0.5], pe.uniform_strategy(3), "3 actions"),
+    ("chain", [0.5, 0.5], pe.always_strategy(3, 1, 2), "3 actions"),
+    ("simulate", [0.5, 0.5], pe.always_strategy(2, 2, 0), "2 signals"),
+    ("chain", [0.5, 0.5], pe.always_strategy(2, 2, 0), "2 signals"),
+])
+def test_plays_start_only_from_a_belief_and_a_strategy_of_the_pomdp(blind, entry, x1, strat,
+                                                                     named):
+    # blind switching: 2 states, 2 actions, 1 signal
+    with pytest.raises(InvalidInputError, match=named):
+        _PLAYS_FROM[entry](blind.pomdp, x1, strat)
+
+
 def test_enumeration_respects_node_budget(rng):
     p = random_pomdp(rng, k=3, n_i=2, n_s=2)
     with pytest.raises(BudgetExceededError):
@@ -79,7 +108,7 @@ def test_belief_payoff_blocks_match_scalar_path(rng):
     batch = belief_payoffs(p, x1, ac, sg)
     for j in range(20):
         seq = belief_sequence(p, x1, ac[j], sg[j])
-        manual = [pe.stage_payoff(p, seq[m], int(ac[j, m])) for m in range(6)]
+        manual = [seq[m] @ p.reward[:, ac[j, m]] for m in range(6)]
         assert np.allclose(batch[j], manual, atol=1e-10)
 
 
@@ -418,7 +447,7 @@ def test_belief_payoff_blocks_match_belief_sequences(case, horizon, width):
     assert np.array_equal(batch, belief_payoffs(p, x1, actions, signals, block=horizon))
     for j in range(width):
         seq = belief_sequence(p, x1, actions[j], signals[j])
-        want = [pe.stage_payoff(p, seq[m], int(actions[j, m])) for m in range(horizon)]
+        want = [seq[m] @ p.reward[:, actions[j, m]] for m in range(horizon)]
         assert np.allclose(batch[j], want, rtol=0, atol=1e-12)
         assert np.array_equal(batch[j:j + 1],
                               belief_payoffs(p, x1, actions[j:j + 1], signals[j:j + 1]))
@@ -435,7 +464,7 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
     signals = np.array([[1, 0, 0, 0]])        # stage 2 reports state 0: off support
     seq = belief_sequence(q, x1, actions[0], signals[0])
     assert np.array_equal(seq[2], [1.0, 0.0])
-    want = [pe.stage_payoff(q, seq[m], int(actions[0, m])) for m in range(4)]
+    want = [seq[m] @ q.reward[:, actions[0, m]] for m in range(4)]
     assert np.allclose(belief_payoffs(q, x1, actions, signals)[0], want,
                        rtol=0, atol=1e-12)
 

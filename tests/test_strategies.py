@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 import pomdp_evals as pe
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory, canonical_belief
-from pomdp_evals.strategies import _canonical_key, transducer_count_raw
+from pomdp_evals.strategies import _canonical_key
 
 from conftest import random_pomdp, sparse_instances
 
@@ -167,14 +167,6 @@ def test_canonical_form_identifies_relabeled_memories():
     assert a.canonical_form() == b.canonical_form()
 
 
-def test_transducer_count_formula_matches_brute_force():
-    # memory m, actions n_i, signals n_s: n_i^m action labelings times
-    # m^(m*n_i*n_s) update tables
-    assert transducer_count_raw(2, 1, 1) == 2
-    assert transducer_count_raw(2, 1, 2) == 4 * 2 ** 4
-    assert transducer_count_raw(3, 2, 2) == 9 * 2 ** 12
-
-
 def test_enumerate_transducers_deduplicates(blind):
     p = blind.pomdp
     one = pe.enumerate_transducers(p, max_memory=1)
@@ -293,10 +285,10 @@ def test_enumeration_builds_only_the_transducers_it_returns(rng, monkeypatch):
 def test_stationary_lookup_absorbs_float_drift():
     stat = pe.StationaryStrategy(2, [np.array([0.5, 0.5]), np.array([1.0, 0.0])],
                                  [np.array([0.2, 0.8]), np.array([1.0, 0.0])])
-    row = stat.at_belief(np.array([0.5 + 1e-12, 0.5 - 1e-12]))
-    assert np.allclose(row, [0.2, 0.8])
+    row = stat.at_beliefs(np.array([[0.5 + 1e-12, 0.5 - 1e-12]]))
+    assert np.allclose(row, [[0.2, 0.8]])
     with pytest.raises(InvalidInputError):
-        stat.at_belief(np.array([0.8, 0.2]))
+        stat.at_beliefs(np.array([[1.0, 0.0], [0.8, 0.2]]))
     with pytest.raises(InvalidInputError):
         stat.action_distribution(ObservedHistory())
 

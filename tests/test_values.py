@@ -8,7 +8,7 @@ import pomdp_evals as pe
 from pomdp_evals.chain import product_chain
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.evaluations import EvalContext, weight_sums
-from pomdp_evals.model import belief_graph, belief_key, belief_transition, stage_payoff
+from pomdp_evals.model import SIGNAL_PROB_FLOOR, belief_graph, belief_key
 from pomdp_evals.playspace import SCALAR_PLAYS, one_block_stream, simulate_plays
 from pomdp_evals.values import (average_extrema, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
@@ -67,8 +67,9 @@ def test_asymptotic_estimate_brackets_the_limit(revealed_matching):
 
 class _RecursiveBeliefDp:
     """Reference: memoised recursive backward induction on (belief key,
-    remaining stages), one `belief_transition` per action and node;
-    `discount` scales the continuation term."""
+    remaining stages), one scalar Bayes step per action, signal and node
+    (signals below SIGNAL_PROB_FLOOR skipped); `discount` scales the
+    continuation term."""
 
     def __init__(self, p, discount=1.0):
         self.p = p
@@ -84,9 +85,13 @@ class _RecursiveBeliefDp:
             return hit
         best = -np.inf
         for i in range(self.p.n_actions):
-            cont = sum(prob * self.total(nxt, t - 1)
-                       for _, prob, nxt in belief_transition(self.p, x, i))
-            total = stage_payoff(self.p, x, i) + self.discount * cont
+            cont = 0.0
+            for s in range(self.p.n_signals):
+                joint = x @ self.p.transition[:, i, :, s]
+                prob = joint.sum()
+                if prob >= SIGNAL_PROB_FLOOR:
+                    cont += prob * self.total(joint / prob, t - 1)
+            total = x @ self.p.reward[:, i] + self.discount * cont
             if total > best:
                 best = total
         self.memo[key] = best
