@@ -5,11 +5,17 @@ Every strategy answers through one batched interface on observed histories,
 the only way the package asks a strategy anything: `start(n)` returns the
 memory of n empty histories, `dist(mem)` the (n, I) action laws after them,
 and `step(mem, actions, signals)` the memory after each history is extended
-by its observed pair.  A memory selects rows with `mem[rows]`."""
+by its observed pair.  A memory selects rows with `mem[rows]`.
+
+The memory of a history strategy (`HistoryStrategy`: behavior rules and
+random behavior) is a node of the observed-prefix tree per distinct history,
+extended by one batched hook call per stage, so a stage costs work per
+distinct history and never per stage played before."""
 from __future__ import annotations
 
 import hashlib
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +26,7 @@ from .model import (ObservedHistory, Pomdp, _check_dims, bayes_matrices, bayes_u
                     canonical_belief, make_belief)
 
 STATIONARY_LOOKUP_TOL = 1e-9
+_INT64, _PAIR = struct.Struct("=q"), struct.Struct("=qq")    # native int64 keys, as numpy's
 
 
 def _is_law(d: np.ndarray, n_actions: int) -> bool:
@@ -46,65 +53,104 @@ class Strategy:
         raise NotImplementedError
 
     def action_distribution(self, h: ObservedHistory) -> np.ndarray:
-        """The action law after one observed history."""
+        """The action law after one observed history.  A pair whose action
+        lies outside [0, n_actions), or whose signal is negative or, where
+        the strategy knows S (its `n_signals`), at least S, raises
+        InvalidInputError."""
+        n_s = getattr(self, "n_signals", None)
+        for a, s in h.pairs:
+            ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (a, s))
+            if not (ints and 0 <= a < self.n_actions and s >= 0 and (n_s is None or s < n_s)):
+                signals = "non-negative" if n_s is None else f"in [0, {n_s})"
+                raise InvalidInputError(
+                    f"the observed pair (action {a!r}, signal {s!r}) is out of range: actions "
+                    f"are integers in [0, {self.n_actions}), signals integers {signals}")
         mem = self.start(1)
         for a, s in h.pairs:
             mem = self.step(mem, np.array([a]), np.array([s]))
         return self.dist(mem)[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class HistoryIds:
-    """Memory of a history-keyed strategy: ids[j] numbers the distinct
-    observed history of row j, whose pairs are actions[ids[j]] and
-    signals[ids[j]] ((n_distinct, stages) int64 tables).  Every table row is
-    some row's history."""
+    """Memory of a history strategy: ids[j] numbers the distinct observed
+    history of row j, and nodes[ids[j]] is that history's node in the
+    observed-prefix tree, as the strategy's `root` and `extend` build it.
+    Every node is some row's history.  `laws` holds the nodes' (n_nodes, I)
+    action laws once a `dist` has read them, and rows selected by
+    `mem[rows]` keep theirs."""
 
     ids: np.ndarray
-    actions: np.ndarray
-    signals: np.ndarray
+    nodes: list
+    laws: np.ndarray | None = None
 
     def __getitem__(self, rows) -> "HistoryIds":
         used, ids = np.unique(self.ids[rows], return_inverse=True)
-        return HistoryIds(ids, self.actions[used], self.signals[used])
+        return HistoryIds(ids, [self.nodes[u] for u in used.tolist()],
+                          None if self.laws is None else self.laws[used])
 
 
 class HistoryStrategy(Strategy):
     """A strategy given by one law per observed history.  The distinct
     histories are renumbered each stage by `np.unique` of (parent id, action,
-    signal), and `laws` runs once per distinct history."""
+    signal), and the new histories' nodes come from one `extend` call on
+    their parents' nodes, so a stage costs work per distinct history, never
+    per stage played before.  `laws` runs once per node, at the first `dist`
+    that reads it."""
 
-    def laws(self, actions: np.ndarray, signals: np.ndarray) -> np.ndarray:
-        """(n, I) action laws after the histories given by rows of the
-        (n, stages) action and signal tables."""
+    def root(self):
+        """The node of the empty history."""
+        raise NotImplementedError
+
+    def extend(self, nodes: list, actions: np.ndarray, signals: np.ndarray) -> list:
+        """The nodes of the histories nodes[j] followed by the pair
+        (actions[j], signals[j])."""
+        raise NotImplementedError
+
+    def laws(self, nodes: list) -> np.ndarray:
+        """(len(nodes), I) action laws after the nodes' histories."""
         raise NotImplementedError
 
     def start(self, n: int) -> HistoryIds:
-        empty = np.zeros((1, 0), dtype=np.int64)
-        return HistoryIds(np.zeros(n, dtype=np.intp), empty, empty)
+        return HistoryIds(np.zeros(n, dtype=np.intp), [self.root()] if n else [])
 
     def dist(self, mem: HistoryIds) -> np.ndarray:
-        return self.laws(mem.actions, mem.signals)[mem.ids]
+        if mem.laws is None:
+            mem.laws = self.laws(mem.nodes)
+        return mem.laws[mem.ids]
 
     def step(self, mem: HistoryIds, actions, signals) -> HistoryIds:
-        n_i, n_s = (int(np.max(v, initial=0)) + 1 for v in (actions, signals))
-        uniq, ids = np.unique((mem.ids * n_i + actions) * n_s + signals, return_inverse=True)
-        parent = uniq // (n_i * n_s)
-        return HistoryIds(ids, np.column_stack([mem.actions[parent], uniq // n_s % n_i]),
-                          np.column_stack([mem.signals[parent], uniq % n_s]))
+        if len(mem.nodes) == len(mem.ids):
+            # every row its own history: np.unique would keep each row's id
+            rows = np.empty_like(mem.ids)
+            rows[mem.ids] = np.arange(len(rows))
+            return HistoryIds(mem.ids, self.extend(mem.nodes, actions[rows], signals[rows]))
+        n_s = int(signals.max(initial=0)) + 1
+        uniq, ids = np.unique((mem.ids * self.n_actions + actions) * n_s + signals,
+                              return_inverse=True)
+        parent, pair = np.divmod(uniq, self.n_actions * n_s)
+        return HistoryIds(ids, self.extend([mem.nodes[q] for q in parent.tolist()],
+                                           pair // n_s, pair % n_s))
 
 
 @dataclass
 class BehaviorStrategy(HistoryStrategy):
-    """Wraps an arbitrary rule ObservedHistory -> distribution over actions."""
+    """Wraps an arbitrary rule ObservedHistory -> distribution over actions.
+    The node of a history is its `ObservedHistory`."""
 
     n_actions: int
     rule: Callable[[ObservedHistory], np.ndarray]
 
-    def laws(self, actions, signals) -> np.ndarray:
-        out = np.empty((len(actions), self.n_actions))
-        for j, (acts, sigs) in enumerate(zip(actions.tolist(), signals.tolist())):
-            h = ObservedHistory(tuple(acts), tuple(sigs))
+    def root(self) -> ObservedHistory:
+        return ObservedHistory()
+
+    def extend(self, nodes, actions, signals) -> list:
+        return [ObservedHistory(h.actions + (a,), h.signals + (s,))
+                for h, a, s in zip(nodes, actions.tolist(), signals.tolist())]
+
+    def laws(self, nodes) -> np.ndarray:
+        out = np.empty((len(nodes), self.n_actions))
+        for j, h in enumerate(nodes):
             dist = np.asarray(self.rule(h), dtype=float)
             if not _is_law(dist, self.n_actions):
                 raise InvalidInputError(f"behavior rule returned an invalid action "
@@ -116,8 +162,11 @@ class BehaviorStrategy(HistoryStrategy):
 @dataclass
 class RandomBehaviorStrategy(HistoryStrategy):
     """Deterministic pseudo-random behavior rule: each observed history gets a
-    fixed randomized action distribution derived from a seed (one 8-byte
-    blake2b digest word per action, so at most 8 actions)."""
+    fixed randomized action distribution, one 8-byte blake2b digest word per
+    action (so at most 8 actions), plus one, normalised.  The digest is of
+    the int64 key (seed, a_1, s_1, a_2, s_2, ...); the node of a history is
+    the blake2b state after its key, so a child is its parent's state copied
+    and fed 16 bytes."""
 
     n_actions: int
     seed: int
@@ -126,14 +175,26 @@ class RandomBehaviorStrategy(HistoryStrategy):
         if not 1 <= self.n_actions <= 8:
             raise InvalidInputError(
                 f"random behavior strategies take 1 to 8 actions, got {self.n_actions}")
+        seed = json_integer(self.seed, "random behavior seed")
+        if not -2 ** 63 <= seed < 2 ** 63:
+            raise InvalidInputError(f"random behavior seed {seed} is outside the int64 range")
+        self.seed = seed
 
-    def laws(self, actions, signals) -> np.ndarray:
-        # key row: seed, the actions, -1, the signals, as int64 bytes
-        n = len(actions)
-        key = np.hstack([np.full((n, 1), self.seed), actions, np.full((n, 1), -1), signals])
-        digests = b"".join(hashlib.blake2b(row, digest_size=8 * self.n_actions).digest()
-                           for row in key.astype(np.int64))
-        raw = np.frombuffer(digests, dtype=np.uint64).reshape(n, self.n_actions).astype(float) + 1.0
+    def root(self):
+        return hashlib.blake2b(_INT64.pack(self.seed), digest_size=8 * self.n_actions)
+
+    def extend(self, nodes, actions, signals) -> list:
+        out = []
+        for node, a, s in zip(nodes, actions.tolist(), signals.tolist()):
+            child = node.copy()
+            child.update(_PAIR.pack(a, s))
+            out.append(child)
+        return out
+
+    def laws(self, nodes) -> np.ndarray:
+        digests = b"".join([node.digest() for node in nodes])
+        raw = np.frombuffer(digests, dtype=np.uint64).reshape(len(nodes), self.n_actions)
+        raw = raw.astype(float) + 1.0
         return raw / raw.sum(axis=1, keepdims=True)
 
 

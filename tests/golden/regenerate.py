@@ -1,4 +1,5 @@
-"""Regenerate `cli.jsonl`, the golden outputs of the command line.
+"""Regenerate `cli.jsonl`, the golden outputs of the command line, and
+`behavior.jsonl`, the golden plays of behaviour strategies.
 
 Run from the repository root:
 
@@ -9,13 +10,21 @@ directory, so the fixture files beside this script are named relative to it.
 The first line of `cli.jsonl` records the numpy version; every other line
 holds one case: its argv, exit code and stdout (and stderr for the exit
 codes the package chooses, 1 and 2), and whether the output comes from
-Monte Carlo draws, which depend on numpy's generator streams.  Regenerate
-only for a deliberate output change, and list the moved records in
-`CHANGES.md`.
+Monte Carlo draws, which depend on numpy's generator streams.
+
+`behavior.jsonl` has the same numpy header.  Each other line holds one
+`BehaviorStrategy` rule (`BEHAVIOR_RULES`) on one builtin scenario and seed
+under one kernel, `simulate_plays` or `enumerate_plays`: int64 digests of
+the play arrays and the ordered list of the histories the rule was asked
+about.
+
+Regenerate only for a deliberate output change, and list the moved records
+in `CHANGES.md`.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -26,6 +35,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli.jsonl"
+BEHAVIOR = HERE / "behavior.jsonl"
 
 SCENARIOS = ("matching-frozen", "matching-revealed", "uniform-redraw",
              "blind-switching", "blind-switching-lift")
@@ -134,11 +144,67 @@ def record(argv: list) -> dict:
     return line
 
 
+BEHAVIOR_SCENARIOS = ("matching-revealed", "blind-switching-lift")
+BEHAVIOR_SEEDS = (0, 1)
+BEHAVIOR_RULES = ("constant", "last-signal", "history-sum")
+
+
+def behavior_rule(name: str, n_actions: int, seed: int):
+    """A rule ObservedHistory -> action law drawn from `seed`: one constant
+    law, that law rolled by the last signal, or a row of a 7-row table
+    picked by the action and signal sums of the whole history."""
+    rng = np.random.default_rng(seed)
+    law, table = rng.dirichlet(np.ones(n_actions)), rng.dirichlet(np.ones(n_actions), 7)
+    return {"constant": lambda h: law,
+            "last-signal": lambda h: np.roll(law, h.signals[-1] if h else 0),
+            "history-sum": lambda h: table[(sum(h.actions) + 3 * sum(h.signals)) % 7]}[name]
+
+
+def array_digest(a: np.ndarray) -> int:
+    """An int64 digest of an array's shape and values (ints as int64,
+    floats as float64)."""
+    a = np.asarray(a)
+    a = a.astype(np.int64 if a.dtype.kind in "iu" else np.float64)
+    raw = np.array(a.shape, dtype=np.int64).tobytes() + a.tobytes()
+    return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little", signed=True)
+
+
+BEHAVIOR_CASES = [(scenario, seed, rule, kernel) for scenario in BEHAVIOR_SCENARIOS
+                  for seed in BEHAVIOR_SEEDS for rule in BEHAVIOR_RULES
+                  for kernel in ("simulate", "enumerate")]
+
+
+def behavior_record(scenario: str, seed: int, rule: str, kernel: str) -> dict:
+    """The golden line of one behaviour-strategy case: 8 sampled plays of
+    12 stages, or every play of 4 stages."""
+    import pomdp_evals as pe
+
+    sc = pe.builtin_scenario(scenario)
+    p, x1 = sc.pomdp, sc.initial_belief
+    law, asked = behavior_rule(rule, p.n_actions, seed), []
+
+    def logged(h):
+        asked.append([list(h.actions), list(h.signals)])
+        return law(h)
+
+    strat = pe.BehaviorStrategy(p.n_actions, logged)
+    if kernel == "simulate":
+        arrays = pe.simulate_plays(p, x1, strat, 12, 8, np.random.default_rng(seed))
+    else:
+        batch = pe.enumerate_plays(p, x1, strat, 4)
+        arrays = (batch.states, batch.actions, batch.signals, batch.prob)
+    return {"case": [scenario, seed, rule, kernel],
+            "digests": [array_digest(a) for a in arrays], "asked": asked}
+
+
 def main() -> None:
-    lines = [json.dumps({"numpy": np.__version__})]
-    lines += [json.dumps(record(argv)) for argv in CASES]
+    header = json.dumps({"numpy": np.__version__})
+    lines = [header] + [json.dumps(record(argv)) for argv in CASES]
     GOLDEN.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(CASES)} cases to {GOLDEN}", file=sys.stderr)
+    lines = [header] + [json.dumps(behavior_record(*case)) for case in BEHAVIOR_CASES]
+    BEHAVIOR.write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(BEHAVIOR_CASES)} cases to {BEHAVIOR}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Strategy layer: behavior rules, schedules, finite-memory transducers."""
 import hashlib
 import itertools
+import re
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import pomdp_evals as pe
+from pomdp_evals import strategies
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory, canonical_belief
-from pomdp_evals.strategies import _canonical_key
+from pomdp_evals.strategies import _canonical_key, _is_law
 
 from conftest import random_pomdp, sparse_instances
 
@@ -38,19 +42,37 @@ def test_a_behavior_rule_returning_nan_names_the_history(redraw, play):
         play(redraw.pomdp, redraw.initial_belief, strat)
 
 
-@pytest.mark.parametrize("strat", [pe.RandomBehaviorStrategy(2, 1),
-                                   pe.BehaviorStrategy(2, lambda h: np.array([0.3, 0.7]))],
-                         ids=["random-behavior", "behavior-rule"])
-def test_history_strategies_answer_zero_histories(redraw, strat):
+@pytest.mark.parametrize("kind", ["random-behavior", "behavior-rule"])
+def test_history_strategies_answer_zero_histories(redraw, kind):
     # a batch of no histories, of any length, has a (0, I) law matrix, as
-    # uniform play and schedules give, and so has a zero-play simulation
-    for stages in (0, 3):
-        empty = np.zeros((0, stages), dtype=np.int64)
-        assert strat.laws(empty, empty).shape == (0, 2)
-    assert strat.dist(strat.start(0)).shape == (0, 2)
+    # uniform play and schedules give, and asks no rule; so has a zero-play
+    # simulation
+    asked = []
+    strat = (pe.RandomBehaviorStrategy(2, 1) if kind == "random-behavior" else
+             pe.BehaviorStrategy(2, lambda h: asked.append(h) or np.array([0.3, 0.7])))
+    mem = strat.start(0)
+    for _ in range(4):
+        assert strat.dist(mem).shape == (0, 2)
+        mem = strat.step(mem, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert asked == []
     plays = pe.simulate_plays(redraw.pomdp, redraw.initial_belief, strat, 5, 0,
                               np.random.default_rng(0))
     assert [m.shape for m in plays] == [(0, 5)] * 3
+
+
+def test_history_laws_are_asked_once_per_node_at_the_first_dist():
+    # `step` asks the rule nothing; the first `dist` asks about each distinct
+    # history once, in id order, and rows selected from that memory keep
+    # the laws read
+    asked = []
+    strat = pe.BehaviorStrategy(2, lambda h: asked.append(h) or [0.25 + 0.5 * h.actions[0],
+                                                                 0.75 - 0.5 * h.actions[0]])
+    mem = strat.step(strat.start(3), np.array([1, 0, 1]), np.array([0, 0, 0]))
+    assert asked == []
+    first = strat.dist(mem)
+    assert asked == [ObservedHistory((0,), (0,)), ObservedHistory((1,), (0,))]
+    assert np.array_equal(strat.dist(mem[[2, 1, 1]]), first[[2, 1, 1]])
+    assert np.array_equal(strat.dist(mem), first) and len(asked) == 2
 
 
 def test_strategy_sizes_out_of_range_are_rejected():
@@ -63,6 +85,71 @@ def test_strategy_sizes_out_of_range_are_rejected():
         with pytest.raises(InvalidInputError):
             pe.Transducer(n_actions=2, n_signals=1, act=np.array([0]),
                           update=np.zeros((1, 2, 1), dtype=int), initial=initial)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None, 2**63, -2**63 - 1,
+                                  np.float64(4.0)])
+def test_random_behavior_seed_must_be_an_int64(seed):
+    # no truncation (1.5 was seed 1), no parsing ('3' was seed 3) and no
+    # overflowing cast (2**63 gave an arbitrary law with a numpy warning)
+    with pytest.raises(InvalidInputError, match="seed"):
+        pe.RandomBehaviorStrategy(2, seed)
+
+
+def test_random_behavior_seed_takes_every_int64():
+    h = ObservedHistory((0, 1), (1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (-2**63, -1, 0, 2**63 - 1):
+            strat = pe.RandomBehaviorStrategy(2, seed)
+            assert strat.action_distribution(h).tobytes() == _reference_hash_law(strat, h).tobytes()
+    same = pe.RandomBehaviorStrategy(2, np.int64(3))
+    assert type(same.seed) is int
+    assert same.action_distribution(h).tobytes() == \
+        pe.RandomBehaviorStrategy(2, 3).action_distribution(h).tobytes()
+
+
+def _range_strategies():
+    """One strategy of each class, on 2 actions; the transducer and the
+    belief tracker know their 2 signals."""
+    redraw = pe.builtin_scenario("matching-revealed")
+    stat = pe.StationaryStrategy(2, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]],
+                                 [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    return {"random-behavior": pe.RandomBehaviorStrategy(2, 1),
+            "behavior-rule": pe.BehaviorStrategy(2, lambda h: np.array([0.3, 0.7])),
+            "uniform": pe.uniform_strategy(2),
+            "schedule": pe.block_switch_strategy(2, 0, 1, 3),
+            "transducer": pe.always_strategy(2, 2, 0),
+            "belief-tracking": pe.belief_tracking_strategy(redraw.pomdp, redraw.initial_belief,
+                                                           stat)}
+
+
+OUT_OF_RANGE = [(-1, 0), (2, 0), (5, 0), (0, -1), (0.0, 0), (0, 1.0), (True, 0)]
+PAST_S = [(1, 2), (0, 7)]
+
+
+@pytest.mark.parametrize("name", list(_range_strategies()))
+@pytest.mark.parametrize("pair", OUT_OF_RANGE + PAST_S)
+def test_action_distribution_rejects_out_of_range_pairs(name, pair):
+    # random behaviour read action -1 through the batch maximum's wrap, a
+    # transducer played the last action after action -1 and raised IndexError
+    # after action 5 or signal 7; a signal past S is out of range only to a
+    # strategy that knows S
+    strat = _range_strategies()[name]
+    a, s = pair
+    h = ObservedHistory((0, a, 1), (1, s, 0))
+    if pair in PAST_S and not hasattr(strat, "n_signals"):
+        assert _is_law(strat.action_distribution(h), 2)
+        return
+    with pytest.raises(InvalidInputError, match=re.escape(f"(action {a!r}, signal {s!r})")):
+        strat.action_distribution(h)
+
+
+def test_action_distribution_takes_numpy_integer_pairs():
+    for strat in _range_strategies().values():
+        h = ObservedHistory((np.int64(1), 0), (np.int32(1), np.int64(0)))
+        want = strat.action_distribution(ObservedHistory((1, 0), (1, 0)))
+        assert np.array_equal(strat.action_distribution(h), want)
 
 
 def test_random_behavior_strategy_is_seed_deterministic():
@@ -312,8 +399,9 @@ def test_belief_tracking_replays_bayes_updates(revealed_matching):
 # ---------------------------------------------------------------------------
 
 def _reference_hash_law(strat, h):
-    """Per-history RandomBehaviorStrategy rule: blake2b of the history key."""
-    key = (strat.seed,) + h.actions + (-1,) + h.signals
+    """Per-history RandomBehaviorStrategy rule: blake2b of the interleaved
+    int64 key (seed, a_1, s_1, a_2, s_2, ...), hashed from scratch."""
+    key = (strat.seed,) + tuple(v for pair in h.pairs for v in pair)
     digest = hashlib.blake2b(
         np.asarray(key, dtype=np.int64).tobytes(), digest_size=8 * strat.n_actions
     ).digest()
@@ -406,3 +494,52 @@ def test_batched_interface_matches_per_history_rules(case, length, width):
                     assert got.dtype == np.float64 and got.tobytes() == np.asarray(want).tobytes()
                 else:
                     assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+
+class _CountedHash:
+    """A blake2b state that counts its copies, fed bytes and digests."""
+
+    def __init__(self, state, log):
+        self.state, self.log = state, log
+
+    def copy(self):
+        self.log["copies"] += 1
+        return _CountedHash(self.state.copy(), self.log)
+
+    def update(self, data):
+        self.log["fed"].append(len(data))
+        self.state.update(data)
+
+    def digest(self):
+        self.log["digests"] += 1
+        return self.state.digest()
+
+
+def _distinct_prefixes(actions, signals, m):
+    """The number of distinct observed prefixes of length m among the plays."""
+    return len({(a[:m], s[:m]) for a, s in zip(map(tuple, actions.tolist()),
+                                                map(tuple, signals.tolist()))})
+
+
+def test_random_behavior_hashes_16_bytes_per_new_history(revealed_matching, monkeypatch):
+    # a work count with no timing: each stage makes one child state per
+    # distinct new history, fed its (a, s) pair as 16 bytes, and digests each
+    # history whose law is read once; rehashing whole histories fails here
+    log = {"roots": 0, "copies": 0, "fed": [], "digests": 0}
+
+    def blake2b(data, **kw):
+        log["roots"] += 1
+        return _CountedHash(hashlib.blake2b(data, **kw), log)
+
+    monkeypatch.setattr(strategies, "hashlib", types.SimpleNamespace(blake2b=blake2b))
+    p, x1 = revealed_matching.pomdp, revealed_matching.initial_belief
+    horizon, samples = 40, 6
+    strat = pe.RandomBehaviorStrategy(2, 9)
+    _, actions, signals = pe.simulate_plays(p, x1, strat, horizon, samples,
+                                            np.random.default_rng(4))
+    new = [_distinct_prefixes(actions, signals, m) for m in range(horizon + 1)]
+    assert new[-1] == samples           # the plays part, so the count is not trivial
+    assert log["roots"] == 1
+    assert log["copies"] == sum(new[1:])            # the kernel's last step makes length h
+    assert log["fed"] == [16] * log["copies"]
+    assert log["digests"] == sum(new[:-1])          # laws read at stages 1..h

@@ -445,10 +445,8 @@ def test_long_blocks_give_the_plays_and_draws_of_64_stage_blocks(case, kind, hor
     # contract does not see the cut
     p, x1, rng = case
     strat = _strategy(kind, p, rng)
-    if kind == "uniform":
+    if kind in ("uniform", "random_behavior"):
         horizon = min(horizon, 2500)
-    if kind == "random_behavior":        # O(horizon^2) history keys
-        horizon = min(horizon, STAGE_BLOCK + 1)
     samples = sum(counts)
     got_gens = [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
     want_gens = [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)]
