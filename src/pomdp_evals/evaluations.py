@@ -374,30 +374,84 @@ def eta_horizon(running_payoffs, l: int) -> int:
     """Smallest stage n' >= l whose prefix-average payoff is within 1/l of the
     empirical limsup proxy (max prefix average over the tail half), or the
     stage of the largest prefix average when none is: `_eta_stages` of one
-    play."""
-    return int(_eta_stages(np.asarray(running_payoffs, dtype=float)[:, None], l)[0])
+    play.  `running_payoffs` must be a 1-D sequence of finite numbers and l
+    an integer, else InvalidInputError."""
+    l = json_integer(l, "eta_horizon's l")
+    try:
+        g = np.asarray(running_payoffs)
+    except ValueError:           # a ragged nesting
+        g = None
+    if g is None or g.ndim != 1 or g.dtype.kind not in "iuf" or not np.isfinite(g).all():
+        raise InvalidInputError("eta_horizon takes a 1-D sequence of finite numbers")
+    return int(_eta_stages(g.astype(float)[:, None], l)[0])
 
 
 def _eta_stages(g: np.ndarray, l: int) -> np.ndarray:
-    """`eta_horizon` of every column of the (stages, plays) payoffs g at once."""
-    n = len(g)
+    """`eta_horizon` of every column of the (stages, plays) payoffs g at once:
+    `_eta_sweeps` of g as one block."""
+    return _eta_sweeps(lambda: [(0, g)], len(g), l)
+
+
+def _eta_sweeps(sweep, n: int, l: int) -> np.ndarray:
+    """The stopping stage of `eta_horizon` for every play of n stages, from
+    two sweeps over its payoffs: each call of `sweep()` yields the (t0, g)
+    payoff blocks of all plays in stage order, g being (block, plays).
+    Each sweep carries the running sums, so every prefix average is the same
+    in-order `cumsum` addition and the same division whatever the block
+    cut.  The first sweep finds the tail-half maximum (the proxy) and the
+    first stage of the largest average, the second the first stage >= l
+    whose average reaches proxy - 1/l - 1e-12, stopping once every play has
+    one.  No (stages, plays) matrix is built."""
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     if n < l:
         raise InvalidInputError("payoff sequence shorter than l")
-    avg = np.cumsum(g, axis=0) / np.arange(1, n + 1)[:, None]
-    proxy = avg[max(n // 2, 1) - 1:].max(axis=0)
-    hits = avg[l - 1:] >= proxy - 1.0 / l - 1e-12
-    return np.where(hits.any(axis=0), hits.argmax(axis=0) + l, avg.argmax(axis=0) + 1)
+
+    def averages():
+        total = None             # per play: the payoff sum before the block
+        for t0, g in sweep():
+            avg = np.array(g, dtype=float)
+            if total is not None:
+                avg[0] += total
+            np.cumsum(avg, axis=0, out=avg)
+            total = avg[-1].copy()
+            avg /= np.arange(t0 + 1, t0 + len(avg) + 1)[:, None]
+            yield t0, avg
+
+    tail = max(n // 2, 1) - 1    # the proxy's first row
+    proxy = top = top_at = None  # tail-half maximum; largest average and its row
+    for t0, avg in averages():
+        if top is None:
+            top, top_at = np.full(avg.shape[1], -np.inf), np.zeros(avg.shape[1], dtype=np.intp)
+            proxy = top.copy()
+        row = avg.argmax(axis=0)
+        best = avg[row, np.arange(avg.shape[1])]
+        later = best > top       # ties keep the first occurrence
+        top[later], top_at[later] = best[later], t0 + row[later]
+        if t0 + len(avg) > tail:
+            np.maximum(proxy, avg[max(tail - t0, 0):].max(axis=0), out=proxy)
+    floor = proxy - 1.0 / l - 1e-12
+    eta, found = top_at + 1, np.zeros(len(top_at), dtype=bool)
+    for t0, avg in averages():
+        if t0 + len(avg) < l:
+            continue
+        hits = avg[max(l - 1 - t0, 0):] >= floor
+        first = hits.any(axis=0) & ~found
+        eta[first] = hits.argmax(axis=0)[first] + max(l, t0 + 1)
+        found |= first
+        if found.all():
+            break
+    return eta
 
 
 def make_limsup_theta(l: int, horizon: int) -> Evaluation:
     """Uniform weights 1/eta on stages 1..eta, where eta is the stopping stage
     from eta_horizon applied to the play's belief payoffs.  Its block step
     holds every block of the stream, because eta depends on the whole play,
-    and takes the belief payoffs of the blocks as they came from
-    `belief_payoff_blocks`: walked along the closed belief graph, or
-    filtered on an open orbit."""
+    and holds nothing else of its size: `_eta_sweeps` takes the belief
+    payoffs twice from `belief_payoff_blocks` over the held blocks (walked
+    along the closed belief graph, or filtered on an open orbit), one block
+    at a time, and each block is yielded with its own weights and dropped."""
     if l < 1 or horizon < l:
         raise InvalidInputError("need horizon >= l >= 1")
 
@@ -405,12 +459,14 @@ def make_limsup_theta(l: int, horizon: int) -> Evaluation:
         if ctx is None:
             raise InvalidInputError("limsup weights need a POMDP context")
         held = list(blocks)
-        g = np.concatenate([gb for _, gb in belief_payoff_blocks(
-            ctx.pomdp, ctx.x1, [(t0, ac, sg) for t0, _, _, ac, sg in held])])
-        eta = _eta_stages(g, l)
-        w = np.where(np.arange(len(g))[:, None] < eta, 1.0 / eta, 0.0)
-        for t0, ids, st, ac, sg in held:
-            yield t0, ids, st, ac, sg, w[t0:t0 + len(st)], None
+        eta = _eta_sweeps(lambda: belief_payoff_blocks(
+            ctx.pomdp, ctx.x1, ((t0, ac, sg) for t0, _, _, ac, sg in held)),
+            sum(len(blk[2]) for blk in held), l)
+        share = 1.0 / eta
+        while held:
+            t0, ids, st, ac, sg = held.pop(0)
+            t = np.arange(t0, t0 + len(st))[:, None]
+            yield t0, ids, st, ac, sg, np.where(t < eta, share, 0.0), None
 
     return Evaluation(
         kind="limsup_theta",

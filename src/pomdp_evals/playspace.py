@@ -35,9 +35,13 @@ PROB_FLOOR = 1e-12
 # many more as keep it within BLOCK_CELLS cells of the columns its streams
 # draw: a narrow pass pays the fixed per-block cost of Python and numpy
 # dispatch across kernel, stream and consumer once per BLOCK_CELLS // columns
-# stages, and a pass of 256 columns or more keeps 64-stage blocks.  At 64 stages x 10 000 plays one float64 block takes 5 MB.
-STAGE_BLOCK = 64
+# stages, and a pass of 1024 columns or more keeps 16-stage blocks.  At 16
+# stages x 10 000 plays one float64 block takes 1.3 MB.
+STAGE_BLOCK = 16
 BLOCK_CELLS = 2 ** 14
+# Beliefs a closed belief graph may hold for `belief_payoff_blocks` to walk
+# it; a value of its own, not the block length.
+GRAPH_BELIEFS = 64
 # Chain-kernel blocks of at most this many plays step play by play in scalar
 # Python, wider ones one numpy search per stage.  Per 64-stage block of a
 # 3-memory transducer on a K=3, I=2, S=2 instance (best of 9, 2-core host),
@@ -152,17 +156,18 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
     same plays, as `_filter` takes them: yields (t0, g) with g of the
     block's shape.
 
-    When the beliefs reachable from x1 close into a graph of at most as many
-    beliefs as the first block has stages, and at most STAGE_BLOCK
-    (`model.belief_graph`, the graph the belief DP sweeps), each play
-    carries a belief id, stepped along the graph by its observed pairs, and
-    g is gathered from a (beliefs, actions) payoff table.  A block of at
-    most SCALAR_PLAYS plays walks its ids play by play in scalar Python
-    (`_walk_plays`), a wider one with one numpy `take` per stage; both read
-    the same table, so the ids are the same.  The limit holds a failed
-    attempt to at most I*S posteriors per stage of a 64-stage block,
-    however many plays the filter then carries or however long the blocks
-    are, and lets a narrow pass close a graph wider than itself.
+    When the beliefs reachable from x1 close into a graph of at most
+    GRAPH_BELIEFS (64) beliefs (`model.belief_graph`, the graph the belief
+    DP sweeps), each play carries a belief id, stepped along the graph by
+    its observed pairs, and g is gathered from a (beliefs, actions) payoff
+    table.  A block of at most SCALAR_PLAYS plays walks its ids play by
+    play in scalar Python (`_walk_plays`), a wider one with one numpy
+    `take` per stage; both read the same table, so the ids are the same.
+    The limit is its own value, not read from the blocks: it holds a failed
+    attempt to at most 64 * I * S posteriors, however many plays the filter
+    then carries or however long the blocks are, lets a narrow pass close a
+    graph wider than itself, and lets a wide pass of 16-stage blocks close
+    a graph of more beliefs than its first block has stages.
     An open orbit runs the Bayes filter `_filter`, carrying one (plays, K)
     belief.  Both paths give the same floats: the graph's beliefs are the
     filter's own updates told apart by their bytes, and the table is made
@@ -173,7 +178,7 @@ def belief_payoff_blocks(p: Pomdp, x1: np.ndarray, blocks):
         return
     blocks = chain([first], blocks)
     reward_of = p.reward.T
-    graph = belief_graph(p, x1, min(len(first[1]), STAGE_BLOCK))
+    graph = belief_graph(p, x1, GRAPH_BELIEFS)
     if graph is None:
         for t0, actions, bel in _filter(p, x1, blocks):
             yield t0, np.einsum("tnk,tnk->tn", bel, reward_of[actions])
@@ -287,7 +292,7 @@ def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams
     `horizon` stages whose (t0, ids, states, actions, signals) blocks each
     hold max(STAGE_BLOCK, BLOCK_CELLS // drawn) stages but the last, which
     may hold fewer, `drawn` being the columns of the streams still drawing
-    when the block is made.  A pass of 256 columns or more gets 64-stage
+    when the block is made.  A pass of 1024 columns or more gets 16-stage
     blocks; a narrower one longer blocks, which grow as its streams stop
     drawing, so a later block may be longer than the first.  `streams` lists
     (generator, count) pairs as in `simulate_plays`, whose draw contract the
@@ -369,7 +374,7 @@ def _block_stages(draws: list) -> int:
     """Stages of the next block: STAGE_BLOCK, or more as long as the block
     holds at most BLOCK_CELLS cells of the columns its streams draw.  The
     rule reads drawn columns, not kept plays, so a wide pass that retires
-    most of its plays keeps its 64-stage blocks and never draws ahead."""
+    most of its plays keeps its 16-stage blocks and never draws ahead."""
     return max(STAGE_BLOCK, BLOCK_CELLS // max(sum(n for _, n, _ in draws), 1))
 
 

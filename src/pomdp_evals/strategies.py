@@ -172,6 +172,7 @@ class RandomBehaviorStrategy(HistoryStrategy):
     seed: int
 
     def __post_init__(self):
+        self.n_actions = json_integer(self.n_actions, "random behavior action count")
         if not 1 <= self.n_actions <= 8:
             raise InvalidInputError(
                 f"random behavior strategies take 1 to 8 actions, got {self.n_actions}")
@@ -205,6 +206,7 @@ class UniformStrategy(Strategy):
     n_actions: int
 
     def __post_init__(self):
+        self.n_actions = json_integer(self.n_actions, "uniform play's action count")
         if self.n_actions < 1:
             raise InvalidInputError(f"uniform play needs at least one action, got {self.n_actions}")
 

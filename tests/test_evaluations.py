@@ -317,6 +317,18 @@ def test_eta_validates_inputs():
         eta_horizon(np.ones(3), 0)
 
 
+@pytest.mark.parametrize("payoffs, l", [
+    ([0.5] * 6, 2.5), ([0.5] * 6, True), ([0.5] * 6, "2"), ([0.5] * 6, None),
+    ([[0.5] * 6], 2), (np.full((6, 1), 0.5), 2), (0.5, 1), ([[0.5, 0.5], [0.5]], 1),
+    ([0.5, float("nan"), 0.2], 1), ([0.5, float("inf")], 1), (["0.5", "0.2"], 1),
+    ([True, False, True], 1), ([0.5, None], 1)])
+def test_eta_horizon_takes_a_1d_finite_sequence_and_an_integer_l(payoffs, l):
+    # a float l raised a raw TypeError, True ran as l = 1, a 2-D input raised
+    # a raw TypeError, and a NaN payoff silently gave stage 2
+    with pytest.raises(InvalidInputError):
+        eta_horizon(payoffs, l)
+
+
 def test_limsup_weights_are_uniform_up_to_eta(blind):
     p, x1 = blind.pomdp, blind.initial_belief
     e = pe.make_evaluation("limsup_theta", l=4, horizon=16)

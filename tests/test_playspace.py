@@ -13,9 +13,9 @@ import pomdp_evals as pe
 from pomdp_evals import playspace
 from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.model import ObservedHistory, bayes_matrices, bayes_update_rows, belief_graph
-from pomdp_evals.playspace import (enumerate_plays, play_blocks, shard_seeds,
-                                   simulate_plays, BLOCK_CELLS, PROB_FLOOR, SCALAR_PLAYS,
-                                   STAGE_BLOCK)
+from pomdp_evals.playspace import (belief_payoff_blocks, enumerate_plays, play_blocks,
+                                   shard_seeds, simulate_plays, BLOCK_CELLS, PROB_FLOOR,
+                                   SCALAR_PLAYS, STAGE_BLOCK)
 
 from conftest import (BUILTIN_SCENARIOS, belief_payoffs, belief_sequence, builtin_cases,
                       closed_instances, drifting_permutation, filter_payoffs, random_belief,
@@ -476,8 +476,7 @@ def test_off_support_history_falls_back_to_the_first_state_at_width_one():
 def test_belief_graph_payoffs_equal_the_filter_bit_for_bit(case, width, horizon, block,
                                                            sampled):
     # the builtin scenarios and the closed instances close their belief
-    # orbits, within the first block's stages but for the shortest blocks;
-    # most sparse instances do not; random observed pairs leave the
+    # orbits, within GRAPH_BELIEFS beliefs; most sparse instances do not; random observed pairs leave the
     # support, where both paths fall back to the Dirac at the first state
     p, x1, rng = case
     if sampled:
@@ -517,14 +516,37 @@ def test_builtin_belief_orbits_close():
 
 def test_a_narrow_pass_walks_a_closed_graph_larger_than_its_width(rng, monkeypatch):
     # matching-revealed holds 3 beliefs: a pass of 2 plays still walks its
-    # graph, because the graph may hold as many beliefs as the first block
-    # has stages
+    # graph, because the graph may hold GRAPH_BELIEFS beliefs whatever the
+    # pass's width
     sc = pe.builtin_scenario("matching-revealed")
     p, x1 = sc.pomdp, sc.initial_belief
     _, actions, signals = simulate_plays(p, x1, pe.uniform_strategy(p.n_actions), 150, 2, rng)
     want = filter_payoffs(p, x1, actions, signals)
     monkeypatch.setattr(playspace, "_filter", None)
     assert np.array_equal(belief_payoffs(p, x1, actions, signals), want)
+
+
+def test_a_wide_pass_of_short_blocks_walks_a_graph_longer_than_its_first_block(monkeypatch):
+    # a blind 30-state cycle from a Dirac start has a closed graph of 30
+    # beliefs; a pass of 1100 plays draws its first block of STAGE_BLOCK < 30
+    # stages, yet walks the graph, whose limit is its own 64
+    k = 30
+    trans = np.zeros((k, 1, k, 1))
+    trans[np.arange(k), 0, (np.arange(k) + 1) % k, 0] = 1.0
+    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), ("a",), ("o",), trans,
+                 np.random.default_rng(3).random((k, 1)))
+    x1 = pe.dirac_belief(k, 0)
+    assert STAGE_BLOCK < k < playspace.GRAPH_BELIEFS
+    assert len(belief_graph(p, x1, playspace.GRAPH_BELIEFS)[0]) == k
+    assert belief_graph(p, x1, STAGE_BLOCK) is None
+    blocks = [(t0, ac, sg) for t0, _, _, ac, sg in play_blocks(
+        p, x1, pe.always_strategy(1, 1, 0), 100, [(np.random.default_rng(0), 1100)])]
+    assert len(blocks[0][1]) == STAGE_BLOCK
+    want = np.concatenate([g for _, g in belief_payoff_blocks(p, x1, blocks)])
+    assert np.array_equal(want, np.tile(p.reward[np.arange(100) % k, 0][:, None], (1, 1100)))
+    monkeypatch.setattr(playspace, "_filter", None)
+    assert np.array_equal(np.concatenate([g for _, g in belief_payoff_blocks(p, x1, blocks)]),
+                          want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -96,6 +96,23 @@ def test_random_behavior_seed_must_be_an_int64(seed):
         pe.RandomBehaviorStrategy(2, seed)
 
 
+@pytest.mark.parametrize("make", [pe.RandomBehaviorStrategy,
+                                  lambda n, seed: pe.uniform_strategy(n)])
+@pytest.mark.parametrize("n_actions", [2.5, 2.0, "2", True, None, np.float64(2.0)])
+def test_action_count_must_be_an_integer(make, n_actions):
+    # 2.5 constructed a random behaviour rule that failed at its first law,
+    # '2' and uniform play's 2.5 raised raw TypeErrors on first use, and
+    # uniform play took True as one action
+    with pytest.raises(InvalidInputError, match="action count"):
+        make(n_actions, seed=1)
+
+
+def test_action_count_takes_numpy_integers():
+    for strat in (pe.RandomBehaviorStrategy(np.int64(3), 1), pe.uniform_strategy(np.int32(3))):
+        assert type(strat.n_actions) is int and strat.n_actions == 3
+        assert strat.action_distribution(ObservedHistory()).shape == (3,)
+
+
 def test_random_behavior_seed_takes_every_int64():
     h = ObservedHistory((0, 1), (1, 0))
     with warnings.catch_warnings():

@@ -20,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import pomdp_evals as pe
-from pomdp_evals.evaluations import (EvalContext, block_smooth, conditional_evaluation,
-                                     eta_horizon, pathwise_irregularity, weight_sums)
+from pomdp_evals.evaluations import (EvalContext, _eta_stages, block_smooth,
+                                     conditional_evaluation, eta_horizon, pathwise_irregularity,
+                                     weight_sums)
 from pomdp_evals.model import bayes_matrices, bayes_update_rows
 from pomdp_evals import playspace
 from pomdp_evals.playspace import (BLOCK_CELLS, MC_SHARDS, STAGE_BLOCK, PlayStream,
                                    belief_payoff_blocks, play_blocks, reduce_sampled_plays,
                                    shard_seeds, simulate_plays)
-from pomdp_evals.values import average_extrema, weighted_payoff_and_irregularity_mc
+from pomdp_evals.values import (average_extrema, weighted_payoff_and_irregularity_mc,
+                                weighted_payoff_mc)
 
 from conftest import sparse_instances
 
@@ -330,12 +332,13 @@ def test_sampled_pass_splits_samples_over_mc_shards_streams_at_any_horizon(redra
 
 
 def test_run_block_weights_across_block_cuts():
-    # l > STAGE_BLOCK: one run straddles two cuts, one ends at the last stage,
-    # one play has no run, one has a run of l - 1 broken and restarted, and
-    # one has its only full run beginning at stage 1 (searched from stage 2).
-    # The fold retires plays 0 and 3 once their runs end, so with short
-    # blocks one look-ahead window holds blocks with and without them.
-    l, horizon = STAGE_BLOCK + 7, 3 * STAGE_BLOCK + 5
+    # l > 64 > STAGE_BLOCK: one run straddles two cuts, one ends at the last
+    # stage, one play has no run, one has a run of l - 1 broken and
+    # restarted, and one has its only full run beginning at stage 1
+    # (searched from stage 2).  The fold retires plays 0 and 3 once their
+    # runs end, so with short blocks one look-ahead window holds blocks with
+    # and without them.
+    l, horizon = 71, 197
     states = np.ones((5, horizon), dtype=np.int32)
     states[0, 50:50 + l] = 0
     states[1, horizon - l:] = 0
@@ -348,7 +351,7 @@ def test_run_block_weights_across_block_cuts():
     assert want[0, 50:50 + l].tolist() == [1 / l] * l and want[1, -l:].sum() > 0
     assert not want[2].any() and not want[4].any()
     e = pe.make_evaluation("run_block_ex2", l=l)
-    for sizes in ([STAGE_BLOCK], [1], [STAGE_BLOCK - 1, 3], [l - 1], [l + 1]):
+    for sizes in ([64], [1], [63, 3], [l - 1], [l + 1], [STAGE_BLOCK]):
         assert np.array_equal(streamed_weights(e, plays, sizes), want)
         _, mass, jumps = weight_sums(e, cut(plays, sizes), horizon)
         np.testing.assert_allclose(mass, want.sum(axis=1), rtol=0, atol=1e-12)
@@ -461,14 +464,15 @@ def test_long_blocks_give_the_plays_and_draws_of_64_stage_blocks(case, kind, hor
 
 @settings(max_examples=30, deadline=None)
 @given(case=sparse_instances(), kind=hst.sampled_from(["transducer", "schedule", "uniform"]),
-       counts=hst.lists(hst.sampled_from([0, 1, 2, 5, 40, 300]), min_size=1, max_size=4)
+       counts=hst.lists(hst.sampled_from([0, 1, 2, 5, 40, 300, 1100]), min_size=1, max_size=4)
        .filter(any),
        rate=hst.sampled_from([0.0, 0.3, 1.0]), seed=hst.integers(0, 2**16))
 def test_no_block_holds_more_than_its_cell_budget(case, kind, counts, rate, seed):
     # whatever plays retire, a block holds min(max(STAGE_BLOCK, BLOCK_CELLS
     # // drawn), stages left) stages, drawn being the columns of the streams
     # still drawing, so at most max(STAGE_BLOCK * drawn, BLOCK_CELLS) cells;
-    # a stream of 256 columns or more keeps 64-stage blocks
+    # a pass of BLOCK_CELLS // STAGE_BLOCK columns or more keeps
+    # STAGE_BLOCK-stage blocks, as a stream of 1100 plays makes it do.
     p, x1, rng = case
     strat = _strategy(kind, p, rng)
     bounds = np.cumsum([0] + counts)
@@ -697,6 +701,92 @@ def test_streamed_pass_memory_stays_below_a_quarter_of_one_play_matrix(redraw):
         tracemalloc.stop()
     assert pay.value >= 0.99 and abs(irr.mean - 2 / 8) <= 3 * irr.std_error
     assert peak < 0.25 * samples * horizon * 8, f"peak {peak / 2**20:.1f} MB"
+
+
+def _action_payoffs():
+    """An instance whose signal reveals the next state from a Dirac start, so
+    every belief is a Dirac, and whose reward is the action's index: the
+    belief payoff at a stage is exactly its action, 0 or 1."""
+    q = np.array([[[0.3, 0.7], [0.6, 0.4]], [[0.5, 0.5], [0.2, 0.8]]])
+    trans = q[..., None] * np.eye(2)
+    p = pe.Pomdp(("s0", "s1"), ("a0", "a1"), ("o0", "o1"), trans, np.array([[0.0, 1.0]] * 2))
+    return p, np.array([1.0, 0.0])
+
+
+def _limsup_reference(g, l):
+    """limsup_theta's weights from `_eta_stages` of the whole (stages, plays)
+    payoffs g."""
+    eta = _eta_stages(g, l)
+    return np.where(np.arange(len(g))[:, None] < eta, 1.0 / eta, 0.0).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_instances(), by_action=hst.booleans(),
+       horizon=hst.integers(1, 2 * STAGE_BLOCK + 70), width=hst.integers(1, 6),
+       l_at=hst.sampled_from(["horizon", "any"]), cuts=hst.lists(CUTS, min_size=1, max_size=2),
+       density=hst.floats(0.0, 1.0), stop=hst.floats(0.0, 1.0))
+def test_limsup_theta_weights_equal_eta_stages_of_the_whole_play(case, by_action, horizon, width,
+                                                                 l_at, cuts, density, stop):
+    # the weights from two streamed sweeps over any block cut are those of
+    # `_eta_stages` on the concatenated belief payoffs, bit for bit.  With
+    # payoffs 0/1 (the actions of `_action_payoffs`) prefix averages tie
+    # often, across cuts too, and where the ones stop at a fraction `stop` of
+    # the horizon, l = horizon often has no hit, so eta falls back to the
+    # first largest average.
+    p, x1, rng = case
+    if by_action:
+        p, x1 = _action_payoffs()
+        actions = (rng.random((width, horizon)) < density).astype(np.int64)
+        actions[:, int(stop * horizon):] = 0
+    else:
+        actions = rng.integers(0, p.n_actions, (width, horizon))
+    l = horizon if l_at == "horizon" else int(rng.integers(1, horizon + 1))
+    plays = (rng.integers(0, p.n_states, (width, horizon)), actions,
+             rng.integers(0, p.n_signals, (width, horizon)))
+    g = ref_belief_payoffs(p, x1, plays[1], plays[2]).T
+    if by_action:
+        assert np.array_equal(g, plays[1].T.astype(float))
+    want = _limsup_reference(g, l)
+    e, ctx = pe.make_evaluation("limsup_theta", l=l, horizon=horizon), EvalContext(p, x1)
+    for sizes in cuts:
+        assert np.array_equal(streamed_weights(e, plays, sizes, ctx), want)
+    assert np.array_equal(e.batch_weights(*plays, ctx), want)
+
+
+@pytest.mark.parametrize("sizes", [[1], [3], [7, 2], [STAGE_BLOCK], [40]])
+def test_limsup_theta_falls_back_to_the_first_largest_average_across_cuts(sizes):
+    # at l = n = 40 neither play's last average is within 1/40 of its
+    # tail-half maximum: the first play's largest average 1 ties at stages
+    # 1-3, the second's 1/2 at every even stage up to 18, across every cut
+    p, x1 = _action_payoffs()
+    actions = np.zeros((2, 40), dtype=np.int64)
+    actions[0, :3] = 1
+    actions[1, 1:18:2] = 1
+    plays = (np.zeros_like(actions), actions, np.zeros_like(actions))
+    e = pe.make_evaluation("limsup_theta", l=40, horizon=40)
+    w = streamed_weights(e, plays, sizes, EvalContext(p, x1))
+    assert [eta_horizon(a, 40) for a in actions] == [1, 2]
+    assert np.array_equal(w, _limsup_reference(actions.T.astype(float), 40))
+    assert w[0, 0] == 1.0 and w[1, :2].tolist() == [0.5, 0.5] and w.sum() == 2.0
+
+
+def test_limsup_theta_pass_holds_under_20_bytes_per_play_stage(redraw):
+    # the limsup_theta pass holds its play blocks (three int32 per cell)
+    # and streams everything else: no (plays, horizon) float matrix of
+    # belief payoffs, averages or weights is built (whole-play float
+    # matrices of those would take about 38 traced bytes per cell)
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    samples, horizon = 2000, 400
+    e = pe.make_evaluation("limsup_theta", l=4, horizon=horizon)
+    tracemalloc.start()
+    try:
+        rep = weighted_payoff_mc(p, x1, pe.builtin_strategy("always:0", p), e, horizon,
+                                 samples, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.value - 0.5) <= rep.error_bound
+    assert peak < 20 * samples * horizon, f"{peak / (samples * horizon):.1f} B per cell"
 
 
 def test_window_start_outside_the_horizon_is_rejected():
