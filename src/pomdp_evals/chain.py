@@ -3,13 +3,14 @@ ergodic decomposition, stationary vectors, absorption probabilities, class
 payoffs, mixing diagnostics, and exact long-run inferior values."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, PomdpEvalError
 from .model import Pomdp
-from .playspace import _chain_tables, _check_play_inputs
+from .playspace import _check_play_inputs
 from .strategies import Transducer
 
 EDGE_THRESHOLD = 1e-12
@@ -81,29 +82,55 @@ def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
     the chain on the full (state, memory, action, signal) space projects onto
     this quotient without losing the payoff process.
     """
+    trans, payoff, init = _product_tables(p, t, x1)
+    labels = tuple((k, mm) for k in p.states for mm in range(t.n_memory))
+    return MarkovChain(labels, trans, payoff, init)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_index(k: int, n_i: int, n_s: int, m: int) -> tuple:
+    """Read-only index arrays of the product chain on k states x m
+    memories, which depend on nothing else.  Per row u = state * m + memory:
+    the memory, then memory * n_i and state * n_i (plus the action, the row
+    of the update and of the transition table to read), and the flat offset
+    u * n + l * m of each next state l."""
+    n = k * m
+    row = np.arange(n)
+    out = (row % m, row % m * n_i, row // m * n_i,
+           (row[:, None] * n + np.arange(k) * m)[:, :, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _product_tables(p: Pomdp, t: Transducer, x1: np.ndarray) -> tuple:
+    """(transition, payoff, initial law) of `product_chain`, once the
+    transducer is checked to fit p and x1 to be a belief over its states."""
     if not isinstance(t, Transducer):
         raise InvalidInputError(f"a product chain needs a finite-memory strategy "
                                 f"(a transducer), not {type(t).__name__}")
     x1 = _check_play_inputs(p, x1, t)
-    act, _, nxt, m, initial = _chain_tables(p, t, 0)
-    n = p.n_states * m
-    state, act = np.arange(n) // m, act[0]
+    k, n_s, m = p.n_states, p.n_signals, t.n_memory
+    n = k * m
+    mem, mem_row, state_row, offset = _product_index(k, p.n_actions, n_s, m)
+    act = t.act.take(mem)
+    # cell (u, l, s) moves row u to state l and the memory after signal s;
     # bincount adds each cell's contributions in index order, as np.add.at does
-    cell = (np.arange(n)[:, None] * n + nxt).ravel()
-    trans = np.bincount(cell, weights=p.transition[state, act].ravel(),
-                        minlength=n * n).reshape(n, n)
+    cell = offset + t.update.reshape(-1, n_s).take(mem_row + act, axis=0)[:, None, :]
+    row = state_row + act
+    trans = np.bincount(cell.ravel(), minlength=n * n,
+                        weights=p.transition.reshape(-1, k * n_s).take(row, axis=0).ravel())
     init = np.zeros(n)
-    init[np.arange(p.n_states) * m + initial] = x1
-    labels = tuple((k, mm) for k in p.states for mm in range(m))
-    return MarkovChain(labels, trans, p.reward[state, act], init)
+    init[t.initial::m] = x1
+    return trans.reshape(n, n), p.reward.take(row), init
 
 
-def _stationary_vector(sub: np.ndarray, label) -> np.ndarray:
-    """Solve pi P = pi, pi . 1 = 1 on a closed class by dense LU.  The
-    system is built in place of `sub`, a copy the caller gives away."""
-    n = sub.shape[0]
-    sub.flat[::n + 1] -= 1.0
-    a = sub.T
+def _stationary_vector(a: np.ndarray, label) -> np.ndarray:
+    """Solve pi P = pi, pi . 1 = 1 on a closed class by dense LU.  `a` is the
+    transpose of the class's block of P, a copy the caller gives away, and
+    the system is built in its place."""
+    n = a.shape[0]
+    a.ravel()[::n + 1] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -118,11 +145,12 @@ def _strong_components(succ: list) -> tuple:
     """(component count, component label per node) of the digraph whose
     node v has the successors succ[v]: Tarjan's (1972) algorithm with an
     explicit stack of (node, successor iterator), so a long path needs no
-    recursion."""
+    recursion.  A node leaves the stack with its component and its
+    discovery number set to n, above every low link, so no successor test
+    reads an on-stack flag."""
     n = len(succ)
-    index = [-1] * n          # discovery order; -1 = not yet visited
+    index = [-1] * n          # discovery order; -1 = not yet visited, n = done
     low = [0] * n
-    on_stack = [False] * n
     comp = np.empty(n, dtype=np.int64)
     stack, n_comp, seen = [], 0, 0
     for root in range(n):
@@ -131,29 +159,29 @@ def _strong_components(succ: list) -> tuple:
         index[root] = low[root] = seen
         seen += 1
         stack.append(root)
-        on_stack[root] = True
         path = [(root, iter(succ[root]))]
         while path:
             v, todo = path[-1]
             for w in todo:
-                if index[w] < 0:
+                iw = index[w]
+                if iw < 0:
                     index[w] = low[w] = seen
                     seen += 1
                     stack.append(w)
-                    on_stack[w] = True
                     path.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < low[v]:
+                    low[v] = iw
             else:
                 # every successor of v is done: v leaves the path
                 path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] == index[v]:
+                lv = low[v]
+                if path and lv < low[path[-1][0]]:
+                    low[path[-1][0]] = lv
+                if lv == index[v]:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        index[w] = n
                         comp[w] = n_comp
                         if w == v:
                             break
@@ -164,55 +192,63 @@ def _strong_components(succ: list) -> tuple:
 def ergodic_decomposition(c: MarkovChain) -> ErgodicDecomposition:
     """Closed strongly connected components, their stationary laws and
     average payoffs, and the absorption probabilities from the initial law."""
-    t, n = c.transition, c.n_states
-    rows, cols = np.nonzero(t)
-    mass = t[rows, cols]
-    edge = mass > EDGE_THRESHOLD
-    ends = np.bincount(rows[edge], minlength=n).cumsum().tolist()
-    succ = cols[edge].tolist()
-    n_comp, comp = _strong_components([succ[a:b] for a, b in zip([0, *ends], ends)])
-    # a component is recurrent iff it is closed: the mass leaving it, over
-    # every positive cell (support or not), is at most EDGE_THRESHOLD
-    leaving = comp[rows] != comp[cols]
-    leak = np.bincount(comp[rows[leaving]], weights=mass[leaving], minlength=n_comp)
-    is_closed = leak <= EDGE_THRESHOLD
-    members = [[] for _ in range(n_comp)]
-    for u, d in enumerate(comp.tolist()):
-        members[d].append(u)
-    closed = sorted(tuple(members[d]) for d in np.flatnonzero(is_closed).tolist())
-    transient = tuple(np.flatnonzero(~is_closed[comp]).tolist())
+    return ErgodicDecomposition(*_decompose(c.transition, c.payoff, c.initial,
+                                            c.labels.__getitem__))
 
-    stationary, values = [], []
-    for d, idx in enumerate(closed):
-        ix = np.array(idx)
-        pi = _stationary_vector(t[ix[:, None], ix], d)
+
+def _decompose(trans: np.ndarray, payoff: np.ndarray, initial: np.ndarray, label) -> tuple:
+    """(transient, classes, stationary, class values, absorption) of the
+    chain with these tables, as `ErgodicDecomposition` holds them; `label(u)`
+    names state u in errors.  The bookkeeping reads the nonzero cells from
+    one `np.nonzero` and walks them as Python lists, in row-major order."""
+    n = len(payoff)
+    rows, cols = np.nonzero(trans)
+    mass = trans[rows, cols].tolist()
+    rows, cols = rows.tolist(), cols.tolist()
+    succ, threshold = [[] for _ in range(n)], EDGE_THRESHOLD
+    for u, v, w in zip(rows, cols, mass):
+        if w > threshold:
+            succ[u].append(v)
+    n_comp, comp = _strong_components(succ)
+    if n_comp == 1:                     # a lone component leaks nothing
+        closed, transient = [tuple(range(n))], ()
+    else:
+        # a component is recurrent iff it is closed: the mass leaving it,
+        # over every positive cell (support or not) added in row-major
+        # order, is at most EDGE_THRESHOLD
+        comp, leak = comp.tolist(), [0.0] * n_comp
+        for u, v, w in zip(rows, cols, mass):
+            if comp[u] != comp[v]:
+                leak[comp[u]] += w
+        members = [[] for _ in range(n_comp)]
+        for u, d in enumerate(comp):
+            members[d].append(u)
+        closed = sorted(tuple(members[d]) for d in range(n_comp) if leak[d] <= threshold)
+        transient = tuple(u for u, d in enumerate(comp) if leak[d] > threshold)
+
+    index, stationary, values = [np.array(idx) for idx in closed], [], []
+    for d, ix in enumerate(index):
+        pi = _stationary_vector(trans[ix, ix[:, None]], d)
         stationary.append(pi)
-        values.append(float(pi @ c.payoff[ix]))
+        values.append(float(pi @ payoff.take(ix)))
 
     # absorption: h_d(u) = P(absorbed in class d | start u), linear system on
     # the transient part; recurrent states hit their own class with prob 1
     absorption = []
     if transient:
         tr = np.array(transient)
-        lhs = np.eye(len(tr)) - t[tr[:, None], tr]
-    for idx in closed:
-        ix = np.array(idx)
+        lhs = np.eye(len(tr)) - trans[tr[:, None], tr]
+    for ix in index:
         h = np.zeros(n)
         h[ix] = 1.0
         if transient:
             try:
-                h[tr] = np.linalg.solve(lhs, t[tr[:, None], ix].sum(axis=1))
+                h[tr] = np.linalg.solve(lhs, trans[tr[:, None], ix].sum(axis=1))
             except np.linalg.LinAlgError as exc:
                 raise PomdpEvalError(f"singular absorption system on the transient states "
-                                     f"{[c.labels[j] for j in transient]}") from exc
-        absorption.append(float(c.initial @ h))
-    return ErgodicDecomposition(
-        transient=transient,
-        classes=tuple(closed),
-        stationary=tuple(stationary),
-        class_values=tuple(values),
-        absorption=tuple(absorption),
-    )
+                                     f"{[label(u) for u in transient]}") from exc
+        absorption.append(float(initial @ h))
+    return transient, tuple(closed), tuple(stationary), tuple(values), tuple(absorption)
 
 
 def mixing_threshold(c: MarkovChain, dec: ErgodicDecomposition = None) -> int:
@@ -242,6 +278,9 @@ def mixing_threshold(c: MarkovChain, dec: ErgodicDecomposition = None) -> int:
 def liminf_value_transducer(p: Pomdp, x1: np.ndarray, t: Transducer) -> float:
     """Exact expected long-run inferior average payoff of a transducer: the
     running average converges to the entered class's stationary payoff, so
-    the expectation is the absorption-weighted class payoff."""
-    dec = ergodic_decomposition(product_chain(p, t, x1))
-    return float(sum(a * g for a, g in zip(dec.absorption, dec.class_values)))
+    the expectation is the absorption-weighted class payoff.  The product
+    chain's tables are decomposed as they are built, with no `MarkovChain`
+    or `ErgodicDecomposition` around them."""
+    *_, values, absorption = _decompose(
+        *_product_tables(p, t, x1), lambda u: (p.states[u // t.n_memory], u % t.n_memory))
+    return float(sum(a * g for a, g in zip(absorption, values)))

@@ -166,6 +166,36 @@ def _edge_costs(mu: SupportedMeasure, nu: SupportedMeasure) -> np.ndarray:
     return np.rint(np.abs(x[:, None] - y[None]).sum(axis=2) * _FLOW_SCALE).astype(np.int64)
 
 
+def _greedy_start(a: list, b: list, costs: np.ndarray) -> dict:
+    """The least-cost greedy flows {(i, j): flow} of `_transport`'s start, in
+    the order they are set: cells in stable ascending cost order each take
+    as much as both their ends have left.  A row or column once exhausted
+    stays so, and its cells take nothing: the sorted cells are read in
+    doubling chunks, numpy drops those with an end exhausted before the
+    chunk, and Python visits only the rest."""
+    m = len(b)
+    order = np.argsort(costs, axis=None, kind="stable")
+    left_a, left_b, left = list(a), list(b), sum(a)
+    open_a, open_b = np.ones(len(a), dtype=bool), np.ones(m, dtype=bool)
+    flow: dict = {}
+    start, size = 0, len(a) + m
+    while left and start < len(order):
+        rows, cols = np.divmod(order[start:start + size], m)
+        keep = open_a[rows] & open_b[cols]
+        for i, j in zip(rows[keep].tolist(), cols[keep].tolist()):
+            moved = min(left_a[i], left_b[j])
+            if moved:
+                flow[i, j] = moved
+                left_a[i] -= moved
+                left_b[j] -= moved
+                left -= moved
+                open_a[i], open_b[j] = left_a[i] > 0, left_b[j] > 0
+                if not left:
+                    break
+        start, size = start + size, 2 * size
+    return flow
+
+
 def _transport(a: list, b: list, costs: np.ndarray) -> tuple:
     """Exact min-cost transport of the positive integer supplies `a` (rows) to
     the demands `b` (columns) of equal total, at int64 `costs[i, j]` per unit.
@@ -174,10 +204,10 @@ def _transport(a: list, b: list, costs: np.ndarray) -> tuple:
 
     Transportation simplex on the bipartite network with an arc from each
     row i to each column j; a basis is a spanning tree of cells.
-      - Start: least-cost greedy.  Cells in ascending cost order take as much
-        flow as both their ends have left; zero-flow cells then join the
-        forest into one tree, each hanging a component by one of its rows
-        under a column of row 0's component.
+      - Start: least-cost greedy (`_greedy_start`).  Cells in ascending
+        cost order take as much flow as both their ends have left; zero-flow
+        cells then join the forest into one tree, each hanging a component
+        by one of its rows under a column of row 0's component.
       - Pricing: row and column potentials u, v from one walk of the tree
         from row 0, reduced costs costs - u - v in one numpy expression; the
         most negative cell enters (Dantzig's rule).
@@ -193,18 +223,7 @@ def _transport(a: list, b: list, costs: np.ndarray) -> tuple:
     paths, so (len(a) + len(b)) * max |cost| must fit in int64."""
     n, m = len(a), len(b)
     cost_rows = costs.tolist()
-    flow: dict = {}
-    left_a, left_b, left = list(a), list(b), sum(a)
-    for cell in np.argsort(costs, axis=None, kind="stable").tolist():
-        if not left:
-            break
-        i, j = divmod(cell, m)
-        moved = min(left_a[i], left_b[j])
-        if moved:
-            flow[i, j] = moved
-            left_a[i] -= moved
-            left_b[j] -= moved
-            left -= moved
+    flow = _greedy_start(a, b, costs)
     # nodes: row i is i, column j is n + j; join the components at row 0's
     component = list(range(n + m))
 

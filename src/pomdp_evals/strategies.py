@@ -14,7 +14,6 @@ distinct history and never per stage played before."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -264,21 +263,24 @@ class Transducer(Strategy):
     initial: int = 0
 
     def __post_init__(self):
-        act = np.asarray(self.act, dtype=np.int64)
-        upd = np.asarray(self.update, dtype=np.int64)
-        m = act.shape[0]
-        if upd.shape != (m, self.n_actions, self.n_signals):
-            raise InvalidInputError("transducer update table has wrong shape")
-        if np.any(act < 0) or np.any(act >= self.n_actions):
+        n_actions = json_integer(self.n_actions, "transducer action count")
+        n_signals = json_integer(self.n_signals, "transducer signal count")
+        initial = json_integer(self.initial, "transducer initial memory")
+        act, upd = _integer_table(self.act, "action map"), _integer_table(self.update, "update map")
+        m = len(act) if act.ndim == 1 else -1
+        if m < 0 or upd.shape != (m, n_actions, n_signals):
+            raise InvalidInputError(f"transducer tables have shapes {act.shape} and {upd.shape}; "
+                                    f"they need (M,) and (M, {n_actions}, {n_signals})")
+        # negative entries read as huge unsigned ones: one reduction per table
+        if not act.view(np.uint64).max(initial=0) < n_actions:
             raise InvalidInputError("transducer action map out of range")
-        if np.any(upd < 0) or np.any(upd >= m):
+        if not upd.view(np.uint64).max(initial=0) < m:
             raise InvalidInputError("transducer update map out of range")
-        if not 0 <= self.initial < m:
+        if not 0 <= initial < m:
             raise InvalidInputError(
-                f"transducer initial memory {self.initial} out of range [0, {m})")
-        object.__setattr__(self, "act", act)
-        object.__setattr__(self, "update", upd)
-        object.__setattr__(self, "initial", int(self.initial))
+                f"transducer initial memory {initial} out of range [0, {m})")
+        self.n_actions, self.n_signals, self.initial = n_actions, n_signals, initial
+        self.act, self.update = act, upd
 
     @property
     def n_memory(self) -> int:
@@ -314,6 +316,17 @@ def _canonical_key(acts, moves, n_signals: int, initial: int = 0) -> tuple:
                 order.append(nxt)
     return (len(order), tuple(acts[m] for m in order),
             tuple(seen[nxt] for m in order for nxt in moves[m * n_signals:(m + 1) * n_signals]))
+
+
+def _integer_table(value, what: str) -> np.ndarray:
+    """value as an int64 array; a table whose entries are not integers
+    (floats, bools, strings) is rejected with InvalidInputError, never
+    truncated."""
+    table = np.asarray(value)
+    if table.dtype.kind not in "iu":
+        raise InvalidInputError(f"transducer {what} has non-integer entries "
+                                f"(dtype {table.dtype})")
+    return table.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -460,15 +473,22 @@ def always_strategy(n_actions: int, n_signals: int, action: int) -> Transducer:
 
 def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> list:
     """All transducers with at most `max_memory` memory states, de-duplicated
-    by canonical form (BFS relabeling of the reachable part along the run).
-    The key of each candidate is computed from its plain action and move
-    tuples before anything is built, so only the first transducer of each
+    by canonical form (BFS relabeling of the reachable part along the run),
+    keeping the first candidate of each form in the order of
+    `itertools.product` over memory sizes, action maps and move tables.
+
+    A candidate with fewer reachable memories than its size has the form of
+    a smaller, fully reachable candidate met before it, so each size only
+    adds its fully reachable forms.  Their keys are built as arrays for all
+    candidates of one size at once, and only the first transducer of each
     key is constructed.
 
     Only update entries for the played action are enumerated; entries for
     foreign actions are filled with the played action's moves, since the run
     never consults them.  Deterministic order.
     """
+    max_memory = json_integer(max_memory, "max_memory")
+    cap = json_integer(cap, "the enumeration cap")
     if max_memory < 1:
         raise InvalidInputError("max_memory must be >= 1")
     n_i, n_s = p.n_actions, p.n_signals
@@ -480,17 +500,58 @@ def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> li
             f"transducer enumeration would generate {total} candidates (cap {cap})"
         )
     out = []
-    seen = set()
     for m in range(1, max_memory + 1):
-        for acts in itertools.product(range(n_i), repeat=m):
-            for moves in itertools.product(range(m), repeat=m * n_s):
-                key = _canonical_key(acts, moves, n_s)
-                if key not in seen:
-                    seen.add(key)
-                    update = np.repeat(np.array(moves).reshape(m, 1, n_s), n_i, axis=1)
-                    out.append(Transducer(n_actions=n_i, n_signals=n_s,
-                                          act=np.array(acts), update=update))
+        moves = _product_grid(m, m * n_s).reshape(-1, m, n_s)
+        acts = _product_grid(n_i, m)
+        order, label = _bfs_relabel(moves)
+        full = np.flatnonzero(order[:, -1] >= 0)
+        order, label, moves = order[full], label[full], moves[full]
+        # key of candidate (a, f), row a * len(full) + f: the actions and the
+        # relabeled moves in BFS order
+        seq = np.take_along_axis(moves, order[:, :, None], axis=1).reshape(len(full), -1)
+        keys = np.empty((len(acts), len(full), m + m * n_s),
+                        dtype=np.min_scalar_type(max(n_i, m)))
+        keys[:, :, :m] = acts[:, order]
+        keys[:, :, m:] = np.take_along_axis(label, seq, axis=1)
+        # a dict on each key's bytes keeps the first row of each key, in
+        # row order
+        first = {}
+        for row, key in enumerate(keys.view((np.void, keys.shape[2] * keys.itemsize)).ravel()
+                                  .tolist()):
+            first.setdefault(key, row)
+        a, f = np.divmod(np.fromiter(first.values(), dtype=np.intp), len(full))
+        updates = np.repeat(moves[f][:, :, None, :], n_i, axis=2)
+        out.extend(Transducer(n_actions=n_i, n_signals=n_s, act=act, update=update)
+                   for act, update in zip(acts[a], updates))
     return out
+
+
+def _product_grid(base: int, width: int) -> np.ndarray:
+    """(base ** width, width) int64 rows of `itertools.product(range(base),
+    repeat=width)`, in its order."""
+    return np.indices((base,) * width).reshape(width, -1).T.astype(np.int64)
+
+
+def _bfs_relabel(moves: np.ndarray) -> tuple:
+    """Breadth-first runs from memory 0 of the (N, M, S) move tables, as
+    `_canonical_key` walks one, in M * S vectorised steps: (order, label),
+    order[r, j] the j-th memory reached (-1 past the reachable count) and
+    label[r, x] the position of memory x in that order (-1 if unreached)."""
+    n, m, n_s = moves.shape
+    rows = np.arange(n)
+    order = np.full((n, m), -1, dtype=np.int64)
+    label = np.full((n, m), -1, dtype=np.int64)
+    order[:, 0] = label[:, 0] = 0
+    count = np.ones(n, dtype=np.int64)
+    for q in range(m):
+        cur, live = order[:, q], q < count
+        for s in range(n_s):
+            nxt = moves[rows, cur, s]
+            new = np.flatnonzero(live & (label[rows, nxt] < 0))
+            label[new, nxt[new]] = count[new]
+            order[new, count[new]] = nxt[new]
+            count[new] += 1
+    return order, label
 
 
 # ---------------------------------------------------------------------------

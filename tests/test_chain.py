@@ -376,3 +376,66 @@ def test_empirical_occupation_matches_stationary_law(redraw):
     freq = (st == 0).mean()
     se = 0.5 / np.sqrt(st.size)
     assert abs(freq - pi[0]) <= 3 * se
+
+
+@hst.composite
+def sweep_cases(draw):
+    """A random POMDP and transducer for `liminf_value_transducer`: K 1-4,
+    I and S 1-3, memory 1-3 with a random initial memory, and a random
+    initial belief.  About a third of the transition cells are exactly
+    zero, some are 1e-13 (below EDGE_THRESHOLD), and each state is
+    absorbing under every action with probability 0.3, so chains often have
+    several closed classes."""
+    k, n_i, n_s, m = (draw(hst.integers(1, hi)) for hi in (4, 3, 3, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    trans = rng.random((k, n_i, k * n_s)) * (rng.random((k, n_i, k * n_s)) > 0.35)
+    trans[rng.random(trans.shape) < 0.15] = 1e-13
+    trans[np.arange(k)[:, None], np.arange(n_i), rng.integers(0, k * n_s, (k, n_i))] += 0.1
+    for j in np.flatnonzero(rng.random(k) < 0.3):
+        trans[j] = 0.0
+        trans[j, :, j * n_s + rng.integers(n_s)] = 1.0
+    trans /= trans.sum(axis=2, keepdims=True)
+    p = pe.Pomdp(tuple(f"s{j}" for j in range(k)), tuple(f"a{j}" for j in range(n_i)),
+                 tuple(f"o{j}" for j in range(n_s)), trans.reshape(k, n_i, k, n_s),
+                 rng.random((k, n_i)))
+    t = pe.Transducer(n_i, n_s, rng.integers(0, n_i, size=m),
+                      rng.integers(0, m, size=(m, n_i, n_s)), initial=int(rng.integers(m)))
+    return p, pe.make_belief(rng.dirichlet(np.ones(k))), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+def test_liminf_value_is_the_absorption_weighted_class_value_bit_for_bit(case):
+    p, x1, t = case
+    c = product_chain(p, t, x1)
+    dec = ergodic_decomposition(c)
+    want = float(sum(a * g for a, g in zip(dec.absorption, dec.class_values)))
+    *_, values, absorption = _per_component_decomposition(c)
+    assert float(sum(a * g for a, g in zip(absorption, values))).hex() == want.hex()
+    assert liminf_value_transducer(p, x1, t).hex() == want.hex()
+
+
+def test_liminf_value_builds_no_chain_and_no_decomposition(rng, monkeypatch):
+    # a work count with no timing: the sweep's per-candidate value reads the
+    # product chain's tables directly, with no wrapper objects around them
+    built = []
+    chain_check, dec_init = MarkovChain.__post_init__, pe.ErgodicDecomposition.__init__
+
+    def counted_chain(self):
+        built.append(type(self))
+        chain_check(self)
+
+    def counted_dec(self, *args, **kwargs):
+        built.append(type(self))
+        dec_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkovChain, "__post_init__", counted_chain)
+    monkeypatch.setattr(pe.ErgodicDecomposition, "__init__", counted_dec)
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    x1 = pe.make_belief(rng.dirichlet(np.ones(3)))
+    ergodic_decomposition(product_chain(p, pe.always_strategy(2, 2, 0), x1))
+    assert built == [MarkovChain, pe.ErgodicDecomposition]     # the counters count
+    built.clear()
+    for t in pe.enumerate_transducers(p, max_memory=3)[:100]:
+        liminf_value_transducer(p, x1, t)
+    assert built == []

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 import pomdp_evals as pe
 from pomdp_evals.errors import InvalidInputError
 from pomdp_evals.measures import (_FLOW_SCALE, MASS_FLOOR, DisintegrationTable, _edge_costs,
-                                  _transport)
+                                  _greedy_start, _transport)
 from pomdp_evals.model import SIGNAL_PROB_FLOOR
 
 from conftest import belief_sequence, random_belief, random_pomdp, sparse_instances
@@ -372,6 +372,44 @@ def test_transport_cost_equals_networkx_exactly(problem):
     cost, basis = _transport(a, b, costs)
     assert cost == networkx_transport_cost(a, b, costs)
     assert_optimal_basis(a, b, costs, cost, basis)
+
+
+def _greedy_reference(a, b, costs):
+    """The greedy start that visits every sorted cell until the supply is
+    placed: the reference for `_greedy_start`."""
+    m, flow = len(b), {}
+    left_a, left_b, left = list(a), list(b), sum(a)
+    for cell in np.argsort(costs, axis=None, kind="stable").tolist():
+        if not left:
+            break
+        i, j = divmod(cell, m)
+        moved = min(left_a[i], left_b[j])
+        if moved:
+            flow[i, j] = moved
+            left_a[i] -= moved
+            left_b[j] -= moved
+            left -= moved
+    return flow
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=hst.integers(1, 40), m=hst.integers(1, 60), n_costs=hst.integers(1, 5),
+       seed=hst.integers(0, 2**32 - 1))
+def test_greedy_start_sets_the_reference_flows_in_its_order(n, m, n_costs, seed):
+    # small supplies and costs from at most 5 values: many ties, and many
+    # rows and columns exhausted at once
+    rng = np.random.default_rng(seed)
+    total = int(rng.integers(max(n, m), 3 * max(n, m) + 1))
+    a, b = _split(rng, total, n, False), _split(rng, total, m, False)
+    costs = rng.integers(0, n_costs, size=(n, m)).astype(np.int64)
+    assert list(_greedy_start(a, b, costs).items()) == list(_greedy_reference(a, b, costs).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=transport_problems())
+def test_greedy_start_of_degenerate_problems_equals_the_reference(problem):
+    a, b, costs = problem
+    assert list(_greedy_start(a, b, costs).items()) == list(_greedy_reference(a, b, costs).items())
 
 
 @settings(max_examples=60, deadline=None)

@@ -365,6 +365,47 @@ def test_canonical_form_equals_the_bfs_reference(rng):
         assert t.canonical_form() == _bfs_canonical_form(t)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("act", [0.7]),                   # was action 0
+    ("act", np.array([1.0])),
+    ("act", [True]),                  # was action 1
+    ("act", ["1"]),                   # was action 1
+    ("update", np.zeros((1, 2, 1))),  # a float table of integral values
+    ("update", [[[False], [True]]]),
+    ("initial", 0.5),                 # was memory 0
+    ("initial", True),
+    ("n_actions", 2.0),
+    ("n_signals", np.float64(1.0)),
+])
+def test_transducer_rejects_non_integer_tables(field, value):
+    # the JSON form rejects these already; a table built in Python is not
+    # truncated either
+    args = {"n_actions": 2, "n_signals": 1, "act": np.array([1]),
+            "update": np.zeros((1, 2, 1), dtype=np.int64), "initial": 0, field: value}
+    with pytest.raises(InvalidInputError, match="non-integer"):
+        pe.Transducer(**args)
+
+
+def test_transducer_accepts_every_integer_dtype():
+    t = pe.Transducer(np.int32(2), 1, np.array([1], dtype=np.uint8),
+                      np.zeros((1, 2, 1), dtype=np.int16), initial=np.int64(0))
+    assert (t.n_actions, t.initial) == (2, 0) and type(t.n_actions) is int
+    assert t.act.dtype == t.update.dtype == np.int64
+    for act in (np.array([-1]), np.array([2]), np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(InvalidInputError, match="action map out of range"):
+            pe.Transducer(2, 1, act, np.zeros((1, 2, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("kwargs", [{"max_memory": 2.5}, {"max_memory": "2"},
+                                    {"max_memory": True}, {"max_memory": 2, "cap": None},
+                                    {"max_memory": 2, "cap": 10.5}])
+def test_enumeration_bounds_must_be_integers(kwargs):
+    # these raised raw TypeErrors, or ran as max_memory 1 and cap 10
+    p = random_pomdp(np.random.default_rng(0), k=2, n_i=2, n_s=2)
+    with pytest.raises(InvalidInputError, match="non-integer"):
+        pe.enumerate_transducers(p, **kwargs)
+
+
 def test_enumeration_builds_only_the_transducers_it_returns(rng, monkeypatch):
     # a work count with no timing: a change that builds the discarded
     # candidates again (5 898 for these sizes) fails here
