@@ -3,14 +3,13 @@ ergodic decomposition, stationary vectors, absorption probabilities, class
 payoffs, mixing diagnostics, and exact long-run inferior values."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, PomdpEvalError
-from .model import Pomdp
-from .playspace import _check_play_inputs
+from .model import ROW_SUM_TOL, Pomdp
+from .playspace import _check_play_inputs, _product_moves
 from .strategies import Transducer
 
 EDGE_THRESHOLD = 1e-12
@@ -46,7 +45,9 @@ class MarkovChain:
             raise InvalidInputError(
                 f"chain row {self.labels[j]!r} sums to {t[j].sum():.12f}"
             )
-        if (t < 0).any() or (f < 0).any() or (f > 1).any() or (y < 0).any():
+        # payoffs within ROW_SUM_TOL of [0, 1], as `Pomdp` accepts rewards
+        if (t < 0).any() or (f < -ROW_SUM_TOL).any() or (f > 1 + ROW_SUM_TOL).any() \
+                or (y < 0).any():
             raise InvalidInputError("chain entries out of range")
         if abs(y.sum() - 1.0) > 1e-9:
             raise InvalidInputError("initial distribution does not sum to 1")
@@ -87,22 +88,6 @@ def product_chain(p: Pomdp, t: Transducer, x1: np.ndarray) -> MarkovChain:
     return MarkovChain(labels, trans, payoff, init)
 
 
-@functools.lru_cache(maxsize=64)
-def _product_index(k: int, n_i: int, n_s: int, m: int) -> tuple:
-    """Read-only index arrays of the product chain on k states x m
-    memories, which depend on nothing else.  Per row u = state * m + memory:
-    the memory, then memory * n_i and state * n_i (plus the action, the row
-    of the update and of the transition table to read), and the flat offset
-    u * n + l * m of each next state l."""
-    n = k * m
-    row = np.arange(n)
-    out = (row % m, row % m * n_i, row // m * n_i,
-           (row[:, None] * n + np.arange(k) * m)[:, :, None])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def _product_tables(p: Pomdp, t: Transducer, x1: np.ndarray) -> tuple:
     """(transition, payoff, initial law) of `product_chain`, once the
     transducer is checked to fit p and x1 to be a belief over its states."""
@@ -110,16 +95,13 @@ def _product_tables(p: Pomdp, t: Transducer, x1: np.ndarray) -> tuple:
         raise InvalidInputError(f"a product chain needs a finite-memory strategy "
                                 f"(a transducer), not {type(t).__name__}")
     x1 = _check_play_inputs(p, x1, t)
-    k, n_s, m = p.n_states, p.n_signals, t.n_memory
+    k, m = p.n_states, t.n_memory
     n = k * m
-    mem, mem_row, state_row, offset = _product_index(k, p.n_actions, n_s, m)
-    act = t.act.take(mem)
-    # cell (u, l, s) moves row u to state l and the memory after signal s;
-    # bincount adds each cell's contributions in index order, as np.add.at does
-    cell = offset + t.update.reshape(-1, n_s).take(mem_row + act, axis=0)[:, None, :]
-    row = state_row + act
-    trans = np.bincount(cell.ravel(), minlength=n * n,
-                        weights=p.transition.reshape(-1, k * n_s).take(row, axis=0).ravel())
+    _, row, nxt, start = _product_moves(p, t)
+    # cell (u, l, s) moves row u to the pair nxt[u, l, s]; bincount adds each
+    # cell's contributions in index order, as np.add.at does
+    trans = np.bincount((start + nxt).ravel(), minlength=n * n,
+                        weights=p.transition.reshape(-1, k * p.n_signals).take(row, axis=0).ravel())
     init = np.zeros(n)
     init[t.initial::m] = x1
     return trans.reshape(n, n), p.reward.take(row), init

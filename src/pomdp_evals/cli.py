@@ -142,22 +142,17 @@ def _strategy(args, scenario: Scenario):
 
 def _evaluation(args) -> tuple:
     """(pomdp, x1, strategy, evaluation, horizon) for evaluate and
-    irregularity, the evaluation's state indices checked against the
-    scenario."""
+    irregularity; the estimators check the evaluation's state indices
+    against the scenario."""
     scenario = _load(args)
-    p, strat = scenario.pomdp, _strategy(args, scenario)
+    strat = _strategy(args, scenario)
     spec = args.evaluation
     if spec is None:
         raise InvalidInputError("--evaluation is required for this command")
     if names_a_file(spec):
         spec = _json_file(spec, "evaluation")
-    e = evaluation_from_spec(spec)
-    for key in ("target_state", "early_state"):
-        k = e.params.get(key)
-        if k is not None and not 0 <= k < p.n_states:
-            raise InvalidInputError(f"evaluation {e.kind!r}: {key} {k} is not a state "
-                                    f"index in [0, {p.n_states})")
-    return p, scenario.initial_belief, strat, e, args.horizon
+    return (scenario.pomdp, scenario.initial_belief, strat, evaluation_from_spec(spec),
+            args.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,17 @@ class EvalContext:
     x1: np.ndarray
 
 
+def _context(p: Pomdp, x1: np.ndarray, e: "Evaluation") -> EvalContext:
+    """The context of evaluation e on (p, x1), once every state index e
+    names is checked to be a state of p: the one check the estimators share."""
+    for key in ("target_state", "early_state"):
+        k = e.params.get(key)
+        if k is not None and not 0 <= k < p.n_states:
+            raise InvalidInputError(f"evaluation {e.kind!r}: {key} {k} is not a state "
+                                    f"index in [0, {p.n_states})")
+    return EvalContext(p, np.asarray(x1, dtype=float))
+
+
 @dataclass
 class Evaluation:
     """A stage-weight process giving theta_1..theta_n in [0,1] along each play.
@@ -311,22 +322,21 @@ def _with_later_states(blocks, rows: int):
         yield release()
 
 
-def _first_run(hit: np.ndarray, run: np.ndarray, l: int, b: int) -> tuple:
-    """Weights 1/l on the first run of l target stages, for a block of b
-    stages followed by up to l - 1 later ones: hit (rows, plays) flags the
-    target state and run is each play's run length before the block.
-    Returns the (b, plays) weights, the run lengths after the block and
-    which plays are still searching (no run ends within the block)."""
-    rows = np.arange(len(hit), dtype=np.int32)[:, None]
-    # last row out of the target state at or before each row; a run carried
-    # into the block counts as ending at row -1 - run
-    out = np.maximum.accumulate(np.where(hit, -1 - run, rows), axis=0)
-    full = rows - out >= l                  # a run of l target stages ends here
-    end = full.argmax(axis=0)
-    found = full[end, np.arange(hit.shape[1])]
-    w = (found & (rows[:b] > end - l) & (rows[:b] <= end)) / l
-    searching = ~(found & (end < b))
-    return w, (b - 1 - out[b - 1])[searching], searching
+def _first_runs(window: np.ndarray, l: int) -> tuple:
+    """(columns, starts): the columns of the (rows, plays) boolean window
+    that hold l consecutive true rows, and the row where the first such run
+    starts in each.  all_of[i] ANDs the `span` rows from row i on, the span
+    doubling, so l rows take O(log l) ANDs: two overlapping spans of the
+    largest power of two <= l."""
+    if len(window) < l:
+        return np.empty((2, 0), dtype=np.intp)
+    all_of, span = window, 1
+    while 2 * span <= l:
+        all_of, span = all_of[:-span] & all_of[span:], 2 * span
+    if span < l:
+        all_of = all_of[:len(all_of) - (l - span)] & all_of[l - span:]
+    cols = np.flatnonzero(all_of.any(axis=0))
+    return cols, all_of[:, cols].argmax(axis=0)
 
 
 def make_run_block(l: int, target_state: int = 0) -> Evaluation:
@@ -338,25 +348,45 @@ def make_run_block(l: int, target_state: int = 0) -> Evaluation:
         raise InvalidInputError("block length must be >= 1")
 
     def batch_fn(blocks, ctx):
-        # A stage's weight is known once the l - 1 stages after it are seen:
-        # each block is weighted with the states of that many later stages.
-        # Plays whose first run is found weigh zero from then on: they drop
-        # out and are flagged done in the block where their run ends.
-        run = live = None    # target run length before the block; ids of plays still searching
+        # Each block is weighed with the states of its next l - 1 stages, so
+        # a run starting in the block is seen whole in one boolean window of
+        # target flags, in the block's columns, and no play carries anything
+        # across blocks while it searches.  A play whose first run is found
+        # stops searching; it is flagged done in the block where the run
+        # ends, and until then carries the row where the run ends.  Those
+        # stages were simulated before it could be retired, so the play is
+        # in every block up to there.
+        searching = ahead = ends = None  # by play id; ids of plays whose run ends later, and where
         for t0, ids, st, ac, sg, later in _with_later_states(blocks, l - 1):
             b, n = st.shape
-            if live is None:
-                run, live = np.zeros(n, dtype=np.int32), ids
-            cols = ids.searchsorted(live)
-            hit = np.concatenate([st[:, cols]] + [s[:, i.searchsorted(live)] for s, i in later])
-            hit = hit[:b + l - 1] == target_state
+            if searching is None:           # the first block holds every play
+                searching, ahead, ends = np.ones(n, dtype=bool), ids[:0], ids[:0]
+            window = np.empty((b + min(l - 1, sum(len(s) for s, _ in later)), n), dtype=bool)
+            np.equal(st, target_state, out=window[:b])
             if t0 == 0:
-                hit[0] = False                      # the search starts at stage 2
+                window[0] = False                   # the search starts at stage 2
+            row = b
+            for s, i in later:                      # their first l - 1 stages
+                s = s[:len(window) - row]
+                flags = window[row:row + len(s)]
+                if len(i) == n:
+                    np.equal(s, target_state, out=flags)
+                else:   # a play retired since this block was made: no later stages
+                    flags[:] = False
+                    flags[:, ids.searchsorted(i)] = s == target_state
+                row += len(s)
+            cols, start = _first_runs(window, l)
+            new = searching[ids[cols]]
+            cols, start = cols[new], start[new]
+            searching[ids[cols]] = False
+            cols = np.concatenate([ids.searchsorted(ahead), cols])
+            end = np.concatenate([ends, start + (l - 1)])
             w = np.zeros((b, n))
-            w[:, cols], run, searching = _first_run(hit, run, l, b)
+            stage = np.arange(b)[:, None]
+            w[:, cols] = ((stage > end - l) & (stage <= end)) / l
             done = np.zeros(n, dtype=bool)
-            done[cols[~searching]] = True
-            live = live[searching]
+            done[cols[end < b]] = True
+            ahead, ends = ids[cols[end >= b]], end[end >= b] - b
             yield t0, ids, st, ac, sg, w, done
             del st, ac, sg, w    # drop the block before the next one is made
 
@@ -612,13 +642,14 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     when the weights vanish within the horizon, bracketed otherwise.  The
     Monte Carlo estimator's fold on the enumerated plays as one block,
     averaged with the play probabilities."""
+    ctx = _context(p, x1, e)
     tail = _truncation_tail(e, horizon)
     if e.deterministic:
         total = pathwise_irregularity(e.stage_fn(horizon))
     else:
         b = enumerate_plays(p, x1, strat, horizon, budget=budget)
         total = float(b.prob @ weight_sums(e, one_block_stream(b.states, b.actions, b.signals),
-                                           horizon, EvalContext(p, np.asarray(x1, dtype=float)))[2])
+                                           horizon, ctx)[2])
     return IrregularityReport(lower=max(total - tail, 0.0), upper=total + tail,
                               horizon=horizon, tail_bound=tail)
 
@@ -626,7 +657,7 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
                     horizon: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the horizon-truncated irregularity."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
+    ctx = _context(p, x1, e)
     v, = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
         lambda blocks: weight_sums(e, blocks, horizon, ctx)[2:])
@@ -685,9 +716,9 @@ def _prefix_sums(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     stage m = 1..horizon: the (n, m-1) actions and signals of stage m's n
     prefixes in id order, each one's parent id among stage m-1's (none at
     m = 1), and per prefix h the sums E[1{h}] and E[1{h} theta_m]."""
+    ctx = _context(p, x1, e)
     b = enumerate_plays(p, x1, strat, horizon, budget=budget)
-    w = e.batch_weights(b.states, b.actions, b.signals,
-                        EvalContext(p, np.asarray(x1, dtype=float)))
+    w = e.batch_weights(b.states, b.actions, b.signals, ctx)
     ids, first = prefix_ids(b.actions, b.signals)
     for m, rows in enumerate(first):
         yield (b.actions[rows, :m], b.signals[rows, :m], ids[rows, m - 1] if m else None,

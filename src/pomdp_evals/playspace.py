@@ -14,6 +14,7 @@ graph of the initial belief (`model.belief_graph`) or filtered stage block
 by stage block."""
 from __future__ import annotations
 
+import functools
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -42,14 +43,18 @@ BLOCK_CELLS = 2 ** 14
 # Beliefs a closed belief graph may hold for `belief_payoff_blocks` to walk
 # it; a value of its own, not the block length.
 GRAPH_BELIEFS = 64
-# Chain-kernel blocks of at most this many plays step play by play in scalar
-# Python, wider ones one numpy search per stage.  Per 64-stage block of a
-# 3-memory transducer on a K=3, I=2, S=2 instance (best of 9, 2-core host),
-# scalar against numpy: 1 play 33 vs 190 us, 4 plays 89 vs 160, 8 plays 160
-# vs 175, 10 plays 192 vs 186, 12 plays 225 vs 193, 16 plays 296 vs 208.
-# The steps cost the same near 9-10 plays; 8 keeps the scalar step where it
-# won in every run.
-SCALAR_PLAYS = 8
+# Blocks of at most this many plays step play by play in scalar Python,
+# wider ones stage by stage in numpy: the chain kernel (`_simulate_chain`,
+# one row search per stage) and the belief walk of `belief_payoff_blocks`
+# (one take per stage).  Per stage, scalar against numpy (best of 5 passes
+# of 8 blocks of max(16, BLOCK_CELLS // plays) stages, 2-core host): the
+# kernel under a 3-memory transducer on random instances of table width
+# K * S = 2: 16 plays 3.0 vs 5.4 us, 24 4.4 vs 4.9, 32 6.3 vs 5.3;
+# width 12: 24 plays 6.7 vs 12.4, 32 8.7 vs 12.5, 48 13.8 vs 12.0;
+# width 48: 24 plays 7.9 vs 14.8, 48 17.3 vs 16.5.  The belief walk on
+# matching-revealed: 16 plays 1.2 vs 1.6, 24 2.1 vs 2.2, 32 2.5 vs 1.9.
+# 24 keeps the scalar step where it won or tied in every case.
+SCALAR_PLAYS = 24
 
 
 @dataclass(frozen=True)
@@ -396,20 +401,52 @@ def _narrow(streams: list, alive: np.ndarray, gone: np.ndarray) -> tuple:
     return keep, alive[keep], _stream_draws(streams, alive[keep])
 
 
+@functools.lru_cache(maxsize=64)
+def _product_index(k: int, n_i: int, n_s: int, m: int) -> tuple:
+    """Read-only index arrays of the product chain on k states x m
+    memories, which depend on nothing else.  Per row u = state * m + memory:
+    the memory, then memory * n_i and state * n_i (plus the action, the row
+    of the update and of the transition table to read); the offset l * m of
+    each next state l, shaped (1, k, 1); and the flat offset u * k * m of
+    row u in a (k * m, k * m) table, shaped (k * m, 1, 1)."""
+    n = k * m
+    row = np.arange(n)
+    out = (row % m, row % m * n_i, row // m * n_i, (np.arange(k) * m)[None, :, None],
+           (row * n)[:, None, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _product_moves(p: Pomdp, t: Transducer) -> tuple:
+    """(act, row, nxt, start) of transducer t on the (state, memory) pairs of
+    p, u = state * M + memory: the action played at u, the row state * I +
+    action of p's transition table that u draws from, nxt[u, l, s] = l * M +
+    the memory after signal s, the pair that the (next state, signal) code
+    l * S + s moves u to, and the flat offset of row u in a (K*M, K*M)
+    table.  The one builder of the product's moves: the chain kernel steps
+    by them and `chain.product_chain` sums its transition rows over them."""
+    n_s = p.n_signals
+    mem, mem_row, state_row, next_state, start = _product_index(
+        p.n_states, p.n_actions, n_s, t.n_memory)
+    act = t.act.take(mem)
+    nxt = next_state + t.update.reshape(-1, n_s).take(mem_row + act, axis=0)[:, None, :]
+    return act, state_row + act, nxt, start
+
+
 def _chain_tables(p: Pomdp, strat: Strategy, horizon: int):
     """Chain-kernel tables (act, stage_table, nxt, m, initial) of a strategy
     with finite tables over the horizon, else None.  A transducer runs as a
-    Markov chain on (state, memory) pairs; an open-loop schedule as one on
-    states, with the stage's action picking the transition table."""
-    k, n_s = p.n_states, p.n_signals
-    code = np.arange(k * n_s)
+    Markov chain on (state, memory) pairs (`_product_moves`); an open-loop
+    schedule as one on states, with the stage's action picking the
+    transition table."""
     if isinstance(strat, Transducer):
-        m = strat.n_memory
-        mem = np.arange(k * m) % m
-        act = strat.act[mem][None, :]
-        nxt = (code // n_s) * m + strat.update[mem[:, None], act.T, code % n_s]
-        return act, np.zeros(horizon, dtype=np.intp), nxt, m, strat.initial
+        act, _, nxt, _ = _product_moves(p, strat)
+        return (act[None, :], np.zeros(horizon, dtype=np.intp), nxt.reshape(len(act), -1),
+                strat.n_memory, strat.initial)
     if isinstance(strat, ScheduleStrategy):
+        k, n_s = p.n_states, p.n_signals
+        code = np.arange(k * n_s)
         act = np.repeat(np.arange(p.n_actions)[:, None], k, axis=1)
         return act, strat.stage_actions(horizon), np.broadcast_to(code // n_s, (k, k * n_s)), 1, 0
     return None
@@ -463,10 +500,11 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
     draw per play from its stream's next uniforms, in stage order.  A block
     of at most SCALAR_PLAYS plays is stepped play by play in scalar Python
-    (`_step_plays`), a wider one stage by stage in numpy; the width is taken
-    per block, as retired plays leave.  Both steps add the same floats and
-    search the same table from the right, so they give the same positions.
-    Yields and takes back as `_simulate_stepped` does.
+    (`_step_plays`), a wider one stage by stage in numpy, each play searching
+    only its own row of the table; the width is taken per block, as retired
+    plays leave.  Both steps compare the same floats with the same <=, so
+    they give the same positions.  Yields and takes back as
+    `_simulate_stepped` does.
     """
     k, n_s = p.n_states, p.n_signals
     width = k * n_s
@@ -474,34 +512,32 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     samples = sum(n for _, n in streams)
     cum = np.cumsum(p.transition.reshape(k, p.n_actions, width)[np.arange(n_c) // m, act],
                     axis=2)
-    # Row c of a table holds 2c + cum[c, :-1] and the guard 2c + 2.  A draw
-    # 2c + u of row c counts every earlier entry and exactly `code` of its
-    # own, so searchsorted returns c*width + code, the flat index into nxt,
-    # with no clamping: dropping the last cumulative entry caps the code at
-    # width - 1, and rows two apart stay apart even when 2c + u rounds up to
-    # 2c + 1 or a row sums to slightly more than 1.
-    shift = 2.0 * np.arange(n_c)[:, None]
-    tables = list(np.concatenate(
-        [cum[:, :, :-1] + shift, np.broadcast_to(shift + 2.0, (len(act), n_c, 1))],
-        axis=2).reshape(len(act), -1))
-    nxt_flat = np.ascontiguousarray(nxt, dtype=np.int64).ravel()
-    shift_of = 2.0 * nxt_flat
+    # a draw of row c lands at c * pad + code (`_search_tables`): nxt and the
+    # signal of each position are padded to match
+    padded, levels = _search_tables(cum)
+    pad = padded.shape[2]
+    nxt_flat = np.zeros((n_c, pad), dtype=np.int64)
+    nxt_flat[:, :width] = nxt
+    nxt_flat = nxt_flat.ravel()
     # the same tables as Python lists, for the scalar step
-    table_lists, shift_list = [t.tolist() for t in tables], shift_of.tolist()
+    table_lists = [t.ravel().tolist() for t in padded]
+    shift_list = (2.0 * nxt_flat).tolist()
     state_of = (np.arange(n_c) // m).astype(np.int32)
-    signal_of = (np.arange(n_c * width) % n_s).astype(np.int32)
+    signal_of = (np.arange(n_c * pad) % pad % n_s).astype(np.int32)
     act = act.astype(np.int32)
     # time-major block rows: idx[j] is the combined index at the block's stage
     # j, and idx[b] carries into the next block; `base` is 2 * idx at the
     # stage being drawn.  y and pos, the block's uniforms and table
-    # positions, share one buffer reused from block to block: the positions
-    # are copied in once every uniform of the block is spent.  Both buffers
+    # positions, share one buffer reused from block to block: the numpy step
+    # writes stage j's positions over its spent uniforms.  Both buffers
     # are flat, so a block over fewer plays is a contiguous prefix of them,
     # and sized for the largest block: b stages of at most `drawn` plays,
-    # b * drawn <= max(STAGE_BLOCK * samples, BLOCK_CELLS).
+    # b * drawn <= max(STAGE_BLOCK * samples, BLOCK_CELLS).  `query`,
+    # `entry` and `over` hold one stage of the search.
     cells = max(STAGE_BLOCK * samples, BLOCK_CELLS)
     idx_buf = np.empty(cells + samples, dtype=np.int64)
     y_buf = np.empty(cells)
+    query, entry, over = (np.empty(samples, dtype=d) for d in (float, float, bool))
     x1 = np.asarray(x1) / np.asarray(x1).sum()
     idx_buf[:samples] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m \
         + initial
@@ -517,19 +553,20 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
         stage_a = stage_table[t0:t0 + b].tolist()
         if n <= SCALAR_PLAYS:
             _step_plays(y, base, [table_lists[a] for a in stage_a], shift_list, pos)
+            nxt_flat.take(pos, out=idx[1:], mode="clip")
         else:
-            drawn = []
-            for yj, a in zip(y, stage_a):
-                yj += base
-                drawn.append(tables[a].searchsorted(yj, side="right"))
-                shift_of.take(drawn[-1], out=base)
-            np.concatenate(drawn, out=pos.reshape(-1))
-            del drawn                 # hold only the block while it is consumed
-        nxt_flat.take(pos, out=idx[1:])
-        signals = signal_of.take(pos)
+            q, scratch = query[:n], (entry[:n], over[:n])
+            for j, a in enumerate(stage_a):
+                np.add(y[j], base, out=q)
+                # y[j] is spent: the play's position goes there
+                g = _row_search(levels[a], idx[j], q, pos[j], *scratch)
+                nxt_flat.take(g, out=idx[j + 1], mode="clip")
+                np.multiply(idx[j + 1], 2.0, out=base)
+        signals = signal_of.take(pos, mode="clip")
         # pos is spent too: reuse it for the flat indices into act
         np.add(idx[:b], (stage_table[t0:t0 + b] * n_c)[:, None], out=pos)
-        gone = yield t0, alive, state_of.take(idx[:b]), act.take(pos), signals
+        gone = yield (t0, alive, state_of.take(idx[:b], mode="clip"), act.take(pos, mode="clip"),
+                      signals)
         t0, carry = t0 + b, idx[b]
         if gone is not None:
             keep, alive, draws = _narrow(streams, alive, gone)
@@ -537,6 +574,51 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
                 return
             carry, base = carry[keep], base[keep]
         idx_buf[:len(alive)] = carry
+
+
+def _search_tables(cum: np.ndarray) -> tuple:
+    """(padded, levels): the chain kernel's search tables of the cumulative
+    laws cum[a, c] of table a's rows c, each a power of two `pad` >= width
+    long.  Row c of a padded table holds 2c + cum[c, :-1], then the guard
+    2c + 2.  Every entry of an earlier row is at most 2c and every entry of
+    a later one at least 2c + 2, so a draw 2c + u of row c lands at
+    c * pad + code, the number of the row's own entries <= 2c + u: the flat
+    index into the padded nxt, with no clamping.  Dropping the last
+    cumulative entry caps the code at width - 1, and rows two apart stay
+    apart even when 2c + u rounds up to 2c + 1 or a row sums to slightly
+    more than 1.  The scalar step bisects a whole padded table from the
+    right.  The numpy step (`_row_search`) counts only the play's own row,
+    one bit of the code per round from the top, on the table's levels:
+    level d holds, for each row c and each first d bits h of a code, the
+    entry (2h + 1) * 2**(rank - d - 1) - 1 of row c at c * 2**d + h, where
+    pad = 2**rank.  Both steps compare the same entries with the same <=."""
+    n_tables, n_c, width = cum.shape
+    rank = (width - 1).bit_length()
+    shift = 2.0 * np.arange(n_c)[:, None]
+    padded = np.concatenate(
+        [cum[:, :, :-1] + shift,
+         np.broadcast_to(shift + 2.0, (n_tables, n_c, (1 << rank) - width + 1))], axis=2)
+    levels = [[np.ascontiguousarray(t[:, (1 << r) - 1::2 << r]).ravel()
+               for r in range(rank - 1, -1, -1)] for t in padded]
+    return padded, levels
+
+
+def _row_search(levels: list, c: np.ndarray, q: np.ndarray, out: np.ndarray,
+                entry: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """Branch-free binary search of each query q[i] in its own row c[i] of a
+    padded table whose `_search_tables` levels are given: writes c * pad +
+    the number of the row's entries <= q to out and returns it.  Each level
+    is one gather, compare and add over all plays; the next level's index is
+    twice this one's plus the compare.  entry and over are scratch."""
+    at = c
+    for level in levels:
+        level.take(at, out=entry, mode="clip")      # every index is in range
+        np.less_equal(entry, q, out=over)
+        at = np.left_shift(at, 1, out=out)
+        out += over
+    if not levels:                                  # rows of one code
+        out[:] = c
+    return out
 
 
 def _step_plays(y: np.ndarray, base: np.ndarray, rows: list, shifts: list,

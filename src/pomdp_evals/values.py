@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import MarkovChain
 from .errors import BudgetExceededError, InvalidInputError
-from .evaluations import EvalContext, Evaluation, McEstimate, weight_sums
+from .evaluations import Evaluation, McEstimate, _context, weight_sums
 from .model import Pomdp, belief_graph
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, reduce_sampled_plays, sample_mean)
@@ -148,7 +148,7 @@ def weighted_payoff_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluati
     the weights vanish within the horizon.  The Monte Carlo estimators' fold
     on the enumerated plays as one block, averaged with the play
     probabilities."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
+    ctx = _context(p, x1, e)
     b = enumerate_plays(p, x1, strat, horizon, budget=budget)
     v, masses, _ = weight_sums(e, one_block_stream(b.states, b.actions, b.signals), horizon,
                                ctx, p.reward)
@@ -171,7 +171,7 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
     sampled plays; returns (ValueReport, McEstimate).  Matches calling
     weighted_payoff_mc and irregularity_mc with the same seed at half the
     simulation cost."""
-    ctx = EvalContext(p, np.asarray(x1, dtype=float))
+    ctx = _context(p, x1, e)
     v, masses, j = reduce_sampled_plays(
         p, x1, strat, horizon, samples, seed,
         lambda blocks: weight_sums(e, blocks, horizon, ctx, p.reward))

@@ -11,7 +11,8 @@ from pomdp_evals import chain
 from pomdp_evals.chain import (EDGE_THRESHOLD, MarkovChain, _strong_components,
                                ergodic_decomposition, liminf_value_transducer,
                                mixing_threshold, product_chain)
-from pomdp_evals.errors import InvalidInputError, PomdpEvalError
+from pomdp_evals.errors import InvalidInputError, PomdpEvalError, ScenarioValidationError
+from pomdp_evals import playspace
 from pomdp_evals.playspace import simulate_plays
 
 from conftest import random_pomdp, sparse_instances
@@ -109,6 +110,47 @@ def test_product_chain_matches_the_entrywise_reference(case, n_memory):
     assert np.array_equal(c.transition, trans)
     assert np.array_equal(c.payoff, payoff)
     assert np.array_equal(c.initial, initial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_instances(), n_memory=hst.integers(1, 4))
+def test_kernel_successors_are_the_product_chains_positive_cells(case, n_memory):
+    # the simulation kernel's next pair nxt[u, l*S + s] and the product
+    # chain's row u name the same successors, and summing the kernel's law of
+    # row u over them, code by code, gives the chain's row bit for bit
+    p, x1, rng = case
+    t = pe.Transducer(p.n_actions, p.n_signals,
+                      rng.integers(0, p.n_actions, n_memory),
+                      rng.integers(0, n_memory, (n_memory, p.n_actions, p.n_signals)),
+                      initial=int(rng.integers(n_memory)))
+    act, _, nxt, m, initial = playspace._chain_tables(p, t, 1)
+    c = product_chain(p, t, x1)
+    n = p.n_states * m
+    law = p.transition.reshape(p.n_states, p.n_actions, -1)[np.arange(n) // m, act[0]]
+    assert (m, initial) == (n_memory, t.initial) and nxt.shape == law.shape
+    for u in range(n):
+        assert set(nxt[u, law[u] > 0].tolist()) == set(np.flatnonzero(c.transition[u]).tolist())
+        assert np.array_equal(np.bincount(nxt[u], weights=law[u], minlength=n), c.transition[u])
+
+
+@pytest.mark.parametrize("reward", [-5e-10, 0.0, 1.0, 1.0 + 5e-10])
+def test_rewards_within_the_model_tolerance_make_a_product_chain(reward):
+    # Pomdp accepts rewards within ROW_SUM_TOL of [0, 1]; the product chain
+    # and the exact liminf value built on it accept the same rewards
+    p = pe.Pomdp(("k",), ("a",), ("o",), np.ones((1, 1, 1, 1)), [[reward]])
+    t = pe.Transducer(1, 1, [0], [[[0]]])
+    c = product_chain(p, t, [1.0])
+    assert c.payoff.tolist() == [reward]
+    assert chain.liminf_value_transducer(p, [1.0], t) == reward
+    assert ergodic_decomposition(c).class_values == (reward,)
+
+
+@pytest.mark.parametrize("payoff", [-2e-9, 1.0 + 2e-9])
+def test_chain_payoffs_beyond_the_model_tolerance_are_rejected(payoff):
+    with pytest.raises(InvalidInputError, match="out of range"):
+        _chain(("u",), [[1.0]], [payoff], [1.0])
+    with pytest.raises(ScenarioValidationError, match="outside"):
+        pe.Pomdp(("k",), ("a",), ("o",), np.ones((1, 1, 1, 1)), [[payoff]])
 
 
 @pytest.mark.parametrize("label", ["uniform", "hold:0:2:1"])

@@ -12,6 +12,7 @@ from pomdp_evals.evaluations import (EvalContext, _eta_stages, block_smooth,
                                      conditional_evaluation, eta_horizon, irregularity_supremum,
                                      pathwise_irregularity, weight_sums)
 from pomdp_evals.playspace import enumerate_plays, one_block_stream, simulate_plays
+from pomdp_evals.values import weighted_payoff_and_irregularity_mc
 
 from conftest import random_pomdp, sparse_instances
 
@@ -111,6 +112,37 @@ def test_state_run_block_weights():
     assert np.allclose(e.batch_weights(*one_play(np.ones(6, dtype=int))), 0.0)
     # a run that begins at stage 1 only counts from stage 2 onward
     assert np.allclose(e.batch_weights(*one_play([0, 0, 1, 1, 1, 1])), 0.0)
+
+
+_ESTIMATORS = {
+    "weighted_payoff_mc": lambda p, x1, s, e: pe.weighted_payoff_mc(p, x1, s, e, 6, 10, 1),
+    "weighted_payoff_exact": lambda p, x1, s, e: pe.weighted_payoff_exact(p, x1, s, e, 4),
+    "weighted_payoff_and_irregularity_mc":
+        lambda p, x1, s, e: weighted_payoff_and_irregularity_mc(p, x1, s, e, 6, 10, 1),
+    "irregularity_mc": lambda p, x1, s, e: pe.irregularity_mc(p, x1, s, e, 6, 10, 1),
+    "irregularity_exact": lambda p, x1, s, e: pe.irregularity_exact(p, x1, s, e, 4),
+    "conditional_table": lambda p, x1, s, e: pe.conditional_table(p, x1, s, e, 3),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("spec", [{"kind": "run_block_ex2", "l": 3, "target_state": 5},
+                                  {"kind": "run_block_ex2", "l": 3, "target_state": -1},
+                                  {"kind": "state_block_ex1", "l": 2, "early_state": 9},
+                                  {"kind": "state_block_ex1", "l": 2, "early_state": 2}])
+def test_every_estimator_rejects_a_state_index_outside_the_pomdp(redraw, estimator, spec):
+    # uniform-redraw has states 0 and 1: an evaluation naming another state
+    # is an input error on the API path too, not weights of 0
+    key = "target_state" if "target_state" in spec else "early_state"
+    e = pe.evaluation_from_spec(spec)
+    with pytest.raises(InvalidInputError,
+                       match=rf"{key} {spec[key]} is not a state index in \[0, 2\)"):
+        _ESTIMATORS[estimator](redraw.pomdp, redraw.initial_belief, pe.uniform_strategy(2), e)
+    e = pe.evaluation_from_spec({**spec, key: 1})
+    try:
+        _ESTIMATORS[estimator](redraw.pomdp, redraw.initial_belief, pe.uniform_strategy(2), e)
+    except TruncationError:      # a run block has no exact irregularity at a finite horizon
+        assert (estimator, e.kind) == ("irregularity_exact", "run_block_ex2")
 
 
 def run_block_reference(states, l: int, target_state: int = 0) -> np.ndarray:

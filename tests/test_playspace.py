@@ -322,6 +322,44 @@ def _scalar_and_numpy_steps_give_the_same_blocks(case, kind, counts, left, last,
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(width=hst.integers(1, 40), n_tables=hst.integers(1, 3), n_c=hst.integers(1, 5),
+       sums=hst.lists(hst.sampled_from([-1e-12, 0.0, 1e-12]), min_size=1, max_size=5),
+       n=hst.integers(1, 60), seed=hst.integers(0, 2**32 - 1))
+def test_row_search_lands_where_searchsorted_lands_on_the_flat_table(width, n_tables, n_c,
+                                                                     sums, n, seed):
+    # the numpy step's search of a play's own row gives the code that
+    # searchsorted gives on the whole flat table of rows 2c + cum[c, :-1]
+    # with the guard 2c + 2, and the position searchsorted gives on the
+    # padded table.  Rows hold zero-probability cells and sum to 1 +- 1e-12;
+    # queries hit cumulative entries exactly, 0, and 1 - 2**-53, which
+    # rounds 2c + u up to 2c + 1 for every c >= 1.
+    rng = np.random.default_rng(seed)
+    law = rng.random((n_tables, n_c, width)) * (rng.random((n_tables, n_c, width)) > 0.3)
+    law[..., rng.integers(width)] += 0.1
+    law /= law.sum(axis=2, keepdims=True)
+    law *= 1.0 + np.resize(sums, (n_c, 1))
+    cum = np.cumsum(law, axis=2)
+    padded, levels = playspace._search_tables(cum)
+    pad = padded.shape[2]
+    assert pad >= width and pad & (pad - 1) == 0 and pad < 2 * width + (width == 1)
+    shift = 2.0 * np.arange(n_c)[:, None]
+    flat = np.concatenate([cum[:, :, :-1] + shift,
+                           np.broadcast_to(shift + 2.0, (n_tables, n_c, 1))], axis=2)
+    c = rng.integers(0, n_c, n)
+    u = rng.choice(np.concatenate([rng.random(n), cum.ravel(), [0.0, 1.0 - 2.0 ** -53]]), n)
+    u = u[u < 1.0]
+    c = c[:len(u)]
+    q = u + 2.0 * c
+    for a in range(n_tables):
+        got = playspace._row_search(levels[a], c, q, np.empty(len(c), dtype=np.int64),
+                                    np.empty(len(c)), np.empty(len(c), dtype=bool))
+        assert np.array_equal(got, padded[a].ravel().searchsorted(q, side="right"))
+        code = flat[a].ravel().searchsorted(q, side="right") - c * width
+        assert np.array_equal(got - c * pad, code)
+        assert ((code >= 0) & (code < width)).all()
+
+
 @pytest.mark.parametrize("short, long", [(STAGE_BLOCK - 3, STAGE_BLOCK + 2),
                                          (STAGE_BLOCK, 2 * STAGE_BLOCK + 1)])
 def test_simulated_prefix_does_not_depend_on_horizon(rng, short, long):

@@ -359,6 +359,48 @@ def test_run_block_weights_across_block_cuts():
                                    rtol=0, atol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(l=hst.integers(1, 80), horizon=hst.integers(1, 120), n=hst.integers(1, 12),
+       density=hst.floats(0.6, 1.0), sizes=hst.lists(hst.integers(1, 90), min_size=1,
+                                                      max_size=4),
+       seed=hst.integers(0, 2**32 - 1))
+def test_run_block_weights_equal_the_reference_under_any_cut_and_retirement(l, horizon, n,
+                                                                             density, sizes,
+                                                                             seed):
+    # Blocks are cut at random, many shorter than l, and horizons may be
+    # shorter than l.  Play 0's first l stages are all in the target state,
+    # a run from stage 1, which the search (from stage 2) does not count.
+    # The consumer retires each play flagged done at a random later block or
+    # never, and some plays whatever their weights, in the middle of their
+    # run or at a random block: every play never retired so gets, in every
+    # block, the reference weights, and is flagged done in the block where
+    # its run ends.
+    rng = np.random.default_rng(seed)
+    states = (rng.random((n, horizon)) > density).astype(np.int32)
+    states[0, :l] = 0
+    want = ref_run_block(states, l, 0)
+    last = [int(np.flatnonzero(r)[-1]) if r.any() else None for r in want]
+    dropped = rng.random(n) < 0.3                     # retired at random, done or not
+    stream = cut((states, np.zeros_like(states), np.zeros_like(states)), sizes)
+    pending, seen = [], set()
+    e = pe.make_evaluation("run_block_ex2", l=l)
+    for t0, ids, st, _, _, w, done in e.weight_blocks(stream, horizon):
+        b = len(st)
+        for j, i in enumerate(ids.tolist()):
+            if not dropped[i]:
+                seen.add(i)
+                assert np.array_equal(w[:, j], want[i, t0:t0 + b])
+                assert done[j] == (last[i] is not None and t0 <= last[i] < t0 + b)
+        pending += [(d, i) for d, i in zip(rng.integers(0, 4, n).tolist(), ids[done].tolist())
+                    if d < 3]                     # retired now, a block or two on, or never
+        # a dropped play leaves mid-run, or at random
+        pending += [(0, i) for j, i in enumerate(ids.tolist())
+                    if dropped[i] and (w[:, j].any() and not done[j] or rng.random() < 0.3)]
+        stream.retire(np.array([i for d, i in pending if d == 0], dtype=int))
+        pending = [(d - 1, i) for d, i in pending if d > 0]
+    assert seen == set(np.flatnonzero(~dropped).tolist())
+
+
 def test_conditional_prefix_ids_carry_across_block_cuts(frozen_matching):
     # a table deeper than STAGE_BLOCK: under hold:0:70:1 the frozen game has
     # a tree of 2 plays and one observed prefix per stage, switching action
