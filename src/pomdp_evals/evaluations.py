@@ -422,35 +422,40 @@ def _eta_stages(g: np.ndarray, l: int) -> np.ndarray:
     return _eta_sweeps(lambda: [(0, g)], len(g), l)
 
 
+def prefix_averages(payoff_blocks):
+    """The prefix averages of every play, block by block: for each (t0, g)
+    block of stage payoffs, time-major (block, plays), in stage order, yield
+    (t0, avg) with avg[j] the average over stages 1..t0 + j + 1.  It carries
+    each play's payoff sum between blocks, so every prefix sum is the same
+    in-order `cumsum` addition and the same division whatever the block
+    cut."""
+    total = None                 # per play: the payoff sum before the block
+    for t0, g in payoff_blocks:
+        avg = np.array(g, dtype=float)
+        if total is not None:
+            avg[0] += total
+        np.cumsum(avg, axis=0, out=avg)
+        total = avg[-1].copy()
+        avg /= np.arange(t0 + 1, t0 + len(avg) + 1)[:, None]
+        yield t0, avg
+
+
 def _eta_sweeps(sweep, n: int, l: int) -> np.ndarray:
     """The stopping stage of `eta_horizon` for every play of n stages, from
     two sweeps over its payoffs: each call of `sweep()` yields the (t0, g)
     payoff blocks of all plays in stage order, g being (block, plays).
-    Each sweep carries the running sums, so every prefix average is the same
-    in-order `cumsum` addition and the same division whatever the block
-    cut.  The first sweep finds the tail-half maximum (the proxy) and the
-    first stage of the largest average, the second the first stage >= l
-    whose average reaches proxy - 1/l - 1e-12, stopping once every play has
-    one.  No (stages, plays) matrix is built."""
+    Each sweep reads their `prefix_averages`.  The first sweep finds the
+    tail-half maximum (the proxy) and the first stage of the largest
+    average, the second the first stage >= l whose average reaches
+    proxy - 1/l - 1e-12, stopping once every play has one.  No (stages,
+    plays) matrix is built."""
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     if n < l:
         raise InvalidInputError("payoff sequence shorter than l")
-
-    def averages():
-        total = None             # per play: the payoff sum before the block
-        for t0, g in sweep():
-            avg = np.array(g, dtype=float)
-            if total is not None:
-                avg[0] += total
-            np.cumsum(avg, axis=0, out=avg)
-            total = avg[-1].copy()
-            avg /= np.arange(t0 + 1, t0 + len(avg) + 1)[:, None]
-            yield t0, avg
-
     tail = max(n // 2, 1) - 1    # the proxy's first row
     proxy = top = top_at = None  # tail-half maximum; largest average and its row
-    for t0, avg in averages():
+    for t0, avg in prefix_averages(sweep()):
         if top is None:
             top, top_at = np.full(avg.shape[1], -np.inf), np.zeros(avg.shape[1], dtype=np.intp)
             proxy = top.copy()
@@ -462,7 +467,7 @@ def _eta_sweeps(sweep, n: int, l: int) -> np.ndarray:
             np.maximum(proxy, avg[max(tail - t0, 0):].max(axis=0), out=proxy)
     floor = proxy - 1.0 / l - 1e-12
     eta, found = top_at + 1, np.zeros(len(top_at), dtype=bool)
-    for t0, avg in averages():
+    for t0, avg in prefix_averages(sweep()):
         if t0 + len(avg) < l:
             continue
         hits = avg[max(l - 1 - t0, 0):] >= floor

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidInputError
 from .model import (Pomdp, _check_dims, bayes_matrices, bayes_update_rows, belief_graph,
                     make_belief)
-from .strategies import ScheduleStrategy, Strategy, Transducer
+from .strategies import ScheduleStrategy, Strategy, Transducer, json_integer
 
 DEFAULT_NODE_BUDGET = 2_000_000
 PROB_FLOOR = 1e-12
@@ -100,8 +100,10 @@ def enumerate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     The strategy's memory is stepped along the tree, one batched call per stage.
 
     Raises BudgetExceededError, before a stage is built, once the total number
-    of stage cells would pass `budget`.
+    of stage cells would pass `budget`.  A `horizon` or `budget` that is not
+    an integer is rejected with InvalidInputError, never truncated.
     """
+    horizon, budget = json_integer(horizon, "horizon"), json_integer(budget, "budget")
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     x1 = _check_play_inputs(p, x1, strat)
@@ -308,9 +310,12 @@ def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams
     them out and neither kernel steps them, while each stream with a play
     kept still draws its full (block, count) uniforms, so the plays kept see
     exactly the draws they would without retirement.  A stream whose plays
-    are all retired stops drawing."""
+    are all retired stops drawing.  A `horizon` or stream count that is not
+    an integer is rejected with InvalidInputError, never truncated."""
+    horizon = json_integer(horizon, "horizon")
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
+    streams = [(g, json_integer(n, "stream count")) for g, n in streams]
     if any(n < 0 for _, n in streams):
         raise InvalidInputError("stream counts must be >= 0")
     x1 = _check_play_inputs(p, x1, strat)
@@ -396,8 +401,15 @@ def _draw(draws: list, out: np.ndarray) -> np.ndarray:
 
 def _narrow(streams: list, alive: np.ndarray, gone: np.ndarray) -> tuple:
     """(keep, alive, draws) once the plays `gone` leave: the positions in
-    `alive` of the plays kept, their ids and their streams' draw columns."""
-    keep = np.flatnonzero(~np.isin(alive, gone))
+    `alive` of the plays kept, their ids and their streams' draw columns.
+    `alive` is sorted, so each id of `gone` is looked up by bisection; a
+    repeated id, or one no longer alive, leaves nothing more."""
+    at = alive.searchsorted(gone)
+    inside = at < len(alive)
+    at = at[inside]
+    kept = np.ones(len(alive), dtype=bool)
+    kept[at[alive[at] == gone[inside]]] = False
+    keep = np.flatnonzero(kept)
     return keep, alive[keep], _stream_draws(streams, alive[keep])
 
 
@@ -643,49 +655,44 @@ def _step_plays(y: np.ndarray, base: np.ndarray, rows: list, shifts: list,
 
 
 def shard_seeds(seed: int, shards: int) -> list:
-    """Deterministic per-shard generators for parallel-style Monte Carlo."""
+    """Deterministic per-shard generators for parallel-style Monte Carlo.  A
+    `seed` or `shards` that is not an integer is rejected with
+    InvalidInputError, never truncated."""
+    seed, shards = json_integer(seed, "seed"), json_integer(shards, "shards")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
 
 
-# Block cells one Monte Carlo pass may hold: consecutive streams share a pass
-# while their plays times STAGE_BLOCK stay within it.
-MC_CELL_BUDGET = 40_000_000
 # Generator streams every Monte Carlo estimator splits its samples over.
 MC_SHARDS = 4
 
 
 def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
-                         samples: int, seed: int, reduce) -> list:
+                         samples: int, seed: int, reduce) -> tuple:
     """Simulate `samples` plays in seeded streams and reduce them play by play.
 
     The samples are split as evenly as `np.array_split` splits them over
     min(samples, MC_SHARDS) generator streams from `shard_seeds(seed, ...)`,
-    whatever the horizon.  `reduce(blocks)` consumes one pass's `PlayStream`
-    from `play_blocks`, (t0, ids, states, actions, signals) time-major blocks
-    in stage order, and returns a tuple of per-play arrays, indexed by play
-    id; the result lists each of them concatenated over all plays, in stream
-    order.  No (plays, horizon) matrix is built: a pass holds
-    O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) cells plus what `reduce` carries.  A `reduce` that
-    retires plays (the weight fold `evaluations.weight_sums` retires those
-    whose weights are spent) makes the pass simulate only the plays still
-    needed, and ends it once none is.  Consecutive streams share one pass
-    while it stays within MC_CELL_BUDGET block cells; each stream still draws
-    from its own generator, so the plays do not depend on the grouping.
+    whatever the horizon, and all of them run in one pass.  `reduce(blocks)`
+    consumes the pass's `PlayStream` from `play_blocks`, (t0, ids, states,
+    actions, signals) time-major blocks in stage order, and returns the
+    result: a tuple of per-play arrays, indexed by play id, so in stream
+    order.  No (plays, horizon) matrix is built: the pass holds
+    O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) cells plus what `reduce`
+    carries.  A `reduce` that retires plays (the weight fold
+    `evaluations.weight_sums` retires those whose weights are spent) makes
+    the pass simulate only the plays still needed, and ends it once none is.
+    Each stream draws from its own generator, so its plays are those it
+    would give in a pass of its own.  `samples`, `seed` and `horizon` must
+    be integers (`shard_seeds`, `play_blocks`), else InvalidInputError.
     """
+    samples = json_integer(samples, "samples")
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
     counts = [len(c) for c in np.array_split(np.arange(samples), min(samples, MC_SHARDS))]
-    passes = [[]]
-    for g, n in zip(shard_seeds(seed, len(counts)), counts):
-        if passes[-1] and (sum(c for _, c in passes[-1]) + n) * STAGE_BLOCK > MC_CELL_BUDGET:
-            passes.append([])
-        passes[-1].append((g, n))
-    parts = [reduce(play_blocks(p, x1, strat, horizon, grp)) for grp in passes]
-    return [np.concatenate(col) for col in zip(*parts)]
+    return reduce(play_blocks(p, x1, strat, horizon,
+                              list(zip(shard_seeds(seed, len(counts)), counts))))
 
 
 def sample_mean(v: np.ndarray) -> tuple:

@@ -472,57 +472,44 @@ def always_strategy(n_actions: int, n_signals: int, action: int) -> Transducer:
 # ---------------------------------------------------------------------------
 
 def enumerate_transducers(p: Pomdp, max_memory: int, cap: int = 1_000_000) -> list:
-    """All transducers with at most `max_memory` memory states, de-duplicated
-    by canonical form (BFS relabeling of the reachable part along the run),
-    keeping the first candidate of each form in the order of
-    `itertools.product` over memory sizes, action maps and move tables.
+    """One transducer per canonical form (BFS relabeling of the reachable
+    part along the run) with at most `max_memory` memory states, each given
+    by its own canonical tables, in the order of memory size, action map and
+    move table, each in `itertools.product` order.
 
-    A candidate with fewer reachable memories than its size has the form of
-    a smaller, fully reachable candidate met before it, so each size only
-    adds its fully reachable forms.  Their keys are built as arrays for all
-    candidates of one size at once, and only the first transducer of each
-    key is constructed.
+    A move table lists memory j's next memory after signal s at j * S + s.
+    It is its own BFS relabeling exactly when each entry names a memory
+    already met or else the next new one, memory 0 being met at the start,
+    and each memory j >= 1 is met before its own row starts.  So each size
+    keeps these rows of its move grid and pairs every action map with each;
+    this is the string representation of initially connected automata of
+    Almeida, Moreira & Reis (TCS 387, 2007), labelled with actions.
 
     Only update entries for the played action are enumerated; entries for
     foreign actions are filled with the played action's moves, since the run
-    never consults them.  Deterministic order.
+    never consults them.  The cap counts every candidate table,
+    sum over m of I^m m^(m S).
     """
     max_memory = json_integer(max_memory, "max_memory")
     cap = json_integer(cap, "the enumeration cap")
     if max_memory < 1:
         raise InvalidInputError("max_memory must be >= 1")
     n_i, n_s = p.n_actions, p.n_signals
-    total = sum(
-        (n_i ** m) * (m ** (m * n_s)) for m in range(1, max_memory + 1)
-    )
+    total = sum(n_i ** m * m ** (m * n_s) for m in range(1, max_memory + 1))
     if total > cap:
-        raise BudgetExceededError(
-            f"transducer enumeration would generate {total} candidates (cap {cap})"
-        )
+        raise BudgetExceededError(f"transducer enumeration would generate {total} "
+                                  f"candidates (cap {cap})")
     out = []
     for m in range(1, max_memory + 1):
-        moves = _product_grid(m, m * n_s).reshape(-1, m, n_s)
-        acts = _product_grid(n_i, m)
-        order, label = _bfs_relabel(moves)
-        full = np.flatnonzero(order[:, -1] >= 0)
-        order, label, moves = order[full], label[full], moves[full]
-        # key of candidate (a, f), row a * len(full) + f: the actions and the
-        # relabeled moves in BFS order
-        seq = np.take_along_axis(moves, order[:, :, None], axis=1).reshape(len(full), -1)
-        keys = np.empty((len(acts), len(full), m + m * n_s),
-                        dtype=np.min_scalar_type(max(n_i, m)))
-        keys[:, :, :m] = acts[:, order]
-        keys[:, :, m:] = np.take_along_axis(label, seq, axis=1)
-        # a dict on each key's bytes keeps the first row of each key, in
-        # row order
-        first = {}
-        for row, key in enumerate(keys.view((np.void, keys.shape[2] * keys.itemsize)).ravel()
-                                  .tolist()):
-            first.setdefault(key, row)
-        a, f = np.divmod(np.fromiter(first.values(), dtype=np.intp), len(full))
-        updates = np.repeat(moves[f][:, :, None, :], n_i, axis=2)
+        moves = _product_grid(m, m * n_s)
+        # the largest memory met so far rises by at most one per entry, and
+        # passes j before memory j's row starts
+        met = np.maximum.accumulate(moves, axis=1)
+        keep = ((np.diff(met, axis=1, prepend=0) <= 1).all(axis=1)
+                & (met[:, n_s - 1:-1:n_s] >= np.arange(1, m)).all(axis=1))
+        updates = np.repeat(moves[keep].reshape(-1, m, 1, n_s), n_i, axis=2)
         out.extend(Transducer(n_actions=n_i, n_signals=n_s, act=act, update=update)
-                   for act, update in zip(acts[a], updates))
+                   for act in _product_grid(n_i, m) for update in updates)
     return out
 
 
@@ -530,28 +517,6 @@ def _product_grid(base: int, width: int) -> np.ndarray:
     """(base ** width, width) int64 rows of `itertools.product(range(base),
     repeat=width)`, in its order."""
     return np.indices((base,) * width).reshape(width, -1).T.astype(np.int64)
-
-
-def _bfs_relabel(moves: np.ndarray) -> tuple:
-    """Breadth-first runs from memory 0 of the (N, M, S) move tables, as
-    `_canonical_key` walks one, in M * S vectorised steps: (order, label),
-    order[r, j] the j-th memory reached (-1 past the reachable count) and
-    label[r, x] the position of memory x in that order (-1 if unreached)."""
-    n, m, n_s = moves.shape
-    rows = np.arange(n)
-    order = np.full((n, m), -1, dtype=np.int64)
-    label = np.full((n, m), -1, dtype=np.int64)
-    order[:, 0] = label[:, 0] = 0
-    count = np.ones(n, dtype=np.int64)
-    for q in range(m):
-        cur, live = order[:, q], q < count
-        for s in range(n_s):
-            nxt = moves[rows, cur, s]
-            new = np.flatnonzero(live & (label[rows, nxt] < 0))
-            label[new, nxt[new]] = count[new]
-            order[new, count[new]] = nxt[new]
-            count[new] += 1
-    return order, label
 
 
 # ---------------------------------------------------------------------------

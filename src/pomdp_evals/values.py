@@ -20,11 +20,11 @@ import numpy as np
 
 from .chain import MarkovChain
 from .errors import BudgetExceededError, InvalidInputError
-from .evaluations import Evaluation, McEstimate, _context, weight_sums
-from .model import Pomdp, belief_graph
+from .evaluations import Evaluation, McEstimate, _context, prefix_averages, weight_sums
+from .model import Pomdp, belief_graph, json_float
 from .playspace import (DEFAULT_NODE_BUDGET, belief_payoff_blocks, enumerate_plays,
                         one_block_stream, reduce_sampled_plays, sample_mean)
-from .strategies import Strategy
+from .strategies import Strategy, json_integer
 
 METHODS = ("exact_dp", "truncated_dp", "monte_carlo", "ergodic_exact")
 
@@ -54,7 +54,9 @@ def _root_values(p: Pomdp, x1: np.ndarray, theta: np.ndarray, budget: int) -> np
     The sweep runs on the `belief_graph` of x1 to depth H-1, with beliefs
     merged by their rounded key, in order of first depth, so the sweep for
     V_t runs over the prefix first seen within depth H-t.  `budget` caps the
-    beliefs the graph holds."""
+    beliefs the graph holds; one that is not an integer is rejected with
+    InvalidInputError."""
+    budget = json_integer(budget, "budget")
     horizon = len(theta)
     graph = belief_graph(p, x1, budget, horizon - 1, rounded=True)
     if graph is None:
@@ -77,6 +79,7 @@ def value_n(p: Pomdp, x1: np.ndarray, n: int,
             budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
     """Exact normalized n-stage value: the weighted backward induction with
     theta = 1, divided by n.  `budget` caps the distinct beliefs stored."""
+    n = json_integer(n, "n")
     if n < 1:
         raise InvalidInputError("horizon must be >= 1")
     return ValueReport(value=_root_values(p, x1, np.ones(n), budget)[-1] / n,
@@ -88,6 +91,7 @@ def value_discounted(p: Pomdp, x1: np.ndarray, lam: float, tol: float = 1e-6,
     """Discounted value within tol: the weighted backward induction with
     theta_m = lam (1 - lam)^(m-1), truncated once the geometric tail is
     below tol."""
+    lam, tol = json_float(lam, "lam"), json_float(tol, "tol")
     if not 0.0 < lam < 1.0:
         raise InvalidInputError("discount weight must lie in (0, 1)")
     if tol <= 0:
@@ -108,6 +112,7 @@ def value_n_sequence(p: Pomdp, x1: np.ndarray, n_max: int,
                      budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """v_1..v_{n_max} at x1 from one sweep with theta = 1: after step t the
     root holds the t-stage total."""
+    n_max = json_integer(n_max, "n_max")
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
     return _root_values(p, x1, np.ones(n_max), budget) / np.arange(1, n_max + 1)
@@ -117,6 +122,7 @@ def asymptotic_value_estimate(p: Pomdp, x1: np.ndarray, n_max: int,
                               budget: int = DEFAULT_NODE_BUDGET) -> ValueReport:
     """v_{n_max} reported as an estimate of the long-horizon limit, with the
     last-quartile spread of v_n plus 1/n_max as the error bound."""
+    n_max = json_integer(n_max, "n_max")
     if n_max < 2:
         raise InvalidInputError("n_max must be >= 2")
     vs = value_n_sequence(p, x1, n_max, budget=budget)
@@ -206,21 +212,17 @@ def weighted_payoff_chain(c: MarkovChain, e: Evaluation, horizon: int) -> ValueR
 def average_extrema(payoff_blocks, horizon: int, window_start: int = None) -> tuple:
     """Per-play max (limsup proxy) and min (liminf proxy) of the prefix
     averages over stages [window_start, horizon], folded over (t0, g) blocks
-    of stage payoffs, each time-major (block, plays), in stage order.  Between
-    blocks it carries the cumulative payoff and the two running extrema; the
-    prefix sums add stage by stage, as one cumulative sum along the play."""
-    if window_start is None:
-        window_start = max(horizon // 2, 1)
+    of stage payoffs, each time-major (block, plays), in stage order.  It
+    reads their `prefix_averages` and carries the two running extrema
+    between blocks.  A `horizon` or `window_start` that is not an integer is
+    rejected with InvalidInputError."""
+    horizon = json_integer(horizon, "horizon")
+    window_start = (max(horizon // 2, 1) if window_start is None
+                    else json_integer(window_start, "window_start"))
     if not 1 <= window_start <= horizon:
         raise InvalidInputError("window start outside [1, horizon]")
-    cum = hi = lo = None
-    for t0, g in payoff_blocks:
-        avg = np.array(g, dtype=float)
-        if cum is not None:
-            avg[0] += cum
-        np.cumsum(avg, axis=0, out=avg)
-        cum = avg[-1].copy()
-        avg /= np.arange(t0 + 1, t0 + len(avg) + 1)[:, None]
+    hi = lo = None
+    for t0, avg in prefix_averages(payoff_blocks):
         window = avg[max(window_start - 1 - t0, 0):]
         if len(window):
             top, bottom = window.max(axis=0), window.min(axis=0)

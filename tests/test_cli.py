@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -612,3 +614,63 @@ def test_readme_shows_every_command_and_example():
 @pytest.mark.parametrize("argv", _readme_commands())
 def test_readme_commands_parse(argv):
     build_parser().parse_args(argv)
+
+
+def _readme_options() -> dict:
+    """{command: {option: (choices, default)}} from the README's Command line
+    options table.  A cell lists `--name` or `--name a\\|b` (its choices)
+    and the default printed after it: a number or a `word`; "—", a formula
+    or nothing means the parser holds no default (none, or one the command
+    computes)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) != 2 or not cells[0].startswith("`"):
+            continue
+        options = {}
+        for item in re.split(r",\s*(?=`--)", cells[1]):
+            name, choices, rest = re.fullmatch(r"`(--[\w-]+)\s*([^`]*)`\s*(.*)", item).groups()
+            printed = re.match(r"`([^`]*)`|\d+(?=\s|$)", rest)
+            default = None if printed is None else printed[1] or int(printed[0])
+            options[name] = (choices.replace("\\|", "|") or None, default)
+        for command in re.findall(r"`([^`]+)`", cells[0]):
+            table[command] = options
+    return table
+
+
+def _subcommand_parsers() -> dict:
+    """{command: subparser} of `build_parser()`, reproduce examples as
+    "reproduce <example>"."""
+    def children(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    out = {}
+    for name, sp in children(build_parser()).items():
+        if name == "reproduce":
+            out.update({f"reproduce {ex}": esp for ex, esp in children(sp).items()})
+        else:
+            out[name] = sp
+    return out
+
+
+def test_readme_options_table_matches_the_parser():
+    # every command's options, choices and printed defaults, besides --seed,
+    # --format and --timing, which every command takes with the defaults the
+    # README gives above the table
+    table, parsers = _readme_options(), _subcommand_parsers()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "`--seed` (default 0;" in text and "`--format json|csv` (default `json`)" in text
+    assert set(table) == set(parsers)
+    for command, sp in parsers.items():
+        actions = {a.option_strings[0]: a for a in sp._actions if a.option_strings}
+        common = {"-h": None, "--seed": (None, 0), "--format": ("json|csv", "json"),
+                  "--timing": (None, False)}
+        for name, want in common.items():
+            a = actions.pop(name)
+            assert want is None or ("|".join(a.choices or ()) or None, a.default) == want
+        got = {name: ("|".join(a.choices or ()) or None, a.default)
+               for name, a in actions.items()}
+        assert got == table[command], command

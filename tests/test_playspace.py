@@ -763,3 +763,14 @@ def test_shard_seeds_are_reproducible_and_distinct():
     assert draws_a == draws_b
     assert len(set(draws_a)) == 4
 
+
+@given(ids=hst.lists(hst.integers(0, 40), max_size=25, unique=True),
+       gone=hst.lists(hst.integers(-3, 45), max_size=30))
+def test_narrow_keeps_the_plays_np_isin_keeps(ids, gone):
+    # sorted alive ids; retired ids repeat, and some are absent or out of range
+    alive = np.array(sorted(ids), dtype=np.int64)
+    gone = np.array(gone, dtype=np.int64)
+    keep, kept, _ = playspace._narrow([(None, 41)], alive, gone)
+    want = np.flatnonzero(~np.isin(alive, gone))
+    assert keep.dtype == want.dtype
+    assert np.array_equal(keep, want) and np.array_equal(kept, alive[want])

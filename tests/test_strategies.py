@@ -314,9 +314,10 @@ def _bfs_canonical_form(t):
 
 def _construct_then_canonicalise(n_i, n_s, max_memory):
     """The enumeration that builds every candidate transducer, filling its
-    update table entry by entry, and then keeps the first of each canonical
-    form: the reference for `enumerate_transducers`."""
-    out, seen = [], set()
+    update table entry by entry, and then keeps those equal to their own
+    canonical form, and the set of every candidate's form: the reference
+    for `enumerate_transducers`."""
+    out, forms = [], set()
     for m in range(1, max_memory + 1):
         for acts in itertools.product(range(n_i), repeat=m):
             for moves in itertools.product(range(m), repeat=m * n_s):
@@ -326,11 +327,11 @@ def _construct_then_canonicalise(n_i, n_s, max_memory):
                         update[mm, i, :] = moves[mm * n_s:(mm + 1) * n_s]
                 t = pe.Transducer(n_actions=n_i, n_signals=n_s, act=np.array(acts),
                                   update=update)
-                key = _bfs_canonical_form(t)
-                if key not in seen:
-                    seen.add(key)
+                form = _bfs_canonical_form(t)
+                forms.add(form)
+                if form == (m, acts, moves):
                     out.append(t)
-    return out
+    return out, forms
 
 
 # every action and signal count in {1, 2, 3} and memory bound <= 3 whose
@@ -345,8 +346,8 @@ _ENUMERATION_CASES = [(n_i, n_s, mm) for n_i in (1, 2, 3) for n_s in (1, 2, 3)
 def test_enumeration_equals_the_construct_then_canonicalise_loop(n_i, n_s, max_memory):
     p = random_pomdp(np.random.default_rng(n_i * 10 + n_s), k=2, n_i=n_i, n_s=n_s)
     got = pe.enumerate_transducers(p, max_memory=max_memory)
-    want = _construct_then_canonicalise(n_i, n_s, max_memory)
-    assert len(got) == len(want)
+    want, forms = _construct_then_canonicalise(n_i, n_s, max_memory)
+    assert len(got) == len(want) == len(forms)
     for g, w in zip(got, want):
         assert (g.n_actions, g.n_signals, g.initial) == (w.n_actions, w.n_signals, w.initial)
         assert g.act.dtype == w.act.dtype and g.update.dtype == w.update.dtype

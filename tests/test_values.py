@@ -308,6 +308,35 @@ def test_mc_estimators_reject_zero_samples(redraw, estimate):
         estimate(p, x1, t, pe.make_evaluation("n_stage", n=6))
 
 
+# each count once where the layers share it; these ran truncated, reported a
+# fractional count or raised a raw TypeError or ValueError
+@pytest.mark.parametrize("name, call", [
+    ("samples", lambda p, x1, t, e: pe.weighted_payoff_mc(p, x1, t, e, 6, 2.5, 1)),
+    ("seed", lambda p, x1, t, e: pe.weighted_payoff_mc(p, x1, t, e, 6, 4, 1.5)),
+    ("samples", lambda p, x1, t, e: pe.irregularity_mc(p, x1, t, e, 6, "4", 1)),
+    ("horizon", lambda p, x1, t, e: pe.weighted_payoff_exact(p, x1, t, e, 2.5)),
+    ("budget", lambda p, x1, t, e: pe.weighted_payoff_exact(p, x1, t, e, 3, budget=1e4)),
+    ("horizon", lambda p, x1, t, e: simulate_plays(p, x1, t, 2.5, 3,
+                                                   np.random.default_rng(0))),
+    ("window_start", lambda p, x1, t, e: pe.limsup_belief_payoff_mc(p, x1, t, 8, 4, 1,
+                                                                    window_start=3.5)),
+    ("horizon", lambda p, x1, t, e: average_extrema([(0, np.zeros((4, 2)))], 4.0)),
+    ("n", lambda p, x1, t, e: pe.value_n(p, x1, 2.5)),
+    ("n", lambda p, x1, t, e: pe.value_n(p, x1, True)),
+    ("budget", lambda p, x1, t, e: pe.value_n(p, x1, 3, budget=2.5)),
+    ("n_max", lambda p, x1, t, e: pe.asymptotic_value_estimate(p, x1, n_max=3.5)),
+    ("n_max", lambda p, x1, t, e: value_n_sequence(p, x1, "3")),
+    ("budget", lambda p, x1, t, e: pe.value_discounted(p, x1, 0.5, budget=None)),
+    ("tol", lambda p, x1, t, e: pe.value_discounted(p, x1, 0.5, tol=float("nan"))),
+    ("lam", lambda p, x1, t, e: pe.value_discounted(p, x1, "0.5")),
+])
+def test_api_counts_are_checked_not_truncated(redraw, name, call):
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    t = pe.always_strategy(p.n_actions, p.n_signals, 0)
+    with pytest.raises(InvalidInputError, match=rf"^{name} (has a non-integer|is )"):
+        call(p, x1, t, pe.make_evaluation("n_stage", n=3))
+
+
 def test_belief_and_state_modes_coincide_when_states_are_revealed(revealed_matching):
     # beliefs collapse to Dirac masses after one stage, so belief payoffs and
     # state payoffs agree except at the first stage
