@@ -646,7 +646,9 @@ def irregularity_exact(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
     """Expected pathwise irregularity by exhaustive tree enumeration; exact
     when the weights vanish within the horizon, bracketed otherwise.  The
     Monte Carlo estimator's fold on the enumerated plays as one block,
-    averaged with the play probabilities."""
+    averaged with the play probabilities.  A `horizon` that is not an
+    integer is rejected with InvalidInputError."""
+    horizon = json_integer(horizon, "horizon")
     ctx = _context(p, x1, e)
     tail = _truncation_tail(e, horizon)
     if e.deterministic:
@@ -673,11 +675,13 @@ def irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, e: Evaluation,
 def irregularity_supremum(p: Pomdp, x1: np.ndarray, e: Evaluation, horizon: int,
                           budget: int = DEFAULT_NODE_BUDGET) -> IrregularityReport:
     """Max irregularity over all open-loop pure action sequences (a lower
-    bound on the strategy supremum, exhaustive over schedules)."""
+    bound on the strategy supremum, exhaustive over schedules).  A `horizon`
+    that is not an integer is rejected with InvalidInputError."""
     import itertools
 
     from .errors import BudgetExceededError
 
+    horizon = json_integer(horizon, "horizon")
     if p.n_actions ** horizon > 10_000:
         raise BudgetExceededError(
             f"{p.n_actions ** horizon} open-loop schedules exceed the sweep cap"

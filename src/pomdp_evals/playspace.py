@@ -33,13 +33,22 @@ PROB_FLOOR = 1e-12
 # filter and every Monte Carlo reduction consume them, one block at a time,
 # so a Monte Carlo pass holds O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) memory
 # whatever the horizon.  A block holds at least STAGE_BLOCK stages, and as
-# many more as keep it within BLOCK_CELLS cells of the columns its streams
-# draw: a narrow pass pays the fixed per-block cost of Python and numpy
-# dispatch across kernel, stream and consumer once per BLOCK_CELLS // columns
-# stages, and a pass of 1024 columns or more keeps 16-stage blocks.  At 16
-# stages x 10 000 plays one float64 block takes 1.3 MB.
+# many more as keep it within BLOCK_CELLS cells of the plays it keeps: a
+# narrow pass pays the fixed per-block cost of Python and numpy dispatch
+# across kernel, stream and consumer once per BLOCK_CELLS // plays stages,
+# and a pass of 1024 plays or more keeps 16-stage blocks.  At 16 stages x
+# 10 000 plays one float64 block takes 1.3 MB.
 STAGE_BLOCK = 16
 BLOCK_CELLS = 2 ** 14
+# Counter-based draws: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), read
+# at any (play, row) as in Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3" (SC 2011).  Play j of a stream keyed k has the seed
+# mix(k + (j + 1) GAMMA), and its uniform at row r is
+# (mix(seed + (r + 1) GAMMA) >> 11) * 2**-53, mix being the finalizer of
+# Vigna's splitmix64.c.  All of it runs on uint64 arrays, which wrap mod
+# 2**64 without a warning.
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 # Beliefs a closed belief graph may hold for `belief_payoff_blocks` to walk
 # it; a value of its own, not the block length.
 GRAPH_BELIEFS = 64
@@ -276,12 +285,15 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     one per stream.
 
     Draw contract, per stream: the initial states come from one `rng.choice`
-    call.  Then, on the chain kernel, stage t uses the next `count` uniforms,
-    one per play in order, for the (next state, signal) draw.  A stepped
-    strategy draws two rows of `count` uniforms per stage: one uniform per
-    play for its action, then one per play for the (next state, signal) pair.
-    The plays therefore depend only on the generator state, not on how stages
-    are blocked, and a shorter horizon gives a prefix of a longer one.
+    call, then the stream takes one 64-bit key (`rng.bit_generator.
+    random_raw()`) and draws nothing more.  Its play j (counted from 0) has
+    the SplitMix64 seed s_j = mix(key + (j+1) GAMMA), and its uniform at row
+    r is (mix(s_j + (r+1) GAMMA) >> 11) * 2**-53 (`_uniforms`).  On the
+    chain kernel stage t+1 reads row t for the (next state, signal) draw; a
+    stepped strategy reads row 2t for its action and row 2t+1 for the (next
+    state, signal) pair.  The plays therefore depend only on the generator
+    state, not on how stages are blocked nor on which other plays are
+    simulated, and a shorter horizon gives a prefix of a longer one.
     """
     streams = [(rng, samples)] if isinstance(rng, np.random.Generator) else list(rng)
     if sum(n for _, n in streams) != samples:
@@ -297,21 +309,20 @@ def simulate_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
 def play_blocks(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int, streams: list):
     """Sampled plays one stage block at a time, as a `PlayStream` over
     `horizon` stages whose (t0, ids, states, actions, signals) blocks each
-    hold max(STAGE_BLOCK, BLOCK_CELLS // drawn) stages but the last, which
-    may hold fewer, `drawn` being the columns of the streams still drawing
-    when the block is made.  A pass of 1024 columns or more gets 16-stage
-    blocks; a narrower one longer blocks, which grow as its streams stop
-    drawing, so a later block may be longer than the first.  `streams` lists
-    (generator, count) pairs as in `simulate_plays`, whose draw contract the
-    blocks follow whatever their lengths; `reduce_sampled_plays` passes a
-    group of its seeded streams.  A consumer that keeps only per-play state
-    holds O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) memory.  A
-    consumer may retire plays it needs no more stages of: later blocks leave
-    them out and neither kernel steps them, while each stream with a play
-    kept still draws its full (block, count) uniforms, so the plays kept see
-    exactly the draws they would without retirement.  A stream whose plays
-    are all retired stops drawing.  A `horizon` or stream count that is not
-    an integer is rejected with InvalidInputError, never truncated."""
+    hold max(STAGE_BLOCK, BLOCK_CELLS // kept) stages but the last, which
+    may hold fewer, `kept` being the plays not yet retired when the block is
+    made.  A pass of 1024 plays or more gets 16-stage blocks; a narrower one
+    longer blocks, which grow as its plays retire, so a later block may be
+    longer than the first.  `streams` lists (generator, count) pairs as in
+    `simulate_plays`, whose draw contract the blocks follow whatever their
+    lengths; `reduce_sampled_plays` passes a group of its seeded streams.  A
+    consumer that keeps only per-play state holds O(max(plays x STAGE_BLOCK,
+    BLOCK_CELLS)) memory.  A consumer may retire plays it needs no more
+    stages of: later blocks leave them out, neither kernel steps them and no
+    uniform is computed for them, while the plays kept read the same rows of
+    their own seeds, so they see exactly the draws they would without
+    retirement.  A `horizon` or stream count that is not an integer is
+    rejected with InvalidInputError, never truncated."""
     horizon = json_integer(horizon, "horizon")
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
@@ -333,14 +344,14 @@ class PlayStream:
     (block, plays) int arrays whose row j is stage t0 + j + 1, and `ids`
     numbers their columns by play id, a play's id being its position among
     the pass's plays.  Sampled streams (`play_blocks`) cut the plays into
-    blocks of at most max(STAGE_BLOCK x drawn, BLOCK_CELLS) cells, drawn
-    being the columns their streams still draw; `one_block_stream` holds a
-    whole enumerated batch in one block.  The consumers fold each play stage
-    by stage, so their results do not depend on the cut.  A consumer that
+    blocks of at most max(STAGE_BLOCK x kept, BLOCK_CELLS) cells, kept
+    being the plays not yet retired; `one_block_stream` holds a whole
+    enumerated batch in one block.  The consumers fold each play stage by
+    stage, so their results do not depend on the cut.  A consumer that
     needs no more stages of some plays retires them: every block made
-    afterwards leaves them out, both simulation kernels step only the plays
-    kept, and the stream ends once no play is left.  A consumer that never
-    retires sees every play in every block.
+    afterwards leaves them out, both simulation kernels step and draw only
+    the plays kept, and the stream ends once no play is left.  A consumer
+    that never retires sees every play in every block.
     """
 
     def __init__(self, kernel):
@@ -369,48 +380,65 @@ def one_block_stream(states: np.ndarray, actions: np.ndarray, signals: np.ndarra
     return PlayStream(kernel())
 
 
-def _stream_draws(streams: list, alive: np.ndarray) -> list:
-    """(generator, count, columns) per stream holding a play of `alive`
-    (sorted ids): which columns of its (rows, count) uniforms belong to
-    those plays, a slice when all of them do.  A stream with none is left
-    out, so it draws no more."""
-    bounds = np.cumsum([0] + [n for _, n in streams])
-    cut = alive.searchsorted(bounds)
-    return [(g, n, slice(None) if hi - lo == n else alive[lo:hi] - first)
-            for (g, n), first, lo, hi in zip(streams, bounds, cut, cut[1:]) if hi > lo]
-
-
-def _block_stages(draws: list) -> int:
+def _block_stages(kept: int) -> int:
     """Stages of the next block: STAGE_BLOCK, or more as long as the block
-    holds at most BLOCK_CELLS cells of the columns its streams draw.  The
-    rule reads drawn columns, not kept plays, so a wide pass that retires
-    most of its plays keeps its 16-stage blocks and never draws ahead."""
-    return max(STAGE_BLOCK, BLOCK_CELLS // max(sum(n for _, n, _ in draws), 1))
+    holds at most BLOCK_CELLS cells of the `kept` plays.  Only kept plays
+    are drawn, so a block costs its kept play-stages, and the blocks of a
+    pass grow as its plays retire."""
+    return max(STAGE_BLOCK, BLOCK_CELLS // max(kept, 1))
 
 
-def _draw(draws: list, out: np.ndarray) -> np.ndarray:
-    """Fill out (rows, plays) with the next (rows, count) uniforms of every
-    stream in `draws`, each drawing all of them, keeping its alive columns."""
-    col = 0
-    for g, n, cols in draws:
-        u = g.random((len(out), n))[:, cols]
-        out[:, col:col + u.shape[1]] = u
-        col += u.shape[1]
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Vigna's splitmix64 finalizer of the uint64 array z, in place;
+    scratch is a uint64 array of z's shape."""
+    z ^= np.right_shift(z, 30, out=scratch)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=scratch)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=scratch)
+    return z
+
+
+def _play_seeds(streams: list, x1: np.ndarray, k: int) -> tuple:
+    """(initial states, seeds) of the streams' plays in stream order: each
+    stream draws its plays' states with one `choice` call and then one
+    64-bit key, and its play j gets the seed mix(key + (j + 1) GAMMA)."""
+    states, seeds = [], []
+    for g, n in streams:
+        states.append(g.choice(k, size=n, p=x1))
+        seed = np.arange(1, n + 1, dtype=np.uint64) * GAMMA
+        seed += np.uint64(g.bit_generator.random_raw())
+        seeds.append(_mix(seed, np.empty_like(seed)))
+    return np.concatenate(states), np.concatenate(seeds)
+
+
+def _uniforms(seed: np.ndarray, r0: int, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (rows, plays) with the uniforms at rows r0, r0 + 1, ... of
+    the plays whose seeds are `seed`, (mix(seed + (r + 1) GAMMA) >> 11) *
+    2**-53, and return it.  They are hashed in h, a uint64 array of out's
+    shape, with out's memory as the mix's scratch."""
+    rows = np.arange(r0 + 1, r0 + 1 + len(out), dtype=np.uint64)
+    rows *= GAMMA
+    np.add(rows[:, None], seed, out=h)
+    _mix(h, out.view(np.uint64))
+    np.right_shift(h, 11, out=h)
+    np.copyto(out, h.view(np.int64))
+    out *= 2.0 ** -53
     return out
 
 
-def _narrow(streams: list, alive: np.ndarray, gone: np.ndarray) -> tuple:
-    """(keep, alive, draws) once the plays `gone` leave: the positions in
-    `alive` of the plays kept, their ids and their streams' draw columns.
-    `alive` is sorted, so each id of `gone` is looked up by bisection; a
-    repeated id, or one no longer alive, leaves nothing more."""
+def _narrow(alive: np.ndarray, gone: np.ndarray) -> tuple:
+    """(keep, alive) once the plays `gone` leave: the positions in `alive`
+    of the plays kept, and their ids.  `alive` is sorted, so each id of
+    `gone` is looked up by bisection; a repeated id, or one no longer alive,
+    leaves nothing more."""
     at = alive.searchsorted(gone)
     inside = at < len(alive)
     at = at[inside]
     kept = np.ones(len(alive), dtype=bool)
     kept[at[alive[at] == gone[inside]]] = False
     keep = np.flatnonzero(kept)
-    return keep, alive[keep], _stream_draws(streams, alive[keep])
+    return keep, alive[keep]
 
 
 @functools.lru_cache(maxsize=64)
@@ -476,31 +504,37 @@ def _simulate_stepped(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
     k, n_s = p.n_states, p.n_signals
     samples = sum(n for _, n in streams)
     cum = np.cumsum(p.transition.reshape(k, p.n_actions, k * n_s), axis=2)
-    x1 = np.asarray(x1) / np.asarray(x1).sum()
-    state = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams])
+    state, seed = _play_seeds(streams, x1 / x1.sum(), k)
     mem = strat.start(samples)
     alive = np.arange(samples)
-    draws = _stream_draws(streams, alive)
+    # a block of b stages reads rows 2 t0 ... 2 (t0 + b) - 1 of its plays'
+    # seeds: u[j] holds stage t0 + j + 1's (action, transition) uniforms.
+    # u and h, where they are hashed, are flat buffers reused from block to
+    # block, sized for the largest block: b * kept <= max(STAGE_BLOCK *
+    # samples, BLOCK_CELLS).
+    cells = 2 * max(STAGE_BLOCK * samples, BLOCK_CELLS)
+    u_buf, h_buf = np.empty(cells), np.empty(cells, dtype=np.uint64)
     t0 = 0
     while t0 < horizon:
-        blk = np.empty((3, min(_block_stages(draws), horizon - t0), len(alive)), dtype=np.int32)
-        u = np.empty((2, len(alive)))
-        for out in blk.transpose(1, 0, 2):
-            _draw(draws, u)
+        b, n = min(_block_stages(len(alive)), horizon - t0), len(alive)
+        blk = np.empty((3, b, n), dtype=np.int32)
+        u = _uniforms(seed, 2 * t0, h_buf[:2 * b * n].reshape(2 * b, n),
+                      u_buf[:2 * b * n].reshape(2 * b, n)).reshape(b, 2, n)
+        for out, (u_act, u_move) in zip(blk.transpose(1, 0, 2), u):
             law = np.cumsum(strat.dist(mem), axis=1)
-            action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
+            action = (law <= (u_act * law[:, -1])[:, None]).sum(axis=1)
             row = cum[state, action]
-            code = (row <= (u[1] * row[:, -1])[:, None]).sum(axis=1)
+            code = (row <= (u_move * row[:, -1])[:, None]).sum(axis=1)
             out[:] = state, action, code % n_s
             mem = strat.step(mem, action, code % n_s)
             state = code // n_s
         gone = yield t0, alive, *blk
-        t0 += blk.shape[1]
+        t0 += b
         if gone is not None:
-            keep, alive, draws = _narrow(streams, alive, gone)
+            keep, alive = _narrow(alive, gone)
             if not len(alive):
                 return
-            state, mem = state[keep], mem[keep]
+            state, mem, seed = state[keep], mem[keep], seed[keep]
 
 
 def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.ndarray,
@@ -509,8 +543,8 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
 
     act[a, c] is the action played at c under table a, stage_table[t] the
     table used at stage t+1, and nxt[c, code] the next combined index after
-    the (next state, signal) code = l*S + s.  Each stage is one inverse-CDF
-    draw per play from its stream's next uniforms, in stage order.  A block
+    the (next state, signal) code = l*S + s.  Stage t+1 is one inverse-CDF
+    draw per play from row t of its seed's uniforms.  A block
     of at most SCALAR_PLAYS plays is stepped play by play in scalar Python
     (`_step_plays`), a wider one stage by stage in numpy, each play searching
     only its own row of the table; the width is taken per block, as retired
@@ -541,26 +575,26 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
     # j, and idx[b] carries into the next block; `base` is 2 * idx at the
     # stage being drawn.  y and pos, the block's uniforms and table
     # positions, share one buffer reused from block to block: the numpy step
-    # writes stage j's positions over its spent uniforms.  Both buffers
+    # writes stage j's positions over its spent uniforms.  The uniforms are
+    # hashed in idx[1:], which the step fills only after, with y as the
+    # hash's scratch, so drawing takes no buffer of its own.  Both buffers
     # are flat, so a block over fewer plays is a contiguous prefix of them,
-    # and sized for the largest block: b stages of at most `drawn` plays,
-    # b * drawn <= max(STAGE_BLOCK * samples, BLOCK_CELLS).  `query`,
-    # `entry` and `over` hold one stage of the search.
+    # and sized for the largest block: b stages of `kept` plays, b * kept <=
+    # max(STAGE_BLOCK * samples, BLOCK_CELLS).  `query`, `entry` and `over`
+    # hold one stage of the search.
     cells = max(STAGE_BLOCK * samples, BLOCK_CELLS)
     idx_buf = np.empty(cells + samples, dtype=np.int64)
     y_buf = np.empty(cells)
     query, entry, over = (np.empty(samples, dtype=d) for d in (float, float, bool))
-    x1 = np.asarray(x1) / np.asarray(x1).sum()
-    idx_buf[:samples] = np.concatenate([g.choice(k, size=n, p=x1) for g, n in streams]) * m \
-        + initial
+    start, seed = _play_seeds(streams, x1 / x1.sum(), k)
+    idx_buf[:samples] = start * m + initial
     base = 2.0 * idx_buf[:samples]
     alive = np.arange(samples)
-    draws = _stream_draws(streams, alive)
     t0 = 0
     while t0 < horizon:
-        b, n = min(_block_stages(draws), horizon - t0), len(alive)
+        b, n = min(_block_stages(len(alive)), horizon - t0), len(alive)
         idx = idx_buf[:(b + 1) * n].reshape(b + 1, n)
-        y = _draw(draws, y_buf[:b * n].reshape(b, n))
+        y = _uniforms(seed, t0, idx[1:].view(np.uint64), y_buf[:b * n].reshape(b, n))
         pos = y.view(np.int64)
         stage_a = stage_table[t0:t0 + b].tolist()
         if n <= SCALAR_PLAYS:
@@ -581,10 +615,10 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
                       signals)
         t0, carry = t0 + b, idx[b]
         if gone is not None:
-            keep, alive, draws = _narrow(streams, alive, gone)
+            keep, alive = _narrow(alive, gone)
             if not len(alive):
                 return
-            carry, base = carry[keep], base[keep]
+            carry, base, seed = carry[keep], base[keep], seed[keep]
         idx_buf[:len(alive)] = carry
 
 
@@ -682,9 +716,12 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
     O(max(plays x STAGE_BLOCK, BLOCK_CELLS)) cells plus what `reduce`
     carries.  A `reduce` that retires plays (the weight fold
     `evaluations.weight_sums` retires those whose weights are spent) makes
-    the pass simulate only the plays still needed, and ends it once none is.
-    Each stream draws from its own generator, so its plays are those it
-    would give in a pass of its own.  `samples`, `seed` and `horizon` must
+    the pass simulate only the plays still needed, and ends it once none is;
+    no uniform is computed for a retired play.  Each stream takes its
+    initial states and one 64-bit key from its own generator, and each play
+    reads its own counter-based uniforms (`simulate_plays`), so a stream's
+    plays are those it would give in a pass of its own, whatever the other
+    streams and whichever plays retire.  `samples`, `seed` and `horizon` must
     be integers (`shard_seeds`, `play_blocks`), else InvalidInputError.
     """
     samples = json_integer(samples, "samples")
@@ -696,6 +733,10 @@ def reduce_sampled_plays(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int
 
 
 def sample_mean(v: np.ndarray) -> tuple:
-    """Mean of per-play values and its standard error (0 for one play)."""
-    se = float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    return float(v.mean()), se
+    """Mean of per-play values and its standard error (0 for one play),
+    both taken of the values less the first one: that difference is exact
+    when the plays agree, so plays that all hold one value report it with
+    error 0, not a mean an ulp off with a spread smaller than that ulp."""
+    d = v - v[0]
+    se = float(d.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
+    return float(v[0] + d.mean()), se

@@ -191,7 +191,9 @@ def weighted_payoff_and_irregularity_mc(p: Pomdp, x1: np.ndarray, strat: Strateg
 
 def weighted_payoff_chain(c: MarkovChain, e: Evaluation, horizon: int) -> ValueReport:
     """Exact weighted payoff of a deterministic evaluation on a finite chain:
-    sum_m theta_m E[f(u_m)] by stepping the state law."""
+    sum_m theta_m E[f(u_m)] by stepping the state law.  A `horizon` that is
+    not an integer is rejected with InvalidInputError."""
+    horizon = json_integer(horizon, "horizon")
     if not e.deterministic:
         raise InvalidInputError("chain payoffs need a deterministic evaluation")
     w = e.stage_fn(horizon)
@@ -235,7 +237,9 @@ def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: 
                             samples: int, seed: int, mode: str = "limsup",
                             payoff_on: str = "state", window_start: int = None) -> ValueReport:
     """Finite-horizon estimate of the expected limsup/liminf average payoff,
-    with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief")."""
+    with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief").
+    A `horizon` that is not an integer is rejected with InvalidInputError."""
+    horizon = json_integer(horizon, "horizon")
     if horizon < 2:
         raise InvalidInputError("horizon must be >= 2")
     if mode not in ("limsup", "liminf"):

@@ -29,6 +29,48 @@ def random_belief(rng: np.random.Generator, k: int) -> np.ndarray:
     return pe.make_belief(rng.dirichlet(np.ones(k)))
 
 
+# SplitMix64 in Python ints, transcribed from Vigna's splitmix64.c: the
+# reference of the simulation kernels' numpy draws
+MASK64 = 2 ** 64 - 1
+GAMMA64 = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The finalizer of splitmix64.c's next()."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(state: int, count: int) -> list:
+    """The first `count` outputs of splitmix64.c's next() from `state`."""
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA64) & MASK64
+        out.append(mix64(state))
+    return out
+
+
+def uniform64(seed: int, row: int) -> float:
+    """A play's uniform at `row`: output row + 1 of splitmix64 from its
+    seed, its top 53 bits scaled into [0, 1)."""
+    return (mix64((seed + (row + 1) * GAMMA64) & MASK64) >> 11) * 2.0 ** -53
+
+
+def reference_draws(streams, k: int, x1: np.ndarray) -> tuple:
+    """The draw contract of `simulate_plays` in Python ints: (initial states,
+    uniform) of the (generator, count) streams' plays, uniform(j, r) being
+    the uniform of play j (in stream order) at row r.  Each stream draws its
+    states with one `choice` call, then one 64-bit key; its play i has the
+    seed mix64(key + (i + 1) GAMMA64)."""
+    states, seeds = [], []
+    for g, n in streams:
+        states.append(g.choice(k, size=n, p=np.asarray(x1) / np.asarray(x1).sum()))
+        key = int(g.bit_generator.random_raw())
+        seeds += [mix64((key + (i + 1) * GAMMA64) & MASK64) for i in range(n)]
+    return np.concatenate(states), lambda j, r: uniform64(seeds[j], r)
+
+
 @hst.composite
 def sparse_instances(draw):
     """Random POMDP with K, I, S <= 3, about a third of its transition cells

@@ -18,8 +18,9 @@ under one kernel, `simulate_plays` or `enumerate_plays`: int64 digests of
 the play arrays and the ordered list of the histories the rule was asked
 about.
 
-Regenerate only for a deliberate output change, and list the moved records
-in `CHANGES.md`.
+Regenerate only for a deliberate output change.  Before it writes, the
+script prints every case whose line moved, marked Monte Carlo or exact, with
+each moved record field; list that output in `CHANGES.md`.
 """
 from __future__ import annotations
 
@@ -144,6 +145,40 @@ def record(argv: list) -> dict:
     return line
 
 
+def _records(stdout: str):
+    """The records of a JSON or CSV output, each a dict, or None."""
+    try:
+        return json.loads(stdout)["records"]
+    except (ValueError, KeyError, TypeError):
+        rows = [line.split(",") for line in stdout.splitlines()]
+        if len(rows) < 2:
+            return None
+        return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def _moved(want: str, have: str) -> list:
+    """What moved between two outputs: each changed field of each record,
+    with the difference when both values are numbers."""
+    old, new = _records(want), _records(have)
+    if old is None or new is None:
+        return [f"stdout {want!r} became {have!r}"]
+    out = []
+    if len(old) != len(new):
+        out.append(f"{len(old)} records became {len(new)}")
+    for n, (a, b) in enumerate(zip(old, new)):
+        for key in sorted(set(a) | set(b)):
+            va, vb = a.get(key), b.get(key)
+            if va == vb:
+                continue
+            msg = f"record {n} ({a.get('parameter')}) field {key!r}: {va!r} -> {vb!r}"
+            try:
+                msg += f" (by {float(vb) - float(va):.3g})"
+            except (TypeError, ValueError):
+                pass
+            out.append(msg)
+    return out or ["same records, different formatting"]
+
+
 BEHAVIOR_SCENARIOS = ("matching-revealed", "blind-switching-lift")
 BEHAVIOR_SEEDS = (0, 1)
 BEHAVIOR_RULES = ("constant", "last-signal", "history-sum")
@@ -197,13 +232,54 @@ def behavior_record(scenario: str, seed: int, rule: str, kernel: str) -> dict:
             "digests": [array_digest(a) for a in arrays], "asked": asked}
 
 
+def _old_lines(path: Path, key: str) -> dict:
+    """The lines of a golden file as it stands, by their case key."""
+    if not path.exists():
+        return {}
+    lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    return {json.dumps(line[key]): line for line in lines}
+
+
+def _print_moved(lines: list, path: Path, key: str, monte_carlo, changes) -> None:
+    """Print each line of `lines` that differs from the file's line of its
+    case, marked Monte Carlo or exact by `monte_carlo(line)`, with
+    `changes(old, new)`."""
+    old = _old_lines(path, key)
+    for line in lines:
+        before = old.get(json.dumps(line[key]))
+        if before == line:
+            continue
+        mark = "monte carlo" if monte_carlo(line) else "exact"
+        print(f"[{mark}] {' '.join(map(str, line[key]))}")
+        for change in (["new case"] if before is None else changes(before, line)):
+            print(f"    {change}")
+
+
+def cli_changes(old: dict, new: dict) -> list:
+    """What moved between two lines of one case of `cli.jsonl`."""
+    out = [] if old["exit"] == new["exit"] else [f"exit {old['exit']} became {new['exit']}"]
+    if old["stdout"] != new["stdout"]:
+        out += _moved(old["stdout"], new["stdout"])
+    if old.get("stderr") != new.get("stderr"):
+        out.append(f"stderr {old.get('stderr')!r} became {new.get('stderr')!r}")
+    return out
+
+
+def _behavior_changes(old: dict, new: dict) -> list:
+    return [f"{field} moved" for field in ("digests", "asked") if old[field] != new[field]]
+
+
 def main() -> None:
+    """Print what moved in each file's cases, then rewrite both files."""
     header = json.dumps({"numpy": np.__version__})
-    lines = [header] + [json.dumps(record(argv)) for argv in CASES]
-    GOLDEN.write_text("\n".join(lines) + "\n")
+    cli = [record(argv) for argv in CASES]
+    _print_moved(cli, GOLDEN, "argv", lambda line: line["monte_carlo"], cli_changes)
+    GOLDEN.write_text("\n".join([header] + [json.dumps(line) for line in cli]) + "\n")
     print(f"wrote {len(CASES)} cases to {GOLDEN}", file=sys.stderr)
-    lines = [header] + [json.dumps(behavior_record(*case)) for case in BEHAVIOR_CASES]
-    BEHAVIOR.write_text("\n".join(lines) + "\n")
+    behavior = [behavior_record(*case) for case in BEHAVIOR_CASES]
+    _print_moved(behavior, BEHAVIOR, "case", lambda line: line["case"][3] == "simulate",
+                 _behavior_changes)
+    BEHAVIOR.write_text("\n".join([header] + [json.dumps(line) for line in behavior]) + "\n")
     print(f"wrote {len(BEHAVIOR_CASES)} cases to {BEHAVIOR}", file=sys.stderr)
 
 

@@ -1,6 +1,8 @@
 """Play enumeration, belief sequences, and seeded simulation."""
 import functools
 import itertools
+import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,10 @@ from pomdp_evals.playspace import (belief_payoff_blocks, enumerate_plays, play_b
                                    shard_seeds, simulate_plays, BLOCK_CELLS, PROB_FLOOR,
                                    SCALAR_PLAYS, STAGE_BLOCK)
 
-from conftest import (BUILTIN_SCENARIOS, belief_payoffs, belief_sequence, builtin_cases,
-                      closed_instances, drifting_permutation, filter_payoffs, random_belief,
-                      random_pomdp, sparse_instances)
+from conftest import (BUILTIN_SCENARIOS, GAMMA64, MASK64, belief_payoffs, belief_sequence,
+                      builtin_cases, closed_instances, drifting_permutation, filter_payoffs,
+                      mix64, random_belief, random_pomdp, reference_draws, sparse_instances,
+                      splitmix64, uniform64)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,9 @@ def test_simulated_state_frequencies_match_the_law(redraw):
 
 
 def _reference_transducer(p, x1, strat, horizon, samples, rng):
-    """Per-stage transducer loop the stage-blocked kernel must reproduce."""
+    """Per-stage transducer loop the stage-blocked kernel must reproduce,
+    stage t + 1 reading row t of each play's uniforms from the Python-int
+    draw reference."""
     k, n_s, m = p.n_states, p.n_signals, strat.n_memory
     cum = np.empty((k * m, k * n_s))
     act_of = np.empty(k * m, dtype=np.int32)
@@ -192,12 +197,12 @@ def _reference_transducer(p, x1, strat, horizon, samples, rng):
     states = np.empty((samples, horizon), dtype=np.int32)
     actions = np.empty((samples, horizon), dtype=np.int32)
     signals = np.empty((samples, horizon), dtype=np.int32)
-    start = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
+    start, uniform = reference_draws([(rng, samples)], k, x1)
     cur = (start * m + strat.initial).astype(np.int64)
     width = k * n_s
     flat = (cum + np.arange(k * m)[:, None]).ravel()
     for t in range(horizon):
-        y = cur + rng.random(samples)
+        y = cur + np.array([uniform(j, t) for j in range(samples)])
         code = np.searchsorted(flat, y, side="right") - cur * width
         np.clip(code, 0, width - 1, out=code)
         states[:, t] = cur // m
@@ -208,7 +213,8 @@ def _reference_transducer(p, x1, strat, horizon, samples, rng):
 
 
 def _reference_schedule(p, x1, strat, horizon, samples, rng):
-    """Per-stage open-loop schedule loop the stage-blocked kernel must reproduce."""
+    """Per-stage open-loop schedule loop the stage-blocked kernel must
+    reproduce, with the draws of `_reference_transducer`."""
     k, n_i, n_s = p.n_states, p.n_actions, p.n_signals
     width = k * n_s
     cum = np.cumsum(p.transition.reshape(k, n_i, width), axis=2)
@@ -218,10 +224,10 @@ def _reference_schedule(p, x1, strat, horizon, samples, rng):
     states = np.empty((samples, horizon), dtype=np.int32)
     actions = np.empty((samples, horizon), dtype=np.int32)
     signals = np.empty((samples, horizon), dtype=np.int32)
-    cur = rng.choice(k, size=samples, p=np.asarray(x1) / np.asarray(x1).sum())
+    cur, uniform = reference_draws([(rng, samples)], k, x1)
     for t in range(horizon):
         i = strat.action_at_stage(t + 1)
-        y = cur + rng.random(samples)
+        y = cur + np.array([uniform(j, t) for j in range(samples)])
         code = np.searchsorted(flat[i], y, side="right") - cur * width
         np.clip(code, 0, width - 1, out=code)
         states[:, t] = cur
@@ -372,6 +378,87 @@ def test_simulated_prefix_does_not_depend_on_horizon(rng, short, long):
         b = simulate_plays(p, x1, strat, long, 5, np.random.default_rng(3))
         for u, v in zip(a, b):
             assert np.array_equal(u, v[:, :short])
+
+
+# ---------------------------------------------------------------------------
+# Counter-based draws
+# ---------------------------------------------------------------------------
+
+class _Keyed:
+    """A generator stand-in for one stream: its initial states come from a
+    real generator, and its one 64-bit draw is `key`."""
+
+    def __init__(self, key: int, seed: int = 0):
+        self._g = np.random.default_rng(seed)
+        self.bit_generator = types.SimpleNamespace(random_raw=lambda: key)
+
+    def choice(self, *args, **kwargs):
+        return self._g.choice(*args, **kwargs)
+
+
+def test_splitmix64_gives_its_known_answers():
+    # splitmix64.c seeded with 0: its first three outputs, from the Python
+    # reference and from the kernels' numpy finalizer
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64(0, 3) == want
+    z = np.arange(1, 4, dtype=np.uint64) * playspace.GAMMA
+    assert playspace._mix(z, np.empty_like(z)).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=hst.one_of(hst.integers(0, MASK64), hst.integers(MASK64 - 2**12, MASK64)),
+       r0=hst.one_of(hst.integers(0, 100), hst.integers(2**32 - 8, 2**40)),
+       rows=hst.integers(1, 6), plays=hst.integers(1, 5))
+def test_numpy_uniforms_equal_the_python_int_reference(key, r0, rows, plays):
+    # keys near 2**64 wrap the seeds' sums, rows past 2**32 the rows' offsets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, seed = playspace._play_seeds([(_Keyed(key), plays)], np.ones(2) / 2, 2)
+        got = playspace._uniforms(seed, r0, np.empty((rows, plays), dtype=np.uint64),
+                                  np.empty((rows, plays)))
+    want_seeds = [mix64((key + (j + 1) * GAMMA64) & MASK64) for j in range(plays)]
+    assert seed.tolist() == want_seeds
+    want = np.array([[uniform64(s, r0 + i) for s in want_seeds] for i in range(rows)])
+    assert got.tobytes() == want.tobytes()
+    assert ((got >= 0.0) & (got < 1.0)).all()
+
+
+@pytest.mark.parametrize("cells", [0, BLOCK_CELLS])
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_pass_hashes_one_uniform_per_kept_play_stage_and_draw(redraw, stepped, cells):
+    # a work count, not a timing: the uniforms hashed over a pass that
+    # retires plays block by block equal the sum over its blocks of b x kept,
+    # twice that on the stepped kernel (an action and a move per stage)
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    strat = pe.uniform_strategy(2) if stepped else pe.always_strategy(2, 1, 0)
+    hashed, uniforms = [], playspace._uniforms
+
+    def counted(seed, r0, h, out):
+        hashed.append(out.size)
+        return uniforms(seed, r0, h, out)
+
+    pick, made = np.random.default_rng(2), 0
+    with mock.patch.object(playspace, "BLOCK_CELLS", cells), \
+            mock.patch.object(playspace, "_uniforms", counted):
+        stream = play_blocks(p, x1, strat, 40 * STAGE_BLOCK,
+                             [(np.random.default_rng([4, j]), n) for j, n in enumerate([30, 45])])
+        for _, ids, st, _, _ in stream:
+            made += st.size
+            stream.retire(ids[pick.random(len(ids)) < 0.3])
+    assert len(hashed) > 2
+    assert sum(hashed) == (2 if stepped else 1) * made
+
+
+@pytest.mark.parametrize("strat", [pe.always_strategy(2, 1, 0), pe.uniform_strategy(2),
+                                   pe.ScheduleStrategy(2, lambda t: t % 2)])
+def test_a_pass_raises_no_warning(redraw, strat):
+    # uint64 arrays wrap mod 2**64 silently; a numpy scalar would warn on
+    # overflow, and here every warning is an error
+    p, x1 = redraw.pomdp, redraw.initial_belief
+    streams = [(_Keyed(MASK64 - j, j), 20) for j in range(3)] + [(np.random.default_rng(1), 30)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_plays(p, x1, strat, 3 * STAGE_BLOCK + 5, 90, streams)
 
 
 def _chi_square_p(p, x1, strat, horizon, samples, seed):
@@ -770,7 +857,7 @@ def test_narrow_keeps_the_plays_np_isin_keeps(ids, gone):
     # sorted alive ids; retired ids repeat, and some are absent or out of range
     alive = np.array(sorted(ids), dtype=np.int64)
     gone = np.array(gone, dtype=np.int64)
-    keep, kept, _ = playspace._narrow([(None, 41)], alive, gone)
+    keep, kept = playspace._narrow(alive, gone)
     want = np.flatnonzero(~np.isin(alive, gone))
     assert keep.dtype == want.dtype
     assert np.array_equal(keep, want) and np.array_equal(kept, alive[want])

@@ -9,7 +9,7 @@ STAGE_BLOCK.  The fold adds each play's terms one stage at a time, so its
 sums equal, bit for bit, the matrix sums added up stage by stage, whatever
 the block cuts and widths; the prefix-average extrema and belief payoffs
 are as cut-free.  Sampled passes retire the plays whose weights are spent,
-size their blocks by the columns they draw, and every block must hold the
+size their blocks by the plays they keep, and every block must hold the
 simulated columns of the plays it keeps."""
 import tracemalloc
 from unittest import mock
@@ -31,7 +31,7 @@ from pomdp_evals.playspace import (BLOCK_CELLS, MC_SHARDS, STAGE_BLOCK, PlayStre
 from pomdp_evals.values import (average_extrema, weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_mc)
 
-from conftest import sparse_instances
+from conftest import reference_draws, sparse_instances
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +114,15 @@ def ref_fold_sums(p, w, states, actions):
 
 def ref_stepped(p, x1, strat, horizon, streams):
     """Plays of a strategy stepped through its interface, one stage at a time
-    by the draw contract: per stage each stream's next (2, count) uniforms,
-    row 0 for the actions and row 1 for the (next state, signal) pairs."""
+    by the draw contract: stage t + 1 reads row 2t of each play's uniforms
+    for its action and row 2t + 1 for its (next state, signal) pair, from
+    the Python-int draw reference."""
     k, n_s = p.n_states, p.n_signals
-    state = np.concatenate([g.choice(k, size=n, p=x1 / x1.sum()) for g, n in streams])
+    state, uniform = reference_draws(streams, k, x1)
     mem = strat.start(len(state))
     out = np.empty((3, len(state), horizon), dtype=np.int32)
     for t in range(horizon):
-        u = np.concatenate([g.random((2, n)) for g, n in streams], axis=1)
+        u = np.array([[uniform(j, 2 * t + c) for j in range(len(state))] for c in (0, 1)])
         law = np.cumsum(strat.dist(mem), axis=1)
         action = (law <= (u[0] * law[:, -1])[:, None]).sum(axis=1)
         row = np.cumsum(p.transition[state, action].reshape(len(state), -1), axis=1)
@@ -511,27 +512,26 @@ def test_long_blocks_give_the_plays_and_draws_of_64_stage_blocks(case, kind, hor
        rate=hst.sampled_from([0.0, 0.3, 1.0]), seed=hst.integers(0, 2**16))
 def test_no_block_holds_more_than_its_cell_budget(case, kind, counts, rate, seed):
     # whatever plays retire, a block holds min(max(STAGE_BLOCK, BLOCK_CELLS
-    # // drawn), stages left) stages, drawn being the columns of the streams
-    # still drawing, so at most max(STAGE_BLOCK * drawn, BLOCK_CELLS) cells;
-    # a pass of BLOCK_CELLS // STAGE_BLOCK columns or more keeps
-    # STAGE_BLOCK-stage blocks, as a stream of 1100 plays makes it do.
+    # // kept), stages left) stages, kept being the plays not yet retired,
+    # so at most max(STAGE_BLOCK * kept, BLOCK_CELLS) cells; a pass of
+    # BLOCK_CELLS // STAGE_BLOCK plays or more keeps STAGE_BLOCK-stage
+    # blocks, as a stream of 1100 plays makes it do.
     p, x1, rng = case
     strat = _strategy(kind, p, rng)
-    bounds = np.cumsum([0] + counts)
-    first = max(STAGE_BLOCK, BLOCK_CELLS // bounds[-1])
+    first = max(STAGE_BLOCK, BLOCK_CELLS // sum(counts))
     horizon = min(4 * first + 7, 3000 if kind == "uniform" else 40_000)
     stream = play_blocks(p, x1, strat, horizon,
                          [(np.random.default_rng([seed, j]), n) for j, n in enumerate(counts)])
-    kept, end = np.ones(bounds[-1], dtype=bool), 0
+    kept, end = sum(counts), 0
     for t0, ids, st, _, _ in stream:
-        drawn = sum(hi - lo for lo, hi in zip(bounds, bounds[1:]) if kept[lo:hi].any())
-        assert len(st) == min(max(STAGE_BLOCK, BLOCK_CELLS // drawn), horizon - t0)
-        assert st.size <= max(STAGE_BLOCK * drawn, BLOCK_CELLS)
+        assert len(ids) == kept
+        assert len(st) == min(max(STAGE_BLOCK, BLOCK_CELLS // kept), horizon - t0)
+        assert st.size <= max(STAGE_BLOCK * kept, BLOCK_CELLS)
         end = t0 + len(st)
         done = ids[rng.random(len(ids)) < rate]
         stream.retire(done)
-        kept[done] = False
-    assert end == horizon or not kept.any()
+        kept -= len(done)
+    assert end == horizon or not kept
 
 
 CUTS = hst.lists(hst.integers(1, 2 * STAGE_BLOCK + 5), min_size=1, max_size=4)
@@ -603,7 +603,7 @@ def test_the_pass_stops_once_every_play_is_retired(redraw, spec, stage, ahead, c
     strat, samples = pe.always_strategy(2, 1, 0), 50
     e, ctx = pe.evaluation_from_spec(spec), EvalContext(p, x1)
     with mock.patch.object(playspace, "BLOCK_CELLS", cells):
-        horizon = 12 * playspace._block_stages([(None, samples, None)])
+        horizon = 12 * playspace._block_stages(samples)
         stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(7), samples)])
         bounds = _block_bounds(stream())
         retiring, made = stream(), []
@@ -626,16 +626,16 @@ def test_the_pass_stops_once_every_play_is_retired(redraw, spec, stage, ahead, c
 @pytest.mark.parametrize("cells", [0, BLOCK_CELLS])
 @pytest.mark.parametrize("stepped", [False, True])
 def test_a_stream_whose_plays_all_retire_stops_drawing(redraw, stepped, cells):
-    # stream 0's plays retire after the first block: its generator then ends
-    # where a pass of one block leaves it, while stream 1's plays keep the
-    # columns of the pass that retires none, in blocks that run on to the
-    # horizon
+    # stream 0's plays retire after the first block, while stream 1's plays
+    # keep the columns of the pass that retires none, in blocks that run on
+    # to the horizon.  No generator draws past its plays' initial states and
+    # key: each ends one `choice` and one 64-bit draw on.
     p, x1 = redraw.pomdp, redraw.initial_belief
     strat = pe.uniform_strategy(2) if stepped else pe.always_strategy(2, 1, 0)
     counts = [3, 4]
     streams = lambda: [(np.random.default_rng([9, j]), n) for j, n in enumerate(counts)]
     with mock.patch.object(playspace, "BLOCK_CELLS", cells):
-        horizon = 3 * playspace._block_stages([(None, sum(counts), None)]) + 5
+        horizon = 3 * playspace._block_stages(sum(counts)) + 5
         full = simulate_plays(p, x1, strat, horizon, sum(counts), streams())
         gens = streams()
         stream = play_blocks(p, x1, strat, horizon, gens)
@@ -648,12 +648,11 @@ def test_a_stream_whose_plays_all_retire_stops_drawing(redraw, stepped, cells):
             if t0 == 0:
                 stream.retire(np.arange(counts[0]))
             end = t0 + len(blk[0])
-        one_block = streams()
-        for _ in play_blocks(p, x1, strat, made[1], one_block):
-            pass
     assert end == horizon and len(made) > 1
-    assert gens[0][0].bit_generator.state == one_block[0][0].bit_generator.state
-    assert gens[1][0].bit_generator.state != one_block[1][0].bit_generator.state
+    for (g, n), (w, _) in zip(gens, streams()):
+        w.choice(p.n_states, size=n, p=x1 / x1.sum())
+        w.bit_generator.random_raw()
+        assert g.bit_generator.state == w.bit_generator.state
 
 
 def test_conditional_weights_retire_every_play_at_the_table_horizon(redraw):
@@ -662,7 +661,7 @@ def test_conditional_weights_retire_every_play_at_the_table_horizon(redraw):
     # that retires no play
     p, x1 = redraw.pomdp, redraw.initial_belief
     strat = pe.uniform_strategy(2)
-    horizon = 10 * playspace._block_stages([(None, 20, None)])
+    horizon = 10 * playspace._block_stages(20)
     cond = conditional_evaluation(p, x1, strat, pe.make_evaluation("n_stage", n=3), 3)
     stream = lambda: play_blocks(p, x1, strat, horizon, [(np.random.default_rng(4), 20)])
     retiring, made = stream(), []
@@ -707,7 +706,7 @@ def test_a_play_left_alone_sums_as_a_column_of_its_pass(l, stepped, cells):
                  np.array([[0.1, 0.7, 0.2], [0.3, 0.9, 0.4]]))
     x1, e = np.array([0.5, 0.5]), pe.make_evaluation("run_block_ex2", l=l)
     with mock.patch.object(playspace, "BLOCK_CELLS", cells):
-        block = playspace._block_stages([(None, 3, None)])
+        block = playspace._block_stages(3)
         late, horizon = 2 * block + 12, 2 * block + 4 * STAGE_BLOCK
 
         def rule(stage):

@@ -321,6 +321,10 @@ def test_mc_estimators_reject_zero_samples(redraw, estimate):
     ("window_start", lambda p, x1, t, e: pe.limsup_belief_payoff_mc(p, x1, t, 8, 4, 1,
                                                                     window_start=3.5)),
     ("horizon", lambda p, x1, t, e: average_extrema([(0, np.zeros((4, 2)))], 4.0)),
+    ("horizon", lambda p, x1, t, e: pe.limsup_belief_payoff_mc(p, x1, t, "8", 4, 1)),
+    ("horizon", lambda p, x1, t, e: weighted_payoff_chain(product_chain(p, t, x1), e, 2.5)),
+    ("horizon", lambda p, x1, t, e: pe.irregularity_supremum(p, x1, e, 2.5)),
+    ("horizon", lambda p, x1, t, e: pe.irregularity_exact(p, x1, t, e, 2.5)),
     ("n", lambda p, x1, t, e: pe.value_n(p, x1, 2.5)),
     ("n", lambda p, x1, t, e: pe.value_n(p, x1, True)),
     ("budget", lambda p, x1, t, e: pe.value_n(p, x1, 3, budget=2.5)),
