@@ -20,12 +20,12 @@ from .evaluations import (evaluation_from_spec, irregularity_exact,
                           irregularity_mc, make_evaluation)
 from .instances import builtin_scenario, builtin_strategy
 from .measures import SupportedMeasure, invariance_residual
-from .model import Scenario, load_scenario, make_belief, names_a_file
-from .playspace import DEFAULT_NODE_BUDGET, reduce_sampled_plays
+from .model import Scenario, belief_graph, load_scenario, make_belief, names_a_file
+from .playspace import DEFAULT_NODE_BUDGET, GRAPH_BELIEFS, reduce_sampled_plays
 from .strategies import (StationaryStrategy, Transducer, enumerate_transducers,
                          transducer_from_dict)
-from .values import (asymptotic_value_estimate, average_extrema,
-                     limsup_belief_payoff_mc, value_discounted, value_n,
+from .values import (asymptotic_value_estimate, average_extrema, check_long_run_inputs,
+                     limsup_belief_payoff_mc, long_run_payoffs_mc, value_discounted, value_n,
                      weighted_payoff_and_irregularity_mc,
                      weighted_payoff_exact, weighted_payoff_mc)
 
@@ -227,12 +227,28 @@ def _cmd_ergodic(args) -> list:
 
 
 def _long_run(args, mode: str) -> list:
-    """The expected `mode` ("limsup" or "liminf") average payoff: exact on the
-    product chain for a transducer's liminf, else the Monte Carlo proxy."""
+    """The expected `mode` ("limsup" or "liminf") average payoff, by one rule
+    for both modes.  The sizes are checked first (`check_long_run_inputs`),
+    whichever path answers.  A transducer's play is a finite Markov chain:
+    on (state, memory) for state payoffs, and for belief payoffs on (state,
+    memory, belief id) when the beliefs reachable from x1 close into the
+    graph `belief_payoff_blocks` walks (`belief_graph` within GRAPH_BELIEFS).
+    There the Cesaro averages converge almost surely, so the expected
+    limsup and liminf both equal the absorption-weighted class payoff,
+    which `liminf_value_transducer` computes exactly on the product chain.
+    Belief payoffs give the same value on a closed orbit: for each n,
+    E[avg_n g] = E[avg_n r], since g(x_m, i_m) = E[r(k_m, i_m) | observed
+    history]; both averages converge almost surely on the finite chain, and
+    bounded convergence passes the equality to the limit.  Every other case
+    (a strategy without finite memory, or belief payoffs on an open orbit,
+    where Fatou's lemma makes the state-chain value only a bound) runs the
+    Monte Carlo proxy over `--horizon` stages."""
     scenario = _load(args)
     p, x1 = scenario.pomdp, scenario.initial_belief
     strat = _strategy(args, scenario)
-    if mode == "liminf" and isinstance(strat, Transducer):
+    check_long_run_inputs(args.horizon, args.samples, args.seed, args.window_start)
+    if isinstance(strat, Transducer) and (args.payoff_on == "state" or
+                                          belief_graph(p, x1, GRAPH_BELIEFS) is not None):
         value, bound, method = liminf_value_transducer(p, x1, strat), 0.0, "ergodic_exact"
     else:
         rep = limsup_belief_payoff_mc(p, x1, strat, args.horizon, args.samples, args.seed,
@@ -373,10 +389,8 @@ def _reproduce_known(args) -> list:
     p, x1 = scenario.pomdp, scenario.initial_belief
     horizon, samples = args.horizon, args.samples
     strat = builtin_strategy("always:0", p)
-    state = limsup_belief_payoff_mc(p, x1, strat, horizon, samples, args.seed,
-                                    mode="limsup", payoff_on="state")
-    belief = limsup_belief_payoff_mc(p, x1, strat, horizon, samples, args.seed,
-                                     mode="limsup", payoff_on="belief")
+    state, belief = long_run_payoffs_mc(p, x1, strat, horizon, samples, args.seed,
+                                        mode="limsup", bases=("state", "belief"))
     # the base belief stays uniform, so each play's belief payoff is 0 at
     # stage 1 (the lift pins the recorded reward to 0) and 1/2 afterwards; the
     # prefix average (m-1)/(2m) grows with m, so the limsup proxy is (h-1)/(2h)

@@ -625,14 +625,17 @@ def _simulate_chain(p: Pomdp, x1: np.ndarray, act: np.ndarray, stage_table: np.n
 def _search_tables(cum: np.ndarray) -> tuple:
     """(padded, levels): the chain kernel's search tables of the cumulative
     laws cum[a, c] of table a's rows c, each a power of two `pad` >= width
-    long.  Row c of a padded table holds 2c + cum[c, :-1], then the guard
-    2c + 2.  Every entry of an earlier row is at most 2c and every entry of
-    a later one at least 2c + 2, so a draw 2c + u of row c lands at
-    c * pad + code, the number of the row's own entries <= 2c + u: the flat
-    index into the padded nxt, with no clamping.  Dropping the last
-    cumulative entry caps the code at width - 1, and rows two apart stay
-    apart even when 2c + u rounds up to 2c + 1 or a row sums to slightly
-    more than 1.  The scalar step bisects a whole padded table from the
+    long.  Row c of a padded table holds 2c + cum[c, :-1] up to its last
+    code of positive probability, then the guard 2c + 2.  Every entry of an
+    earlier row is at most 2c and every entry of a later one at least
+    2c + 2, so a draw 2c + u of row c lands at c * pad + code, the number of
+    the row's own entries <= 2c + u: the flat index into the padded nxt,
+    with no clamping.  Guarding from the last positive code on caps the
+    code there, so a draw that rounds 2c + u up to 2c + 1, or lands past a
+    row summing to slightly less than 1, takes that code and never a
+    trailing code of probability 0; rows two apart stay apart even when a
+    row sums to slightly more than 1, and each padded table stays
+    non-decreasing.  The scalar step bisects a whole padded table from the
     right.  The numpy step (`_row_search`) counts only the play's own row,
     one bit of the code per round from the top, on the table's levels:
     level d holds, for each row c and each first d bits h of a code, the
@@ -641,8 +644,10 @@ def _search_tables(cum: np.ndarray) -> tuple:
     n_tables, n_c, width = cum.shape
     rank = (width - 1).bit_length()
     shift = 2.0 * np.arange(n_c)[:, None]
+    # a row's cumulative total is first reached at its last code of positive
+    # probability: from there on, the guard
     padded = np.concatenate(
-        [cum[:, :, :-1] + shift,
+        [np.where(cum[:, :, :-1] < cum[:, :, -1:], cum[:, :, :-1] + shift, shift + 2.0),
          np.broadcast_to(shift + 2.0, (n_tables, n_c, (1 << rank) - width + 1))], axis=2)
     levels = [[np.ascontiguousarray(t[:, (1 << r) - 1::2 << r]).ravel()
                for r in range(rank - 1, -1, -1)] for t in padded]

@@ -14,6 +14,7 @@ proxies fold the same stream into running extrema of prefix averages
 (`average_extrema`)."""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,28 +234,89 @@ def average_extrema(payoff_blocks, horizon: int, window_start: int = None) -> tu
     return hi, lo
 
 
+def check_long_run_inputs(horizon: int, samples: int, seed: int,
+                          window_start: int = None) -> None:
+    """The long-run proxies' checks of their sizes, made before any play is
+    simulated: `horizon` >= 2, `samples` >= 1, `seed` >= 0 and a
+    `window_start` in [1, horizon] (None reads h/2), each an integer, else
+    InvalidInputError."""
+    horizon = json_integer(horizon, "horizon")
+    if horizon < 2:
+        raise InvalidInputError("horizon must be >= 2")
+    if json_integer(samples, "samples") < 1:
+        raise InvalidInputError("samples must be >= 1")
+    seed = json_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if window_start is not None and \
+            not 1 <= json_integer(window_start, "window_start") <= horizon:
+        raise InvalidInputError("window start outside [1, horizon]")
+
+
+def _stage_payoffs(p: Pomdp, x1: np.ndarray, blocks, bases: tuple):
+    """(t0, g) blocks of per-stage payoffs along a `PlayStream`: r(k_m, i_m)
+    for the base "state", g(x_m, i_m) for "belief", and for the bases
+    ("state", "belief") both side by side, g being (block, 2 * plays) with
+    the state columns first.  Each column holds the payoffs its base alone
+    gives."""
+    if bases == ("state",):
+        return ((t0, p.reward[st, ac]) for t0, _, st, ac, _ in blocks)
+    if bases == ("belief",):
+        return belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, _, ac, sg in blocks))
+    return _state_and_belief_payoffs(p, x1, blocks)
+
+
+def _state_and_belief_payoffs(p: Pomdp, x1: np.ndarray, blocks):
+    """`_stage_payoffs` for both bases: the state payoffs of each block are
+    put aside as `belief_payoff_blocks` reads the block, and joined to its
+    belief payoffs when it yields them, one block for one block."""
+    rewards = deque()
+
+    def observed():
+        for t0, _, st, ac, sg in blocks:
+            rewards.append(p.reward[st, ac])
+            yield t0, ac, sg
+
+    for t0, g in belief_payoff_blocks(p, x1, observed()):
+        yield t0, np.hstack([rewards.popleft(), g])
+
+
+def long_run_payoffs_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
+                        samples: int, seed: int, mode: str = "limsup",
+                        bases: tuple = ("state", "belief"),
+                        window_start: int = None) -> tuple:
+    """`limsup_belief_payoff_mc` for each payoff base in `bases` ("state",
+    "belief" or both, in that order), from one simulated pass: one
+    ValueReport per base.  With both bases the two payoff blocks go side by
+    side through one `average_extrema`; a column's prefix averages and
+    extrema are its own, so each report is bit for bit the one a pass of
+    its own gives, at the cost of one simulation."""
+    check_long_run_inputs(horizon, samples, seed, window_start)
+    if mode not in ("limsup", "liminf"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    bases = tuple(bases)
+    if bases not in (("state",), ("belief",), ("state", "belief")):
+        raise InvalidInputError(f"unknown payoff bases {bases!r}")
+
+    def reduce(blocks):
+        return (average_extrema(_stage_payoffs(p, x1, blocks, bases), horizon,
+                                window_start)[mode == "liminf"],)
+
+    v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce)
+    reports = []
+    for part in np.split(v, len(bases)):
+        value, se = sample_mean(part)
+        reports.append(ValueReport(value=value, method="monte_carlo",
+                                   error_bound=3.0 * se, horizon_or_samples=samples))
+    return tuple(reports)
+
+
 def limsup_belief_payoff_mc(p: Pomdp, x1: np.ndarray, strat: Strategy, horizon: int,
                             samples: int, seed: int, mode: str = "limsup",
                             payoff_on: str = "state", window_start: int = None) -> ValueReport:
     """Finite-horizon estimate of the expected limsup/liminf average payoff,
     with per-stage payoffs r(k_m, i_m) ("state") or g(x_m, i_m) ("belief").
-    A `horizon` that is not an integer is rejected with InvalidInputError."""
-    horizon = json_integer(horizon, "horizon")
-    if horizon < 2:
-        raise InvalidInputError("horizon must be >= 2")
-    if mode not in ("limsup", "liminf"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if payoff_on not in ("state", "belief"):
-        raise InvalidInputError(f"unknown payoff base {payoff_on!r}")
-
-    def reduce(blocks):
-        if payoff_on == "state":
-            g = ((t0, p.reward[st, ac]) for t0, _, st, ac, _ in blocks)
-        else:
-            g = belief_payoff_blocks(p, x1, ((t0, ac, sg) for t0, _, _, ac, sg in blocks))
-        return (average_extrema(g, horizon, window_start)[mode == "liminf"],)
-
-    v, = reduce_sampled_plays(p, x1, strat, horizon, samples, seed, reduce)
-    value, se = sample_mean(v)
-    return ValueReport(value=value, method="monte_carlo",
-                       error_bound=3.0 * se, horizon_or_samples=samples)
+    The sizes are checked by `check_long_run_inputs`, so a `horizon` that is
+    not an integer is rejected with InvalidInputError."""
+    return long_run_payoffs_mc(p, x1, strat, horizon, samples, seed, mode, (payoff_on,),
+                               window_start)[0]

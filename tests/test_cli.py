@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,9 +373,8 @@ def test_long_discounted_horizon_matches_the_closed_form(capsys):
     assert abs(rec["value"] - 0.995) <= rec["error_bound"] + 1e-12
 
 
-def test_belief_budget_overrun_exits_with_budget_code(capsys, tmp_path, rng):
-    # a dense instance: depths 0..h-1 hold sum_d (I*S)^d distinct beliefs
-    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+def _scenario_file(path: Path, p, x1) -> Path:
+    """Write the scenario (p, x1) to the JSON file `path`; returns path."""
     doc = {"states": p.states, "actions": p.actions, "signals": p.signals,
            "transition": {f"{k},{i}": {f"{l},{s}": float(p.transition[a, b, c, d])
                                        for c, l in enumerate(p.states)
@@ -382,9 +382,15 @@ def test_belief_budget_overrun_exits_with_budget_code(capsys, tmp_path, rng):
                           for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
            "reward": {f"{k},{i}": float(p.reward[a, b])
                       for a, k in enumerate(p.states) for b, i in enumerate(p.actions)},
-           "initial_belief": [1 / 3] * 3}
-    path = tmp_path / "dense.json"
+           "initial_belief": [float(v) for v in x1]}
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_belief_budget_overrun_exits_with_budget_code(capsys, tmp_path, rng):
+    # a dense instance: depths 0..h-1 hold sum_d (I*S)^d distinct beliefs
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    path = _scenario_file(tmp_path / "dense.json", p, [1 / 3] * 3)
     h, n = 5, sum(4 ** d for d in range(5))
     code, _, err = run_cli(capsys, "value", "--scenario", str(path), "--horizon", str(h),
                            "--budget", str(n))
@@ -410,11 +416,128 @@ def test_known_payoffs_flag_checks_the_belief_limsup(capsys, horizon, samples, s
     assert abs(belief["value"] - (horizon - 1) / (2 * horizon)) <= 1e-9
 
 
+def test_known_payoffs_simulates_its_plays_once_for_both_records(capsys):
+    # the state and belief limsups come from one pass, bit for bit the two
+    # separate estimates with the same seed
+    import pomdp_evals as pe
+    from pomdp_evals import playspace
+
+    horizon, samples, seed = 300, 40, 5
+    with mock.patch.object(playspace, "play_blocks", wraps=playspace.play_blocks) as opened:
+        code, out, _ = run_cli(capsys, "reproduce", "known-payoffs", "--horizon", str(horizon),
+                               "--samples", str(samples), "--seed", str(seed))
+    assert code == 0 and opened.call_count == 1
+    lift = pe.builtin_scenario("blind-switching-lift")
+    p, x1 = lift.pomdp, lift.initial_belief
+    for rec, base in zip(json.loads(out)["records"], ("state", "belief")):
+        rep = pe.limsup_belief_payoff_mc(p, x1, pe.builtin_strategy("always:0", p), horizon,
+                                         samples, seed, mode="limsup", payoff_on=base)
+        assert (rec["value"], rec["error_bound"]) == (rep.value, rep.error_bound)
+
+
+def _belief_chain_value(p, x1, t) -> float:
+    """Absorption-weighted class payoff of the chain on (state, memory,
+    belief id) that transducer t plays on the closed belief graph of x1,
+    stepped by the graph's `child` table, with payoff g(b, act(m))."""
+    import pomdp_evals as pe
+    from pomdp_evals.model import belief_graph
+    from pomdp_evals.playspace import GRAPH_BELIEFS
+
+    beliefs, child, _, _ = belief_graph(p, x1, GRAPH_BELIEFS)
+    k, m, n_b, n_s = p.n_states, t.n_memory, len(beliefs), p.n_signals
+    g = beliefs @ p.reward
+    n = k * m * n_b
+    trans, payoff, initial = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for u, (state, mem, b) in enumerate(np.ndindex(k, m, n_b)):
+        i = t.act[mem]
+        payoff[u] = g[b, i]
+        for nxt, sig in np.ndindex(k, n_s):
+            v = np.ravel_multi_index((nxt, t.update[mem, i, sig], child[b, i * n_s + sig]),
+                                     (k, m, n_b))
+            trans[u, v] += p.transition[state, i, nxt, sig]
+        if mem == t.initial and b == 0:
+            initial[u] = x1[state]
+    dec = pe.ergodic_decomposition(pe.MarkovChain(tuple(range(n)), trans, payoff, initial))
+    return sum(a * v for a, v in zip(dec.absorption, dec.class_values))
+
+
+def _closed_orbit_scenarios(tmp_path) -> list:
+    """(--scenario argument, pomdp, x1) for each builtin and for three
+    observed random chains, written to files."""
+    import pomdp_evals as pe
+
+    out = [(name, pe.builtin_scenario(name)) for name in
+           ("matching-frozen", "matching-revealed", "uniform-redraw", "blind-switching",
+            "blind-switching-lift")]
+    for seed in range(3):
+        sc = pe.observed_random_chain(seed)
+        path = _scenario_file(tmp_path / f"chain{seed}.json", sc.pomdp, sc.initial_belief)
+        out.append((str(path), sc))
+    return [(arg, sc.pomdp, sc.initial_belief) for arg, sc in out]
+
+
+def test_long_run_belief_payoffs_are_exact_on_closed_orbits(capsys, tmp_path):
+    # every transducer of memory <= 2: the CLI's exact limsup and liminf of
+    # belief payoffs equal the value of the chain on (state, memory, belief
+    # id), built here from the belief graph alone
+    import pomdp_evals as pe
+
+    checked = 0
+    for scenario, p, x1 in _closed_orbit_scenarios(tmp_path):
+        for j, t in enumerate(pe.enumerate_transducers(p, max_memory=2)):
+            path = tmp_path / f"t{j}.json"
+            path.write_text(json.dumps(pe.transducer_to_dict(t)))
+            want = _belief_chain_value(p, x1, t)
+            for mode in ("limsup", "liminf"):
+                code, out, err = run_cli(capsys, mode, "--scenario", scenario,
+                                         "--strategy", str(path), "--payoff-on", "belief")
+                assert code == 0, err
+                rec = json.loads(out)["records"][0]
+                assert rec["method"] == "ergodic_exact" and rec["error_bound"] == 0.0
+                assert abs(rec["value"] - want) <= 1e-12, (scenario, j, mode)
+            checked += 1
+    assert checked == 4 * 10 + 50 + 3 * 57
+
+
+def test_long_run_state_payoffs_of_a_transducer_are_exact_in_both_modes(capsys, tmp_path):
+    import pomdp_evals as pe
+
+    for scenario, p, x1 in _closed_orbit_scenarios(tmp_path):
+        for j, t in enumerate(pe.enumerate_transducers(p, max_memory=1)):
+            path = tmp_path / f"t{j}.json"
+            path.write_text(json.dumps(pe.transducer_to_dict(t)))
+            recs = []
+            for mode in ("limsup", "liminf"):
+                code, out, err = run_cli(capsys, mode, "--scenario", scenario,
+                                         "--strategy", str(path))
+                assert code == 0, err
+                recs.append(json.loads(out)["records"][0])
+            assert all(r["method"] == "ergodic_exact" for r in recs)
+            assert recs[0]["value"] == recs[1]["value"] == pe.liminf_value_transducer(p, x1, t)
+
+
+def test_long_run_belief_payoffs_on_an_open_orbit_stay_monte_carlo(capsys, tmp_path, rng):
+    # dense cells: no two observed histories share a belief, so the orbit
+    # does not close and the state-chain value is only a bound there
+    path = _scenario_file(tmp_path / "dense.json", random_pomdp(rng, k=3, n_i=2, n_s=2),
+                          [1 / 3] * 3)
+    for mode in ("limsup", "liminf"):
+        code, out, err = run_cli(capsys, mode, "--scenario", str(path), "--strategy", "always:a0",
+                                 "--payoff-on", "belief", "--horizon", "50", "--samples", "4")
+        assert code == 0, err
+        assert json.loads(out)["records"][0]["method"] == "monte_carlo"
+        code, out, err = run_cli(capsys, mode, "--scenario", str(path), "--strategy", "always:a0")
+        assert code == 0, err
+        assert json.loads(out)["records"][0]["method"] == "ergodic_exact"
+
+
 @pytest.mark.parametrize("argv", [
     ["limsup", "--scenario", "blind-switching", "--strategy", "always:B",
      "--horizon", "100", "--samples", "0"],
     ["liminf", "--scenario", "blind-switching", "--strategy", "doubling",
      "--horizon", "-5", "--samples", "3"],
+    ["liminf", "--scenario", "blind-switching", "--strategy", "always:T",
+     "--samples", "0", "--horizon", "1", "--window-start", "7"],
     ["evaluate", "--scenario", "uniform-redraw", "--strategy", "always:0",
      "--evaluation", '{"kind": "n_stage", "n": 3}', "--horizon", "0"],
     ["evaluate", "--scenario", "uniform-redraw", "--strategy", "always:0",

@@ -336,10 +336,11 @@ def test_row_search_lands_where_searchsorted_lands_on_the_flat_table(width, n_ta
                                                                      sums, n, seed):
     # the numpy step's search of a play's own row gives the code that
     # searchsorted gives on the whole flat table of rows 2c + cum[c, :-1]
-    # with the guard 2c + 2, and the position searchsorted gives on the
-    # padded table.  Rows hold zero-probability cells and sum to 1 +- 1e-12;
-    # queries hit cumulative entries exactly, 0, and 1 - 2**-53, which
-    # rounds 2c + u up to 2c + 1 for every c >= 1.
+    # up to the row's last code of positive probability, then the guard
+    # 2c + 2, and the position searchsorted gives on the padded table.  Rows
+    # hold zero-probability cells and sum to 1 +- 1e-12; queries hit
+    # cumulative entries exactly, 0, and 1 - 2**-53, which rounds 2c + u up
+    # to 2c + 1 for every c >= 1.  No query lands on a code of probability 0.
     rng = np.random.default_rng(seed)
     law = rng.random((n_tables, n_c, width)) * (rng.random((n_tables, n_c, width)) > 0.3)
     law[..., rng.integers(width)] += 0.1
@@ -350,8 +351,8 @@ def test_row_search_lands_where_searchsorted_lands_on_the_flat_table(width, n_ta
     pad = padded.shape[2]
     assert pad >= width and pad & (pad - 1) == 0 and pad < 2 * width + (width == 1)
     shift = 2.0 * np.arange(n_c)[:, None]
-    flat = np.concatenate([cum[:, :, :-1] + shift,
-                           np.broadcast_to(shift + 2.0, (n_tables, n_c, 1))], axis=2)
+    last = np.array([[np.flatnonzero(row)[-1] for row in t] for t in law])
+    flat = np.where(np.arange(width) < last[..., None], cum + shift, shift + 2.0)
     c = rng.integers(0, n_c, n)
     u = rng.choice(np.concatenate([rng.random(n), cum.ravel(), [0.0, 1.0 - 2.0 ** -53]]), n)
     u = u[u < 1.0]
@@ -364,6 +365,29 @@ def test_row_search_lands_where_searchsorted_lands_on_the_flat_table(width, n_ta
         code = flat[a].ravel().searchsorted(q, side="right") - c * width
         assert np.array_equal(got - c * pad, code)
         assert ((code >= 0) & (code < width)).all()
+        assert (law[a, c, code] > 0).all()
+
+
+@pytest.mark.parametrize("u", [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52])
+def test_a_draw_rounding_up_to_the_next_row_takes_the_last_positive_code(u):
+    # rows [1/4, 0, 3/4], [1, 0, 0] and [1/2, 1/2, 0]: at c >= 1, 2c + u
+    # rounds up to 2c + 1, which reaches the cumulative total 1 before the
+    # trailing codes of probability 0; both steps must stop at the last
+    # positive code, 0 in row 1 and 1 in row 2
+    cum = np.cumsum([[[0.25, 0.0, 0.75], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]], axis=2)
+    padded, levels = playspace._search_tables(cum)
+    pad = padded.shape[2]
+    c = np.array([1, 2])
+    q = u + 2.0 * c
+    assert (q == 2.0 * c + 1.0).all()
+    got = playspace._row_search(levels[0], c, q, np.empty(2, dtype=np.int64), np.empty(2),
+                                np.empty(2, dtype=bool))
+    assert (got - c * pad).tolist() == [0, 1]
+    y, base = np.full((1, 2), u), 2.0 * c
+    pos = np.empty((1, 2), dtype=np.int64)
+    playspace._step_plays(y, base, [padded[0].ravel().tolist()],
+                          (2.0 * np.arange(3 * pad) // pad).tolist(), pos)
+    assert (pos[0] - c * pad).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("short, long", [(STAGE_BLOCK - 3, STAGE_BLOCK + 2),

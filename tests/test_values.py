@@ -10,7 +10,7 @@ from pomdp_evals.errors import BudgetExceededError, InvalidInputError
 from pomdp_evals.evaluations import EvalContext, weight_sums
 from pomdp_evals.model import SIGNAL_PROB_FLOOR, belief_graph, belief_key
 from pomdp_evals.playspace import SCALAR_PLAYS, one_block_stream, simulate_plays
-from pomdp_evals.values import (average_extrema, value_n_sequence,
+from pomdp_evals.values import (average_extrema, long_run_payoffs_mc, value_n_sequence,
                                 weighted_payoff_and_irregularity_mc,
                                 weighted_payoff_chain)
 
@@ -350,6 +350,20 @@ def test_belief_and_state_modes_coincide_when_states_are_revealed(revealed_match
     state_pay = p.reward[st, ac]
     belief_pay = belief_payoffs(p, x1, ac, sg)
     assert np.allclose(state_pay[:, 1:], belief_pay[:, 1:], atol=1e-12)
+
+
+@pytest.mark.parametrize("mode, window_start", [("limsup", None), ("liminf", 3)])
+def test_one_pass_over_both_payoff_bases_equals_two_passes(rng, mode, window_start):
+    # an open orbit, so the belief payoffs come from the Bayes filter; each
+    # report of the one pass is bit for bit the estimate of its own pass
+    p = random_pomdp(rng, k=3, n_i=2, n_s=2)
+    x1 = pe.uniform_belief(3)
+    strat = pe.uniform_strategy(2)
+    both = long_run_payoffs_mc(p, x1, strat, 40, 30, 6, mode, ("state", "belief"),
+                               window_start)
+    for rep, base in zip(both, ("state", "belief")):
+        alone = pe.limsup_belief_payoff_mc(p, x1, strat, 40, 30, 6, mode, base, window_start)
+        assert rep == alone
 
 
 def test_blind_belief_mode_limsup_is_exactly_half(blind):
